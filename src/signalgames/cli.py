@@ -84,6 +84,13 @@ def _data_flags(parser: argparse.ArgumentParser) -> None:
                         help="vocabulary size override for protocol files")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="signalgames",
@@ -130,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--instances", type=int, default=200,
                           help="random instances for lemma checks")
     p_verify.add_argument("--n", type=int, default=6)
-    p_verify.add_argument("--k", type=int, default=3)
+    p_verify.add_argument("--k", type=_positive_int, default=3)
     p_verify.add_argument("--expect", choices=("pass", "fail"), default=None)
 
     p_opt = sub.add_parser("optimize", help="protocol search")
@@ -142,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="reconstruction")
     p_opt.add_argument("--method", choices=("exhaustive", "kmeans",
                                             "balanced"), default="exhaustive")
-    p_opt.add_argument("--k", type=int, required=True,
+    p_opt.add_argument("--k", type=_positive_int, required=True,
                        help="number of messages")
     p_opt.add_argument("--d", type=int, default=2)
     p_opt.add_argument("--init", default=None,
@@ -164,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ctr.add_argument("--input", type=Path, default=None,
                        help="input space for the antipodal split "
                             "(default: uniform {0,1,2,3})")
-    p_ctr.add_argument("--k", type=int, default=None)
+    p_ctr.add_argument("--k", type=_positive_int, default=None)
     return parser
 
 
@@ -183,31 +190,14 @@ def _load_data(args) -> tuple[InputSpace, Protocol | None,
             raise ParseError("protocol and input space cover different "
                              "numbers of inputs", str(args.protocol))
     if getattr(args, "labels", None):
-        labels = labels + _load_labels(args.labels)
+        extra = io.load_labels(args.labels)
+        if extra and extra[0].size != space.size:
+            # the line where the first missing or surplus row sits
+            raise ParseError(f"{extra[0].size} label rows for {space.size} "
+                             "inputs", str(args.labels),
+                             line=min(extra[0].size, space.size) + 2)
+        labels = labels + extra
     return space, protocol, message_space, labels
-
-
-def _load_labels(path: Path) -> list[LabelMap]:
-    import csv as _csv
-    with open(path, newline="") as fh:
-        rows = list(_csv.reader(fh))
-    if not rows or rows[0][:1] != ["id"]:
-        raise ParseError("expected header 'id,<attr>,...'", str(path), line=1)
-    names = rows[0][1:]
-    records = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        try:
-            records[int(row[0])] = row[1:]
-        except ValueError:
-            raise ParseError(f"bad id {row[0]!r}", str(path), line=lineno,
-                             column=1)
-    if sorted(records) != list(range(len(records))):
-        raise ParseError("ids must be contiguous 0..N-1", str(path), line=2)
-    ordered = [records[i] for i in range(len(records))]
-    return [LabelMap([r[j] for r in ordered], name=names[j])
-            for j in range(len(names))]
 
 
 def _parse_symbol_groups(text: str | None) -> list[list[int]] | None:
@@ -402,7 +392,8 @@ def cmd_optimize(args) -> int:
         extra = {"rounds": res.rounds, "converged": res.converged}
     else:
         best = optimize.balanced_partition(space, args.k, flavor=args.flavor)
-        value = optimize.objective_value(best, space, spec)
+        value = float(optimize.batch_objective(best.assignment[None], space,
+                                               spec)[0])
         extra = {"flavor": args.flavor}
 
     message_space = io.default_message_space(args.k)
@@ -570,6 +561,12 @@ def _verify_lemma(args) -> dict:
 
 
 def _verify_definition(args) -> dict:
+    needs = ("input", "protocol") if args.definition in ("3", "4") \
+        else ("input", "receiver")
+    missing = [f"--{name}" for name in needs if getattr(args, name) is None]
+    if missing:
+        raise ParseError(f"verify --def {args.definition} needs "
+                         f"{' and '.join(missing)}", "")
     if args.definition in ("3", "4"):
         space, labels = io.load_input_space(args.input)
         protocol, message_space = io.load_protocol(args.protocol,

@@ -339,6 +339,24 @@ def _exact_discrimination_per_input(
     return per_input
 
 
+def _mc_report(losses: np.ndarray, targets: np.ndarray, n: int,
+               seed: int) -> LossReport:
+    """Report of a Monte-Carlo sample: the mean loss, overall and per
+    target input (NaN for inputs never drawn), with its standard error."""
+    per_input = np.full(n, np.nan)
+    sums = np.zeros(n)
+    hits = np.zeros(n)
+    np.add.at(sums, targets, losses)
+    np.add.at(hits, targets, 1.0)
+    np.divide(sums, hits, out=per_input, where=hits > 0)
+    infinite = bool(np.any(np.isinf(losses)))
+    expected = float(losses.mean()) if not infinite else math.inf
+    se = float(losses.std(ddof=1) / math.sqrt(losses.size)) \
+        if not infinite and losses.size > 1 else None
+    return LossReport(expected, per_input, "monte-carlo", samples=losses.size,
+                      seed=seed, std_error=se, infinite=infinite)
+
+
 def _mc_discrimination(messages: np.ndarray, receiver: DiscriminationReceiver,
                        space: InputSpace, d: int, samples: int, seed: int,
                        shards: int = 1) -> LossReport:
@@ -371,20 +389,8 @@ def _mc_discrimination(messages: np.ndarray, receiver: DiscriminationReceiver,
                 losses[e] = _nll(float(p))
         loss_chunks.append(losses)
         target_chunks.append(targets)
-    losses = np.concatenate(loss_chunks)
-    targets = np.concatenate(target_chunks)
-    per_input = np.full(n, np.nan)
-    sums = np.zeros(n)
-    hits = np.zeros(n)
-    np.add.at(sums, targets, losses)
-    np.add.at(hits, targets, 1.0)
-    np.divide(sums, hits, out=per_input, where=hits > 0)
-    infinite = bool(np.any(np.isinf(losses)))
-    expected = float(losses.mean()) if not infinite else math.inf
-    se = float(losses.std(ddof=1) / math.sqrt(losses.size)) \
-        if not infinite and losses.size > 1 else None
-    return LossReport(expected, per_input, "monte-carlo", samples=samples,
-                      seed=seed, std_error=se, infinite=infinite)
+    return _mc_report(np.concatenate(loss_chunks),
+                      np.concatenate(target_chunks), n, seed)
 
 
 def eval_discrimination(protocol: Protocol, receiver: DiscriminationReceiver,
@@ -504,16 +510,7 @@ def eval_classification(protocol: Protocol, receiver: DiscriminationReceiver,
             t = int(codes[targets[e]])
             losses[e] = _nll(float(
                 receiver.probabilities(m, tuple(cands[e]))[t]))
-        infinite = bool(np.any(np.isinf(losses)))
-        expected = float(losses.mean()) if not infinite else math.inf
-        se = float(losses.std(ddof=1) / math.sqrt(samples)) if not infinite else None
-        per_input = np.full(n, np.nan)
-        sums, hits = np.zeros(n), np.zeros(n)
-        np.add.at(sums, targets, losses)
-        np.add.at(hits, targets, 1.0)
-        np.divide(sums, hits, out=per_input, where=hits > 0)
-        return LossReport(expected, per_input, "monte-carlo", samples=samples,
-                          seed=seed, std_error=se, infinite=infinite)
+        return _mc_report(losses, targets, n, seed)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -585,18 +582,9 @@ def per_input_message_losses(receiver, space: InputSpace, spec: GameSpec,
             weights_for = lambda i: space.weights
         terms = n ** (d - 1) * n * k * d
         if terms <= budget:
-            for i in range(n):
-                dw = weights_for(i)
-                support = np.flatnonzero(dw > 0.0)
-                for m in range(k):
-                    acc = 0.0
-                    for distr in itertools.product(support, repeat=d - 1):
-                        w = float(np.prod(dw[list(distr)])) if d > 1 else 1.0
-                        for t in range(d):
-                            cands = distr[:t] + (i,) + distr[t:]
-                            acc += w / d * _nll(float(
-                                receiver.probabilities(m, cands)[t]))
-                    losses[i, m] = acc
+            for m in range(k):
+                losses[:, m] = _exact_discrimination_per_input(
+                    np.full(n, m), receiver, space, d, weights_for)
             return losses
         # past the exact budget: seeded Monte-Carlo with draws shared
         # across message choices, so the per-input argmin stays stable

@@ -28,6 +28,7 @@ from .games import ClassificationReceiver, ConstantDiscriminationReceiver, \
 __all__ = [
     "load_input_space",
     "save_input_space",
+    "load_labels",
     "load_protocol",
     "save_protocol",
     "default_message_space",
@@ -49,7 +50,7 @@ def load_input_space(path: str | Path) -> tuple[InputSpace, list[LabelMap]]:
     if path.suffix.lower() == ".json":
         return _input_space_from_json(path)
     rows = _read_csv(path)
-    header = rows[0]
+    header = rows[0] if rows else []
     if not header or header[0] != "id":
         raise ParseError("expected header starting with 'id'", str(path),
                          line=1, column=1)
@@ -64,29 +65,11 @@ def load_input_space(path: str | Path) -> tuple[InputSpace, list[LabelMap]]:
                              f"{name!r}", str(path), line=1, column=j + 1)
     label_cols = list(range(w_col + 1, len(header)))
 
-    records = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(row)}",
-                             str(path), line=lineno, column=len(row))
-        try:
-            ident = int(row[0])
-        except ValueError:
-            raise ParseError(f"bad id {row[0]!r}", str(path), line=lineno,
-                             column=1)
-        coords, weight = [], None
-        for j in coord_cols:
-            coords.append(_parse_float(row[j], path, lineno, j + 1))
+    ordered = []
+    for lineno, row in _rows_by_id(rows, path):
+        coords = [_parse_float(row[j], path, lineno, j + 1) for j in coord_cols]
         weight = _parse_float(row[w_col], path, lineno, w_col + 1)
-        records[ident] = (coords, weight, [row[j] for j in label_cols])
-    if not records:
-        raise ParseError("no data rows", str(path), line=2)
-    if sorted(records) != list(range(len(records))):
-        raise ParseError("ids must be contiguous 0..N-1", str(path), line=2)
-
-    ordered = [records[i] for i in range(len(records))]
+        ordered.append((coords, weight, [row[j] for j in label_cols]))
     try:
         space = InputSpace([r[0] for r in ordered],
                            [r[1] for r in ordered])
@@ -106,6 +89,17 @@ def _input_space_from_json(path: Path) -> tuple[InputSpace, list[LabelMap]]:
     labels = [LabelMap(vals, name=name)
               for name, vals in data.get("labels", {}).items()]
     return space, labels
+
+
+def load_labels(path: str | Path) -> list[LabelMap]:
+    """Label attributes from a CSV file with header ``id,<attr>,...``."""
+    path = Path(path)
+    rows = _read_csv(path)
+    if not rows or rows[0][:1] != ["id"]:
+        raise ParseError("expected header 'id,<attr>,...'", str(path), line=1)
+    ordered = [row[1:] for _, row in _rows_by_id(rows, path)]
+    return [LabelMap([r[j] for r in ordered], name=name)
+            for j, name in enumerate(rows[0][1:])]
 
 
 def save_input_space(path: str | Path, space: InputSpace,
@@ -156,31 +150,17 @@ def load_protocol(path: str | Path,
         if "messages" not in data:
             raise ParseError("protocol JSON needs a 'messages' list",
                              str(path), line=1)
-        strings = {i: str(m) for i, m in enumerate(data["messages"])}
+        ordered = list(enumerate(map(str, data["messages"]), start=2))
     else:
         rows = _read_csv(path)
         if not rows or rows[0][:2] != ["id", "message"]:
             raise ParseError("expected header 'id,message'", str(path),
                              line=1, column=1)
-        strings = {}
-        for lineno, row in enumerate(rows[1:], start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 2:
-                raise ParseError("expected 'id,message'", str(path),
-                                 line=lineno, column=1)
-            try:
-                ident = int(row[0])
-            except ValueError:
-                raise ParseError(f"bad id {row[0]!r}", str(path),
-                                 line=lineno, column=1)
-            strings[ident] = row[1].strip()
-    if sorted(strings) != list(range(len(strings))):
-        raise ParseError("ids must be contiguous 0..N-1", str(path), line=2)
-    ordered = [strings[i] for i in range(len(strings))]
+        ordered = [(lineno, row[1].strip())
+                   for lineno, row in _rows_by_id(rows, path)]
 
     seqs = []
-    for lineno, s in enumerate(ordered, start=2):
+    for lineno, s in ordered:
         try:
             seqs.append(_parse_message_string(s))
         except ValueError as exc:
@@ -308,7 +288,12 @@ def receiver_from_json(data: dict):
 
 
 def load_receiver(path: str | Path):
-    return receiver_from_json(_read_json(Path(path)))
+    path = Path(path)
+    data = _read_json(path)
+    try:
+        return receiver_from_json(data)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ParseError(f"bad receiver JSON: {exc}", str(path), line=1)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +342,35 @@ def _read_csv(path: Path) -> list[list[str]]:
             return [row for row in csv.reader(fh)]
     except OSError as exc:
         raise ParseError(str(exc), str(path))
+
+
+def _rows_by_id(rows: list[list[str]],
+                path: Path) -> list[tuple[int, list[str]]]:
+    """The data rows under a CSV header whose first column is an integer
+    id, as (line number, fields) in id order. Blank rows are skipped, every
+    other row has the header's width, and the ids run 0..N-1."""
+    width = len(rows[0])
+    records = {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != width:
+            raise ParseError(f"expected {width} fields, got {len(row)}",
+                             str(path), line=lineno, column=len(row))
+        try:
+            ident = int(row[0])
+        except ValueError:
+            raise ParseError(f"bad id {row[0]!r}", str(path), line=lineno,
+                             column=1)
+        if ident in records:
+            raise ParseError(f"duplicate id {ident}", str(path), line=lineno,
+                             column=1)
+        records[ident] = (lineno, row)
+    if not records:
+        raise ParseError("no data rows", str(path), line=2)
+    if sorted(records) != list(range(len(records))):
+        raise ParseError("ids must be contiguous 0..N-1", str(path), line=2)
+    return [records[i] for i in range(len(records))]
 
 
 def _read_json(path: Path) -> dict:

@@ -23,8 +23,9 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import entr
 
-from .core import InputSpace, LabelMap, Protocol, conditional_stats, \
+from .core import GameSpec, InputSpace, LabelMap, Protocol, _check_sizes, \
     message_probabilities
 
 __all__ = [
@@ -36,9 +37,9 @@ __all__ = [
     "supervised_objective",
     "SupervisedObjective",
     "classification_objective",
+    "batch_objective",
     "convexity_check",
     "entropy",
-    "conditional_entropy",
     "mutual_information",
     "joint_message_label",
 ]
@@ -46,37 +47,35 @@ __all__ = [
 
 def reco_objective(protocol: Protocol, space: InputSpace) -> float:
     """Weighted unexplained variance ``sum_m P(S=m) Var[X | S=m]``."""
-    p = message_probabilities(protocol, space)
-    total = 0.0
-    for m in range(protocol.num_messages):
-        if p[m] > 0.0:
-            _, var = conditional_stats(protocol, space, m)
-            total += p[m] * var
-    return total
+    return _one_row(protocol, space, "reconstruction")
 
 
-def binomial_log_moment(p: float, d: int) -> float:
-    """``f(p) = p * E log(1 + Binomial(d-1, p))`` via the exact binomial sum."""
+def binomial_log_moment(p: float | np.ndarray, d: int) -> float | np.ndarray:
+    """``f(p) = p * E log(1 + Binomial(d-1, p))`` via the exact binomial
+    sum, elementwise over a float or an array of ``p``."""
+    p = np.asarray(p, dtype=float)
+    if not ((p >= -1e-12) & (p <= 1.0 + 1e-12)).all():
+        raise ValueError("p must lie in [0, 1]")
+    return _binomial_sum(p.clip(0.0, 1.0), d)[()]
+
+
+def _binomial_sum(p: np.ndarray, d: int) -> np.ndarray:
+    """The binomial sum behind :func:`binomial_log_moment`, for masses
+    already known to lie in [0, 1]."""
     if d < 2:
         raise ValueError("candidate count d must be at least 2")
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ValueError("p must lie in [0, 1]")
-    p = min(max(p, 0.0), 1.0)
-    if p == 0.0:
-        return 0.0
     n = d - 1
     q = 1.0 - p
     acc = 0.0
     for k in range(1, n + 1):  # k = 0 contributes log 1 = 0
-        acc += math.comb(n, k) * p ** k * q ** (n - k) * math.log1p(k)
+        acc = acc + math.comb(n, k) * math.log1p(k) * p ** k * q ** (n - k)
     return p * acc
 
 
 def disc_objective(protocol: Protocol, space: InputSpace, d: int) -> float:
     """Exact expected discrimination loss of the synchronized pair,
     ``sum_m p_m * E log(1 + Binomial(d-1, p_m))``."""
-    p = message_probabilities(protocol, space)
-    return float(sum(binomial_log_moment(pm, d) for pm in p))
+    return _one_row(protocol, space, "discrimination", d)
 
 
 def disc_objective_simplified(protocol: Protocol, space: InputSpace) -> float:
@@ -95,7 +94,7 @@ def global_objective(protocol: Protocol, space: InputSpace) -> float:
     Inputs are treated as distinct atoms indexed by position, so the
     identity ``I(X; S(X)) = H(X) - H(X|S(X)) = H(S(X))`` holds exactly.
     """
-    return -entropy(message_probabilities(protocol, space))
+    return _one_row(protocol, space, "global")
 
 
 class SupervisedObjective(NamedTuple):
@@ -112,17 +111,15 @@ def supervised_objective(protocol: Protocol, space: InputSpace,
     equivalence classes. The value lies in [0, 1] and vanishes exactly when
     every class is label-pure.
     """
-    p = message_probabilities(protocol, space)
-    joint = joint_message_label(protocol, space, labels)
-    diversity = float(p @ p)
-    purity = float((joint * joint).sum())
+    diversity, purity = map(float, _supervised_terms(
+        joint_message_label(protocol, space, labels)))
     return SupervisedObjective(diversity - purity, diversity, purity)
 
 
 def classification_objective(protocol: Protocol, space: InputSpace,
                              labels: LabelMap) -> float:
     """``-I(Y; S(X))`` from the exact joint message/label table."""
-    return -mutual_information(joint_message_label(protocol, space, labels))
+    return _one_row(protocol, space, "classification", labels=labels)
 
 
 def convexity_check(d: int, grid_step: float = 1e-3, tol: float = 1e-9) -> bool:
@@ -134,7 +131,7 @@ def convexity_check(d: int, grid_step: float = 1e-3, tol: float = 1e-9) -> bool:
     if grid_step > 1e-3:
         raise ValueError("grid step must be at most 1e-3")
     grid = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
-    vals = np.array([binomial_log_moment(p, d) for p in grid])
+    vals = binomial_log_moment(grid, d)
     second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
     return bool(np.all(second >= -tol))
 
@@ -143,33 +140,103 @@ def convexity_check(d: int, grid_step: float = 1e-3, tol: float = 1e-9) -> bool:
 # Plug-in information quantities
 # ---------------------------------------------------------------------------
 
-def entropy(probs: np.ndarray) -> float:
-    """Plug-in Shannon entropy in nats with ``0 log 0 = 0``."""
-    p = np.asarray(probs, dtype=float)
-    p = p[p > 0.0]
-    return float(-(p * np.log(p)).sum())
+def entropy(probs: np.ndarray) -> np.ndarray:
+    """Plug-in Shannon entropy in nats with ``0 log 0 = 0``, of each
+    distribution along the last axis."""
+    return entr(np.asarray(probs, dtype=float)).sum(axis=-1)
 
 
-def conditional_entropy(joint: np.ndarray) -> float:
-    """``H(col | row)`` of a joint table whose rows are the conditioning
-    variable."""
+def mutual_information(joint: np.ndarray) -> np.ndarray:
+    """``I(row; col)`` of joint probability tables held in the last two
+    axes, in nats."""
     joint = np.asarray(joint, dtype=float)
-    row = joint.sum(axis=1)
-    return entropy(joint.ravel()) - entropy(row)
-
-
-def mutual_information(joint: np.ndarray) -> float:
-    """``I(row; col)`` of a joint probability table, in nats."""
-    joint = np.asarray(joint, dtype=float)
-    return entropy(joint.sum(axis=1)) + entropy(joint.sum(axis=0)) \
-        - entropy(joint.ravel())
+    return entropy(joint.sum(axis=-1)) + entropy(joint.sum(axis=-2)) \
+        - entropy(joint.reshape(*joint.shape[:-2], -1))
 
 
 def joint_message_label(protocol: Protocol, space: InputSpace,
                         labels: LabelMap) -> np.ndarray:
     """Exact joint table ``P(S(X) = m, Y = y)`` of shape (K, |Y|)."""
+    return _joint(protocol.assignment[None], protocol.num_messages, space,
+                  labels)[0]
+
+
+# ---------------------------------------------------------------------------
+# Batched closed forms: one kernel for many assignments and for one protocol
+# ---------------------------------------------------------------------------
+
+def batch_objective(assignments: np.ndarray, space: InputSpace,
+                    spec: GameSpec) -> np.ndarray:
+    """Closed-form objective of the game ``spec`` for each row of a
+    (batch, n) matrix of assignments."""
+    assignments = np.asarray(assignments, dtype=int)
+    if assignments.ndim != 2 or assignments.shape[1] != space.size:
+        raise ValueError(f"assignments of shape {assignments.shape} do not "
+                         f"cover {space.size} inputs")
+    return _objective_rows(assignments, int(assignments.max(initial=0)) + 1,
+                           space, spec.kind, spec.d, spec.labels)
+
+
+def _one_row(protocol: Protocol, space: InputSpace, kind: str, d: int = 2,
+             labels: LabelMap | None = None) -> float:
+    _check_sizes(protocol, space)
+    return float(_objective_rows(protocol.assignment[None],
+                                 protocol.num_messages, space, kind, d,
+                                 labels)[0])
+
+
+def _objective_rows(assignments: np.ndarray, k: int, space: InputSpace,
+                    kind: str, d: int, labels: LabelMap | None) -> np.ndarray:
+    """The one dispatch from class sums to each game's closed form, for a
+    (B, N) matrix of assignments with values below ``k``."""
+    w = space.weights
+    if kind == "reconstruction":
+        # Var[X] minus the explained part sum_m ||E[(X - EX) 1{S=m}]||^2 / p_m
+        masses, *sums = _class_sums(assignments, k, w,
+                                    *(w * (space.points - space.mean()).T))
+        explained = sum(s * s for s in sums)
+        np.divide(explained, masses, out=explained, where=masses > 0.0)
+        return space.variance() - explained.sum(axis=-1)
+    if kind in ("discrimination", "global"):
+        masses, = _class_sums(assignments, k, w)
+        if kind == "global":
+            return -entropy(masses)
+        return _binomial_sum(masses, d).sum(axis=-1)
+    if kind == "supervised":
+        diversity, purity = _supervised_terms(
+            _joint(assignments, k, space, labels))
+        return diversity - purity
+    if kind == "classification":
+        return -mutual_information(_joint(assignments, k, space, labels))
+    raise ValueError(f"unknown game kind {kind!r}")
+
+
+def _class_sums(codes: np.ndarray, size: int,
+                *weights: np.ndarray) -> list[np.ndarray]:
+    """Per-row class sums of a (B, N) code matrix with values below
+    ``size``: for each weight vector, ``out[b, c]`` sums ``weights[i]``
+    over the inputs ``i`` with ``codes[b, i] == c``. The codes are offset
+    by row, so one bincount per weight vector does all rows."""
+    rows = len(codes)
+    if rows == 1:  # one row needs no offsets
+        return [np.bincount(codes[0], w, size)[None] for w in weights]
+    flat = (codes + np.arange(0, rows * size, size)[:, None]).ravel()
+    return [np.bincount(flat, np.tile(w, rows), rows * size).reshape(
+        rows, size) for w in weights]
+
+
+def _joint(assignments: np.ndarray, k: int, space: InputSpace,
+           labels: LabelMap) -> np.ndarray:
+    """``P(S(X) = m, Y = y)`` for each row, shape (B, K, |Y|)."""
     if labels.size != space.size:
         raise ValueError("label map does not cover the input space")
-    joint = np.zeros((protocol.num_messages, labels.num_values))
-    np.add.at(joint, (protocol.assignment, labels.codes()), space.weights)
-    return joint
+    v = labels.num_values
+    sums, = _class_sums(assignments * v + labels.codes(), k * v,
+                        space.weights)
+    return sums.reshape(-1, k, v)
+
+
+def _supervised_terms(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sum_m P(m)^2`` and ``sum_{m,y} P(m, y)^2`` of joint tables."""
+    masses = joint.sum(axis=-1)
+    return (masses * masses).sum(axis=-1), (joint * joint).sum(axis=(-2, -1))

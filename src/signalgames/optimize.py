@@ -21,11 +21,11 @@ import numpy as np
 from .core import GameSpec, InputSpace, MessageSpace, Protocol
 from .errors import BudgetExceededError
 from .games import substream
+from .objectives import batch_objective
 
 __all__ = [
     "SearchResult",
     "exhaustive_search",
-    "objective_value",
     "batch_objective",
     "canonical_assignment",
     "KMeansResult",
@@ -34,83 +34,6 @@ __all__ = [
 ]
 
 ENUMERATION_BUDGET = 10 ** 7
-
-
-def objective_value(protocol: Protocol, space: InputSpace,
-                    spec: GameSpec) -> float:
-    """Closed-form objective of the given game for one protocol."""
-    from . import objectives as obj
-    if spec.kind == "reconstruction":
-        return obj.reco_objective(protocol, space)
-    if spec.kind == "discrimination":
-        return obj.disc_objective(protocol, space, spec.d)
-    if spec.kind == "global":
-        return obj.global_objective(protocol, space)
-    if spec.kind == "supervised":
-        return obj.supervised_objective(protocol, space, spec.labels).value
-    if spec.kind == "classification":
-        return obj.classification_objective(protocol, space, spec.labels)
-    raise ValueError(f"unknown game kind {spec.kind!r}")
-
-
-def _entropy_rows(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    np.multiply(p, np.log(p, out=np.zeros_like(p), where=p > 0), out=out,
-                where=p > 0)
-    return -out.sum(axis=-1)
-
-
-def _binomial_log_moment_vec(p: np.ndarray, d: int) -> np.ndarray:
-    n = d - 1
-    acc = np.zeros_like(p)
-    q = 1.0 - p
-    for k in range(1, n + 1):
-        acc += math.comb(n, k) * p ** k * q ** (n - k) * math.log1p(k)
-    return p * acc
-
-
-def batch_objective(assignments: np.ndarray, space: InputSpace,
-                    spec: GameSpec) -> np.ndarray:
-    """Closed-form objective for a (batch, n) matrix of assignments."""
-    assignments = np.asarray(assignments, dtype=int)
-    c, n = assignments.shape
-    k = int(assignments.max(initial=0)) + 1
-    w = space.weights
-    masses = np.zeros((c, k))
-    member = [assignments == m for m in range(k)]
-    for m in range(k):
-        masses[:, m] = member[m] @ w
-
-    if spec.kind == "reconstruction":
-        total = space.variance()
-        wx = w[:, None] * space.points
-        explained = np.zeros(c)
-        mu = space.mean()
-        for m in range(k):
-            s = member[m] @ wx  # (c, dim)
-            centered = s - masses[:, m][:, None] * mu
-            norm = np.einsum("ij,ij->i", centered, centered)
-            np.divide(norm, masses[:, m], out=norm, where=masses[:, m] > 0)
-            explained += norm
-        return total - explained
-    if spec.kind == "discrimination":
-        return _binomial_log_moment_vec(masses, spec.d).sum(axis=1)
-    if spec.kind == "global":
-        return -_entropy_rows(masses)
-    if spec.kind in ("supervised", "classification"):
-        codes = spec.labels.codes()
-        v = spec.labels.num_values
-        joint = np.zeros((c, k, v))
-        for m in range(k):
-            for y in range(v):
-                joint[:, m, y] = (member[m] & (codes == y)) @ w
-        if spec.kind == "supervised":
-            return (masses ** 2).sum(axis=1) - (joint ** 2).sum(axis=(1, 2))
-        h_y = _entropy_rows(joint.sum(axis=1))
-        h_joint = _entropy_rows(joint.reshape(c, -1))
-        h_m = _entropy_rows(masses)
-        return -(h_m + h_y - h_joint)
-    raise ValueError(f"unknown game kind {spec.kind!r}")
 
 
 class SearchResult(NamedTuple):

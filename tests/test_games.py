@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,16 @@ class TestEvalClassification:
         rep = eval_classification(anti, recv, space_b, labels_ab, mode="mc",
                                   samples=500, seed=1)
         assert abs(rep.expected - LOG2) < 1e-12  # loss ignores candidates
+
+    def test_mc_single_sample_has_no_std_error(self, space_b, anti,
+                                               labels_ab):
+        spec = GameSpec("classification", labels=labels_ab)
+        recv = synchronized_receiver(anti, space_b, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = eval_classification(anti, recv, space_b, labels_ab,
+                                      mode="mc", samples=1, seed=1)
+        assert rep.samples == 1 and rep.std_error is None
 
 
 class TestSynchronizedReceiver:

@@ -94,6 +94,13 @@ class TestProtocolFiles:
         with pytest.raises(ParseError, match="length"):
             io.load_protocol(path)
 
+    def test_rejects_duplicate_id(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("id,message\n0,0\n1,1\n1,0\n")
+        with pytest.raises(ParseError, match="duplicate id 1") as exc:
+            io.load_protocol(path)
+        assert exc.value.line == 4
+
 
 class TestReceiverJson:
     def test_reconstruction_round_trip(self, space_b, split):
@@ -170,6 +177,62 @@ class TestCli:
         bad.write_text("id,x0,weight\n0,zz,1.0\n")
         code = main(["metrics", "--input", str(bad), "--protocol", str(bad)])
         assert code == 2
+
+    @pytest.mark.parametrize("case", [
+        "empty_csv", "receiver_without_rows", "missing_labels",
+        "def3_without_protocol", "optimize_k0", "short_labels"])
+    def test_malformed_input_exits_2(self, case, tmp_path, space_b, capsys):
+        io.save_input_space(tmp_path / "space.csv", space_b)
+        (tmp_path / "protocol.csv").write_text(
+            "id,message\n0,0\n1,0\n2,1\n3,1\n")
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "norows.json").write_text(
+            '{"kind": "discrimination", "d": 2, "num_messages": 2}')
+        (tmp_path / "short.csv").write_text("id,color\n0,a\n1,b\n")
+        space, protocol = str(tmp_path / "space.csv"), \
+            str(tmp_path / "protocol.csv")
+        argv = {
+            "empty_csv": ["analyze", "--input", str(tmp_path / "empty.csv"),
+                          "--protocol", protocol],
+            "receiver_without_rows": ["verify", "--def", "5", "--input",
+                                      space, "--receiver",
+                                      str(tmp_path / "norows.json")],
+            "missing_labels": ["analyze", "--input", space, "--protocol",
+                               protocol, "--labels",
+                               str(tmp_path / "missing.csv")],
+            "def3_without_protocol": ["verify", "--def", "3", "--input",
+                                      space],
+            "optimize_k0": ["optimize", "--k", "0", "--input", space],
+            "short_labels": ["analyze", "--input", space, "--protocol",
+                             protocol, "--labels",
+                             str(tmp_path / "short.csv")],
+        }[case]
+        try:
+            code = main(argv + ["--out", str(tmp_path / "out")])
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error" in err
+
+    def test_short_labels_error_names_file_and_line(self, data_dir, capsys):
+        (data_dir / "short.csv").write_text("id,color\n0,a\n1,b\n")
+        code = main(["analyze", "--input", str(data_dir / "space.csv"),
+                     "--protocol", str(data_dir / "protocol.csv"),
+                     "--labels", str(data_dir / "short.csv")])
+        assert code == 2
+        assert f"{data_dir / 'short.csv'}:4:" in capsys.readouterr().err
+
+    def test_labels_file_adds_an_attribute(self, data_dir, capsys):
+        # posdis needs two attributes: one in the input CSV, one here
+        (data_dir / "color.csv").write_text(
+            "id,color\n0,r\n1,g\n2,r\n3,g\n")
+        code = main(["metrics", "--input", str(data_dir / "space.csv"),
+                     "--protocol", str(data_dir / "protocol.csv"),
+                     "--labels", str(data_dir / "color.csv"), "--d", "2",
+                     "--metrics", "posdis"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["posdis"] == 1.0
 
     def test_analyze_writes_json_and_csv(self, data_dir, capsys):
         out = data_dir / "out"

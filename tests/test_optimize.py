@@ -8,6 +8,7 @@ from signalgames import (
     BudgetExceededError,
     GameSpec,
     InputSpace,
+    LabelMap,
     Protocol,
     balanced_partition,
     disc_objective,
@@ -18,12 +19,56 @@ from signalgames import (
     reco_objective,
     semantic_consistency,
 )
-from signalgames.optimize import batch_objective, canonical_assignment, \
-    objective_value
+from signalgames.core import GAME_KINDS
+from signalgames.optimize import batch_objective, canonical_assignment
 
 from conftest import random_protocol, random_space, rng_for
+from oracles import classification_loss_bruteforce, \
+    discrimination_loss_bruteforce, entropy_bruteforce, \
+    global_loss_bruteforce, reconstruction_loss_bruteforce, \
+    supervised_loss_bruteforce
 
 LOG2 = math.log(2.0)
+
+_D = {"reconstruction": 2, "discrimination": 3, "global": 2,
+      "supervised": 2, "classification": 2}
+
+
+def _oracle_instance(rng, kind, n):
+    """A random space of ``n`` inputs; uniform, with balanced binary
+    labels, for the labelled games."""
+    pts = rng.normal(size=(n, int(rng.integers(1, 3))))
+    if kind in ("supervised", "classification"):
+        return InputSpace.uniform(pts), LabelMap(["a", "b"] * (n // 2))
+    w = rng.random(n) + 0.1
+    return InputSpace(pts, w / w.sum()), None
+
+
+def _oracle_objective(spec, assignment, space):
+    """The game's closed form, read off the brute-force optimal loss: the
+    oracles return the loss of the synchronized receiver, which differs
+    from the closed form by H(X), H(Y) or a constant factor."""
+    a = [int(m) for m in assignment]
+    w = space.weights.tolist()
+    if spec.kind == "reconstruction":
+        means = {}
+        for m in set(a):
+            members = [i for i in range(len(a)) if a[i] == m]
+            mass = sum(w[i] for i in members)
+            means[m] = sum(w[i] * space.points[i] for i in members) / mass
+        return reconstruction_loss_bruteforce(a, means, space.points, w)
+    if spec.kind == "discrimination":
+        return discrimination_loss_bruteforce(a, w, spec.d)
+    if spec.kind == "global":
+        return global_loss_bruteforce(a, w) - entropy_bruteforce(w)
+    labels = spec.labels.labels
+    if spec.kind == "supervised":
+        v = spec.labels.num_values
+        return supervised_loss_bruteforce(a, w, labels) / (LOG2 * v / (v - 1))
+    label_mass = [sum(wi for wi, y in zip(w, labels) if y == value)
+                  for value in spec.labels.values]
+    return classification_loss_bruteforce(a, w, labels) \
+        - entropy_bruteforce(label_mass)
 
 
 class TestExhaustiveSearch:
@@ -57,29 +102,35 @@ class TestExhaustiveSearch:
                               budget=10)
         assert exc.value.required == 81
 
-    def test_batch_matches_scalar_objectives(self):
+    def test_batch_matches_oracles(self):
         rng = rng_for("batch-objective")
-        from conftest import random_labeled_instance
-        for kind in ("reconstruction", "discrimination", "global"):
-            space = random_space(rng, n_max=6)
-            spec = GameSpec(kind, d=3)
+        for kind in GAME_KINDS:
+            space, labels = _oracle_instance(
+                rng, kind, 2 * int(rng.integers(1, 4)))
+            spec = GameSpec(kind, d=_D[kind], labels=labels)
             rows = np.stack([random_protocol(rng, space.size, 3).assignment
                              for _ in range(8)])
-            k = int(rows.max()) + 1
             got = batch_objective(rows, space, spec)
-            want = [objective_value(Protocol(r, k), space, spec)
-                    for r in rows]
-            assert np.allclose(got, want, atol=1e-12)
-        for kind in ("supervised", "classification"):
-            space, protocol, labels = random_labeled_instance(rng, n_max=6)
-            spec = GameSpec(kind, d=2, labels=labels)
-            rows = np.stack([random_protocol(rng, space.size, 3).assignment
-                             for _ in range(8)])
-            k = int(rows.max()) + 1
-            got = batch_objective(rows, space, spec)
-            want = [objective_value(Protocol(r, k), space, spec)
-                    for r in rows]
-            assert np.allclose(got, want, atol=1e-12)
+            want = [_oracle_objective(spec, r, space) for r in rows]
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12), kind
+
+    @pytest.mark.parametrize("kind", GAME_KINDS)
+    def test_argmin_set_matches_oracles(self, kind):
+        # every labelled protocol in the search's own order: input 0 is
+        # the fastest-moving digit
+        rng = rng_for(f"argmin-{kind}")
+        space, labels = _oracle_instance(rng, kind, 6)
+        spec = GameSpec(kind, d=_D[kind], labels=labels)
+        k = 3
+        rows = [a[::-1] for a in itertools.product(range(k),
+                                                   repeat=space.size)]
+        values = np.array([_oracle_objective(spec, r, space) for r in rows])
+        best = values.min()
+        want = [r for r, v in zip(rows, values) if v <= best + 1e-9]
+        result = exhaustive_search(space, k, spec)
+        assert abs(result.value - best) < 1e-12
+        assert [tuple(p.assignment.tolist()) for p in result.protocols] \
+            == want
 
 
 class TestKMeans:
