@@ -448,6 +448,10 @@ def cmd_counterexample(args) -> int:
         else:
             space = InputSpace.uniform(np.arange(4.0)[:, None])
         k = args.k if args.k is not None else space.size // 2
+        if 2 * k != space.size or not space.is_uniform():
+            raise ParseError("the antipodal split needs a uniform prior on "
+                             f"exactly 2K points; --k {k} on {space.size} "
+                             "points", str(args.input or ""))
         report = counterexamples.verify_antipodal_split(space, k)
         protocol = Protocol(np.asarray(report["assignment"]), k)
         io.save_input_space(out / "space.csv", space)
@@ -624,17 +628,17 @@ def _verify_corollary(args) -> dict:
     result = optimize.exhaustive_search(space, args.k, spec)
     uniform_ok = True
     target = 1.0 / args.k
-    for assignment in _equal_mass_assignments(args.n, args.k):
-        protocol = Protocol(assignment, args.k)
-        value = objectives.disc_objective(protocol, space, args.d)
-        if abs(value - result.value) > 1e-12:
-            uniform_ok = False
-            break
+    if args.n % args.k == 0:
+        equal_mass = np.array(list(met._distinct_shuffles(
+            np.repeat(np.arange(args.k), args.n // args.k),
+            optimize.ENUMERATION_BUDGET)))
+        values = optimize.batch_objective(equal_mass, space, spec)
+        uniform_ok = bool(np.all(np.abs(values - result.value) <= 1e-12))
     convex = objectives.convexity_check(args.d)
-    masses_uniform_at_min = all(
-        np.allclose(np.sort(np.bincount(p.assignment, minlength=args.k)),
-                    args.n / args.k)
-        for p in result.protocols)
+    minimizers = np.array([p.assignment for p in result.protocols])
+    masses_uniform_at_min = bool(np.allclose(
+        (minimizers[:, :, None] == np.arange(args.k)).sum(axis=1),
+        args.n / args.k))
     return {"check": "corollary-1", "n": args.n, "k": args.k, "d": args.d,
             "verdict": uniform_ok and convex,
             "_nats_fields": ["exhaustive_minimum"],
@@ -643,16 +647,6 @@ def _verify_corollary(args) -> dict:
                           "num_optimal": len(result.protocols),
                           "minimizers_all_equal_mass": masses_uniform_at_min,
                           "convexity": convex}}
-
-
-def _equal_mass_assignments(n: int, k: int):
-    if n % k != 0:
-        return
-    size = n // k
-    import itertools
-    for perm in set(itertools.permutations(sum(([m] * size
-                                                for m in range(k)), []))):
-        yield np.asarray(perm, dtype=int)
 
 
 def cmd_verify(args) -> int:

@@ -17,8 +17,9 @@ function, so concurrent evaluation is safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -370,6 +371,19 @@ def expected_pairwise_sqdist(space: InputSpace) -> float:
 def epsilon_min(message_space: MessageSpace) -> float:
     """Minimum distance between distinct messages (``eps_M``)."""
     return message_space.epsilon_min()
+
+
+def _product_rows(radices: Sequence[int],
+                  chunk: int = 4096) -> Iterator[np.ndarray]:
+    """The mixed-radix product ``itertools.product(*map(range, radices))``
+    in the same order, as (B, c) integer arrays of at most ``chunk`` rows."""
+    radices = np.asarray(radices, dtype=np.int64).reshape(-1)
+    place = np.ones(radices.size, dtype=np.int64)  # the last column is fastest
+    place[:-1] = np.cumprod(radices[:0:-1])[::-1]
+    total = math.prod(radices.tolist())
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        yield idx[:, None] // place % radices
 
 
 def _check_sizes(protocol: Protocol, space: InputSpace) -> None:

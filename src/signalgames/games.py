@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GameSpec, InputSpace, LabelMap, Protocol, \
+from .core import GameSpec, InputSpace, LabelMap, Protocol, _product_rows, \
     message_probabilities
 from .errors import BudgetExceededError, EmptyClassError
 
@@ -316,6 +316,43 @@ def _exact_disc_term_count(n: int, d: int) -> int:
     return n ** (d - 1) * n * d
 
 
+def _evaluation_mode(mode: str, terms: int, budget: int,
+                     what: str = "exact enumeration") -> str:
+    """``exact`` or ``mc``: ``auto`` picks exact enumeration when its term
+    count fits the budget; an explicit ``exact`` over budget raises."""
+    if mode == "auto":
+        mode = "exact" if terms <= budget else "mc"
+    if mode not in ("exact", "mc"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exact" and terms > budget:
+        raise BudgetExceededError(
+            f"{what} needs {terms} terms (budget {budget})", required=terms)
+    return mode
+
+
+def _query_nll(receiver: DiscriminationReceiver, messages, candidates,
+               positions) -> np.ndarray:
+    """Loss ``-log P(target position)`` of one receiver query per row of the
+    (B, d) candidate matrix; ``messages`` and ``positions`` are given per
+    row or shared by all rows."""
+    rows = np.asarray(candidates).tolist()
+    ms = np.broadcast_to(messages, (len(rows),)).tolist()
+    ts = np.broadcast_to(positions, (len(rows),)).tolist()
+    return np.array([_nll(float(receiver.probabilities(m, tuple(r))[t]))
+                     for m, r, t in zip(ms, rows, ts)], dtype=float)
+
+
+def _splice(distractors: np.ndarray, targets, positions) -> np.ndarray:
+    """Candidate rows: each row's distractors in order with its target
+    inserted at its position (targets and positions per row or shared)."""
+    b, d = distractors.shape[0], distractors.shape[1] + 1
+    at = np.arange(d) == np.broadcast_to(positions, (b,))[:, None]
+    cands = np.empty((b, d), dtype=np.int64)
+    cands[at] = np.broadcast_to(targets, (b,))
+    cands[~at] = distractors.ravel()
+    return cands
+
+
 def _exact_discrimination_per_input(
         messages: np.ndarray, receiver: DiscriminationReceiver,
         space: InputSpace, d: int,
@@ -325,17 +362,14 @@ def _exact_discrimination_per_input(
     n = space.size
     per_input = np.zeros(n)
     for i in range(n):
-        m = int(messages[i])
         dw = distractor_weights(i)
         support = np.flatnonzero(dw > 0.0)
-        acc = 0.0
-        for distr in itertools.product(support, repeat=d - 1):
-            w = float(np.prod(dw[list(distr)])) if d > 1 else 1.0
+        for block in _product_rows([support.size] * (d - 1)):
+            distr = support[block]
+            w = dw[distr].prod(axis=1) * (1.0 / d)
             for t in range(d):
-                cands = distr[:t] + (i,) + distr[t:]
-                p = float(receiver.probabilities(m, cands)[t])
-                acc += w * (1.0 / d) * _nll(p)
-        per_input[i] = acc
+                per_input[i] += w @ _query_nll(
+                    receiver, messages[i], _splice(distr, i, t), t)
     return per_input
 
 
@@ -380,13 +414,8 @@ def _mc_discrimination(messages: np.ndarray, receiver: DiscriminationReceiver,
             losses = np.log1p(share.sum(axis=1).astype(float))
         else:
             positions = rng.integers(0, d, size=size)
-            losses = np.empty(size)
-            for e in range(size):
-                t = int(positions[e])
-                row = distr[e].tolist()
-                cands = tuple(row[:t] + [int(targets[e])] + row[t:])
-                p = receiver.probabilities(int(messages[targets[e]]), cands)[t]
-                losses[e] = _nll(float(p))
+            losses = _query_nll(receiver, messages[targets],
+                                _splice(distr, targets, positions), positions)
         loss_chunks.append(losses)
         target_chunks.append(targets)
     return _mc_report(np.concatenate(loss_chunks),
@@ -407,20 +436,12 @@ def eval_discrimination(protocol: Protocol, receiver: DiscriminationReceiver,
     if d < 2:
         raise ValueError("candidate count d must be at least 2")
     terms = _exact_disc_term_count(space.size, d)
-    if mode == "auto":
-        mode = "exact" if terms <= budget else "mc"
-    if mode == "exact":
-        if terms > budget:
-            raise BudgetExceededError(
-                f"exact enumeration needs {terms} terms (budget {budget})",
-                required=terms)
+    if _evaluation_mode(mode, terms, budget) == "exact":
         per_input = _exact_discrimination_per_input(
             protocol.assignment, receiver, space, d, lambda i: space.weights)
         return _exact_report(per_input, space.weights)
-    if mode == "mc":
-        return _mc_discrimination(protocol.assignment, receiver, space, d,
-                                  samples, seed, shards)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _mc_discrimination(protocol.assignment, receiver, space, d,
+                              samples, seed, shards)
 
 
 def _supervised_distractor_weights(space: InputSpace, labels: LabelMap):
@@ -452,11 +473,7 @@ def eval_supervised(protocol: Protocol, receiver: DiscriminationReceiver,
     if labels.size != space.size:
         raise ValueError("label map does not cover the input space")
     weights_for = _supervised_distractor_weights(space, labels)
-    terms = _exact_disc_term_count(space.size, d)
-    if terms > budget:
-        raise BudgetExceededError(
-            f"exact enumeration needs {terms} terms (budget {budget})",
-            required=terms)
+    _evaluation_mode("exact", _exact_disc_term_count(space.size, d), budget)
     per_input = _exact_discrimination_per_input(
         protocol.assignment, receiver, space, d, weights_for)
     return _exact_report(per_input, space.weights)
@@ -475,43 +492,26 @@ def eval_classification(protocol: Protocol, receiver: DiscriminationReceiver,
     codes = labels.codes()
     groups = [np.flatnonzero(codes == y) for y in range(labels.num_values)]
     cond = [space.weights[g] / space.weights[g].sum() for g in groups]
-    tuples = float(np.prod([len(g) for g in groups]))
-    if mode == "auto":
-        mode = "exact" if tuples * space.size * 1.0 <= budget else "mc"
-
-    if mode == "exact":
-        if tuples * space.size > budget:
-            raise BudgetExceededError(
-                f"exact enumeration needs {tuples * space.size:.0f} terms "
-                f"(budget {budget})", required=tuples * space.size)
-        per_input = np.zeros(space.size)
-        for i in range(space.size):
-            m = int(protocol.assignment[i])
-            t = int(codes[i])
-            acc = 0.0
-            for draw in itertools.product(*[range(len(g)) for g in groups]):
-                w = float(np.prod([cond[y][draw[y]]
-                                   for y in range(len(groups))]))
-                cands = tuple(int(groups[y][draw[y]]) for y in range(len(groups)))
-                acc += w * _nll(float(receiver.probabilities(m, cands)[t]))
-            per_input[i] = acc
+    sizes = [g.size for g in groups]
+    n = space.size
+    messages = protocol.assignment
+    if _evaluation_mode(mode, math.prod(sizes) * n, budget) == "exact":
+        per_input = np.zeros(n)
+        for block in _product_rows(sizes):
+            cands = np.stack([g[block[:, y]] for y, g in enumerate(groups)],
+                             axis=1)
+            w = np.prod([c[block[:, y]] for y, c in enumerate(cond)], axis=0)
+            for i in range(n):
+                per_input[i] += w @ _query_nll(receiver, messages[i], cands,
+                                               codes[i])
         return _exact_report(per_input, space.weights)
 
-    if mode == "mc":
-        rng = substream(seed, "monte-carlo", "classification")
-        n = space.size
-        targets = rng.choice(n, size=samples, p=space.weights)
-        cand_cols = [g[rng.choice(len(g), size=samples, p=c)]
-                     for g, c in zip(groups, cond)]
-        cands = np.stack(cand_cols, axis=1)
-        losses = np.empty(samples)
-        for e in range(samples):
-            m = int(protocol.assignment[targets[e]])
-            t = int(codes[targets[e]])
-            losses[e] = _nll(float(
-                receiver.probabilities(m, tuple(cands[e]))[t]))
-        return _mc_report(losses, targets, n, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+    rng = substream(seed, "monte-carlo", "classification")
+    targets = rng.choice(n, size=samples, p=space.weights)
+    cands = np.stack([g[rng.choice(len(g), size=samples, p=c)]
+                      for g, c in zip(groups, cond)], axis=1)
+    losses = _query_nll(receiver, messages[targets], cands, codes[targets])
+    return _mc_report(losses, targets, n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -591,17 +591,13 @@ def per_input_message_losses(receiver, space: InputSpace, spec: GameSpec,
         draws = max(1, spec.samples // n)
         rng = substream(spec.seed, "monte-carlo", "sender")
         for i in range(n):
-            dw = weights_for(i)
-            distr = rng.choice(n, size=(draws, d - 1), p=dw)
+            distr = rng.choice(n, size=(draws, d - 1), p=weights_for(i))
             positions = rng.integers(0, d, size=draws)
+            cands = _splice(distr, i, positions)
             for m in range(k):
-                acc = 0.0
-                for e in range(draws):
-                    t = int(positions[e])
-                    row = distr[e].tolist()
-                    cands = tuple(row[:t] + [i] + row[t:])
-                    acc += _nll(float(receiver.probabilities(m, cands)[t]))
-                losses[i, m] = acc / draws
+                # a running sum, in draw order
+                losses[i, m] = np.cumsum(_query_nll(
+                    receiver, m, cands, positions))[-1] / draws
         return losses
     if spec.kind == "classification":
         codes = spec.labels.codes()

@@ -252,29 +252,25 @@ def receiver_to_json(receiver) -> dict:
     raise TypeError(f"cannot serialize receiver of type {type(receiver)!r}")
 
 
+def _rows_with_gaps(rows: list) -> tuple[np.ndarray, np.ndarray]:
+    """A per-message table whose undefined rows are ``null``: the rows as a
+    float array (NaN where undefined) and the mask of defined rows."""
+    defined = np.array([r is not None for r in rows], dtype=bool)
+    if not defined.any():
+        raise ValueError("no receiver row is defined")
+    width = len(next(r for r in rows if r is not None))
+    return np.array([r if r is not None else [math.nan] * width
+                     for r in rows], dtype=float), defined
+
+
 def receiver_from_json(data: dict):
     kind = data.get("kind")
     if kind == "reconstruction":
-        rows = data["outputs"]
-        defined = np.array([r is not None for r in rows])
-        dim = len(next(r for r in rows if r is not None))
-        pts = np.array([r if r is not None else [math.nan] * dim
-                        for r in rows], dtype=float)
-        return ReconstructionReceiver(pts, defined=defined)
+        return ReconstructionReceiver(*_rows_with_gaps(data["outputs"]))
     if kind == "global":
-        rows = data["table"]
-        defined = np.array([r is not None for r in rows])
-        n = len(next(r for r in rows if r is not None))
-        tab = np.array([r if r is not None else [math.nan] * n
-                        for r in rows], dtype=float)
-        return GlobalReceiver(tab, defined=defined)
+        return GlobalReceiver(*_rows_with_gaps(data["table"]))
     if kind == "classification":
-        rows = data["conditional"]
-        defined = np.array([r is not None for r in rows])
-        v = len(next(r for r in rows if r is not None))
-        tab = np.array([r if r is not None else [math.nan] * v
-                        for r in rows], dtype=float)
-        return ClassificationReceiver(tab, defined=defined)
+        return ClassificationReceiver(*_rows_with_gaps(data["conditional"]))
     if kind == "constant-discrimination":
         return ConstantDiscriminationReceiver(
             np.asarray(data["vector"], dtype=float),

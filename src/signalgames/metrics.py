@@ -19,7 +19,6 @@ scores themselves are ratios and therefore base-free.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from typing import Callable, Sequence
@@ -28,9 +27,10 @@ import numpy as np
 from scipy import stats
 
 from .core import InputSpace, LabelMap, MessageSpace, Protocol, \
-    equivalence_classes
+    _product_rows, equivalence_classes
 from .errors import BudgetExceededError, MetricUndefinedError
-from .games import GameSpec, substream, synchronized_receiver
+from .games import GameSpec, _evaluation_mode, substream, \
+    synchronized_receiver
 
 __all__ = [
     "unique_messages",
@@ -39,7 +39,6 @@ __all__ = [
     "purity",
     "max_purity",
     "topsim",
-    "levenshtein",
     "disentanglement",
     "cluster_variance",
     "discrimination_accuracy",
@@ -173,19 +172,6 @@ def topsim(protocol: Protocol, space: InputSpace,
         raise MetricUndefinedError("topsim undefined (zero variance)")
     rho = stats.spearmanr(input_d, msg_d).statistic
     return float(rho)
-
-
-def levenshtein(a: Sequence, b: Sequence) -> int:
-    """Edit distance for variable-length messages; on equal-length
-    sequences of the spaces used here it reduces to Hamming distance."""
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
-                           prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -339,52 +325,44 @@ def discrimination_accuracy(protocol: Protocol, space: InputSpace,
         return w / total
 
     terms = space.size ** (d - 1) * space.size
-    if mode == "auto":
-        mode = "exact" if terms <= budget else "mc"
-
-    if mode == "exact":
-        if terms > budget:
-            raise BudgetExceededError(
-                f"exact accuracy needs {terms} terms (budget {budget})",
-                required=terms)
+    if _evaluation_mode(mode, terms, budget, "exact accuracy") == "exact":
         acc = 0.0
         for i in range(space.size):
             dw = distractor_weights(i)
             support = np.flatnonzero(dw > 0.0)
             hit = 0.0
-            for distr in itertools.product(support, repeat=d - 1):
-                w = float(np.prod(dw[list(distr)])) if d > 1 else 1.0
-                hit += w * _correct_probability(i, distr, msgs, space, recon)
+            for block in _product_rows([support.size] * (d - 1)):
+                distr = support[block]
+                hit += dw[distr].prod(axis=1) @ _correct_probability(
+                    i, distr, msgs, space, recon)
             acc += space.weights[i] * hit
         return float(acc)
 
-    if mode == "mc":
-        rng = substream(seed, "accuracy")
-        acc = 0.0
-        for i in range(space.size):
-            dw = distractor_weights(i)
-            correct = 0
-            for _ in range(trials):
-                distr = tuple(rng.choice(space.size, size=d - 1, p=dw))
-                p = _correct_probability(i, distr, msgs, space, recon)
-                correct += int(rng.random() < p)
-            acc += space.weights[i] * (correct / trials)
-        return float(acc)
-    raise ValueError(f"unknown mode {mode!r}")
+    rng = substream(seed, "accuracy")
+    acc = 0.0
+    for i in range(space.size):
+        dw = distractor_weights(i)
+        correct = 0
+        for _ in range(trials):
+            distr = rng.choice(space.size, size=(1, d - 1), p=dw)
+            p = _correct_probability(i, distr, msgs, space, recon)[0]
+            correct += int(rng.random() < p)
+        acc += space.weights[i] * (correct / trials)
+    return float(acc)
 
 
-def _correct_probability(i, distractors, msgs, space, recon) -> float:
-    """Chance the receiver's (tie-broken) pick lands on the target's slot.
+def _correct_probability(i, distractors, msgs, space, recon) -> np.ndarray:
+    """Chance the receiver's (tie-broken) pick lands on the target's slot,
+    for each row of the (B, d-1) distractor block.
 
     The candidate tuple is position-exchangeable, so the target slot can sit
     first without loss of generality.
     """
     if recon is None:
-        share = 1 + sum(1 for c in distractors if msgs[c] == msgs[i])
-        return 1.0 / share
+        return 1.0 / (1 + (msgs[distractors] == msgs[i]).sum(axis=1))
     target = recon.point(int(msgs[i]))
-    cands = np.concatenate([[i], list(distractors)]).astype(int)
-    dist = np.linalg.norm(space.points[cands] - target, axis=1)
-    lo = dist.min()
-    ties = np.isclose(dist, lo, rtol=0.0, atol=1e-12)
-    return float(ties[0]) / float(ties.sum())
+    cands = np.insert(distractors, 0, i, axis=1)
+    dist = np.linalg.norm(space.points[cands] - target, axis=2)
+    ties = np.isclose(dist, dist.min(axis=1, keepdims=True), rtol=0.0,
+                      atol=1e-12)
+    return ties[:, 0] / ties.sum(axis=1)

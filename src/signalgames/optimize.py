@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import GameSpec, InputSpace, MessageSpace, Protocol
+from .core import GameSpec, InputSpace, MessageSpace, Protocol, _product_rows
 from .errors import BudgetExceededError
 from .games import substream
 from .objectives import batch_objective
@@ -58,19 +58,17 @@ def exhaustive_search(space: InputSpace,
             f"search space has {total} protocols (budget {budget})",
             required=total)
     best = math.inf
-    kept: list[tuple[float, np.ndarray]] = []
-    powers = np.asarray([k ** j for j in range(n)], dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = ((idx[:, None] // powers) % k).astype(int)
+    kept: list[tuple[np.ndarray, np.ndarray]] = []  # (values, rows) slices
+    for rows in _product_rows([k] * n, chunk):
+        digits = np.ascontiguousarray(rows[:, ::-1])  # input 0 varies fastest
         values = batch_objective(digits, space, spec)
-        lo = float(values.min())
-        if lo < best:
-            best = lo
-            kept = [(v, row) for v, row in kept if v <= best + tie_tol]
-        for pos in np.flatnonzero(values <= best + tie_tol):
-            kept.append((float(values[pos]), digits[pos].copy()))
-    protocols = [Protocol(row, k) for v, row in kept if v <= best + tie_tol]
+        if values.min() < best:
+            best = float(values.min())
+            kept = [(v[v <= best + tie_tol], r[v <= best + tie_tol])
+                    for v, r in kept]
+        tied = values <= best + tie_tol
+        kept.append((values[tied], digits[tied]))
+    protocols = [Protocol(row, k) for _, rows in kept for row in rows]
     return SearchResult(best, protocols)
 
 

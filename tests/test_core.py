@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from signalgames import (
     input_variance,
     message_probabilities,
 )
+from signalgames.core import _product_rows
 
 from conftest import random_protocol, random_space, rng_for
 from oracles import pairwise_sqdist_bruteforce, variance_bruteforce
@@ -196,3 +199,12 @@ class TestProtocol:
         assert Protocol([0, 1], 2) == Protocol([0, 1], 2)
         assert Protocol([0, 1], 2) != Protocol([0, 1], 3)
         assert len({Protocol([0, 1], 2), Protocol([0, 1], 2)}) == 1
+
+
+class TestProductRows:
+    @pytest.mark.parametrize("radices", [[3, 1, 4, 2], [5], [], [2, 0, 3]])
+    def test_matches_itertools_product_across_chunks(self, radices):
+        blocks = list(_product_rows(radices, chunk=5))
+        assert all(0 < b.shape[0] <= 5 for b in blocks)
+        rows = [tuple(r) for b in blocks for r in b.tolist()]
+        assert rows == list(itertools.product(*map(range, radices)))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -10,6 +11,7 @@ from signalgames import (
     EmptyClassError,
     GameSpec,
     GlobalReceiver,
+    InputSpace,
     LabelMap,
     Protocol,
     ReconstructionReceiver,
@@ -23,9 +25,11 @@ from signalgames import (
     synchronized_sender,
 )
 from signalgames.games import (
+    ScoreDiscriminationReceiver,
     SynchronizedDiscriminationReceiver,
     TabularDiscriminationReceiver,
     materialize_discrimination_table,
+    per_input_message_losses,
     substream,
 )
 
@@ -38,6 +42,18 @@ from oracles import (
 )
 
 LOG2 = math.log(2.0)
+
+
+@pytest.fixture
+def score_instance():
+    """Weighted five-point space, three messages, and a candidate-aware
+    score receiver that never assigns zero probability."""
+    space = InputSpace(np.arange(5.0)[:, None], [0.1, 0.2, 0.3, 0.15, 0.25])
+    protocol = Protocol([0, 0, 1, 1, 2], 3)
+    scores = np.array([[1.0, 2.0, 0.5, 1.0, 3.0],
+                       [0.2, 1.0, 2.0, 1.0, 0.5],
+                       [1.0, 1.0, 1.0, 2.0, 0.3]])
+    return space, protocol, ScoreDiscriminationReceiver(scores, 3)
 
 
 class TestEvalReconstruction:
@@ -143,6 +159,22 @@ class TestEvalDiscrimination:
         d = eval_discrimination(split, recv, space_b, 2, mode="mc",
                                 samples=5000, seed=3, shards=4)
         assert c.expected == d.expected
+
+    def test_exact_asks_one_query_per_term(self, space_b, split):
+        calls = []
+
+        class Counting(SynchronizedDiscriminationReceiver):
+            def probabilities(self, m, candidates):
+                calls.append((m, candidates))
+                return super().probabilities(m, candidates)
+
+        rep = eval_discrimination(split, Counting(split, 3), space_b, 3,
+                                  mode="exact")
+        # targets x distractor tuples x positions, covering every tuple
+        assert len(calls) == 4 ** 3 * 3
+        assert len({cands for _, cands in calls}) == 4 ** 3
+        assert abs(rep.expected - discrimination_loss_bruteforce(
+            split.assignment.tolist(), space_b.weights.tolist(), 3)) < 1e-12
 
     def test_generic_receiver_mc_path(self, space_b, split):
         # dense table receivers run the per-episode path
@@ -254,6 +286,24 @@ class TestEvalClassification:
                                   samples=500, seed=1)
         assert abs(rep.expected - LOG2) < 1e-12  # loss ignores candidates
 
+    def test_exact_matches_enumeration(self, score_instance):
+        # unequal label groups with unequal weights, and a receiver that
+        # reads the candidates: every tuple weight and query matters
+        space, protocol, recv = score_instance
+        labels = LabelMap(["a", "b", "a", "c", "b"])
+        codes = labels.codes()
+        groups = [np.flatnonzero(codes == y) for y in range(3)]
+        want = 0.0
+        for i in range(space.size):
+            for cands in itertools.product(*groups):
+                w = np.prod([space.weights[c] / space.weights[g].sum()
+                             for c, g in zip(cands, groups)])
+                p = recv.probabilities(protocol.assignment[i], cands)
+                want -= space.weights[i] * w * math.log(p[codes[i]])
+        got = eval_classification(protocol, recv, space, labels,
+                                  mode="exact").expected
+        assert abs(got - want) < 1e-12
+
     def test_mc_single_sample_has_no_std_error(self, space_b, anti,
                                                labels_ab):
         spec = GameSpec("classification", labels=labels_ab)
@@ -263,6 +313,56 @@ class TestEvalClassification:
             rep = eval_classification(anti, recv, space_b, labels_ab,
                                       mode="mc", samples=1, seed=1)
         assert rep.samples == 1 and rep.std_error is None
+
+
+class TestMonteCarloGolden:
+    """Monte-Carlo outputs pinned to values recorded before the candidate
+    enumeration and the receiver queries were shared across paths; a fixed
+    (seed, samples, shards) must keep reproducing them exactly."""
+
+    @staticmethod
+    def assert_report(rep, expected, std_error, per_input):
+        assert rep.expected == expected and rep.std_error == std_error
+        assert rep.per_input.tolist() == per_input
+
+    @pytest.mark.parametrize("tabular", [False, True])
+    def test_discrimination_one_shard(self, score_instance, tabular):
+        space, protocol, score = score_instance
+        recv = materialize_discrimination_table(score, space) if tabular \
+            else score
+        rep = eval_discrimination(protocol, recv, space, 3, mode="mc",
+                                  samples=400, seed=11)
+        self.assert_report(rep, 1.1922323299594275, 0.02700378391153747, [
+            1.3848744399927826, 0.8778260687761471, 0.7466896460938499,
+            1.1086683859934208, 1.9279026649448199])
+
+    def test_discrimination_three_shards(self, score_instance):
+        space, protocol, score = score_instance
+        rep = eval_discrimination(protocol, score, space, 3, mode="mc",
+                                  samples=400, seed=11, shards=3)
+        self.assert_report(rep, 1.141494976240282, 0.02837071023289896, [
+            1.32079644680516, 0.907572563143975, 0.6827173133848875,
+            1.1125543151806894, 1.993744699290962])
+
+    def test_classification(self, score_instance):
+        space, protocol, score = score_instance
+        labels = LabelMap(["a", "b", "a", "c", "b"])
+        rep = eval_classification(protocol, score, space, labels, mode="mc",
+                                  samples=300, seed=5)
+        self.assert_report(rep, 1.269148558578663, 0.040506632031829116, [
+            1.8756026317039367, 0.5243949793684745, 1.039969533900755,
+            1.2242860095230859, 1.9310025443313792])
+
+    def test_sender_losses_past_budget(self, score_instance):
+        space, _, score = score_instance
+        spec = GameSpec("discrimination", d=3, seed=7, samples=200)
+        losses = per_input_message_losses(score, space, spec, budget=10)
+        assert losses.tolist() == [
+            [1.3882756518757897, 2.402864059191707, 1.0318385402213914],
+            [0.9321449680555363, 1.1053825799188335, 1.0442291956502752],
+            [1.8919964817901023, 0.7123504916293639, 1.0440872845388727],
+            [1.3595131595694865, 1.0966519451742014, 0.6757816178874775],
+            [0.6795978806135012, 1.531449302398399, 1.9520888521505566]]
 
 
 class TestSynchronizedReceiver:

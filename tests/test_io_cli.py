@@ -180,7 +180,8 @@ class TestCli:
 
     @pytest.mark.parametrize("case", [
         "empty_csv", "receiver_without_rows", "missing_labels",
-        "def3_without_protocol", "optimize_k0", "short_labels"])
+        "def3_without_protocol", "optimize_k0", "short_labels",
+        "thm2_k_mismatch", "thm2_nonuniform", "receiver_all_null"])
     def test_malformed_input_exits_2(self, case, tmp_path, space_b, capsys):
         io.save_input_space(tmp_path / "space.csv", space_b)
         (tmp_path / "protocol.csv").write_text(
@@ -189,6 +190,10 @@ class TestCli:
         (tmp_path / "norows.json").write_text(
             '{"kind": "discrimination", "d": 2, "num_messages": 2}')
         (tmp_path / "short.csv").write_text("id,color\n0,a\n1,b\n")
+        (tmp_path / "nonuniform.csv").write_text(
+            "id,x0,weight\n0,0,0.1\n1,1,0.4\n2,2,0.4\n3,3,0.1\n")
+        (tmp_path / "allnull.json").write_text(
+            '{"kind": "reconstruction", "outputs": [null, null]}')
         space, protocol = str(tmp_path / "space.csv"), \
             str(tmp_path / "protocol.csv")
         argv = {
@@ -206,6 +211,13 @@ class TestCli:
             "short_labels": ["analyze", "--input", space, "--protocol",
                              protocol, "--labels",
                              str(tmp_path / "short.csv")],
+            "thm2_k_mismatch": ["counterexample", "--which", "thm2", "--k",
+                                "3"],
+            "thm2_nonuniform": ["counterexample", "--which", "thm2",
+                                "--input", str(tmp_path / "nonuniform.csv")],
+            "receiver_all_null": ["verify", "--def", "6", "--input", space,
+                                  "--receiver",
+                                  str(tmp_path / "allnull.json")],
         }[case]
         try:
             code = main(argv + ["--out", str(tmp_path / "out")])
@@ -289,6 +301,14 @@ class TestCli:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"]
+
+    def test_verify_corollary_counts_every_equal_mass_optimum(self, capsys):
+        code = main(["verify", "--corollary", "1", "--n", "12", "--k", "3"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"]
+        assert report["witnesses"]["num_optimal"] == 34650  # 12!/(4!)^3
+        assert report["witnesses"]["minimizers_all_equal_mass"]
 
     def test_optimize_kmeans_round_trip(self, data_dir, capsys):
         out = data_dir / "opt"
