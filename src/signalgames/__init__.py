@@ -19,7 +19,6 @@ from .core import (
     Protocol,
     conditional_stats,
     epsilon_min,
-    equivalence_classes,
     expected_pairwise_sqdist,
     input_variance,
     message_probabilities,
@@ -41,7 +40,6 @@ from .games import (
     ScoreDiscriminationReceiver,
     SynchronizedDiscriminationReceiver,
     TabularDiscriminationReceiver,
-    candidate_unaware_equivalence,
     eval_classification,
     eval_discrimination,
     eval_global,

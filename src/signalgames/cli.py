@@ -44,27 +44,19 @@ CSV_COLUMNS = [
 @dataclass
 class RunConfig:
     seed: int = 0
-    samples: int = 200_000
     out: Path | None = None
     fmt: str = "json"
     log_base: str = "nats"
-    input_path: Path | None = None
-    protocol_path: Path | None = None
-    labels_path: Path | None = None
-    vocab: int | None = None
     metric_names: list[str] = field(default_factory=list)
     d: int = 41
     trials: int = 1
     accuracy_receiver: str = "synchronized"
     baseline_repeats: int = 100
     symbol_groups: list[list[int]] | None = None
-    eps0: float | None = None
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=200_000,
-                        help="Monte-Carlo sample budget")
     parser.add_argument("--out", type=Path, default=None,
                         help="output directory for report files")
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"),
@@ -84,11 +76,30 @@ def _data_flags(parser: argparse.ArgumentParser) -> None:
                         help="vocabulary size override for protocol files")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _at_least(1)
+_candidate_count = _at_least(2)
+
+
+def _floats(text: str) -> list[float]:
+    """An argparse type: numbers separated by commas or semicolons."""
+    return [float(v) for v in text.replace(";", ",").split(",")]
+
+
+def _parse_symbol_groups(text: str) -> list[list[int]]:
+    """An argparse type: a vocabulary partition such as '0,1;2,3'."""
+    return [[int(s) for s in part.split(",") if s != ""]
+            for part in text.split(";")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,17 +119,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated metric subset (default: all)")
         p.add_argument("--d", type=int, default=41,
                        help="candidate count for discrimination accuracy")
-        p.add_argument("--trials", type=int, default=1)
+        p.add_argument("--trials", type=_positive_int, default=1)
         p.add_argument("--accuracy-receiver",
                        choices=("synchronized", "reconstruction-nearest"),
                        default="synchronized")
         p.add_argument("--baseline-repeats", type=int, default=100)
-        p.add_argument("--symbol-groups", default=None,
+        p.add_argument("--symbol-groups", type=_parse_symbol_groups,
+                       default=None,
                        help="vocabulary partition, e.g. '0,1;2,3;4,5'")
 
     p_verify = sub.add_parser("verify", help="definition, lemma and "
                               "enumeration verdicts")
     _common_flags(p_verify)
+    p_verify.add_argument("--samples", type=_positive_int, default=200_000,
+                          help="Monte-Carlo samples for --lemma 2 at d > 2")
     p_verify.add_argument("--input", type=Path)
     p_verify.add_argument("--protocol", type=Path)
     p_verify.add_argument("--labels", type=Path)
@@ -127,16 +141,16 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("3", "4", "5", "6"))
     p_verify.add_argument("--lemma", choices=("1", "2", "a1", "a2", "a3"))
     p_verify.add_argument("--corollary", choices=("1",))
-    p_verify.add_argument("--d", type=int, default=2)
+    p_verify.add_argument("--d", type=_candidate_count, default=2)
     p_verify.add_argument("--eps0", type=float, default=None)
     p_verify.add_argument("--receiver", type=Path,
                           help="receiver JSON (defs 5 and 6)")
     p_verify.add_argument("--game", choices=("reconstruction",
                                              "discrimination"),
                           default="reconstruction")
-    p_verify.add_argument("--instances", type=int, default=200,
+    p_verify.add_argument("--instances", type=_positive_int, default=200,
                           help="random instances for lemma checks")
-    p_verify.add_argument("--n", type=int, default=6)
+    p_verify.add_argument("--n", type=_positive_int, default=6)
     p_verify.add_argument("--k", type=_positive_int, default=3)
     p_verify.add_argument("--expect", choices=("pass", "fail"), default=None)
 
@@ -151,13 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
                                             "balanced"), default="exhaustive")
     p_opt.add_argument("--k", type=_positive_int, required=True,
                        help="number of messages")
-    p_opt.add_argument("--d", type=int, default=2)
-    p_opt.add_argument("--init", default=None,
-                       help="explicit centroids, e.g. '0.4,2.6'")
+    p_opt.add_argument("--d", type=_candidate_count, default=2)
+    p_opt.add_argument("--init", type=_floats, default=None,
+                       help="explicit centroids, e.g. '0.4,2.6' or "
+                            "'0,1;2,3' (K points of the input dimension)")
     p_opt.add_argument("--flavor", choices=("greedy-uniform",
                                             "adversarial-antipodal"),
                        default="greedy-uniform")
-    p_opt.add_argument("--max-iters", type=int, default=100)
+    p_opt.add_argument("--max-iters", type=_positive_int, default=100)
     p_opt.add_argument("--tol", type=float, default=0.0)
     p_opt.add_argument("--budget", type=int,
                        default=optimize.ENUMERATION_BUDGET)
@@ -198,13 +213,6 @@ def _load_data(args) -> tuple[InputSpace, Protocol | None,
                              line=min(extra[0].size, space.size) + 2)
         labels = labels + extra
     return space, protocol, message_space, labels
-
-
-def _parse_symbol_groups(text: str | None) -> list[list[int]] | None:
-    if not text:
-        return None
-    return [[int(s) for s in part.split(",") if s != ""]
-            for part in text.split(";")]
 
 
 def _to_log_base(report: dict, base: str) -> dict:
@@ -300,14 +308,14 @@ def _require_groups(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args, flat_only: bool = False) -> int:
-    cfg = RunConfig(seed=args.seed, samples=args.samples, out=args.out,
+    cfg = RunConfig(seed=args.seed, out=args.out,
                     fmt=args.fmt, log_base=args.log_base,
                     metric_names=[s for s in args.metric_names.split(",")
                                   if s],
                     d=args.d, trials=args.trials,
                     accuracy_receiver=args.accuracy_receiver,
                     baseline_repeats=args.baseline_repeats,
-                    symbol_groups=_parse_symbol_groups(args.symbol_groups))
+                    symbol_groups=args.symbol_groups)
     space, protocol, message_space, labels = _load_data(args)
     if protocol is None:
         raise ParseError("analyze needs a --protocol file", "")
@@ -366,7 +374,10 @@ def cmd_optimize(args) -> int:
         if label is None:
             raise ParseError(f"{args.game} optimization needs labels", "")
         spec_kwargs["labels"] = label
-    spec = GameSpec(**spec_kwargs)
+    try:
+        spec = GameSpec(**spec_kwargs)
+    except ValueError as exc:  # e.g. more candidates than labels
+        raise ParseError(str(exc), str(args.input))
 
     trace: list[float] = []
     if args.method == "exhaustive":
@@ -382,8 +393,13 @@ def cmd_optimize(args) -> int:
     elif args.method == "kmeans":
         if spec.kind != "reconstruction":
             raise ParseError("kmeans optimizes the reconstruction game", "")
-        init = "sample" if args.init is None else _parse_init(args.init,
-                                                              space.dim)
+        init = "sample"
+        if args.init is not None:
+            if len(args.init) != args.k * space.dim:
+                raise ParseError(f"--init gives {len(args.init)} values for "
+                                 f"{args.k} centroids in {space.dim} "
+                                 "dimensions")
+            init = np.reshape(args.init, (args.k, space.dim))
         res = optimize.kmeans_alternation(space, args.k, init=init,
                                           seed=args.seed,
                                           max_iters=args.max_iters,
@@ -413,13 +429,6 @@ def cmd_optimize(args) -> int:
     io.write_report(out / "result.json", report)
     sys.stdout.write(io.dumps_report(report))
     return 0
-
-
-def _parse_init(text: str, dim: int) -> np.ndarray:
-    groups = text.split(";")
-    if len(groups) == 1 and dim == 1:
-        return np.asarray([[float(v)] for v in text.split(",")])
-    return np.asarray([[float(v) for v in g.split(",")] for g in groups])
 
 
 def _write_trace(path: Path, trace: list[float]) -> None:
@@ -594,13 +603,17 @@ def _verify_definition(args) -> dict:
                      for t in res.thresholds if not t.vacuous),
                     default=math.nan)}}
     space, _ = io.load_input_space(args.input)
-    receiver = io.load_receiver(args.receiver)
+    receiver = _load_receiver(args, space)
     if args.definition == "5":
         if args.protocol:
             _, message_space = io.load_protocol(args.protocol,
                                                 vocab_size=args.vocab)
         else:
             message_space = io.default_message_space(receiver.num_messages)
+        if receiver.num_messages > message_space.size:
+            raise ParseError(f"{receiver.num_messages} receiver messages for "
+                             f"{message_space.size} in the message space",
+                             str(args.receiver))
         eps0 = args.eps0 if args.eps0 is not None \
             else message_space.epsilon_min()
         res = consistency.receiver_simplicity(receiver, eps0, space,
@@ -620,6 +633,32 @@ def _verify_definition(args) -> dict:
     if args.game == "discrimination":  # reconstruction losses are variances
         report["_nats_fields"] = ["sup_loss", "constant_loss", "slack"]
     return report
+
+
+def _load_receiver(args, space: InputSpace):
+    """The ``--receiver`` file, checked against the input space and against
+    the receivers ``--def 5`` or ``--def 6 --game G --d D`` evaluates."""
+    receiver = io.load_receiver(args.receiver)
+    points = isinstance(receiver, games.ReconstructionReceiver)
+    table = isinstance(receiver, games.TabularDiscriminationReceiver)
+    if args.definition == "5":
+        fits = points or table
+    elif args.game == "reconstruction":
+        fits = points
+    else:  # discrimination receivers, and only those, have candidates
+        fits = getattr(receiver, "num_candidates", None) == args.d
+    if points:
+        fits = fits and receiver.points.shape[1] == space.dim
+    if table:
+        fits = fits and all(max(c) < space.size for _, c in receiver.table)
+    if not fits:
+        use = "" if args.definition == "5" \
+            else f" --game {args.game} --d {args.d}"
+        raise ParseError(f"a {type(receiver).__name__} does not fit verify "
+                         f"--def {args.definition}{use} on {space.size} "
+                         f"inputs in {space.dim} dimensions",
+                         str(args.receiver))
+    return receiver
 
 
 def _verify_corollary(args) -> dict:

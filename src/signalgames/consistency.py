@@ -23,8 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import GameSpec, InputSpace, MessageSpace, Protocol, \
-    message_probabilities
+from .core import GameSpec, InputSpace, MessageSpace, Protocol, _class_sums
 from .games import ConstantDiscriminationReceiver, EXACT_TERM_BUDGET, \
     ReconstructionReceiver, TabularDiscriminationReceiver, \
     per_input_message_losses
@@ -115,16 +114,15 @@ def spatial_meaningfulness(protocol: Protocol, space: InputSpace,
                       "same-message pairs are conditioned on")
 
     used = protocol.used_messages()
-    p = message_probabilities(protocol, space)[used]
-    # per-class first and second moments for the pair expectations
-    means = np.zeros((used.size, space.dim))
-    sq = np.zeros(used.size)
-    for a, m in enumerate(used):
-        members = protocol.assignment == m
-        w = space.weights[members] / p[a]
-        means[a] = w @ space.points[members]
-        sq[a] = float(w @ np.einsum("ij,ij->i", space.points[members],
-                                    space.points[members]))
+    w, pts = space.weights, space.points
+    # per-class mass, second moment and first moment, unnormalized
+    p, sq, *first = (s[0, used] for s in _class_sums(
+        protocol.assignment[None], protocol.num_messages, w,
+        w * np.einsum("ij,ij->i", pts, pts), *(w * pts.T)))
+    first = np.stack(first, axis=1)
+    # p_a p_b E ||x1 - x2||^2 over independent draws from classes a and b
+    pair = p[None, :] * sq[:, None] + p[:, None] * sq[None, :] \
+        - 2.0 * first @ first.T
     dist = message_space.distance_matrix()[np.ix_(used, used)]
     unconditional = 2.0 * space.variance()
 
@@ -143,12 +141,7 @@ def spatial_meaningfulness(protocol: Protocol, space: InputSpace,
                                          strict=False, boundary=False,
                                          vacuous=True))
             continue
-        num = 0.0
-        for a, b in zip(*np.nonzero(event)):
-            # E ||x1 - x2||^2 over independent draws from classes a and b
-            pair = sq[a] + sq[b] - 2.0 * float(means[a] @ means[b])
-            num += p[a] * p[b] * pair
-        conditional = float(num / mass)
+        conditional = float(pair[event].sum() / mass)
         boundary = abs(conditional - unconditional) <= _BOUNDARY_TOL
         strict = (conditional < unconditional - margin) and not boundary
         ok = ok and strict

@@ -32,7 +32,6 @@ __all__ = [
     "LabelMap",
     "GameSpec",
     "GAME_KINDS",
-    "equivalence_classes",
     "message_probabilities",
     "input_variance",
     "conditional_stats",
@@ -322,24 +321,11 @@ class GameSpec:
 # Elementary statistics
 # ---------------------------------------------------------------------------
 
-def equivalence_classes(protocol: Protocol) -> list[np.ndarray]:
-    """Partition of input indices keyed by message index.
-
-    Unused messages are reported as empty arrays; the classes are disjoint
-    and cover all inputs.
-    """
-    classes = [[] for _ in range(protocol.num_messages)]
-    for i, m in enumerate(protocol.assignment):
-        classes[m].append(i)
-    return [np.asarray(c, dtype=int) for c in classes]
-
-
 def message_probabilities(protocol: Protocol, space: InputSpace) -> np.ndarray:
     """``p_m = P(S(X) = m)`` for every message index."""
     _check_sizes(protocol, space)
-    p = np.zeros(protocol.num_messages)
-    np.add.at(p, protocol.assignment, space.weights)
-    return p
+    return _class_sums(protocol.assignment[None], protocol.num_messages,
+                       space.weights)[0][0]
 
 
 def input_variance(space: InputSpace) -> float:
@@ -371,6 +357,20 @@ def expected_pairwise_sqdist(space: InputSpace) -> float:
 def epsilon_min(message_space: MessageSpace) -> float:
     """Minimum distance between distinct messages (``eps_M``)."""
     return message_space.epsilon_min()
+
+
+def _class_sums(codes: np.ndarray, size: int,
+                *weights: np.ndarray) -> list[np.ndarray]:
+    """Per-row class sums of a (B, N) code matrix with values below
+    ``size``: for each weight vector, ``out[b, c]`` sums ``weights[i]``
+    over the inputs ``i`` with ``codes[b, i] == c``. The codes are offset
+    by row, so one bincount per weight vector does all rows."""
+    rows = len(codes)
+    if rows == 1:  # one row needs no offsets
+        return [np.bincount(codes[0], w, size)[None] for w in weights]
+    flat = (codes + np.arange(0, rows * size, size)[:, None]).ravel()
+    return [np.bincount(flat, np.tile(w, rows), rows * size).reshape(
+        rows, size) for w in weights]
 
 
 def _product_rows(radices: Sequence[int],

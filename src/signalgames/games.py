@@ -34,8 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GameSpec, InputSpace, LabelMap, Protocol, _product_rows, \
-    message_probabilities
+from .core import GameSpec, InputSpace, LabelMap, Protocol, _class_sums, \
+    _product_rows, message_probabilities
 from .errors import BudgetExceededError, EmptyClassError
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "synchronized_receiver",
     "synchronized_sender",
     "per_input_message_losses",
-    "candidate_unaware_equivalence",
     "materialize_discrimination_table",
     "substream",
     "EXACT_TERM_BUDGET",
@@ -172,6 +171,11 @@ class TabularDiscriminationReceiver(DiscriminationReceiver):
         self.num_messages = int(num_messages)
         self.table = {}
         for key, row in table.items():
+            m, cands = key
+            if not 0 <= m < num_messages or len(cands) != d \
+                    or min(cands, default=0) < 0:
+                raise ValueError(f"query {key} is not a message below "
+                                 f"{num_messages} with {d} candidates")
             row = np.asarray(row, dtype=float)
             if row.shape != (d,) or np.any(row < 0.0) \
                     or abs(row.sum() - 1.0) > _PROB_TOL:
@@ -212,13 +216,6 @@ class ScoreDiscriminationReceiver(DiscriminationReceiver):
         self.scores = np.asarray(scores, dtype=float)  # (K, N)
         self.num_candidates = int(d)
         self.num_messages = self.scores.shape[0]
-
-    @classmethod
-    def indicator(cls, protocol: Protocol, d: int) -> "ScoreDiscriminationReceiver":
-        """The score table ``R(m, x) = 1 if S(x) = m else 0``."""
-        scores = np.zeros((protocol.num_messages, protocol.size))
-        scores[protocol.assignment, np.arange(protocol.size)] = 1.0
-        return cls(scores, d)
 
     def probabilities(self, m: int, candidates: tuple[int, ...]) -> np.ndarray:
         s = self.scores[m, list(candidates)]
@@ -378,11 +375,8 @@ def _mc_report(losses: np.ndarray, targets: np.ndarray, n: int,
     """Report of a Monte-Carlo sample: the mean loss, overall and per
     target input (NaN for inputs never drawn), with its standard error."""
     per_input = np.full(n, np.nan)
-    sums = np.zeros(n)
-    hits = np.zeros(n)
-    np.add.at(sums, targets, losses)
-    np.add.at(hits, targets, 1.0)
-    np.divide(sums, hits, out=per_input, where=hits > 0)
+    sums, hits = _class_sums(targets[None], n, losses, np.ones(losses.size))
+    np.divide(sums[0], hits[0], out=per_input, where=hits[0] > 0)
     infinite = bool(np.any(np.isinf(losses)))
     expected = float(losses.mean()) if not infinite else math.inf
     se = float(losses.std(ddof=1) / math.sqrt(losses.size)) \
@@ -446,8 +440,7 @@ def eval_discrimination(protocol: Protocol, receiver: DiscriminationReceiver,
 
 def _supervised_distractor_weights(space: InputSpace, labels: LabelMap):
     codes = labels.codes()
-    masses = np.zeros(labels.num_values)
-    np.add.at(masses, codes, space.weights)
+    masses, = _class_sums(codes[None], labels.num_values, space.weights)
     if labels.num_values < 2:
         raise ValueError("supervised game needs >=2 labels")
     if np.any(np.abs(masses - 1.0 / labels.num_values) > 1e-9):
@@ -529,19 +522,18 @@ def synchronized_receiver(protocol: Protocol, space: InputSpace,
     p = message_probabilities(protocol, space)
     used = p > 0.0
     if spec.kind == "reconstruction":
+        firsts = _class_sums(protocol.assignment[None], protocol.num_messages,
+                             *(space.weights * space.points.T))
         pts = np.full((protocol.num_messages, space.dim), np.nan)
-        for m in np.flatnonzero(used):
-            members = protocol.assignment == m
-            w = space.weights[members]
-            pts[m] = (w / w.sum()) @ space.points[members]
+        np.divide(np.concatenate(firsts).T, p[:, None], out=pts,
+                  where=used[:, None])
         return ReconstructionReceiver(pts, defined=used)
     if spec.kind in ("discrimination", "supervised"):
         return SynchronizedDiscriminationReceiver(protocol, spec.d)
     if spec.kind == "global":
+        a = protocol.assignment
         table = np.zeros((protocol.num_messages, space.size))
-        for m in np.flatnonzero(used):
-            members = protocol.assignment == m
-            table[m, members] = space.weights[members] / p[m]
+        table[a, np.arange(space.size)] = space.weights / p[a]
         return GlobalReceiver(table, defined=used)
     if spec.kind == "classification":
         from .objectives import joint_message_label
@@ -639,23 +631,3 @@ def materialize_discrimination_table(receiver: DiscriminationReceiver,
                                            dtype=float)
     return TabularDiscriminationReceiver(d, receiver.num_messages, table)
 
-
-def candidate_unaware_equivalence(protocol: Protocol, space: InputSpace,
-                                  d: int = 2) -> tuple[bool, float]:
-    """Check that the normalized indicator-score receiver reproduces the
-    synchronized discrimination receiver on every reachable query.
-
-    Returns (equivalent, max absolute probability gap); equivalence implies
-    identical exact losses for the two receivers.
-    """
-    sync = SynchronizedDiscriminationReceiver(protocol, d)
-    score = ScoreDiscriminationReceiver.indicator(protocol, d)
-    worst = 0.0
-    msgs = protocol.assignment
-    for cands in itertools.product(range(space.size), repeat=d):
-        present = {int(msgs[c]) for c in cands}
-        for m in present:  # reachable: some candidate carries message m
-            gap = float(np.max(np.abs(sync.probabilities(m, cands)
-                                      - score.probabilities(m, cands))))
-            worst = max(worst, gap)
-    return worst <= 1e-12, worst

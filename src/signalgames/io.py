@@ -84,10 +84,14 @@ def _input_space_from_json(path: Path) -> tuple[InputSpace, list[LabelMap]]:
     data = _read_json(path)
     try:
         space = InputSpace(data["points"], data.get("weights"))
+        if not isinstance(data.get("labels", {}), dict):
+            raise TypeError("'labels' must map names to label lists")
+        labels = [LabelMap(vals, name=name)
+                  for name, vals in data.get("labels", {}).items()]
+        if any(lab.size != space.size for lab in labels):
+            raise ValueError("every label list needs one entry per point")
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"bad input-space JSON: {exc}", str(path), line=1)
-    labels = [LabelMap(vals, name=name)
-              for name, vals in data.get("labels", {}).items()]
     return space, labels
 
 
@@ -147,7 +151,7 @@ def load_protocol(path: str | Path,
     path = Path(path)
     if path.suffix.lower() == ".json":
         data = _read_json(path)
-        if "messages" not in data:
+        if not isinstance(data.get("messages"), list):
             raise ParseError("protocol JSON needs a 'messages' list",
                              str(path), line=1)
         ordered = list(enumerate(map(str, data["messages"]), start=2))
@@ -278,6 +282,8 @@ def receiver_from_json(data: dict):
     if kind == "discrimination":
         table = {(int(r["message"]), tuple(int(c) for c in r["candidates"])):
                  np.asarray(r["probs"], dtype=float) for r in data["rows"]}
+        if not table:
+            raise ValueError("no receiver row is defined")
         return TabularDiscriminationReceiver(int(data["d"]),
                                              int(data["num_messages"]), table)
     raise ValueError(f"unknown receiver kind {kind!r}")
@@ -371,12 +377,16 @@ def _rows_by_id(rows: list[list[str]],
 
 def _read_json(path: Path) -> dict:
     try:
-        return json.loads(path.read_text())
+        data = json.loads(path.read_text())
     except OSError as exc:
         raise ParseError(str(exc), str(path))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, str(path), line=exc.lineno,
                          column=exc.colno)
+    if not isinstance(data, dict):
+        raise ParseError("expected a JSON object at the top level", str(path),
+                         line=1, column=1)
+    return data
 
 
 def _parse_float(cell: str, path: Path, line: int, column: int) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import stats
 
 from .core import InputSpace, LabelMap, MessageSpace, Protocol, \
-    _product_rows, equivalence_classes
+    _class_sums, _product_rows
 from .errors import BudgetExceededError, MetricUndefinedError
 from .games import GameSpec, _evaluation_mode, substream, \
     synchronized_receiver
@@ -56,17 +56,15 @@ def message_variance(protocol: Protocol, space: InputSpace) -> float:
     Counts inputs as dataset rows (the empirical measure); on uniform-weight
     spaces the value equals the unexplained-variance objective exactly.
     """
-    total = 0.0
-    for members in equivalence_classes(protocol):
-        if members.size == 0:
-            continue
-        pts = space.points[members]
-        n_m = members.size
-        sq = np.einsum("ij,ij->i", pts, pts)
-        s = pts.sum(axis=0)
-        pair_sum = 2.0 * (n_m * sq.sum() - float(s @ s))
-        total += pair_sum / n_m
-    return total / (2.0 * space.size)
+    pts = space.points
+    # per class: the count n_m, sum ||x||^2 and sum x; the pair sum over
+    # the class is 2 (n_m sum ||x||^2 - ||sum x||^2)
+    counts, sq, *first = (s[0] for s in _class_sums(
+        protocol.assignment[None], protocol.num_messages,
+        np.ones(space.size), np.einsum("ij,ij->i", pts, pts), *pts.T))
+    spread = sum(f * f for f in first)
+    np.divide(spread, counts, out=spread, where=counts > 0)
+    return float((sq - spread).sum() / space.size)
 
 
 def random_baseline(protocol: Protocol, space: InputSpace,
@@ -180,9 +178,10 @@ def topsim(protocol: Protocol, space: InputSpace,
 
 def _weighted_joint(codes_a: np.ndarray, codes_b: np.ndarray,
                     weights: np.ndarray) -> np.ndarray:
-    joint = np.zeros((codes_a.max() + 1, codes_b.max() + 1))
-    np.add.at(joint, (codes_a, codes_b), weights)
-    return joint
+    rows, cols = codes_a.max() + 1, codes_b.max() + 1
+    joint, = _class_sums((codes_a * cols + codes_b)[None], rows * cols,
+                         weights)
+    return joint.reshape(rows, cols)
 
 
 def disentanglement(protocol: Protocol, space: InputSpace,
@@ -308,6 +307,8 @@ def discrimination_accuracy(protocol: Protocol, space: InputSpace,
         raise ValueError(f"unknown receiver kind {receiver_kind!r}")
     if distractors not in ("replacement", "exclude-target"):
         raise ValueError(f"unknown distractor law {distractors!r}")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     msgs = protocol.assignment
     recon = None
     if receiver_kind == "reconstruction-nearest":

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import entr
 
 from .core import GameSpec, InputSpace, LabelMap, Protocol, _check_sizes, \
-    message_probabilities
+    _class_sums, message_probabilities
 
 __all__ = [
     "reco_objective",
@@ -209,20 +209,6 @@ def _objective_rows(assignments: np.ndarray, k: int, space: InputSpace,
     if kind == "classification":
         return -mutual_information(_joint(assignments, k, space, labels))
     raise ValueError(f"unknown game kind {kind!r}")
-
-
-def _class_sums(codes: np.ndarray, size: int,
-                *weights: np.ndarray) -> list[np.ndarray]:
-    """Per-row class sums of a (B, N) code matrix with values below
-    ``size``: for each weight vector, ``out[b, c]`` sums ``weights[i]``
-    over the inputs ``i`` with ``codes[b, i] == c``. The codes are offset
-    by row, so one bincount per weight vector does all rows."""
-    rows = len(codes)
-    if rows == 1:  # one row needs no offsets
-        return [np.bincount(codes[0], w, size)[None] for w in weights]
-    flat = (codes + np.arange(0, rows * size, size)[:, None]).ravel()
-    return [np.bincount(flat, np.tile(w, rows), rows * size).reshape(
-        rows, size) for w in weights]
 
 
 def _joint(assignments: np.ndarray, k: int, space: InputSpace,

@@ -18,7 +18,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import GameSpec, InputSpace, MessageSpace, Protocol, _product_rows
+from .core import GameSpec, InputSpace, MessageSpace, Protocol, _class_sums, \
+    _product_rows
 from .errors import BudgetExceededError
 from .games import substream
 from .objectives import batch_objective
@@ -136,10 +137,8 @@ def kmeans_alternation(space: InputSpace, k: int,
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             converged = True
             break
-        for m in range(k):
-            members = assign == m
-            wm = w[members]
-            centroids[m] = (wm / wm.sum()) @ pts[members]
+        masses, *firsts = _class_sums(assign[None], k, w, *(w * pts.T))
+        centroids = np.concatenate(firsts).T / masses.T
         d2 = _sq_dists(pts, centroids)
         obj = float(w @ d2[np.arange(space.size), assign])
         trace.append(obj)

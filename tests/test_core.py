@@ -13,12 +13,11 @@ from signalgames import (
     Protocol,
     conditional_stats,
     epsilon_min,
-    equivalence_classes,
     expected_pairwise_sqdist,
     input_variance,
     message_probabilities,
 )
-from signalgames.core import _product_rows
+from signalgames.core import _class_sums, _product_rows
 
 from conftest import random_protocol, random_space, rng_for
 from oracles import pairwise_sqdist_bruteforce, variance_bruteforce
@@ -44,33 +43,42 @@ class TestInputSpace:
         assert s.dim == 1 and s.size == 3
 
 
-class TestEquivalenceClasses:
-    def test_identity(self):
-        classes = equivalence_classes(Protocol.identity(3))
-        assert [c.tolist() for c in classes] == [[0], [1], [2]]
+class TestClassSums:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_per_class_loop(self, data):
+        rows = data.draw(st.integers(1, 4), label="rows")
+        n = data.draw(st.integers(1, 7), label="n")
+        size = data.draw(st.integers(1, 9), label="size")  # may exceed n
+        codes = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, size - 1), min_size=n, max_size=n),
+            min_size=rows, max_size=rows), label="codes"), dtype=int)
+        codes[-1, -1] = size - 1  # some code reaches the top class
+        floats = st.floats(-10.0, 10.0, allow_nan=False)
+        weights = [np.array(data.draw(st.lists(floats, min_size=n,
+                                               max_size=n)))
+                   for _ in range(data.draw(st.integers(1, 3)))]
+        sums = _class_sums(codes, size, *weights)
+        assert len(sums) == len(weights)
+        for w, out in zip(weights, sums):
+            assert out.shape == (rows, size)
+            for b in range(rows):
+                for c in range(size):
+                    members = [i for i in range(n) if codes[b, i] == c]
+                    expected = sum(w[i] for i in members) if members else 0.0
+                    assert abs(out[b, c] - expected) <= 1e-9
 
-    def test_constant_reports_empty(self):
-        classes = equivalence_classes(Protocol.constant(4, num_messages=2))
-        assert classes[0].tolist() == [0, 1, 2, 3]
-        assert classes[1].tolist() == []
 
-    def test_split(self, split):
-        classes = equivalence_classes(split)
-        assert [c.tolist() for c in classes] == [[0, 1], [2, 3]]
-
-    def test_partition_law_random(self):
+class TestMessageProbabilities:
+    def test_sums_to_one_random(self):
         rng = rng_for("partition")
         for _ in range(25):
             space = random_space(rng)
             protocol = random_protocol(rng, space.size)
-            classes = equivalence_classes(protocol)
-            all_indices = np.concatenate([c for c in classes if c.size])
-            assert sorted(all_indices.tolist()) == list(range(space.size))
             p = message_probabilities(protocol, space)
+            assert p.shape == (protocol.num_messages,)
             assert abs(p.sum() - 1.0) < 1e-12
 
-
-class TestMessageProbabilities:
     def test_constant(self, space_b):
         p = message_probabilities(Protocol.constant(4, 2), space_b)
         assert p.tolist() == [1.0, 0.0]

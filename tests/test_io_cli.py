@@ -181,7 +181,15 @@ class TestCli:
     @pytest.mark.parametrize("case", [
         "empty_csv", "receiver_without_rows", "missing_labels",
         "def3_without_protocol", "optimize_k0", "short_labels",
-        "thm2_k_mismatch", "thm2_nonuniform", "receiver_all_null"])
+        "thm2_k_mismatch", "thm2_nonuniform", "receiver_all_null",
+        "def6_table_for_reconstruction", "def6_points_for_discrimination",
+        "receiver_list", "labels_not_object",
+        "labels_short", "messages_not_list", "table_message_out_of_range",
+        "table_candidate_out_of_range", "trials_0", "symbol_groups_not_int",
+        "kmeans_init_shape", "optimize_d1", "lemma2_d1",
+        "supervised_d_above_labels", "table_without_rows",
+        "receiver_beyond_message_space", "lemma_instances_0",
+        "corollary_n0", "kmeans_max_iters_0"])
     def test_malformed_input_exits_2(self, case, tmp_path, space_b, capsys):
         io.save_input_space(tmp_path / "space.csv", space_b)
         (tmp_path / "protocol.csv").write_text(
@@ -194,6 +202,29 @@ class TestCli:
             "id,x0,weight\n0,0,0.1\n1,1,0.4\n2,2,0.4\n3,3,0.1\n")
         (tmp_path / "allnull.json").write_text(
             '{"kind": "reconstruction", "outputs": [null, null]}')
+        table = {"kind": "discrimination", "d": 2, "num_messages": 2,
+                 "rows": [{"message": 0, "candidates": [0, 1],
+                           "probs": [0.5, 0.5]}]}
+        (tmp_path / "table.json").write_text(json.dumps(table))
+        table["rows"][0]["message"] = 2
+        (tmp_path / "bad_message.json").write_text(json.dumps(table))
+        table["rows"][0].update(message=0, candidates=[0, 4])
+        (tmp_path / "bad_candidate.json").write_text(json.dumps(table))
+        (tmp_path / "points.json").write_text(
+            '{"kind": "reconstruction", "outputs": [[0.5], [2.5]]}')
+        (tmp_path / "three_points.json").write_text(
+            '{"kind": "reconstruction", "outputs": [[0.5], [1.5], [2.5]]}')
+        (tmp_path / "list.json").write_text("[[0.0], [1.0]]")
+        (tmp_path / "labels_list.json").write_text(
+            '{"points": [[0.0], [1.0]], "labels": ["a", "b"]}')
+        (tmp_path / "labels_short.json").write_text(
+            '{"points": [[0.0], [1.0]], "labels": {"color": ["a"]}}')
+        (tmp_path / "messages5.json").write_text('{"messages": 5}')
+        table["rows"] = []
+        (tmp_path / "no_rows.json").write_text(json.dumps(table))
+        (tmp_path / "labeled.csv").write_text(
+            "id,x0,weight,c\n0,0,0.25,a\n1,1,0.25,a\n2,2,0.25,b\n"
+            "3,3,0.25,b\n")
         space, protocol = str(tmp_path / "space.csv"), \
             str(tmp_path / "protocol.csv")
         argv = {
@@ -218,6 +249,54 @@ class TestCli:
             "receiver_all_null": ["verify", "--def", "6", "--input", space,
                                   "--receiver",
                                   str(tmp_path / "allnull.json")],
+            "def6_table_for_reconstruction": [
+                "verify", "--def", "6", "--input", space, "--receiver",
+                str(tmp_path / "table.json")],
+            "def6_points_for_discrimination": [
+                "verify", "--def", "6", "--game", "discrimination", "--input",
+                space, "--receiver", str(tmp_path / "points.json")],
+            "receiver_list": ["verify", "--def", "5", "--input", space,
+                              "--receiver", str(tmp_path / "list.json")],
+            "labels_not_object": ["optimize", "--k", "2", "--input",
+                                  str(tmp_path / "labels_list.json")],
+            "labels_short": ["optimize", "--k", "2", "--game",
+                             "classification", "--input",
+                             str(tmp_path / "labels_short.json")],
+            "messages_not_list": ["verify", "--def", "3", "--input", space,
+                                  "--protocol",
+                                  str(tmp_path / "messages5.json")],
+            "table_message_out_of_range": [
+                "verify", "--def", "5", "--input", space, "--receiver",
+                str(tmp_path / "bad_message.json")],
+            "table_candidate_out_of_range": [
+                "verify", "--def", "5", "--input", space, "--receiver",
+                str(tmp_path / "bad_candidate.json")],
+            "trials_0": ["analyze", "--input", space, "--protocol", protocol,
+                         "--trials", "0"],
+            "symbol_groups_not_int": ["analyze", "--input", space,
+                                      "--protocol", protocol,
+                                      "--symbol-groups", "0;x"],
+            "kmeans_init_shape": ["optimize", "--method", "kmeans", "--init",
+                                  "0.1,0.2,0.3", "--k", "2", "--input",
+                                  space],
+            "optimize_d1": ["optimize", "--game", "discrimination", "--d",
+                            "1", "--k", "2", "--input", space],
+            "lemma2_d1": ["verify", "--lemma", "2", "--d", "1"],
+            "supervised_d_above_labels": [
+                "optimize", "--game", "supervised", "--d", "3", "--k", "2",
+                "--input", str(tmp_path / "labeled.csv")],
+            "table_without_rows": ["verify", "--def", "5", "--input", space,
+                                   "--receiver",
+                                   str(tmp_path / "no_rows.json")],
+            "receiver_beyond_message_space": [
+                "verify", "--def", "5", "--input", space, "--protocol",
+                protocol, "--receiver", str(tmp_path / "three_points.json")],
+            "lemma_instances_0": ["verify", "--lemma", "1", "--instances",
+                                  "0"],
+            "corollary_n0": ["verify", "--corollary", "1", "--n", "0"],
+            "kmeans_max_iters_0": ["optimize", "--method", "kmeans",
+                                   "--max-iters", "0", "--k", "2", "--input",
+                                   space],
         }[case]
         try:
             code = main(argv + ["--out", str(tmp_path / "out")])
