@@ -400,6 +400,9 @@ def cmd_optimize(args) -> int:
                                  f"{args.k} centroids in {space.dim} "
                                  "dimensions")
             init = np.reshape(args.init, (args.k, space.dim))
+        if args.k > space.size:
+            raise ParseError(f"--k {args.k} centroids for {space.size} input "
+                             "points", str(args.input))
         res = optimize.kmeans_alternation(space, args.k, init=init,
                                           seed=args.seed,
                                           max_iters=args.max_iters,
@@ -407,6 +410,8 @@ def cmd_optimize(args) -> int:
         best, value, trace = res.protocol, res.trace[-1], res.trace
         extra = {"rounds": res.rounds, "converged": res.converged}
     else:
+        if args.flavor == "adversarial-antipodal":
+            _check_antipodal(space, args.k, args.input)
         best = optimize.balanced_partition(space, args.k, flavor=args.flavor)
         value = float(optimize.batch_objective(best.assignment[None], space,
                                                spec)[0])
@@ -441,6 +446,13 @@ def _write_trace(path: Path, trace: list[float]) -> None:
             writer.writerow([i, io.format_floats(float(v))])
 
 
+def _check_antipodal(space: InputSpace, k: int, path: Path | None) -> None:
+    if 2 * k != space.size or not space.is_uniform():
+        raise ParseError("the antipodal split needs a uniform prior on "
+                         f"exactly 2K points; --k {k} on {space.size} "
+                         "points", str(path or ""))
+
+
 def cmd_counterexample(args) -> int:
     out = args.out or Path(".")
     if args.which == "thm5":
@@ -457,10 +469,7 @@ def cmd_counterexample(args) -> int:
         else:
             space = InputSpace.uniform(np.arange(4.0)[:, None])
         k = args.k if args.k is not None else space.size // 2
-        if 2 * k != space.size or not space.is_uniform():
-            raise ParseError("the antipodal split needs a uniform prior on "
-                             f"exactly 2K points; --k {k} on {space.size} "
-                             "points", str(args.input or ""))
+        _check_antipodal(space, k, args.input)
         report = counterexamples.verify_antipodal_split(space, k)
         protocol = Protocol(np.asarray(report["assignment"]), k)
         io.save_input_space(out / "space.csv", space)

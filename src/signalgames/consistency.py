@@ -198,7 +198,7 @@ def receiver_simplicity(receiver, eps0: float, space: InputSpace,
         cand_sq = np.einsum("abk,abk->ab", diff, diff)
         msg_d = message_space.distance_matrix()[np.ix_(msgs, msgs)]
         dom = np.sqrt(msg_d ** 2 + cand_sq)
-        outs = np.stack([receiver.table[key] for key in keys])
+        outs = receiver.rows
         if output_mode == "canonical":
             outs = np.sort(outs, axis=1)[:, ::-1]
         elif output_mode != "positional":

@@ -377,13 +377,14 @@ def _product_rows(radices: Sequence[int],
                   chunk: int = 4096) -> Iterator[np.ndarray]:
     """The mixed-radix product ``itertools.product(*map(range, radices))``
     in the same order, as (B, c) integer arrays of at most ``chunk`` rows."""
-    radices = np.asarray(radices, dtype=np.int64).reshape(-1)
-    place = np.ones(radices.size, dtype=np.int64)  # the last column is fastest
-    place[:-1] = np.cumprod(radices[:0:-1])[::-1]
-    total = math.prod(radices.tolist())
+    radices = [int(r) for r in radices]
+    total = math.prod(radices)
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        yield idx[:, None] // place % radices
+        q = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        rows = np.empty((q.size, len(radices)), dtype=np.int64)
+        for c in range(len(radices) - 1, -1, -1):  # the last column is fastest
+            q, rows[:, c] = np.divmod(q, radices[c])
+        yield rows
 
 
 def _check_sizes(protocol: Protocol, space: InputSpace) -> None:

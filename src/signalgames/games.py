@@ -8,10 +8,17 @@ verified against these evaluators.
 
 Receivers are represented over finite domains: a reconstruction receiver is
 a per-message point table, a global receiver a per-message distribution over
-input indices, and a discrimination receiver any object with a
-``probabilities(message, candidates)`` method returning a distribution over
-candidate positions. Candidates are referenced by input index; the input
-space carries their geometry.
+input indices, and a discrimination receiver a
+:class:`DiscriminationReceiver`. Candidates are referenced by input index;
+the input space carries their geometry.
+
+Every loss path queries a discrimination receiver in batches:
+``probabilities_batch(messages (B,), candidates (B, d)) -> (B, d)`` returns
+one distribution over candidate positions per row. The exact paths pass at
+most 4096 rows per call. The built-in receivers implement the batch in
+numpy, and their scalar ``probabilities(message, candidates)`` is the batch
+on one row. A subclass may define only the scalar method instead; the base
+class then stacks it row by row.
 
 Conventions:
 
@@ -27,10 +34,8 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -131,13 +136,42 @@ class GlobalReceiver:
 
 class DiscriminationReceiver:
     """Base class: a map (message, candidate index tuple) -> distribution
-    over candidate positions."""
+    over candidate positions.
+
+    Subclasses define ``probabilities_batch`` or the scalar
+    ``probabilities``; each method defaults to the other. A subclass of a
+    built-in receiver that changes its outputs overrides
+    ``probabilities_batch``, which is what the loss paths call.
+    """
 
     num_candidates: int
     num_messages: int
 
     def probabilities(self, m: int, candidates: tuple[int, ...]) -> np.ndarray:
-        raise NotImplementedError
+        return self.probabilities_batch(np.array([m]),
+                                        np.array([candidates]))[0]
+
+    def probabilities_batch(self, messages: np.ndarray,
+                            candidates: np.ndarray) -> np.ndarray:
+        """Row ``r`` of the (B, d) result is the distribution for message
+        ``messages[r]`` and candidate tuple ``candidates[r]``."""
+        if type(self).probabilities is DiscriminationReceiver.probabilities:
+            raise NotImplementedError(
+                "a discrimination receiver defines probabilities or "
+                "probabilities_batch")
+        candidates = np.asarray(candidates)
+        out = np.empty(candidates.shape)
+        for r, (m, cands) in enumerate(zip(np.asarray(messages).tolist(),
+                                           candidates.tolist())):
+            out[r] = self.probabilities(m, tuple(cands))
+        return out
+
+
+def _uniform_where(empty: np.ndarray, rows: np.ndarray,
+                   totals: np.ndarray) -> np.ndarray:
+    """``rows / totals``, with uniform rows where ``empty`` is set."""
+    safe = np.where(empty, 1.0, totals)
+    return np.where(empty, 1.0 / rows.shape[1], rows / safe)
 
 
 class SynchronizedDiscriminationReceiver(DiscriminationReceiver):
@@ -153,44 +187,51 @@ class SynchronizedDiscriminationReceiver(DiscriminationReceiver):
         self.num_candidates = int(d)
         self.num_messages = protocol.num_messages
 
-    def probabilities(self, m: int, candidates: tuple[int, ...]) -> np.ndarray:
-        match = np.fromiter((self.messages[c] == m for c in candidates),
-                            dtype=bool, count=len(candidates))
-        k = int(match.sum())
-        if k == 0:
-            return np.full(len(candidates), 1.0 / len(candidates))
-        return match.astype(float) / k
+    def probabilities_batch(self, messages, candidates):
+        match = self.messages[candidates] == np.asarray(messages)[:, None]
+        k = match.sum(axis=1, keepdims=True)
+        return _uniform_where(k == 0, match, k)
 
 
 class TabularDiscriminationReceiver(DiscriminationReceiver):
-    """Dense table over explicit (message, candidate tuple) queries."""
+    """Dense table over explicit (message, candidate tuple) queries.
+
+    ``rows`` holds one distribution per query in the order of ``table``,
+    whose values are views of those rows.
+    """
 
     def __init__(self, d: int, num_messages: int,
                  table: dict[tuple[int, tuple[int, ...]], np.ndarray]):
         self.num_candidates = int(d)
         self.num_messages = int(num_messages)
-        self.table = {}
+        rows = []
         for key, row in table.items():
             m, cands = key
             if not 0 <= m < num_messages or len(cands) != d \
                     or min(cands, default=0) < 0:
                 raise ValueError(f"query {key} is not a message below "
                                  f"{num_messages} with {d} candidates")
-            row = np.asarray(row, dtype=float)
-            if row.shape != (d,) or np.any(row < 0.0) \
-                    or abs(row.sum() - 1.0) > _PROB_TOL:
+            rows.append(np.asarray(row, dtype=float))
+            if rows[-1].shape != (d,):
                 raise ValueError(f"row for query {key} is not a distribution")
-            self.table[key] = row
+        self.rows = np.array(rows, dtype=float).reshape(len(rows), d)
+        bad = np.any(self.rows < 0.0, axis=1) \
+            | (np.abs(self.rows.sum(axis=1) - 1.0) > _PROB_TOL)
+        if bad.any():
+            raise ValueError(f"row for query {list(table)[bad.argmax()]} "
+                             "is not a distribution")
+        self._row_of = {key: r for r, key in enumerate(table)}
+        self.table = dict(zip(self._row_of, self.rows))
 
-    def probabilities(self, m: int, candidates: tuple[int, ...]) -> np.ndarray:
+    def probabilities_batch(self, messages, candidates):
+        keys = zip(np.asarray(messages).tolist(),
+                   map(tuple, np.asarray(candidates).tolist()))
         try:
-            return self.table[(m, tuple(candidates))]
-        except KeyError:
+            return self.rows[[self._row_of[key] for key in keys]]
+        except KeyError as exc:
+            m, cands = exc.args[0]
             raise EmptyClassError(
-                f"receiver undefined on query ({m}, {tuple(candidates)})")
-
-    def queries(self):
-        return self.table.items()
+                f"receiver undefined on query ({m}, {cands})") from None
 
 
 class ConstantDiscriminationReceiver(DiscriminationReceiver):
@@ -204,8 +245,8 @@ class ConstantDiscriminationReceiver(DiscriminationReceiver):
         self.num_candidates = row.size
         self.num_messages = int(num_messages)
 
-    def probabilities(self, m: int, candidates: tuple[int, ...]) -> np.ndarray:
-        return self.vector
+    def probabilities_batch(self, messages, candidates):
+        return np.broadcast_to(self.vector, (len(candidates), self.vector.size))
 
 
 class ScoreDiscriminationReceiver(DiscriminationReceiver):
@@ -217,12 +258,10 @@ class ScoreDiscriminationReceiver(DiscriminationReceiver):
         self.num_candidates = int(d)
         self.num_messages = self.scores.shape[0]
 
-    def probabilities(self, m: int, candidates: tuple[int, ...]) -> np.ndarray:
-        s = self.scores[m, list(candidates)]
-        total = s.sum()
-        if total <= 0.0:
-            return np.full(len(candidates), 1.0 / len(candidates))
-        return s / total
+    def probabilities_batch(self, messages, candidates):
+        s = self.scores[np.asarray(messages)[:, None], candidates]
+        total = s.sum(axis=1, keepdims=True)
+        return _uniform_where(total <= 0.0, s, total)
 
 
 class ClassificationReceiver(DiscriminationReceiver):
@@ -237,11 +276,13 @@ class ClassificationReceiver(DiscriminationReceiver):
         self.num_candidates = tab.shape[1]
         self.num_messages = tab.shape[0]
 
-    def probabilities(self, m: int, candidates: tuple[int, ...]) -> np.ndarray:
-        if not self.defined[m]:
-            raise EmptyClassError(f"receiver undefined for message {m} "
-                                  "(empty equivalence class)")
-        return self.conditional[m]
+    def probabilities_batch(self, messages, candidates):
+        messages = np.asarray(messages)
+        undefined = messages[~self.defined[messages]]
+        if undefined.size:
+            raise EmptyClassError(f"receiver undefined for message "
+                                  f"{undefined[0]} (empty equivalence class)")
+        return self.conditional[messages]
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +300,6 @@ class LossReport:
     seed: int | None = None
     std_error: float | None = None
     infinite: bool = False
-
-    def to_dict(self) -> dict:
-        out = {
-            "expected_loss": self.expected,
-            "per_input_loss": [float(v) for v in self.per_input],
-            "mode": self.mode,
-            "infinite": self.infinite,
-        }
-        if self.mode == "monte-carlo":
-            out.update(samples=self.samples, seed=self.seed,
-                       std_error=self.std_error)
-        return out
 
 
 def _exact_report(per_input: np.ndarray, weights: np.ndarray) -> LossReport:
@@ -331,12 +360,15 @@ def _query_nll(receiver: DiscriminationReceiver, messages, candidates,
                positions) -> np.ndarray:
     """Loss ``-log P(target position)`` of one receiver query per row of the
     (B, d) candidate matrix; ``messages`` and ``positions`` are given per
-    row or shared by all rows."""
-    rows = np.asarray(candidates).tolist()
-    ms = np.broadcast_to(messages, (len(rows),)).tolist()
-    ts = np.broadcast_to(positions, (len(rows),)).tolist()
-    return np.array([_nll(float(receiver.probabilities(m, tuple(r))[t]))
-                     for m, r, t in zip(ms, rows, ts)], dtype=float)
+    row or shared by all rows. One ``probabilities_batch`` call answers
+    every row; the logarithm is ``math.log``, taken once per distinct
+    probability."""
+    b = len(candidates)
+    probs = receiver.probabilities_batch(np.broadcast_to(messages, (b,)),
+                                         candidates)
+    p = probs[np.arange(b), np.broadcast_to(positions, (b,))]
+    distinct, inverse = np.unique(p, return_inverse=True)
+    return np.array([_nll(v) for v in distinct.tolist()])[inverse]
 
 
 def _splice(distractors: np.ndarray, targets, positions) -> np.ndarray:
@@ -350,24 +382,42 @@ def _splice(distractors: np.ndarray, targets, positions) -> np.ndarray:
     return cands
 
 
-def _exact_discrimination_per_input(
-        messages: np.ndarray, receiver: DiscriminationReceiver,
-        space: InputSpace, d: int,
-        distractor_weights: Callable[[int], np.ndarray]) -> np.ndarray:
-    """Per-input loss by full enumeration of distractor tuples and target
-    positions. The distractor law may depend on the target index."""
-    n = space.size
-    per_input = np.zeros(n)
-    for i in range(n):
-        dw = distractor_weights(i)
+def _add_sorted(out: np.ndarray, index: np.ndarray,
+                values: np.ndarray) -> None:
+    """``out[index] += values`` for a non-decreasing ``index``, by one
+    bincount over the span of ``out`` it covers."""
+    lo = index[0]
+    part = np.bincount(index - lo, weights=values)
+    out[lo:lo + part.size] += part
+
+
+def _exact_discrimination_losses(
+        messages: np.ndarray, receiver: DiscriminationReceiver, d: int,
+        laws: np.ndarray, law_of: np.ndarray) -> np.ndarray:
+    """Loss of each input ``i`` under each message choice ``messages[i, j]``,
+    shape (N, J), by full enumeration of distractor tuples and target
+    positions. Input ``i`` draws its distractors from ``laws[law_of[i]]``.
+
+    Per law, the (target, choice, position, distractor tuple) terms are
+    enumerated target-major in blocks of at most 4096 rows, and each block
+    is one receiver batch.
+    """
+    n, k = messages.shape
+    losses = np.zeros((n, k))
+    for law, dw in enumerate(laws):
+        targets = np.flatnonzero(law_of == law)
         support = np.flatnonzero(dw > 0.0)
-        for block in _product_rows([support.size] * (d - 1)):
-            distr = support[block]
+        sums = np.zeros(targets.size * k)
+        for block in _product_rows([targets.size, k, d]
+                                   + [support.size] * (d - 1)):
+            i, j, t = targets[block[:, 0]], block[:, 1], block[:, 2]
+            distr = support[block[:, 3:]]
             w = dw[distr].prod(axis=1) * (1.0 / d)
-            for t in range(d):
-                per_input[i] += w @ _query_nll(
-                    receiver, messages[i], _splice(distr, i, t), t)
-    return per_input
+            nll = _query_nll(receiver, messages[i, j], _splice(distr, i, t),
+                             t)
+            _add_sorted(sums, block[:, 0] * k + j, w * nll)
+        losses[targets] = sums.reshape(-1, k)
+    return losses
 
 
 def _mc_report(losses: np.ndarray, targets: np.ndarray, n: int,
@@ -431,31 +481,35 @@ def eval_discrimination(protocol: Protocol, receiver: DiscriminationReceiver,
         raise ValueError("candidate count d must be at least 2")
     terms = _exact_disc_term_count(space.size, d)
     if _evaluation_mode(mode, terms, budget) == "exact":
-        per_input = _exact_discrimination_per_input(
-            protocol.assignment, receiver, space, d, lambda i: space.weights)
+        per_input = _exact_discrimination_losses(
+            protocol.assignment[:, None], receiver, d, space.weights[None],
+            np.zeros(space.size, dtype=int))[:, 0]
         return _exact_report(per_input, space.weights)
     return _mc_discrimination(protocol.assignment, receiver, space, d,
                               samples, seed, shards)
 
 
-def _supervised_distractor_weights(space: InputSpace, labels: LabelMap):
+def _distractor_laws(space: InputSpace, labels: LabelMap | None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Distractor laws as rows of a (L, N) table, and the row each target
+    draws from: without labels the prior; with labels (the supervised
+    game), per label value, the prior conditioned on another label."""
+    if labels is None:
+        return space.weights[None], np.zeros(space.size, dtype=int)
     codes = labels.codes()
     masses, = _class_sums(codes[None], labels.num_values, space.weights)
     if labels.num_values < 2:
         raise ValueError("supervised game needs >=2 labels")
     if np.any(np.abs(masses - 1.0 / labels.num_values) > 1e-9):
         raise ValueError("supervised game assumes balanced (uniform) labels")
-
-    def weights_for(i: int) -> np.ndarray:
-        mask = codes != codes[i]
+    laws = np.zeros((labels.num_values, space.size))
+    for y, value in enumerate(labels.values):
+        mask = codes != y
         rest = float(space.weights[mask].sum())
         if rest <= 0.0:
-            raise ValueError(f"label {labels.labels[i]!r} has zero "
-                             "complementary mass")
-        out = np.where(mask, space.weights, 0.0)
-        return out / rest
-
-    return weights_for
+            raise ValueError(f"label {value!r} has zero complementary mass")
+        laws[y, mask] = space.weights[mask] / rest
+    return laws, codes
 
 
 def eval_supervised(protocol: Protocol, receiver: DiscriminationReceiver,
@@ -465,10 +519,10 @@ def eval_supervised(protocol: Protocol, receiver: DiscriminationReceiver,
     conditioned on carrying a different label than the target."""
     if labels.size != space.size:
         raise ValueError("label map does not cover the input space")
-    weights_for = _supervised_distractor_weights(space, labels)
+    laws, law_of = _distractor_laws(space, labels)
     _evaluation_mode("exact", _exact_disc_term_count(space.size, d), budget)
-    per_input = _exact_discrimination_per_input(
-        protocol.assignment, receiver, space, d, weights_for)
+    per_input = _exact_discrimination_losses(
+        protocol.assignment[:, None], receiver, d, laws, law_of)[:, 0]
     return _exact_report(per_input, space.weights)
 
 
@@ -489,14 +543,15 @@ def eval_classification(protocol: Protocol, receiver: DiscriminationReceiver,
     n = space.size
     messages = protocol.assignment
     if _evaluation_mode(mode, math.prod(sizes) * n, budget) == "exact":
+        # (target, candidate tuple) pairs, in blocks of at most 4096 rows
         per_input = np.zeros(n)
-        for block in _product_rows(sizes):
-            cands = np.stack([g[block[:, y]] for y, g in enumerate(groups)],
+        for block in _product_rows([n] + sizes):
+            i, picks = block[:, 0], block[:, 1:]
+            cands = np.stack([g[picks[:, y]] for y, g in enumerate(groups)],
                              axis=1)
-            w = np.prod([c[block[:, y]] for y, c in enumerate(cond)], axis=0)
-            for i in range(n):
-                per_input[i] += w @ _query_nll(receiver, messages[i], cands,
-                                               codes[i])
+            w = np.prod([c[picks[:, y]] for y, c in enumerate(cond)], axis=0)
+            nll = _query_nll(receiver, messages[i], cands, codes[i])
+            _add_sorted(per_input, i, w * nll)
         return _exact_report(per_input, space.weights)
 
     rng = substream(seed, "monte-carlo", "classification")
@@ -568,28 +623,25 @@ def per_input_message_losses(receiver, space: InputSpace, spec: GameSpec,
         return losses
     if spec.kind in ("discrimination", "supervised"):
         d = spec.d
-        if spec.kind == "supervised":
-            weights_for = _supervised_distractor_weights(space, spec.labels)
-        else:
-            weights_for = lambda i: space.weights
+        laws, law_of = _distractor_laws(
+            space, spec.labels if spec.kind == "supervised" else None)
         terms = n ** (d - 1) * n * k * d
         if terms <= budget:
-            for m in range(k):
-                losses[:, m] = _exact_discrimination_per_input(
-                    np.full(n, m), receiver, space, d, weights_for)
-            return losses
+            return _exact_discrimination_losses(
+                np.broadcast_to(np.arange(k), (n, k)), receiver, d, laws,
+                law_of)
         # past the exact budget: seeded Monte-Carlo with draws shared
         # across message choices, so the per-input argmin stays stable
         draws = max(1, spec.samples // n)
         rng = substream(spec.seed, "monte-carlo", "sender")
         for i in range(n):
-            distr = rng.choice(n, size=(draws, d - 1), p=weights_for(i))
-            positions = rng.integers(0, d, size=draws)
-            cands = _splice(distr, i, positions)
-            for m in range(k):
-                # a running sum, in draw order
-                losses[i, m] = np.cumsum(_query_nll(
-                    receiver, m, cands, positions))[-1] / draws
+            distr = rng.choice(n, size=(draws, d - 1), p=laws[law_of[i]])
+            positions = np.tile(rng.integers(0, d, size=draws), k)
+            nll = _query_nll(receiver, np.repeat(np.arange(k), draws),
+                             _splice(np.tile(distr, (k, 1)), i, positions),
+                             positions)
+            # a running sum per message choice, in draw order
+            losses[i] = np.cumsum(nll.reshape(k, draws), axis=1)[:, -1] / draws
         return losses
     if spec.kind == "classification":
         codes = spec.labels.codes()
@@ -625,9 +677,9 @@ def materialize_discrimination_table(receiver: DiscriminationReceiver,
         raise ValueError(f"dense table would need {rows} rows "
                          f"(max {max_rows})")
     table = {}
-    for m in range(receiver.num_messages):
-        for cands in itertools.product(range(space.size), repeat=d):
-            table[(m, cands)] = np.asarray(receiver.probabilities(m, cands),
-                                           dtype=float)
+    for block in _product_rows([receiver.num_messages] + [space.size] * d):
+        probs = receiver.probabilities_batch(block[:, 0], block[:, 1:])
+        for (m, *cands), row in zip(block.tolist(), probs):
+            table[(m, tuple(cands))] = row
     return TabularDiscriminationReceiver(d, receiver.num_messages, table)
 

@@ -4,9 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signalgames import (
     BudgetExceededError,
+    ClassificationReceiver,
     ConstantDiscriminationReceiver,
     EmptyClassError,
     GameSpec,
@@ -24,6 +27,7 @@ from signalgames import (
     synchronized_sender,
 )
 from signalgames.games import (
+    DiscriminationReceiver,
     ScoreDiscriminationReceiver,
     SynchronizedDiscriminationReceiver,
     TabularDiscriminationReceiver,
@@ -163,9 +167,10 @@ class TestEvalDiscrimination:
         calls = []
 
         class Counting(SynchronizedDiscriminationReceiver):
-            def probabilities(self, m, candidates):
-                calls.append((m, candidates))
-                return super().probabilities(m, candidates)
+            def probabilities_batch(self, messages, candidates):
+                calls.extend(zip(np.asarray(messages).tolist(),
+                                 map(tuple, np.asarray(candidates).tolist())))
+                return super().probabilities_batch(messages, candidates)
 
         rep = eval_discrimination(split, Counting(split, 3), space_b, 3,
                                   mode="exact")
@@ -175,6 +180,27 @@ class TestEvalDiscrimination:
         assert abs(rep.expected - discrimination_loss_bruteforce(
             split.assignment.tolist(), space_b.weights.tolist(), 3)) < 1e-12
 
+    def test_exact_batches_hold_at_most_4096_rows(self):
+        sizes = []
+
+        class Sizes(ScoreDiscriminationReceiver):
+            def probabilities_batch(self, messages, candidates):
+                sizes.append(len(candidates))
+                return super().probabilities_batch(messages, candidates)
+
+        space = InputSpace.uniform(np.arange(20.0)[:, None])
+        protocol = Protocol(np.arange(20) % 4, 4)
+        labels = LabelMap(list("abcd") * 5)
+        recv = Sizes(rng_for("batch-rows").random((4, 20)) + 0.1, 3)
+        eval_discrimination(protocol, recv, space, 3, mode="exact")
+        eval_supervised(protocol, recv, space, labels, d=3)
+        per_input_message_losses(recv, space, GameSpec("discrimination", d=3))
+        eval_classification(protocol, Sizes(recv.scores, 4), space, labels,
+                            mode="exact")
+        # 20 x 20^2 x 3 terms, then 20 x 15^2 x 3, then 4 choices each
+        assert sum(sizes) == 24_000 + 13_500 + 96_000 + 5 ** 4 * 20
+        assert max(sizes) == 4096
+
     def test_generic_receiver_mc_path(self, space_b, split):
         # dense table receivers run the per-episode path
         recv = materialize_discrimination_table(
@@ -182,6 +208,144 @@ class TestEvalDiscrimination:
         rep = eval_discrimination(split, recv, space_b, 2, mode="mc",
                                   samples=3000, seed=11)
         assert abs(rep.expected - 0.5 * LOG2) < 5 * rep.std_error
+
+
+def _one_query_reference(recv, m, cands) -> np.ndarray:
+    """Each built-in receiver's output, written out for one query."""
+    if isinstance(recv, SynchronizedDiscriminationReceiver):
+        match = np.array([recv.messages[c] == m for c in cands])
+        k = int(match.sum())
+        return np.full(len(cands), 1.0 / len(cands)) if k == 0 \
+            else match.astype(float) / k
+    if isinstance(recv, ScoreDiscriminationReceiver):
+        s = recv.scores[m, list(cands)]
+        total = s.sum()
+        return np.full(len(cands), 1.0 / len(cands)) if total <= 0.0 \
+            else s / total
+    if isinstance(recv, TabularDiscriminationReceiver):
+        return recv.table[(m, tuple(cands))]
+    if isinstance(recv, ConstantDiscriminationReceiver):
+        return recv.vector
+    return recv.conditional[m]
+
+
+class TestProbabilitiesBatch:
+    @staticmethod
+    def receivers(assignment, scores, messages, cands):
+        k, d = scores.shape[0], cands.shape[1]
+        score = ScoreDiscriminationReceiver(scores, d)
+        table = {(m, tuple(c)): _one_query_reference(score, m, c)
+                 for m, c in zip(messages.tolist(), cands.tolist())}
+        vector = np.arange(1.0, d + 1.0) / (d * (d + 1) / 2)
+        return [SynchronizedDiscriminationReceiver(Protocol(assignment, k), d),
+                score, TabularDiscriminationReceiver(d, k, table),
+                ConstantDiscriminationReceiver(vector, k),
+                ClassificationReceiver(np.tile(vector, (k, 1)))]
+
+    @staticmethod
+    def assert_rows_match(recv, messages, cands):
+        batch = recv.probabilities_batch(messages, cands)
+        assert batch.shape == cands.shape
+        for row, m, c in zip(batch, messages.tolist(), cands.tolist()):
+            one = recv.probabilities(m, tuple(c))
+            want = np.asarray(_one_query_reference(recv, m, c), dtype=float)
+            assert row.tobytes() == one.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_row_stacked_probabilities(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        k = data.draw(st.integers(1, 3), label="k")
+        d = data.draw(st.integers(2, 10), label="d")  # d >= 8: pairwise sums
+        b = data.draw(st.integers(0, 12), label="rows")
+
+        def ints(hi, size, label):
+            return np.array(data.draw(st.lists(
+                st.integers(0, hi - 1), min_size=size, max_size=size),
+                label=label), dtype=int)
+
+        messages = ints(k, b, "messages")
+        cands = ints(n, b * d, "candidates").reshape(b, d)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                              label="seed"))
+        scores = rng.random((k, n)) * 10.0 * (rng.random((k, n)) > 0.2)
+        scores[0] = 0.0  # message 0 scores every candidate zero
+        for recv in self.receivers(ints(k, n, "assignment"), scores,
+                                   messages, cands):
+            self.assert_rows_match(recv, messages, cands)
+
+    def test_edge_rows(self):
+        # no candidate carries message 2, message 0 scores all zero, and
+        # candidates repeat
+        messages = np.array([2, 0, 1, 1])
+        cands = np.array([[0, 1, 2], [0, 0, 0], [2, 2, 1], [0, 2, 2]])
+        scores = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 2.0], [1.0, 1.0, 1.0]])
+        for recv in self.receivers(np.array([0, 0, 1]), scores, messages,
+                                   cands):
+            self.assert_rows_match(recv, messages, cands)
+        sync = SynchronizedDiscriminationReceiver(Protocol([0, 0, 1], 3), 3)
+        assert np.allclose(sync.probabilities_batch(messages, cands)[:2],
+                           [[1 / 3] * 3, [1 / 3] * 3])
+
+    def test_subclass_with_only_probabilities(self, space_b, split):
+        # the base class stacks the scalar method, on every loss path
+        class ScalarOnly(DiscriminationReceiver):
+            num_candidates, num_messages = 3, 2
+            sync = SynchronizedDiscriminationReceiver(split, 3)
+
+            def probabilities(self, m, candidates):
+                assert isinstance(candidates, tuple)
+                return self.sync.probabilities(m, candidates).tolist()
+
+        recv = ScalarOnly()
+        rep = eval_discrimination(split, recv, space_b, 3, mode="exact")
+        assert abs(rep.expected - discrimination_loss_bruteforce(
+            split.assignment.tolist(), space_b.weights.tolist(), 3)) < 1e-12
+        table = materialize_discrimination_table(recv, space_b)
+        want = materialize_discrimination_table(recv.sync, space_b)
+        assert list(table.table) == list(want.table)
+        assert np.array_equal(table.rows, want.rows)
+        mc = [eval_discrimination(split, r, space_b, 3, mode="mc",
+                                  samples=300, seed=4) for r in (recv, table)]
+        assert mc[0].expected == mc[1].expected
+        assert mc[0].per_input.tolist() == mc[1].per_input.tolist()
+
+    def test_subclass_with_neither_method(self):
+        with pytest.raises(NotImplementedError):
+            DiscriminationReceiver().probabilities(0, (0, 1))
+
+    def test_sparse_table_raises_on_missing_query(self, space_b, split):
+        sparse = TabularDiscriminationReceiver(
+            2, 2, {(0, (0, 1)): np.array([0.5, 0.5])})
+        undefined = r"^receiver undefined on query \(\d+, \(\d+, \d+\)\)$"
+        with pytest.raises(EmptyClassError, match=undefined):
+            eval_discrimination(split, sparse, space_b, 2, mode="exact")
+        with pytest.raises(EmptyClassError, match=undefined):
+            eval_discrimination(split, sparse, space_b, 2, mode="mc",
+                                samples=50, seed=1)
+        with pytest.raises(EmptyClassError, match=undefined):
+            per_input_message_losses(sparse, space_b,
+                                     GameSpec("discrimination", d=2))
+        with pytest.raises(EmptyClassError, match=r"\(1, \(0, 1\)\)$"):
+            sparse.probabilities(1, (0, 1))
+
+
+class TestTabularReceiver:
+    @pytest.mark.parametrize("row", [[0.5, 0.6], [-0.5, 1.5], [1.0],
+                                     [0.2, 0.3, 0.5]])
+    def test_rejects_rows_that_are_not_distributions(self, row):
+        table = {(0, (0, 1)): [0.5, 0.5], (1, (1, 0)): row}
+        with pytest.raises(ValueError, match=r"^row for query \(1, \(1, 0\)\) "
+                                             "is not a distribution$"):
+            TabularDiscriminationReceiver(2, 2, table)
+
+    def test_table_values_are_views_of_rows(self):
+        recv = TabularDiscriminationReceiver(
+            2, 2, {(0, (0, 1)): [0.25, 0.75], (1, (1, 1)): [0.5, 0.5]})
+        assert list(recv.table) == [(0, (0, 1)), (1, (1, 1))]
+        assert recv.rows.tolist() == [[0.25, 0.75], [0.5, 0.5]]
+        assert all(np.shares_memory(row, recv.rows)
+                   for row in recv.table.values())
 
 
 class TestEvalGlobal:

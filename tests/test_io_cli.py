@@ -172,6 +172,19 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["topsim"] == "undefined"
 
+    def test_sparse_table_query_exits_1(self, data_dir, capsys):
+        (data_dir / "table.json").write_text(json.dumps(
+            {"kind": "discrimination", "d": 2, "num_messages": 2,
+             "rows": [{"message": 0, "candidates": [0, 1],
+                       "probs": [0.5, 0.5]}]}))
+        code = main(["verify", "--def", "6", "--game", "discrimination",
+                     "--d", "2", "--input", str(data_dir / "space.csv"),
+                     "--receiver", str(data_dir / "table.json"),
+                     "--out", str(data_dir / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: receiver undefined on query (0, (0, 0))\n"
+
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,x0,weight\n0,zz,1.0\n")
@@ -189,7 +202,8 @@ class TestCli:
         "kmeans_init_shape", "optimize_d1", "lemma2_d1",
         "supervised_d_above_labels", "table_without_rows",
         "receiver_beyond_message_space", "lemma_instances_0",
-        "corollary_n0", "kmeans_max_iters_0"])
+        "corollary_n0", "kmeans_max_iters_0", "kmeans_k_above_points",
+        "antipodal_k_mismatch"])
     def test_malformed_input_exits_2(self, case, tmp_path, space_b, capsys):
         io.save_input_space(tmp_path / "space.csv", space_b)
         (tmp_path / "protocol.csv").write_text(
@@ -297,6 +311,11 @@ class TestCli:
             "kmeans_max_iters_0": ["optimize", "--method", "kmeans",
                                    "--max-iters", "0", "--k", "2", "--input",
                                    space],
+            "kmeans_k_above_points": ["optimize", "--method", "kmeans",
+                                      "--k", "5", "--input", space],
+            "antipodal_k_mismatch": ["optimize", "--method", "balanced",
+                                     "--flavor", "adversarial-antipodal",
+                                     "--k", "3", "--input", space],
         }[case]
         try:
             code = main(argv + ["--out", str(tmp_path / "out")])
