@@ -18,9 +18,6 @@ from .core import (
     MessageSpace,
     Protocol,
     conditional_stats,
-    epsilon_min,
-    expected_pairwise_sqdist,
-    input_variance,
     message_probabilities,
 )
 from .errors import (

@@ -14,7 +14,6 @@ import argparse
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,29 +29,16 @@ log = logging.getLogger("signalgames")
 SCHEMA_VERSION = 1
 
 # games whose closed-form objective is a log-scale (nats) quantity; the
-# reconstruction objective is a variance and the supervised one a pure
-# probability expression, so unit conversion must not touch them
-NATS_OBJECTIVE_GAMES = ("discrimination", "global", "classification")
+# reconstruction objective is a variance, so unit conversion must not
+# touch it
+NATS_OBJECTIVE_GAMES = ("discrimination", "global", "supervised",
+                        "classification")
 
 CSV_COLUMNS = [
     "unique_messages", "disc_accuracy", "topsim", "message_variance",
     "baseline_mean", "baseline_std", "purity", "max_purity", "posdis",
     "bosdis", "sposdis", "cluster_variance",
 ]
-
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    out: Path | None = None
-    fmt: str = "json"
-    log_base: str = "nats"
-    metric_names: list[str] = field(default_factory=list)
-    d: int = 41
-    trials: int = 1
-    accuracy_receiver: str = "synchronized"
-    baseline_repeats: int = 100
-    symbol_groups: list[list[int]] | None = None
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -131,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="definition, lemma and "
                               "enumeration verdicts")
     _common_flags(p_verify)
-    p_verify.add_argument("--samples", type=_positive_int, default=200_000,
-                          help="Monte-Carlo samples for --lemma 2 at d > 2")
     p_verify.add_argument("--input", type=Path)
     p_verify.add_argument("--protocol", type=Path)
     p_verify.add_argument("--labels", type=Path)
@@ -243,10 +227,11 @@ def _to_log_base(report: dict, base: str) -> dict:
 
 def compute_metrics(space: InputSpace, protocol: Protocol,
                     message_space: MessageSpace, labels: list[LabelMap],
-                    cfg: RunConfig) -> dict:
-    """Flat metric report; precondition failures become per-metric error
-    entries instead of aborting the run."""
-    wanted = cfg.metric_names or [
+                    args) -> dict:
+    """Flat metric report for the ``analyze``/``metrics`` arguments;
+    precondition failures become per-metric error entries instead of
+    aborting the run."""
+    wanted = [s for s in args.metric_names.split(",") if s] or [
         "unique_messages", "message_variance", "baseline_mean",
         "baseline_std", "purity", "max_purity", "topsim", "posdis", "bosdis",
         "sposdis", "cluster_variance", "disc_accuracy"]
@@ -269,7 +254,7 @@ def compute_metrics(space: InputSpace, protocol: Protocol,
         try:
             mean, std = met.random_baseline(
                 protocol, space, met.message_variance,
-                repeats=cfg.baseline_repeats, seed=cfg.seed)
+                repeats=args.baseline_repeats, seed=args.seed)
             report["baseline_mean"], report["baseline_std"] = mean, std
         except (ValueError, BudgetExceededError) as exc:
             report["baseline_mean"] = {"error": str(exc)}
@@ -284,10 +269,10 @@ def compute_metrics(space: InputSpace, protocol: Protocol,
         attempt(kind, lambda kind=kind: met.disentanglement(
             protocol, space, message_space, labels, kind=kind))
     attempt("cluster_variance", lambda: met.cluster_variance(
-        protocol, space, message_space, _require_groups(cfg)))
+        protocol, space, message_space, _require_groups(args)))
     attempt("disc_accuracy", lambda: met.discrimination_accuracy(
-        protocol, space, receiver_kind=cfg.accuracy_receiver, d=cfg.d,
-        seed=cfg.seed, trials=cfg.trials))
+        protocol, space, receiver_kind=args.accuracy_receiver, d=args.d,
+        seed=args.seed, trials=args.trials))
     return report
 
 
@@ -297,10 +282,10 @@ def _require_labels(labels, n):
     return True
 
 
-def _require_groups(cfg: RunConfig):
-    if cfg.symbol_groups is None:
+def _require_groups(args):
+    if args.symbol_groups is None:
         raise ValueError("symbol groups not provided (--symbol-groups)")
-    return cfg.symbol_groups
+    return args.symbol_groups
 
 
 # ---------------------------------------------------------------------------
@@ -308,33 +293,25 @@ def _require_groups(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args, flat_only: bool = False) -> int:
-    cfg = RunConfig(seed=args.seed, out=args.out,
-                    fmt=args.fmt, log_base=args.log_base,
-                    metric_names=[s for s in args.metric_names.split(",")
-                                  if s],
-                    d=args.d, trials=args.trials,
-                    accuracy_receiver=args.accuracy_receiver,
-                    baseline_repeats=args.baseline_repeats,
-                    symbol_groups=args.symbol_groups)
     space, protocol, message_space, labels = _load_data(args)
     if protocol is None:
         raise ParseError("analyze needs a --protocol file", "")
-    report = {"schema": SCHEMA_VERSION, "seed": cfg.seed,
+    report = {"schema": SCHEMA_VERSION, "seed": args.seed,
               "conventions": {"disentanglement_normalization":
                               "mean-over-units",
                               "message_variance_pairs":
                               "ordered-with-self"}}
     report.update(compute_metrics(space, protocol, message_space, labels,
-                                  cfg))
-    report = _to_log_base(report, cfg.log_base)
-    if cfg.fmt == "csv":
+                                  args))
+    report = _to_log_base(report, args.log_base)
+    if args.fmt == "csv":
         sys.stdout.write(_csv_row_text(report))
     else:
         sys.stdout.write(io.dumps_report(report))
-    if cfg.out is not None:
-        io.write_report(cfg.out / "report.json", report)
+    if args.out is not None:
+        io.write_report(args.out / "report.json", report)
         if not flat_only:
-            _write_csv_row(cfg.out / "report.csv", report)
+            _write_csv_row(args.out / "report.csv", report)
     return 0
 
 
@@ -492,92 +469,69 @@ def cmd_counterexample(args) -> int:
 # Verify
 # ---------------------------------------------------------------------------
 
-def _random_instance(rng, n_max=8, dim_max=3, k_max=4, labeled=False):
-    dim = int(rng.integers(1, dim_max + 1))
+def _random_instance(rng, num_labels: int = 0):
+    """A random protocol on a random space of at most 8 inputs. With
+    ``num_labels``, the space is uniform and carries that many balanced
+    label values, as the supervised game assumes."""
+    dim = int(rng.integers(1, 4))
     labels = None
-    if labeled:
-        # the supervised closed form assumes balanced label mass
-        half = int(rng.integers(1, n_max // 2 + 1))
-        n = 2 * half
-        space = InputSpace.uniform(rng.normal(size=(n, dim)))
-        labels = LabelMap(["a"] * half + ["b"] * half)
+    if num_labels:
+        per = int(rng.integers(1, max(1, 8 // num_labels) + 1))
+        space = InputSpace.uniform(rng.normal(size=(num_labels * per, dim)))
+        labels = LabelMap(np.repeat(np.arange(num_labels), per).tolist())
     else:
-        n = int(rng.integers(2, n_max + 1))
+        n = int(rng.integers(2, 9))
         w = rng.random(n) + 0.1
         space = InputSpace(rng.normal(size=(n, dim)), w / w.sum())
-    k = int(rng.integers(1, k_max + 1))
+    k = int(rng.integers(1, 5))
     protocol = Protocol(rng.integers(0, k, size=space.size), k)
     return space, protocol, labels
 
 
+# lemma -> the game it states a closed form for, and that game's exact
+# evaluator on (protocol, synchronized receiver, space, spec)
+_LEMMA_GAMES = {
+    "1": ("reconstruction",
+          lambda p, r, s, g: games.eval_reconstruction(p, r, s)),
+    "2": ("discrimination", lambda p, r, s, g: games.eval_discrimination(
+        p, r, s, g.d, mode="exact")),
+    "a1": ("global", lambda p, r, s, g: games.eval_global(p, r, s)),
+    "a2": ("supervised", lambda p, r, s, g: games.eval_supervised(
+        p, r, s, g.labels, d=g.d)),
+    "a3": ("classification", lambda p, r, s, g: games.eval_classification(
+        p, r, s, g.labels, mode="exact")),
+}
+
+
 def _verify_lemma(args) -> dict:
+    """The exact loss of the synchronized pair against the closed form, on
+    random instances, to 1e-10. An instance whose enumeration exceeds the
+    term budget raises ``BudgetExceededError``."""
+    kind, evaluate = _LEMMA_GAMES[args.lemma]
     rng = games.substream(args.seed, "verify-lemma", str(args.lemma))
+    # the supervised game needs at least d label values
+    num_labels = {"supervised": max(2, args.d), "classification": 2}.get(
+        kind, 0)
     gaps = []
-    tol = 1e-10
     for _ in range(args.instances):
-        if args.lemma == "1":
-            space, protocol, _ = _random_instance(rng)
-            recv = games.synchronized_receiver(protocol, space,
-                                               GameSpec("reconstruction"))
-            exact = games.eval_reconstruction(protocol, recv, space).expected
-            gaps.append(abs(exact - objectives.reco_objective(protocol,
-                                                              space)))
-        elif args.lemma == "2":
-            space, protocol, _ = _random_instance(rng)
-            spec = GameSpec("discrimination", d=args.d)
-            recv = games.synchronized_receiver(protocol, space, spec)
-            closed = objectives.disc_objective(protocol, space, args.d)
-            if args.d == 2:
-                exact = games.eval_discrimination(protocol, recv, space, 2,
-                                                  mode="exact").expected
-                gaps.append(abs(exact - closed))
-            else:
-                rep = games.eval_discrimination(
-                    protocol, recv, space, args.d, mode="mc",
-                    samples=args.samples, seed=args.seed)
-                se = rep.std_error or 0.0
-                tol = None
-                gaps.append(abs(rep.expected - closed) / max(4 * se, 1e-300))
-        elif args.lemma == "a1":
-            space, protocol, _ = _random_instance(rng)
-            recv = games.synchronized_receiver(protocol, space,
-                                               GameSpec("global"))
-            exact = games.eval_global(protocol, recv, space).expected
-            h_x = objectives.entropy(space.weights)
-            closed = objectives.global_objective(protocol, space) + h_x
-            gaps.append(abs(exact - closed))
-        elif args.lemma in ("a2", "a3"):
-            space, protocol, labels = _random_instance(rng, labeled=True)
-            if args.lemma == "a2":
-                spec = GameSpec("supervised", d=2, labels=labels)
-                recv = games.synchronized_receiver(protocol, space, spec)
-                exact = games.eval_supervised(protocol, recv, space,
-                                              labels).expected
-                obj = objectives.supervised_objective(protocol, space,
-                                                      labels).value
-                scale = math.log(2.0) * labels.num_values \
-                    / (labels.num_values - 1)
-                gaps.append(abs(exact - scale * obj))
-            else:
-                spec = GameSpec("classification", labels=labels)
-                recv = games.synchronized_receiver(protocol, space, spec)
-                exact = games.eval_classification(protocol, recv, space,
-                                                  labels,
-                                                  mode="exact").expected
-                closed = objectives.classification_objective(
-                    protocol, space, labels) + objectives.entropy(
-                        objectives.joint_message_label(
-                            protocol, space, labels).sum(axis=0))
-                gaps.append(abs(exact - closed))
+        space, protocol, labels = _random_instance(rng, num_labels)
+        spec = GameSpec(kind, d=args.d, labels=labels)
+        recv = games.synchronized_receiver(protocol, space, spec)
+        exact = evaluate(protocol, recv, space, spec).expected
+        closed = float(objectives.batch_objective(protocol.assignment[None],
+                                                  space, spec)[0])
+        if kind == "global":  # plus H(X)
+            closed += objectives.entropy(space.weights)
+        elif kind == "classification":  # plus H(Y)
+            closed += objectives.entropy(np.bincount(labels.codes(),
+                                                     space.weights))
+        gaps.append(abs(exact - closed))
     max_gap = float(max(gaps))
-    if tol is None:  # Monte-Carlo: gaps are in units of 4 standard errors
-        return {"check": f"lemma-{args.lemma}", "d": args.d,
-                "max_gap_in_4se_units": max_gap, "verdict": max_gap <= 1.0,
-                "instances": args.instances}
+    tol = 1e-10
     report = {"check": f"lemma-{args.lemma}", "d": args.d,
               "max_gap": max_gap, "tolerance": tol, "verdict": max_gap < tol,
               "instances": args.instances}
-    if args.lemma != "1":  # reconstruction gaps are squared distances
+    if kind != "reconstruction":  # reconstruction gaps are squared distances
         report["_nats_fields"] = ["max_gap", "tolerance"]
     return report
 

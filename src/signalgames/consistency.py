@@ -9,10 +9,9 @@
 * non-degeneracy: the worst-case per-input loss of a synchronized sender is
   at most a quarter of the best constant receiver's expected loss.
 
-Strict inequalities are evaluated with a configurable margin (default 0,
-i.e. exact float comparison); results within 1e-12 of equality carry a
-``boundary`` flag because some constructions land exactly on the boundary
-and the direction of the comparison matters there.
+Strict inequalities are exact float comparisons; results within 1e-12 of
+equality carry a ``boundary`` flag because some constructions land exactly
+on the boundary and the direction of the comparison matters there.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ class SemanticConsistency(NamedTuple):
     boundary: bool
 
 
-def semantic_consistency(protocol: Protocol, space: InputSpace,
-                         margin: float = 0.0) -> SemanticConsistency:
+def semantic_consistency(protocol: Protocol,
+                         space: InputSpace) -> SemanticConsistency:
     """Strict-inequality check ``E_m Var[X|m] < Var[X]``.
 
     Returns the verdict together with the explained and unexplained
@@ -64,7 +63,7 @@ def semantic_consistency(protocol: Protocol, space: InputSpace,
     unexplained = reco_objective(protocol, space)
     explained = total - unexplained
     boundary = abs(explained) <= _BOUNDARY_TOL
-    consistent = (unexplained < total - margin) and not boundary
+    consistent = unexplained < total and not boundary
     return SemanticConsistency(bool(consistent), float(explained),
                                float(unexplained), bool(boundary))
 
@@ -86,8 +85,8 @@ class SpatialMeaningfulness(NamedTuple):
 
 def spatial_meaningfulness(protocol: Protocol, space: InputSpace,
                            message_space: MessageSpace,
-                           eps0: float | None = None,
-                           margin: float = 0.0) -> SpatialMeaningfulness:
+                           eps0: float | None = None
+                           ) -> SpatialMeaningfulness:
     """Check the proximity-conditioned pairwise inequality at every
     threshold up to ``eps0``.
 
@@ -143,7 +142,7 @@ def spatial_meaningfulness(protocol: Protocol, space: InputSpace,
             continue
         conditional = float(pair[event].sum() / mass)
         boundary = abs(conditional - unconditional) <= _BOUNDARY_TOL
-        strict = (conditional < unconditional - margin) and not boundary
+        strict = conditional < unconditional and not boundary
         ok = ok and strict
         checks.append(ThresholdCheck(eps, conditional, float(unconditional),
                                      bool(strict), bool(boundary),

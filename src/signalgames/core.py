@@ -33,10 +33,7 @@ __all__ = [
     "GameSpec",
     "GAME_KINDS",
     "message_probabilities",
-    "input_variance",
     "conditional_stats",
-    "expected_pairwise_sqdist",
-    "epsilon_min",
 ]
 
 GAME_KINDS = ("reconstruction", "discrimination", "global", "supervised",
@@ -328,11 +325,6 @@ def message_probabilities(protocol: Protocol, space: InputSpace) -> np.ndarray:
                        space.weights)[0][0]
 
 
-def input_variance(space: InputSpace) -> float:
-    """Total variance ``Var[X]``."""
-    return space.variance()
-
-
 def conditional_stats(protocol: Protocol, space: InputSpace,
                       m: int) -> tuple[np.ndarray, float]:
     """Conditional mean and total variance of ``X`` given ``S(X) = m``."""
@@ -347,16 +339,6 @@ def conditional_stats(protocol: Protocol, space: InputSpace,
     centered = pts - mean
     var = float(w @ np.einsum("ij,ij->i", centered, centered))
     return mean, var
-
-
-def expected_pairwise_sqdist(space: InputSpace) -> float:
-    """``E ||x1 - x2||^2`` for an i.i.d. pair, via the identity ``2 Var[X]``."""
-    return 2.0 * space.variance()
-
-
-def epsilon_min(message_space: MessageSpace) -> float:
-    """Minimum distance between distinct messages (``eps_M``)."""
-    return message_space.epsilon_min()
 
 
 def _class_sums(codes: np.ndarray, size: int,

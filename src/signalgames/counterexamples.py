@@ -39,6 +39,10 @@ __all__ = [
     "verify_antipodal_split",
 ]
 
+# labelled protocols up to which the antipodal split is checked against
+# exhaustive search
+_SPLIT_SEARCH_BUDGET = 10 ** 6
+
 
 class MirrorPairsInstance(NamedTuple):
     space: InputSpace
@@ -180,8 +184,7 @@ def build_anticonsistent_optimal(space: InputSpace, k: int) -> Protocol:
     return protocol
 
 
-def verify_antipodal_split(space: InputSpace, k: int,
-                           enumeration_budget: int = 10 ** 6) -> dict:
+def verify_antipodal_split(space: InputSpace, k: int) -> dict:
     """Verdict report for the antipodal split on the given space.
 
     Confirms the construction ties the exhaustive optimum when enumeration
@@ -195,9 +198,9 @@ def verify_antipodal_split(space: InputSpace, k: int,
         "assignment": protocol.assignment.tolist(),
         "simplified_objective": simplified,
     }
-    if k ** space.size <= enumeration_budget:
+    if k ** space.size <= _SPLIT_SEARCH_BUDGET:
         result = exhaustive_search(space, k, GameSpec("discrimination", d=2),
-                                   budget=enumeration_budget)
+                                   budget=_SPLIT_SEARCH_BUDGET)
         report["exhaustive_minimum"] = result.value
         report["optimal"] = bool(
             abs(disc_objective(protocol, space, 2) - result.value) <= 1e-12)

@@ -64,9 +64,13 @@ __all__ = [
     "materialize_discrimination_table",
     "substream",
     "EXACT_TERM_BUDGET",
+    "MAX_TABLE_ROWS",
 ]
 
 EXACT_TERM_BUDGET = 10 ** 8
+
+# rows a dense discrimination table may hold, when built or serialized
+MAX_TABLE_ROWS = 10 ** 6
 
 _PROB_TOL = 1e-12
 
@@ -667,15 +671,14 @@ def synchronized_sender(receiver, space: InputSpace, spec: GameSpec,
 
 
 def materialize_discrimination_table(receiver: DiscriminationReceiver,
-                                     space: InputSpace,
-                                     max_rows: int = 10 ** 6
+                                     space: InputSpace
                                      ) -> TabularDiscriminationReceiver:
     """Dense (message x candidate tuple) table of a discrimination receiver."""
     d = receiver.num_candidates
     rows = receiver.num_messages * space.size ** d
-    if rows > max_rows:
+    if rows > MAX_TABLE_ROWS:
         raise ValueError(f"dense table would need {rows} rows "
-                         f"(max {max_rows})")
+                         f"(max {MAX_TABLE_ROWS})")
     table = {}
     for block in _product_rows([receiver.num_messages] + [space.size] * d):
         probs = receiver.probabilities_batch(block[:, 0], block[:, 1:])

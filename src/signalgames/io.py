@@ -22,8 +22,9 @@ import numpy as np
 
 from .core import InputSpace, LabelMap, MessageSpace, Protocol
 from .errors import ParseError
-from .games import ClassificationReceiver, ConstantDiscriminationReceiver, \
-    GlobalReceiver, ReconstructionReceiver, TabularDiscriminationReceiver
+from .games import MAX_TABLE_ROWS, ClassificationReceiver, \
+    ConstantDiscriminationReceiver, GlobalReceiver, ReconstructionReceiver, \
+    TabularDiscriminationReceiver
 
 __all__ = [
     "load_input_space",
@@ -144,9 +145,7 @@ def default_message_space(k: int) -> MessageSpace:
     return MessageSpace.symbol_sequences(msgs, vocab_size=10, length=length)
 
 
-def load_protocol(path: str | Path,
-                  message_space: MessageSpace | None = None,
-                  vocab_size: int | None = None
+def load_protocol(path: str | Path, vocab_size: int | None = None
                   ) -> tuple[Protocol, MessageSpace]:
     path = Path(path)
     if path.suffix.lower() == ".json":
@@ -173,19 +172,13 @@ def load_protocol(path: str | Path,
     if len(lengths) != 1:
         raise ParseError("messages must share one length", str(path), line=2)
 
-    if message_space is None:
-        atoms = sorted(set(seqs))
-        if vocab_size is None:
-            vocab_size = max(max(s) for s in seqs) + 1
-        message_space = MessageSpace.symbol_sequences(
-            atoms, vocab_size=vocab_size, length=lengths.pop())
-    index = {tuple(a): i for i, a in enumerate(message_space.atoms)}
-    try:
-        assignment = [index[s] for s in seqs]
-    except KeyError as exc:
-        raise ParseError(f"message {exc.args[0]!r} not in the message space",
-                         str(path), line=2)
-    return Protocol(assignment, message_space.size), message_space
+    atoms = sorted(set(seqs))
+    if vocab_size is None:
+        vocab_size = max(max(s) for s in seqs) + 1
+    message_space = MessageSpace.symbol_sequences(
+        atoms, vocab_size=vocab_size, length=lengths.pop())
+    index = {a: i for i, a in enumerate(atoms)}
+    return Protocol([index[s] for s in seqs], len(atoms)), message_space
 
 
 def _parse_message_string(s: str) -> tuple:
@@ -222,9 +215,6 @@ def save_protocol(path: str | Path, protocol: Protocol,
 # Receivers
 # ---------------------------------------------------------------------------
 
-_MAX_TABLE_ROWS = 10 ** 6
-
-
 def receiver_to_json(receiver) -> dict:
     if isinstance(receiver, ReconstructionReceiver):
         return {"kind": "reconstruction", "outputs": [
@@ -244,10 +234,10 @@ def receiver_to_json(receiver) -> dict:
                 "vector": [float(v) for v in receiver.vector],
                 "num_messages": receiver.num_messages}
     if isinstance(receiver, TabularDiscriminationReceiver):
-        if len(receiver.table) > _MAX_TABLE_ROWS:
+        if len(receiver.table) > MAX_TABLE_ROWS:
             raise ValueError(
                 f"dense discrimination table has {len(receiver.table)} rows; "
-                f"only tables up to {_MAX_TABLE_ROWS} rows serialize")
+                f"only tables up to {MAX_TABLE_ROWS} rows serialize")
         rows = [{"message": int(m), "candidates": [int(c) for c in cands],
                  "probs": [float(v) for v in row]}
                 for (m, cands), row in sorted(receiver.table.items())]
@@ -302,13 +292,13 @@ def load_receiver(path: str | Path):
 # Deterministic report emission
 # ---------------------------------------------------------------------------
 
-def format_floats(obj, digits: int = 12):
-    """Round floats to the given significant digits, mapping non-finite
-    values to strings so the result is plain JSON."""
+def format_floats(obj):
+    """Round floats to 12 significant digits, mapping non-finite values to
+    strings so the result is plain JSON."""
     if isinstance(obj, dict):
-        return {k: format_floats(v, digits) for k, v in obj.items()}
+        return {k: format_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [format_floats(v, digits) for v in obj]
+        return [format_floats(v) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -319,9 +309,9 @@ def format_floats(obj, digits: int = 12):
             return "nan"
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
-        return float(f"{v:.{digits}g}")
+        return float(f"{v:.12g}")
     if isinstance(obj, np.ndarray):
-        return format_floats(obj.tolist(), digits)
+        return format_floats(obj.tolist())
     return obj
 
 

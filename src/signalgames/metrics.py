@@ -44,6 +44,9 @@ __all__ = [
     "discrimination_accuracy",
 ]
 
+# distinct shuffles an exact random baseline may enumerate
+_EXACT_BASELINE_BUDGET = 100_000
+
 
 def unique_messages(protocol: Protocol) -> int:
     return int(protocol.used_messages().size)
@@ -70,8 +73,7 @@ def message_variance(protocol: Protocol, space: InputSpace) -> float:
 def random_baseline(protocol: Protocol, space: InputSpace,
                     metric: Callable[[Protocol, InputSpace], float],
                     repeats: int = 100, seed: int = 0,
-                    exact: bool = False,
-                    exact_budget: int = 100_000) -> tuple[float, float]:
+                    exact: bool = False) -> tuple[float, float]:
     """Mean and population std of a metric over class-size-preserving
     shuffles of the assignment.
 
@@ -90,7 +92,7 @@ def random_baseline(protocol: Protocol, space: InputSpace,
         values = [metric(Protocol(np.asarray(a, dtype=int),
                                   protocol.num_messages), space)
                   for a in _distinct_shuffles(protocol.assignment,
-                                              exact_budget)]
+                                              _EXACT_BASELINE_BUDGET)]
     else:
         rng = substream(seed, "baseline")
         values = []

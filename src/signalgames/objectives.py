@@ -9,7 +9,11 @@ loss yields a closed-form function of the protocol alone:
   ``log 2 * sum_m p_m^2``, and ``sum_m p_m^2`` is the constant-stripped
   form valid inside argmin);
 * global discrimination: ``-I(X; S(X)) = -H(S(X))`` for deterministic senders;
-* supervised discrimination (d=2): ``sum_m p_m^2 - sum_{m,y} P(m,y)^2``;
+* supervised discrimination: ``sum_{m,y} P(m,y) E log(1 + Binomial(d-1,
+  q_my))``, where ``q_my = (p_m - P(m,y)) / (1 - P(y))`` is the chance that
+  a distractor, drawn from outside label ``y``, shares message ``m`` (for
+  d=2 and balanced labels this is ``log 2 * V/(V-1)`` times the two-term
+  form ``sum_m p_m^2 - sum_{m,y} P(m,y)^2``);
 * classification discrimination: ``-I(Y; S(X))``.
 
 All logarithms are natural (nats); entropies use the plug-in convention
@@ -56,12 +60,13 @@ def binomial_log_moment(p: float | np.ndarray, d: int) -> float | np.ndarray:
     p = np.asarray(p, dtype=float)
     if not ((p >= -1e-12) & (p <= 1.0 + 1e-12)).all():
         raise ValueError("p must lie in [0, 1]")
-    return _binomial_sum(p.clip(0.0, 1.0), d)[()]
+    p = p.clip(0.0, 1.0)
+    return (p * _log1p_binomial_mean(p, d))[()]
 
 
-def _binomial_sum(p: np.ndarray, d: int) -> np.ndarray:
-    """The binomial sum behind :func:`binomial_log_moment`, for masses
-    already known to lie in [0, 1]."""
+def _log1p_binomial_mean(p: np.ndarray, d: int) -> np.ndarray:
+    """``E log(1 + Binomial(d-1, p))`` by the exact binomial sum,
+    elementwise, for probabilities already known to lie in [0, 1]."""
     if d < 2:
         raise ValueError("candidate count d must be at least 2")
     n = d - 1
@@ -69,7 +74,7 @@ def _binomial_sum(p: np.ndarray, d: int) -> np.ndarray:
     acc = 0.0
     for k in range(1, n + 1):  # k = 0 contributes log 1 = 0
         acc = acc + math.comb(n, k) * math.log1p(k) * p ** k * q ** (n - k)
-    return p * acc
+    return acc
 
 
 def disc_objective(protocol: Protocol, space: InputSpace, d: int) -> float:
@@ -109,7 +114,9 @@ def supervised_objective(protocol: Protocol, space: InputSpace,
 
     The first term rewards diverse messages, the second rewards label-pure
     equivalence classes. The value lies in [0, 1] and vanishes exactly when
-    every class is label-pure.
+    every class is label-pure. With balanced labels over ``V`` values, the
+    d=2 supervised loss is ``log 2 * V/(V-1)`` times the value;
+    :func:`batch_objective` gives the loss itself at any ``d``.
     """
     diversity, purity = map(float, _supervised_terms(
         joint_message_label(protocol, space, labels)))
@@ -122,18 +129,18 @@ def classification_objective(protocol: Protocol, space: InputSpace,
     return _one_row(protocol, space, "classification", labels=labels)
 
 
-def convexity_check(d: int, grid_step: float = 1e-3, tol: float = 1e-9) -> bool:
+def convexity_check(d: int, grid_step: float = 1e-3) -> bool:
     """Grid check that ``p -> binomial_log_moment(p, d)`` is convex on [0, 1].
 
     Evaluates central second differences on a uniform grid and requires all
-    of them to be at least ``-tol``.
+    of them to be at least ``-1e-9``.
     """
     if grid_step > 1e-3:
         raise ValueError("grid step must be at most 1e-3")
     grid = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
     vals = binomial_log_moment(grid, d)
     second = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
-    return bool(np.all(second >= -tol))
+    return bool(np.all(second >= -1e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +208,12 @@ def _objective_rows(assignments: np.ndarray, k: int, space: InputSpace,
         masses, = _class_sums(assignments, k, w)
         if kind == "global":
             return -entropy(masses)
-        return _binomial_sum(masses, d).sum(axis=-1)
+        return (masses * _log1p_binomial_mean(masses, d)).sum(axis=-1)
     if kind == "supervised":
-        diversity, purity = _supervised_terms(
-            _joint(assignments, k, space, labels))
-        return diversity - purity
+        joint = _joint(assignments, k, space, labels)
+        outside = 1.0 - joint.sum(axis=-2, keepdims=True)  # 1 - P(y)
+        q = (joint.sum(axis=-1, keepdims=True) - joint) / outside
+        return (joint * _log1p_binomial_mean(q, d)).sum(axis=(-2, -1))
     if kind == "classification":
         return -mutual_information(_joint(assignments, k, space, labels))
     raise ValueError(f"unknown game kind {kind!r}")

@@ -36,6 +36,8 @@ __all__ = [
 
 ENUMERATION_BUDGET = 10 ** 7
 
+_TIE_TOL = 1e-12  # objective values this close to the minimum are optima
+
 
 class SearchResult(NamedTuple):
     value: float
@@ -45,11 +47,9 @@ class SearchResult(NamedTuple):
 def exhaustive_search(space: InputSpace,
                       message_space: MessageSpace | int,
                       spec: GameSpec,
-                      budget: int = ENUMERATION_BUDGET,
-                      tie_tol: float = 1e-12,
-                      chunk: int = 4096) -> SearchResult:
+                      budget: int = ENUMERATION_BUDGET) -> SearchResult:
     """Evaluate every one of the ``K^N`` protocols and return the full
-    argmin set (values tied within ``tie_tol``)."""
+    argmin set (values within 1e-12 of the minimum)."""
     k = message_space.size if isinstance(message_space, MessageSpace) \
         else int(message_space)
     n = space.size
@@ -60,14 +60,14 @@ def exhaustive_search(space: InputSpace,
             required=total)
     best = math.inf
     kept: list[tuple[np.ndarray, np.ndarray]] = []  # (values, rows) slices
-    for rows in _product_rows([k] * n, chunk):
+    for rows in _product_rows([k] * n):
         digits = np.ascontiguousarray(rows[:, ::-1])  # input 0 varies fastest
         values = batch_objective(digits, space, spec)
         if values.min() < best:
             best = float(values.min())
-            kept = [(v[v <= best + tie_tol], r[v <= best + tie_tol])
+            kept = [(v[v <= best + _TIE_TOL], r[v <= best + _TIE_TOL])
                     for v, r in kept]
-        tied = values <= best + tie_tol
+        tied = values <= best + _TIE_TOL
         kept.append((values[tied], digits[tied]))
     protocols = [Protocol(row, k) for _, rows in kept for row in rows]
     return SearchResult(best, protocols)

@@ -83,17 +83,18 @@ def discrimination_loss_bruteforce(assignment, weights, d,
     return total
 
 
-def supervised_loss_bruteforce(assignment, weights, labels):
-    """Exact d=2 supervised loss; distractors exclude the target's label."""
+def supervised_loss_bruteforce(assignment, weights, labels, d=2):
+    """Exact d-candidates supervised loss with the synchronized receiver;
+    each of the d-1 distractors is drawn from the inputs whose label
+    differs from the target's."""
     n = len(weights)
     total = 0.0
     for i in range(n):
-        rest = sum(weights[j] for j in range(n) if labels[j] != labels[i])
-        for j in range(n):
-            if labels[j] == labels[i]:
-                continue
-            w = weights[i] * weights[j] / rest
-            shared = 1 + (1 if assignment[j] == assignment[i] else 0)
+        others = [j for j in range(n) if labels[j] != labels[i]]
+        rest = sum(weights[j] for j in others)
+        for distr in itertools.product(others, repeat=d - 1):
+            w = weights[i] * math.prod(weights[j] / rest for j in distr)
+            shared = 1 + sum(1 for j in distr if assignment[j] == assignment[i])
             total += w * math.log(shared)
     return total
 

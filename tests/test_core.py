@@ -12,9 +12,6 @@ from signalgames import (
     MetricUndefinedError,
     Protocol,
     conditional_stats,
-    epsilon_min,
-    expected_pairwise_sqdist,
-    input_variance,
     message_probabilities,
 )
 from signalgames.core import _class_sums, _product_rows
@@ -94,21 +91,21 @@ class TestMessageProbabilities:
 
 class TestVariance:
     def test_two_point(self):
-        assert input_variance(InputSpace.uniform([[0.0], [1.0]])) == 0.25
+        assert InputSpace.uniform([[0.0], [1.0]]).variance() == 0.25
 
     def test_four_point(self, space_b):
-        assert input_variance(space_b) == 1.25
+        assert space_b.variance() == 1.25
 
     def test_mirror_pairs_space(self):
         vals = [float(v) for k in range(1, 7) for v in (k, -k)]
         s = InputSpace.uniform(np.asarray(vals)[:, None])
-        assert abs(input_variance(s) - 91.0 / 6.0) < 1e-12
+        assert abs(s.variance() - 91.0 / 6.0) < 1e-12
 
     def test_matches_bruteforce(self):
         rng = rng_for("variance")
         for _ in range(20):
             s = random_space(rng)
-            assert abs(input_variance(s)
+            assert abs(s.variance()
                        - variance_bruteforce(s.points, s.weights)) < 1e-10
 
 
@@ -142,14 +139,16 @@ class TestConditionalStats:
                     continue
                 mean, var = conditional_stats(protocol, space, m)
                 acc += p[m] * (var + float((mean - mu) @ (mean - mu)))
-            assert abs(acc - input_variance(space)) < 1e-10
+            assert abs(acc - space.variance()) < 1e-10
 
 
 class TestPairwiseSqdist:
+    """``E ||x1 - x2||^2`` over an i.i.d. pair is ``2 Var[X]``."""
+
     def test_examples(self, space_b):
-        assert expected_pairwise_sqdist(InputSpace.uniform([[0.], [1.]])) == 0.5
-        assert expected_pairwise_sqdist(space_b) == 2.5
-        assert expected_pairwise_sqdist(InputSpace.uniform([[7.0]])) == 0.0
+        assert 2.0 * InputSpace.uniform([[0.], [1.]]).variance() == 0.5
+        assert 2.0 * space_b.variance() == 2.5
+        assert 2.0 * InputSpace.uniform([[7.0]]).variance() == 0.0
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=7),
            st.integers(0, 10 ** 6))
@@ -159,28 +158,28 @@ class TestPairwiseSqdist:
         w = rng.random(len(coords)) + 0.05
         space = InputSpace(np.asarray(coords)[:, None], w / w.sum())
         direct = pairwise_sqdist_bruteforce(space.points, space.weights)
-        assert abs(expected_pairwise_sqdist(space) - direct) < 1e-10
+        assert abs(2.0 * space.variance() - direct) < 1e-10
 
 
 class TestMessageSpace:
     def test_hamming_epsilon(self):
         ms = MessageSpace.symbol_sequences(["0000", "0001", "0371"],
                                            vocab_size=8, length=4)
-        assert epsilon_min(ms) == 1.0  # 0000 and 0001 differ in one symbol
+        assert ms.epsilon_min() == 1.0  # 0000 and 0001 differ in one symbol
         assert ms.distance(0, 2) == 3.0
 
     def test_scalar_messages(self):
         ms = MessageSpace.from_vectors(np.arange(1.0, 7.0)[:, None])
-        assert epsilon_min(ms) == 1.0
+        assert ms.epsilon_min() == 1.0
 
     def test_vector_epsilon(self):
         ms = MessageSpace.from_vectors([[0, 0], [0, 3], [4, 0]])
-        assert epsilon_min(ms) == 3.0
+        assert ms.epsilon_min() == 3.0
 
     def test_single_message_undefined(self):
         ms = MessageSpace.from_vectors([[0.0]])
         with pytest.raises(MetricUndefinedError):
-            epsilon_min(ms)
+            ms.epsilon_min()
 
     def test_duplicate_messages_rejected(self):
         with pytest.raises(ValueError):

@@ -203,7 +203,7 @@ class TestCli:
         "supervised_d_above_labels", "table_without_rows",
         "receiver_beyond_message_space", "lemma_instances_0",
         "corollary_n0", "kmeans_max_iters_0", "kmeans_k_above_points",
-        "antipodal_k_mismatch"])
+        "antipodal_k_mismatch", "verify_samples"])
     def test_malformed_input_exits_2(self, case, tmp_path, space_b, capsys):
         io.save_input_space(tmp_path / "space.csv", space_b)
         (tmp_path / "protocol.csv").write_text(
@@ -316,6 +316,9 @@ class TestCli:
             "antipodal_k_mismatch": ["optimize", "--method", "balanced",
                                      "--flavor", "adversarial-antipodal",
                                      "--k", "3", "--input", space],
+            # lemma checks are exact; there is no Monte-Carlo sample count
+            "verify_samples": ["verify", "--lemma", "2", "--d", "3",
+                               "--samples", "20000"],
         }[case]
         try:
             code = main(argv + ["--out", str(tmp_path / "out")])
@@ -385,13 +388,34 @@ class TestCli:
                      "--seed", "4", "--expect", "pass"])
         assert code == 0
 
-    def test_verify_lemma2_monte_carlo(self, capsys):
+    def test_verify_lemma2_exact_at_d3(self, capsys):
         code = main(["verify", "--lemma", "2", "--d", "3", "--instances",
-                     "3", "--samples", "20000", "--seed", "6"])
+                     "3", "--seed", "6"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["verdict"]
-        assert report["max_gap_in_4se_units"] <= 1.0
+        assert report["verdict"] and report["max_gap"] < 1e-10
+        assert "max_gap_in_4se_units" not in report
+
+    @pytest.mark.parametrize("lemma,d", [
+        ("1", 2), ("2", 2), ("a1", 2), ("a2", 2), ("a3", 2), ("2", 3),
+        ("a2", 3)])
+    def test_verify_lemma_default_run_is_exact(self, lemma, d, capsys):
+        # the default seed and instance count
+        code = main(["verify", "--lemma", lemma, "--d", str(d), "--expect",
+                     "pass"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["max_gap"] < 1e-10 and report["tolerance"] == 1e-10
+        assert "max_gap_in_4se_units" not in report
+
+    @pytest.mark.parametrize("argv,terms", [
+        # 8 balanced labels on 8 inputs: 8^8 * 8 terms
+        (["--lemma", "a2", "--d", "8"], 8 ** 8 * 8),
+        # the first instance at seed 1 has 4 inputs: 4^12 * 12 terms
+        (["--lemma", "2", "--d", "12", "--seed", "1"], 4 ** 12 * 12)])
+    def test_verify_lemma_past_term_budget_exits_3(self, argv, terms, capsys):
+        assert main(["verify", *argv]) == 3
+        assert f"needs {terms} terms" in capsys.readouterr().err
 
     def test_verify_corollary(self, capsys):
         code = main(["verify", "--corollary", "1", "--n", "4", "--k", "2",

@@ -34,12 +34,13 @@ _D = {"reconstruction": 2, "discrimination": 3, "global": 2,
       "supervised": 2, "classification": 2}
 
 
-def _oracle_instance(rng, kind, n):
-    """A random space of ``n`` inputs; uniform, with balanced binary
-    labels, for the labelled games."""
+def _oracle_instance(rng, kind, n, num_labels=2):
+    """A random space of ``n`` inputs; uniform, with ``num_labels``
+    balanced labels, for the labelled games."""
     pts = rng.normal(size=(n, int(rng.integers(1, 3))))
     if kind in ("supervised", "classification"):
-        return InputSpace.uniform(pts), LabelMap(["a", "b"] * (n // 2))
+        return InputSpace.uniform(pts), \
+            LabelMap(["a", "b", "c"][:num_labels] * (n // num_labels))
     w = rng.random(n) + 0.1
     return InputSpace(pts, w / w.sum()), None
 
@@ -47,7 +48,7 @@ def _oracle_instance(rng, kind, n):
 def _oracle_objective(spec, assignment, space):
     """The game's closed form, read off the brute-force optimal loss: the
     oracles return the loss of the synchronized receiver, which differs
-    from the closed form by H(X), H(Y) or a constant factor."""
+    from the closed form by H(X) or H(Y)."""
     a = [int(m) for m in assignment]
     w = space.weights.tolist()
     if spec.kind == "reconstruction":
@@ -63,8 +64,7 @@ def _oracle_objective(spec, assignment, space):
         return global_loss_bruteforce(a, w) - entropy_bruteforce(w)
     labels = spec.labels.labels
     if spec.kind == "supervised":
-        v = spec.labels.num_values
-        return supervised_loss_bruteforce(a, w, labels) / (LOG2 * v / (v - 1))
+        return supervised_loss_bruteforce(a, w, labels, spec.d)
     label_mass = [sum(wi for wi, y in zip(w, labels) if y == value)
                   for value in spec.labels.values]
     return classification_loss_bruteforce(a, w, labels) \
@@ -114,14 +114,17 @@ class TestExhaustiveSearch:
             want = [_oracle_objective(spec, r, space) for r in rows]
             assert np.allclose(got, want, rtol=0.0, atol=1e-12), kind
 
-    @pytest.mark.parametrize("kind", GAME_KINDS)
-    def test_argmin_set_matches_oracles(self, kind):
+    @pytest.mark.parametrize("kind,d,k", [
+        *(pytest.param(kind, _D[kind], 3, id=kind) for kind in GAME_KINDS),
+        # three labels, so that three candidates are allowed; two messages,
+        # so that no optimum is label-pure
+        pytest.param("supervised", 3, 2, id="supervised-d3")])
+    def test_argmin_set_matches_oracles(self, kind, d, k):
         # every labelled protocol in the search's own order: input 0 is
         # the fastest-moving digit
         rng = rng_for(f"argmin-{kind}")
-        space, labels = _oracle_instance(rng, kind, 6)
-        spec = GameSpec(kind, d=_D[kind], labels=labels)
-        k = 3
+        space, labels = _oracle_instance(rng, kind, 6, num_labels=max(2, d))
+        spec = GameSpec(kind, d=d, labels=labels)
         rows = [a[::-1] for a in itertools.product(range(k),
                                                    repeat=space.size)]
         values = np.array([_oracle_objective(spec, r, space) for r in rows])
