@@ -364,8 +364,9 @@ def cmd_optimize(args) -> int:
         value = result.value
         extra = {
             "num_optimal": len(result.protocols),
-            "num_optimal_up_to_relabeling": len(
-                {optimize.canonical_assignment(p) for p in result.protocols}),
+            "num_optimal_up_to_relabeling": len(result.partitions),
+            "num_optimal_semantically_consistent": int(
+                consistency.consistent_rows(result.partitions, space).sum()),
         }
     elif args.method == "kmeans":
         if spec.kind != "reconstruction":
@@ -377,9 +378,10 @@ def cmd_optimize(args) -> int:
                                  f"{args.k} centroids in {space.dim} "
                                  "dimensions")
             init = np.reshape(args.init, (args.k, space.dim))
-        if args.k > space.size:
-            raise ParseError(f"--k {args.k} centroids for {space.size} input "
-                             "points", str(args.input))
+        distinct = len(np.unique(space.points, axis=0))
+        if args.k > distinct:
+            raise ParseError(f"--k {args.k} centroids for {distinct} "
+                             "distinct input points", str(args.input))
         res = optimize.kmeans_alternation(space, args.k, init=init,
                                           seed=args.seed,
                                           max_iters=args.max_iters,
@@ -637,9 +639,8 @@ def _verify_corollary(args) -> dict:
         values = optimize.batch_objective(equal_mass, space, spec)
         uniform_ok = bool(np.all(np.abs(values - result.value) <= 1e-12))
     convex = objectives.convexity_check(args.d)
-    minimizers = np.array([p.assignment for p in result.protocols])
     masses_uniform_at_min = bool(np.allclose(
-        (minimizers[:, :, None] == np.arange(args.k)).sum(axis=1),
+        (result.partitions[:, :, None] == np.arange(args.k)).sum(axis=1),
         args.n / args.k))
     return {"check": "corollary-1", "n": args.n, "k": args.k, "d": args.d,
             "verdict": uniform_ok and convex,

@@ -30,6 +30,7 @@ from .games import ConstantDiscriminationReceiver, EXACT_TERM_BUDGET, \
 __all__ = [
     "SemanticConsistency",
     "semantic_consistency",
+    "consistent_rows",
     "ThresholdCheck",
     "SpatialMeaningfulness",
     "spatial_meaningfulness",
@@ -63,9 +64,25 @@ def semantic_consistency(protocol: Protocol,
     unexplained = reco_objective(protocol, space)
     explained = total - unexplained
     boundary = abs(explained) <= _BOUNDARY_TOL
-    consistent = unexplained < total and not boundary
-    return SemanticConsistency(bool(consistent), float(explained),
-                               float(unexplained), bool(boundary))
+    return SemanticConsistency(bool(_consistent(total, unexplained)),
+                               float(explained), float(unexplained),
+                               bool(boundary))
+
+
+def consistent_rows(assignments: np.ndarray,
+                    space: InputSpace) -> np.ndarray:
+    """The :func:`semantic_consistency` verdict for each row of a (B, N)
+    assignment matrix, from one batched reconstruction objective."""
+    from .objectives import batch_objective
+    unexplained = batch_objective(assignments, space,
+                                  GameSpec("reconstruction"))
+    return _consistent(space.variance(), unexplained)
+
+
+def _consistent(total, unexplained):
+    """Strictly less unexplained variance than ``Var[X]``, and not within
+    the boundary tolerance of it."""
+    return (unexplained < total) & (abs(total - unexplained) > _BOUNDARY_TOL)
 
 
 class ThresholdCheck(NamedTuple):

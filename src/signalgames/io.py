@@ -165,9 +165,14 @@ def load_protocol(path: str | Path, vocab_size: int | None = None
     seqs = []
     for lineno, s in ordered:
         try:
-            seqs.append(_parse_message_string(s))
+            seq = _parse_message_string(s)
         except ValueError as exc:
             raise ParseError(str(exc), str(path), line=lineno, column=2)
+        if vocab_size is not None and max(seq) >= vocab_size:
+            raise ParseError(f"symbol {max(seq)} is outside a vocabulary of "
+                             f"{vocab_size} symbols", str(path), line=lineno,
+                             column=2)
+        seqs.append(seq)
     lengths = {len(s) for s in seqs}
     if len(lengths) != 1:
         raise ParseError("messages must share one length", str(path), line=2)

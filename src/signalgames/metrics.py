@@ -232,6 +232,8 @@ def disentanglement(protocol: Protocol, space: InputSpace,
         if message_space.length < 2:
             raise ValueError("sposdis needs at least two message positions "
                              "(the MI gap is taken over positions)")
+        if not attributes:
+            raise ValueError("sposdis needs at least one attribute")
         terms = []
         for a in attr_codes:
             h_a = entropy(_weighted_joint(a, np.zeros_like(a), w).sum(axis=1))

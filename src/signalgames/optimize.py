@@ -2,10 +2,11 @@
 reconstruction optimization, and balanced-partition constructors.
 
 The exhaustive search evaluates the closed-form objective of the requested
-game for every assignment of inputs to messages and keeps the whole argmin
-set. The alternation for the reconstruction game interleaves a
-nearest-output assignment step with a class-mean update step, exactly the
-classic weighted k-means loop, and its objective trace is non-increasing.
+game once for every set partition of the inputs into at most K messages and
+keeps the whole argmin set, both as partitions and as labelled protocols.
+The alternation for the reconstruction game interleaves a nearest-output
+assignment step with a class-mean update step, exactly the classic weighted
+k-means loop, and its objective trace is non-increasing.
 Balanced partitions construct uniform-mass protocols directly: a greedy
 variant for arbitrary weights and an adversarial variant that pairs each
 point with its farthest unmatched partner.
@@ -13,22 +14,24 @@ point with its farthest unmatched partner.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import GameSpec, InputSpace, MessageSpace, Protocol, _class_sums, \
-    _product_rows
+from .core import GameSpec, InputSpace, MessageSpace, Protocol, _as_readonly, \
+    _class_sums, _partition_rows
 from .errors import BudgetExceededError
 from .games import substream
 from .objectives import batch_objective
 
 __all__ = [
+    "ProtocolRows",
     "SearchResult",
     "exhaustive_search",
     "batch_objective",
-    "canonical_assignment",
     "KMeansResult",
     "kmeans_alternation",
     "balanced_partition",
@@ -39,20 +42,51 @@ ENUMERATION_BUDGET = 10 ** 7
 _TIE_TOL = 1e-12  # objective values this close to the minimum are optima
 
 
+class ProtocolRows(Sequence):
+    """A read-only sequence of protocols over the rows of one (M, N)
+    assignment array; a :class:`Protocol` is built only when an item is
+    read."""
+
+    def __init__(self, rows: np.ndarray, num_messages: int):
+        self.rows = _as_readonly(rows)
+        self.num_messages = int(num_messages)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ProtocolRows(self.rows[index], self.num_messages)
+        return Protocol(self.rows[index], self.num_messages)
+
+    def __add__(self, other: Sequence[Protocol]) -> list[Protocol]:
+        return [*self, *other]
+
+
 class SearchResult(NamedTuple):
     value: float
-    protocols: list[Protocol]
+    protocols: ProtocolRows  # every labelled optimum, input 0 fastest
+    partitions: np.ndarray   # one row per optimum up to relabeling
 
 
 def exhaustive_search(space: InputSpace,
                       message_space: MessageSpace | int,
                       spec: GameSpec,
                       budget: int = ENUMERATION_BUDGET) -> SearchResult:
-    """Evaluate every one of the ``K^N`` protocols and return the full
-    argmin set (values within 1e-12 of the minimum)."""
+    """The full argmin set (values within 1e-12 of the minimum) over all
+    ``K^N`` protocols.
+
+    Every closed form ignores message labels, so each set partition of the
+    inputs into at most ``K`` blocks is scored once, as its restricted-growth
+    string. ``partitions`` holds the tied strings in lexicographic order.
+    ``protocols`` holds every labelling of them (``K!/(K-j)!`` for a
+    partition with ``j`` blocks), ordered as ``itertools.product`` with
+    input 0 as the fastest digit."""
     k = message_space.size if isinstance(message_space, MessageSpace) \
         else int(message_space)
     n = space.size
+    if k < 1:
+        raise ValueError("need at least one message")
     total = k ** n
     if total > budget:
         raise BudgetExceededError(
@@ -60,29 +94,34 @@ def exhaustive_search(space: InputSpace,
             required=total)
     best = math.inf
     kept: list[tuple[np.ndarray, np.ndarray]] = []  # (values, rows) slices
-    for rows in _product_rows([k] * n):
-        digits = np.ascontiguousarray(rows[:, ::-1])  # input 0 varies fastest
-        values = batch_objective(digits, space, spec)
+    for rows in _partition_rows(n, k):
+        values = batch_objective(rows, space, spec)
         if values.min() < best:
             best = float(values.min())
             kept = [(v[v <= best + _TIE_TOL], r[v <= best + _TIE_TOL])
                     for v, r in kept]
         tied = values <= best + _TIE_TOL
-        kept.append((values[tied], digits[tied]))
-    protocols = [Protocol(row, k) for _, rows in kept for row in rows]
-    return SearchResult(best, protocols)
+        kept.append((values[tied], rows[tied]))
+    partitions = np.concatenate([r for _, r in kept])
+    return SearchResult(best, ProtocolRows(_labellings(partitions, k), k),
+                        _as_readonly(partitions.astype(int)))
 
 
-def canonical_assignment(protocol: Protocol) -> tuple[int, ...]:
-    """Assignment relabeled by order of first appearance, for grouping
-    protocols that differ only by a message permutation."""
-    mapping: dict[int, int] = {}
-    out = []
-    for m in protocol.assignment:
-        if int(m) not in mapping:
-            mapping[int(m)] = len(mapping)
-        out.append(mapping[int(m)])
-    return tuple(out)
+def _labellings(partitions: np.ndarray, k: int) -> np.ndarray:
+    """Every injective relabelling of the blocks of each partition row by
+    messages ``0..k-1``, sorted with input 0 as the fastest digit. The
+    sort runs on the enumerator's small unsigned type, where ``lexsort`` is
+    about 8x faster than on ``int``; the result is ``int``, so that callers'
+    arithmetic on it cannot wrap around."""
+    top = partitions.max(axis=1)  # the number of blocks, minus one
+    labelled = []
+    for j in np.unique(top).tolist():
+        labels = np.array(list(itertools.permutations(range(k), j + 1)),
+                          dtype=partitions.dtype)
+        labelled.append(labels[:, partitions[top == j]].reshape(
+            -1, partitions.shape[1]))
+    rows = np.concatenate(labelled)
+    return rows[np.lexsort(rows.T)].astype(int)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +149,10 @@ def kmeans_alternation(space: InputSpace, k: int,
     non-increasing; the final value equals the reconstruction objective of
     the returned protocol.
     """
-    if not 1 <= k <= space.size:
-        raise ValueError("need 1 <= K <= number of points")
+    distinct = len(np.unique(space.points, axis=0))
+    if not 1 <= k <= distinct:
+        raise ValueError(f"need 1 <= K <= {distinct}, the number of "
+                         "distinct points")
     pts, w = space.points, space.weights
     if isinstance(init, str):
         if init != "sample":

@@ -59,5 +59,12 @@ def random_labeled_instance(rng, n_max=8, dim_max=3, k_max=4):
     return space, protocol, labels
 
 
+def first_appearance(assignment) -> tuple[int, ...]:
+    """An assignment relabelled by order of first appearance: the set
+    partition it induces, as a restricted-growth string."""
+    seen: dict[int, int] = {}
+    return tuple(seen.setdefault(int(m), len(seen)) for m in assignment)
+
+
 def rng_for(name: str):
     return substream(20240801, "tests", name)

@@ -1,18 +1,29 @@
+import contextlib
+import io as textio
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signalgames import (
     GameSpec,
+    InputSpace,
     ParseError,
     Protocol,
+    balanced_partition,
+    exhaustive_search,
     synchronized_receiver,
 )
 from signalgames import io
 from signalgames.cli import main
 from signalgames.counterexamples import build_mirror_pairs_instance
+
+from conftest import first_appearance, random_space, rng_for
 
 
 @pytest.fixture
@@ -203,11 +214,13 @@ class TestCli:
         "supervised_d_above_labels", "table_without_rows",
         "receiver_beyond_message_space", "lemma_instances_0",
         "corollary_n0", "kmeans_max_iters_0", "kmeans_k_above_points",
-        "antipodal_k_mismatch", "verify_samples"])
+        "antipodal_k_mismatch", "verify_samples", "symbol_above_vocab"])
     def test_malformed_input_exits_2(self, case, tmp_path, space_b, capsys):
         io.save_input_space(tmp_path / "space.csv", space_b)
         (tmp_path / "protocol.csv").write_text(
             "id,message\n0,0\n1,0\n2,1\n3,1\n")
+        (tmp_path / "protocol5.csv").write_text(
+            "id,message\n0,0\n1,0\n2,1\n3,5\n")
         (tmp_path / "empty.csv").write_text("")
         (tmp_path / "norows.json").write_text(
             '{"kind": "discrimination", "d": 2, "num_messages": 2}')
@@ -319,6 +332,9 @@ class TestCli:
             # lemma checks are exact; there is no Monte-Carlo sample count
             "verify_samples": ["verify", "--lemma", "2", "--d", "3",
                                "--samples", "20000"],
+            "symbol_above_vocab": ["metrics", "--input", space, "--protocol",
+                                   str(tmp_path / "protocol5.csv"), "--vocab",
+                                   "2"],
         }[case]
         try:
             code = main(argv + ["--out", str(tmp_path / "out")])
@@ -505,3 +521,111 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("unique_messages,disc_accuracy")
         assert lines[1].split(",")[0] == "2"
+
+
+class TestOptimaCensus:
+    """``optimize --method exhaustive`` counts the semantically consistent
+    optima up to relabeling."""
+
+    @staticmethod
+    def optimize(tmp_path, space, game, k):
+        io.save_input_space(tmp_path / "space.csv", space)
+        code = main(["optimize", "--input", str(tmp_path / "space.csv"),
+                     "--game", game, "--d", "2", "--k", str(k),
+                     "--method", "exhaustive", "--out", str(tmp_path)])
+        assert code == 0
+        return json.loads((tmp_path / "result.json").read_text())
+
+    def test_every_reconstruction_optimum_consistent(self, tmp_path, capsys):
+        rng = rng_for("optima-census")
+        for trial in range(8):
+            space = random_space(rng, n_max=7, dim_max=2)
+            k = int(rng.integers(2, 4))
+            report = self.optimize(tmp_path / str(trial), space,
+                                   "reconstruction", k)
+            assert report["num_optimal_semantically_consistent"] \
+                == report["num_optimal_up_to_relabeling"] >= 1
+
+    def test_antipodal_instance_has_inconsistent_discrimination_optima(
+            self, tmp_path, capsys):
+        mags = np.array([3.0, 2.5, 1.5, 0.75])
+        space = InputSpace.uniform(np.ravel(np.column_stack([mags, -mags])))
+        report = self.optimize(tmp_path, space, "discrimination", 4)
+        assert report["num_optimal_semantically_consistent"] \
+            < report["num_optimal_up_to_relabeling"]
+        split = balanced_partition(space, 4, "adversarial-antipodal")
+        partitions = exhaustive_search(
+            space, 4, GameSpec("discrimination", d=2)).partitions
+        assert first_appearance(split.assignment) \
+            in {tuple(row) for row in partitions.tolist()}
+
+
+# cells that are valid in some column of some file, and cells that are not
+_CELLS = st.sampled_from(["0", "1", "2", "5", "-1", "0.5", "0.25", "1e308",
+                          "nan", "inf", "", " ", "x", "01", "0-1", "1-", "-",
+                          "a,b", '"'])
+
+
+@st.composite
+def _input_files(draw):
+    """A well-formed input space CSV, with or without a label column, and a
+    protocol CSV on the same inputs, then up to three edits of either: a
+    cell replaced, a row dropped or repeated, or a cell appended."""
+    n = draw(st.integers(1, 5))
+    labels = draw(st.lists(st.sampled_from(["a", "b"]), min_size=n,
+                           max_size=n) | st.just([]))
+    tables = [
+        [["id", "x0", "weight"] + ["color"] * bool(labels)] + [
+            [str(i), draw(st.sampled_from(["0", "1", "-2", "0.5"])),
+             repr(1.0 / n)] + labels[i:i + 1] for i in range(n)],
+        [["id", "message"]] + [
+            [str(i), draw(st.sampled_from(["0", "1", "2", "10", "01"]))]
+            for i in range(n)]]
+    for _ in range(draw(st.integers(0, 3))):
+        table = draw(st.sampled_from(tables))
+        if not table:
+            continue
+        r = draw(st.integers(0, len(table) - 1))
+        edit = draw(st.sampled_from(["cell", "drop", "repeat", "append"]))
+        if edit == "cell":
+            table[r][draw(st.integers(0, len(table[r]) - 1))] = draw(_CELLS)
+        elif edit == "drop":
+            del table[r]
+        elif edit == "repeat":
+            table.insert(r, list(table[r]))
+        else:
+            table[r].append(draw(_CELLS))
+    return ["".join(",".join(row) + "\n" for row in t) for t in tables]
+
+
+class TestGeneratedMalformedInputs:
+    @settings(max_examples=50, deadline=None)
+    @given(files=_input_files(), command=st.sampled_from([
+        ["analyze", "--d", "2"], ["metrics"], ["metrics", "--vocab", "2"],
+        ["optimize", "--k", "2", "--method", "exhaustive"],
+        ["optimize", "--k", "3", "--method", "exhaustive", "--game",
+         "discrimination"],
+        ["optimize", "--k", "2", "--method", "exhaustive", "--game",
+         "supervised"],
+        ["optimize", "--k", "2", "--method", "exhaustive", "--game",
+         "classification"],
+        ["optimize", "--k", "2", "--method", "kmeans"],
+        ["optimize", "--k", "2", "--method", "balanced"]]))
+    def test_cli_exits_cleanly(self, files, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "space.csv").write_text(files[0])
+            (tmp / "protocol.csv").write_text(files[1])
+            argv = [*command, "--input", str(tmp / "space.csv"),
+                    "--out", str(tmp / "out")]
+            if command[0] != "optimize":
+                argv += ["--protocol", str(tmp / "protocol.csv")]
+            err = textio.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(textio.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects the arguments
+                    code = exc.code
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()

@@ -195,6 +195,13 @@ class TestDisentanglement:
             with pytest.raises(ValueError, match="two attributes"):
                 disentanglement(protocol, space, ms, [a1], kind)
 
+    def test_sposdis_needs_an_attribute(self, two_attribute_grid):
+        space, _, _ = two_attribute_grid
+        ms = MessageSpace.symbol_sequences(["00", "01"], 2)
+        protocol = Protocol([0, 0, 1, 1], 2)
+        with pytest.raises(ValueError, match="one attribute"):
+            disentanglement(protocol, space, ms, [], "sposdis")
+
     def test_scores_in_unit_interval(self, two_attribute_grid):
         space, a1, a2 = two_attribute_grid
         rng = rng_for("disent-range")

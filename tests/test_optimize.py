@@ -20,9 +20,10 @@ from signalgames import (
     semantic_consistency,
 )
 from signalgames.core import GAME_KINDS
-from signalgames.optimize import batch_objective, canonical_assignment
+from signalgames.optimize import batch_objective
 
-from conftest import random_protocol, random_space, rng_for
+from conftest import first_appearance, random_protocol, random_space, \
+    rng_for
 from oracles import classification_loss_bruteforce, \
     discrimination_loss_bruteforce, entropy_bruteforce, \
     global_loss_bruteforce, reconstruction_loss_bruteforce, \
@@ -75,8 +76,7 @@ class TestExhaustiveSearch:
     def test_reconstruction_unique_up_to_relabeling(self, space_b):
         result = exhaustive_search(space_b, 2, GameSpec("reconstruction"))
         assert abs(result.value - 0.25) < 1e-12
-        canon = {canonical_assignment(p) for p in result.protocols}
-        assert canon == {(0, 0, 1, 1)}
+        assert result.partitions.tolist() == [[0, 0, 1, 1]]
 
     def test_discrimination_all_even_splits(self, space_b):
         result = exhaustive_search(space_b, 2, GameSpec("discrimination",
@@ -95,6 +95,10 @@ class TestExhaustiveSearch:
         space = InputSpace.uniform([[3.0]])
         result = exhaustive_search(space, 2, GameSpec("reconstruction"))
         assert result.value == 0.0 and len(result.protocols) == 2
+
+    def test_zero_messages_rejected(self, space_b):
+        with pytest.raises(ValueError, match="one message"):
+            exhaustive_search(space_b, 0, GameSpec("reconstruction"))
 
     def test_budget_error_reports_requirement(self, space_b):
         with pytest.raises(BudgetExceededError) as exc:
@@ -120,20 +124,74 @@ class TestExhaustiveSearch:
         # so that no optimum is label-pure
         pytest.param("supervised", 3, 2, id="supervised-d3")])
     def test_argmin_set_matches_oracles(self, kind, d, k):
-        # every labelled protocol in the search's own order: input 0 is
-        # the fastest-moving digit
         rng = rng_for(f"argmin-{kind}")
         space, labels = _oracle_instance(rng, kind, 6, num_labels=max(2, d))
-        spec = GameSpec(kind, d=d, labels=labels)
-        rows = [a[::-1] for a in itertools.product(range(k),
-                                                   repeat=space.size)]
-        values = np.array([_oracle_objective(spec, r, space) for r in rows])
-        best = values.min()
-        want = [r for r, v in zip(rows, values) if v <= best + 1e-9]
-        result = exhaustive_search(space, k, spec)
-        assert abs(result.value - best) < 1e-12
-        assert [tuple(p.assignment.tolist()) for p in result.protocols] \
-            == want
+        _search_matches_bruteforce(space, k, GameSpec(kind, d=d,
+                                                      labels=labels))
+
+
+def _search_matches_bruteforce(space, k, spec):
+    """Check the search's value and ordered argmin list against every
+    labelled protocol, in the search's own order (input 0 is the
+    fastest-moving digit), scored by the oracles. Returns the search
+    result and the brute-force argmin list."""
+    rows = [a[::-1] for a in itertools.product(range(k), repeat=space.size)]
+    values = np.array([_oracle_objective(spec, r, space) for r in rows])
+    best = values.min()
+    want = [r for r, v in zip(rows, values) if v <= best + 1e-9]
+    result = exhaustive_search(space, k, spec)
+    assert abs(result.value - best) < 1e-12
+    assert [tuple(p.assignment.tolist()) for p in result.protocols] == want
+    return result, want
+
+
+def _edge_instance(kind, case):
+    """Small instances at the edges of the partition enumeration: more
+    messages than inputs, one message, one input, and a weighted space
+    whose mirror symmetry ties several partitions."""
+    n, k = {"k_above_n": (3, 5), "k1": (4, 1), "n1": (1, 3),
+            "weighted_ties": (6, 3)}[case]
+    points = np.array([-2.0, 2.0, -1.0, 1.0, -0.5, 0.5])[:n]
+    weights = np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0])[:n]
+    space = InputSpace(points, weights / weights.sum())
+    labels = LabelMap(["a", "b", "b", "a", "a", "b"][:n]) \
+        if kind in ("supervised", "classification") else None
+    return space, k, GameSpec(kind, d=_D[kind], labels=labels)
+
+
+class TestPartitionSearch:
+    """The partition search against a brute-force scan of every labelled
+    protocol, scored by the oracles."""
+
+    @pytest.mark.parametrize("kind,case", [
+        (kind, case) for kind in GAME_KINDS
+        for case in ("k_above_n", "k1", "n1", "weighted_ties")
+        # one input carries one label, and the supervised game needs two
+        if (kind, case) != ("supervised", "n1")])
+    def test_matches_labelled_bruteforce(self, kind, case):
+        space, k, spec = _edge_instance(kind, case)
+        result, want = _search_matches_bruteforce(space, k, spec)
+        assert len(result.protocols) == sum(
+            math.perm(k, int(row.max()) + 1) for row in result.partitions)
+        partitions = [tuple(row) for row in result.partitions.tolist()]
+        assert len(set(partitions)) == len(partitions)
+        assert set(partitions) == {first_appearance(r) for r in want}
+        if case == "weighted_ties":
+            assert len(partitions) > 1
+
+    def test_protocols_sequence(self, space_b):
+        result = exhaustive_search(space_b, 2, GameSpec("discrimination"))
+        protocols = result.protocols
+        assert protocols[-1] == list(protocols)[-1]
+        assert [p.assignment.tolist() for p in protocols[1:3]] \
+            == [p.assignment.tolist() for p in list(protocols)[1:3]]
+        assert len(protocols + protocols[:1]) == len(protocols) + 1
+        assert not protocols.rows.flags.writeable
+        assert not result.partitions.flags.writeable
+        # plain ints, so that arithmetic on the arrays cannot wrap around
+        assert protocols.rows.dtype == result.partitions.dtype == int
+        with pytest.raises(IndexError):
+            protocols[len(protocols)]
 
 
 class TestKMeans:
@@ -184,6 +242,9 @@ class TestKMeans:
     def test_validates_k(self, space_b):
         with pytest.raises(ValueError):
             kmeans_alternation(space_b, 5)
+        # three points, two of them equal, hold only two clusters
+        with pytest.raises(ValueError, match="distinct"):
+            kmeans_alternation(InputSpace.uniform([[0.0], [0.0], [1.0]]), 3)
 
 
 class TestBalancedPartition:
