@@ -77,6 +77,15 @@ _positive_int = _at_least(1)
 _candidate_count = _at_least(2)
 
 
+def _positive_float(text: str) -> float:
+    """An argparse type: a finite number above zero."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {value}")
+    return value
+
+
 def _floats(text: str) -> list[float]:
     """An argparse type: numbers separated by commas or semicolons."""
     return [float(v) for v in text.replace(";", ",").split(",")]
@@ -103,9 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
         _data_flags(p)
         p.add_argument("--metrics", dest="metric_names", default="",
                        help="comma-separated metric subset (default: all)")
-        p.add_argument("--d", type=int, default=41,
+        p.add_argument("--d", type=_candidate_count, default=41,
                        help="candidate count for discrimination accuracy")
-        p.add_argument("--trials", type=_positive_int, default=1)
         p.add_argument("--accuracy-receiver",
                        choices=("synchronized", "reconstruction-nearest"),
                        default="synchronized")
@@ -126,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--lemma", choices=("1", "2", "a1", "a2", "a3"))
     p_verify.add_argument("--corollary", choices=("1",))
     p_verify.add_argument("--d", type=_candidate_count, default=2)
-    p_verify.add_argument("--eps0", type=float, default=None)
+    p_verify.add_argument("--eps0", type=_positive_float, default=None)
     p_verify.add_argument("--receiver", type=Path,
                           help="receiver JSON (defs 5 and 6)")
     p_verify.add_argument("--game", choices=("reconstruction",
@@ -271,8 +279,7 @@ def compute_metrics(space: InputSpace, protocol: Protocol,
     attempt("cluster_variance", lambda: met.cluster_variance(
         protocol, space, message_space, _require_groups(args)))
     attempt("disc_accuracy", lambda: met.discrimination_accuracy(
-        protocol, space, receiver_kind=args.accuracy_receiver, d=args.d,
-        seed=args.seed, trials=args.trials))
+        protocol, space, receiver_kind=args.accuracy_receiver, d=args.d))
     return report
 
 

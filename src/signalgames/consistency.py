@@ -173,6 +173,8 @@ def spatial_meaningfulness(protocol: Protocol, space: InputSpace,
 
 def simplicity_constant(eps0: float, space: InputSpace) -> float:
     """``k = (sqrt(2) - 1) / (2 eps0) * sqrt(Var[X])``."""
+    if eps0 <= 0.0:
+        raise ValueError("eps0 must be positive")
     return (math.sqrt(2.0) - 1.0) / (2.0 * eps0) * math.sqrt(space.variance())
 
 

@@ -27,10 +27,9 @@ import numpy as np
 from scipy import stats
 
 from .core import InputSpace, LabelMap, MessageSpace, Protocol, \
-    _class_sums, _product_rows
+    _class_sums, message_probabilities
 from .errors import BudgetExceededError, MetricUndefinedError
-from .games import GameSpec, _evaluation_mode, substream, \
-    synchronized_receiver
+from .games import GameSpec, substream, synchronized_receiver
 
 __all__ = [
     "unique_messages",
@@ -105,32 +104,30 @@ def random_baseline(protocol: Protocol, space: InputSpace,
 
 
 def _distinct_shuffles(assignment: np.ndarray, budget: int):
-    """All distinct rearrangements of the assignment multiset."""
-    counts = {}
-    for m in assignment:
-        counts[int(m)] = counts.get(int(m), 0) + 1
-    total = math.factorial(len(assignment))
-    for c in counts.values():
-        total //= math.factorial(c)
+    """All distinct rearrangements of the assignment multiset, in
+    lexicographic order (next-permutation steps from the sorted one)."""
+    counts = np.unique(assignment, return_counts=True)[1]
+    total = math.factorial(len(assignment)) // math.prod(
+        math.factorial(int(c)) for c in counts)
     if total > budget:
         raise BudgetExceededError(
             f"{total} distinct shuffles exceed budget {budget}",
             required=total)
-
-    def rec(prefix, remaining, n_left):
-        if n_left == 0:
-            yield tuple(prefix)
+    perm = sorted(int(m) for m in assignment)
+    while True:
+        yield tuple(perm)
+        # the longest non-increasing suffix is the last arrangement of its
+        # items; raise the item before it to the next larger one in it
+        i = len(perm) - 2
+        while i >= 0 and perm[i] >= perm[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for m in sorted(remaining):
-            if remaining[m] == 0:
-                continue
-            remaining[m] -= 1
-            prefix.append(m)
-            yield from rec(prefix, remaining, n_left - 1)
-            prefix.pop()
-            remaining[m] += 1
-
-    yield from rec([], dict(counts), len(assignment))
+        j = len(perm) - 1
+        while perm[j] <= perm[i]:
+            j -= 1
+        perm[i], perm[j] = perm[j], perm[i]
+        perm[i + 1:] = reversed(perm[i + 1:])
 
 
 def purity(protocol: Protocol, space: InputSpace, labels: LabelMap) -> float:
@@ -291,10 +288,8 @@ def cluster_variance(protocol: Protocol, space: InputSpace,
 
 def discrimination_accuracy(protocol: Protocol, space: InputSpace,
                             receiver_kind: str = "synchronized",
-                            d: int = 41, seed: int = 0, trials: int = 1,
-                            mode: str = "auto",
-                            distractors: str = "replacement",
-                            budget: int = 10 ** 7) -> float:
+                            d: int = 41,
+                            distractors: str = "replacement") -> float:
     """Probability of picking the target's position among ``d`` candidates.
 
     Distractors are i.i.d. draws from the prior; with the default
@@ -302,72 +297,42 @@ def discrimination_accuracy(protocol: Protocol, space: InputSpace,
     game definition), while ``exclude-target`` renormalizes the prior over
     the other inputs. ``synchronized`` picks the argmax of the synchronized
     discrimination receiver, ``reconstruction-nearest`` the candidate
-    closest to the conditional-mean reconstruction; ties break uniformly at
-    random. Exact mode enumerates every distractor tuple and averages the
-    analytic tie-break probability; Monte-Carlo simulates ``trials`` seeded
-    episodes per input.
+    closest to the conditional-mean reconstruction (a candidate within
+    ``1e-12`` of the target's distance ties, one below that beats it); ties
+    break uniformly at random. With ``c_i`` the distractor mass scoring
+    worse than target ``i`` and ``r_i`` that plus the tie mass, the target
+    wins with probability ``(1/d) sum_{j<d} r_i^(d-1-j) c_i^j``, exactly.
     """
     if receiver_kind not in ("synchronized", "reconstruction-nearest"):
         raise ValueError(f"unknown receiver kind {receiver_kind!r}")
     if distractors not in ("replacement", "exclude-target"):
         raise ValueError(f"unknown distractor law {distractors!r}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    msgs = protocol.assignment
-    recon = None
-    if receiver_kind == "reconstruction-nearest":
+    if d < 2:
+        raise ValueError(f"d must be at least 2, got {d}")
+    msgs, w = protocol.assignment, space.weights
+    if receiver_kind == "synchronized":
+        tie = message_probabilities(protocol, space)[msgs]
+        worse = 1.0 - tie
+    else:
         recon = synchronized_receiver(protocol, space,
                                       GameSpec("reconstruction"))
-
-    def distractor_weights(i: int) -> np.ndarray:
-        if distractors == "replacement":
-            return space.weights
-        w = space.weights.copy()
-        w[i] = 0.0
-        total = w.sum()
-        if total <= 0.0:
+        tie, worse = np.empty(space.size), np.empty(space.size)
+        for m in protocol.used_messages():
+            dist = np.linalg.norm(space.points - recon.points[m], axis=1)
+            order = np.argsort(dist)
+            ranked = dist[order]
+            below = np.concatenate(([0.0], np.cumsum(w[order])))
+            own = np.flatnonzero(msgs == m)
+            lo = np.searchsorted(ranked, dist[own] - 1e-12, side="left")
+            hi = np.searchsorted(ranked, dist[own] + 1e-12, side="right")
+            tie[own], worse[own] = below[hi] - below[lo], below[-1] - below[hi]
+    if distractors == "exclude-target":
+        if space.size < 2:
             raise ValueError("exclude-target needs at least two inputs")
-        return w / total
-
-    terms = space.size ** (d - 1) * space.size
-    if _evaluation_mode(mode, terms, budget, "exact accuracy") == "exact":
-        acc = 0.0
-        for i in range(space.size):
-            dw = distractor_weights(i)
-            support = np.flatnonzero(dw > 0.0)
-            hit = 0.0
-            for block in _product_rows([support.size] * (d - 1)):
-                distr = support[block]
-                hit += dw[distr].prod(axis=1) @ _correct_probability(
-                    i, distr, msgs, space, recon)
-            acc += space.weights[i] * hit
-        return float(acc)
-
-    rng = substream(seed, "accuracy")
-    acc = 0.0
-    for i in range(space.size):
-        dw = distractor_weights(i)
-        correct = 0
-        for _ in range(trials):
-            distr = rng.choice(space.size, size=(1, d - 1), p=dw)
-            p = _correct_probability(i, distr, msgs, space, recon)[0]
-            correct += int(rng.random() < p)
-        acc += space.weights[i] * (correct / trials)
-    return float(acc)
-
-
-def _correct_probability(i, distractors, msgs, space, recon) -> np.ndarray:
-    """Chance the receiver's (tie-broken) pick lands on the target's slot,
-    for each row of the (B, d-1) distractor block.
-
-    The candidate tuple is position-exchangeable, so the target slot can sit
-    first without loss of generality.
-    """
-    if recon is None:
-        return 1.0 / (1 + (msgs[distractors] == msgs[i]).sum(axis=1))
-    target = recon.point(int(msgs[i]))
-    cands = np.insert(distractors, 0, i, axis=1)
-    dist = np.linalg.norm(space.points[cands] - target, axis=2)
-    ties = np.isclose(dist, dist.min(axis=1, keepdims=True), rtol=0.0,
-                      atol=1e-12)
-    return ties[:, 0] / ties.sum(axis=1)
+        tie, worse = (tie - w) / (1.0 - w), worse / (1.0 - w)
+    reach = worse + tie
+    total, power = np.ones(space.size), np.ones(space.size)
+    for _ in range(d - 1):  # Horner: sum_j reach^(d-1-j) worse^j
+        power *= worse
+        total = total * reach + power
+    return float(w @ total / d)

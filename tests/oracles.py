@@ -83,6 +83,44 @@ def discrimination_loss_bruteforce(assignment, weights, d,
     return total
 
 
+def accuracy_bruteforce(assignment, points, weights, d, receiver_kind,
+                        distractors):
+    """Discrimination accuracy by enumerating every ordered (d-1)-tuple of
+    distractors. Per tuple the target wins with probability 1/(#ties) if it
+    is among the best candidates: for ``synchronized`` the candidates
+    sharing its message, for ``reconstruction-nearest`` those within 1e-12
+    of the smallest distance to the conditional mean of its message."""
+    n = len(weights)
+    points = [np.asarray(x, dtype=float) for x in points]
+    total = 0.0
+    for i in range(n):
+        m = assignment[i]
+        if distractors == "replacement":
+            law = list(weights)
+        else:
+            rest = sum(weights[j] for j in range(n) if j != i)
+            law = [0.0 if j == i else weights[j] / rest for j in range(n)]
+        if receiver_kind == "reconstruction-nearest":
+            members = [j for j in range(n) if assignment[j] == m]
+            mass = sum(weights[j] for j in members)
+            centre = sum(weights[j] * points[j] for j in members) / mass
+        hit = 0.0
+        for distr in itertools.product(range(n), repeat=d - 1):
+            p = math.prod(law[c] for c in distr)
+            if p == 0.0:
+                continue
+            if receiver_kind == "synchronized":
+                win = 1.0 / (1 + sum(assignment[c] == m for c in distr))
+            else:
+                dist = [math.dist(points[c], centre) for c in (i, *distr)]
+                best = min(dist)
+                ties = [abs(x - best) <= 1e-12 for x in dist]
+                win = ties[0] / sum(ties)
+            hit += p * win
+        total += weights[i] * hit
+    return total
+
+
 def supervised_loss_bruteforce(assignment, weights, labels, d=2):
     """Exact d-candidates supervised loss with the synchronized receiver;
     each of the d-1 distractors is drawn from the inputs whose label

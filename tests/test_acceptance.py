@@ -347,8 +347,7 @@ def test_criterion_09_metric_identities():
         and abs(purity(Protocol([0, 1, 1, 0], 2), b, labels) - 0.5) <= 1e-12
         and abs(purity(Protocol([0, 0, 0, 1], 2), b, labels) - 0.75) <= 1e-12)
 
-    acc = discrimination_accuracy(split, b, "synchronized", d=2,
-                                  mode="exact")
+    acc = discrimination_accuracy(split, b, "synchronized", d=2)
     accuracy_ok = acc == 0.75
     _record(9, "message variance matches the reconstruction objective; "
                "merging symbol groups never reduces it; topsim, purity and "

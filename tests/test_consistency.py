@@ -161,6 +161,11 @@ class TestReceiverSimplicity:
         assert abs(simplicity_constant(1.0, space_b)
                    - (math.sqrt(2) - 1) / 2 * math.sqrt(1.25)) < 1e-15
 
+    @pytest.mark.parametrize("eps0", [0.0, -1.0])
+    def test_k_constant_needs_positive_eps0(self, space_b, eps0):
+        with pytest.raises(ValueError, match="positive"):
+            simplicity_constant(eps0, space_b)
+
 
 class TestNonDegeneracy:
     def test_constant_reconstruction_receiver_degenerate(self, space_b):

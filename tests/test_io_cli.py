@@ -209,12 +209,14 @@ class TestCli:
         "def6_table_for_reconstruction", "def6_points_for_discrimination",
         "receiver_list", "labels_not_object",
         "labels_short", "messages_not_list", "table_message_out_of_range",
-        "table_candidate_out_of_range", "trials_0", "symbol_groups_not_int",
+        "table_candidate_out_of_range", "analyze_d1", "symbol_groups_not_int",
         "kmeans_init_shape", "optimize_d1", "lemma2_d1",
         "supervised_d_above_labels", "table_without_rows",
         "receiver_beyond_message_space", "lemma_instances_0",
         "corollary_n0", "kmeans_max_iters_0", "kmeans_k_above_points",
-        "antipodal_k_mismatch", "verify_samples", "symbol_above_vocab"])
+        "antipodal_k_mismatch", "verify_samples", "symbol_above_vocab",
+        "metrics_d0", "def4_eps0_0", "def4_eps0_negative", "def5_eps0_0",
+        "def5_eps0_negative", "def5_eps0_nan"])
     def test_malformed_input_exits_2(self, case, tmp_path, space_b, capsys):
         io.save_input_space(tmp_path / "space.csv", space_b)
         (tmp_path / "protocol.csv").write_text(
@@ -298,8 +300,23 @@ class TestCli:
             "table_candidate_out_of_range": [
                 "verify", "--def", "5", "--input", space, "--receiver",
                 str(tmp_path / "bad_candidate.json")],
-            "trials_0": ["analyze", "--input", space, "--protocol", protocol,
-                         "--trials", "0"],
+            "analyze_d1": ["analyze", "--input", space, "--protocol",
+                           protocol, "--d", "1"],
+            "metrics_d0": ["metrics", "--input", space, "--protocol",
+                           protocol, "--metrics", "disc_accuracy", "--d", "0"],
+            "def4_eps0_0": ["verify", "--def", "4", "--input", space,
+                            "--protocol", protocol, "--eps0", "0"],
+            "def4_eps0_negative": ["verify", "--def", "4", "--input", space,
+                                   "--protocol", protocol, "--eps0", "-1"],
+            "def5_eps0_0": ["verify", "--def", "5", "--input", space,
+                            "--receiver", str(tmp_path / "points.json"),
+                            "--eps0", "0"],
+            "def5_eps0_negative": ["verify", "--def", "5", "--input", space,
+                                   "--receiver", str(tmp_path / "points.json"),
+                                   "--eps0", "-1"],
+            "def5_eps0_nan": ["verify", "--def", "5", "--input", space,
+                              "--receiver", str(tmp_path / "points.json"),
+                              "--eps0", "nan"],
             "symbol_groups_not_int": ["analyze", "--input", space,
                                       "--protocol", protocol,
                                       "--symbol-groups", "0;x"],
@@ -447,6 +464,16 @@ class TestCli:
         assert report["verdict"]
         assert report["witnesses"]["num_optimal"] == 34650  # 12!/(4!)^3
         assert report["witnesses"]["minimizers_all_equal_mass"]
+
+    def test_verify_corollary_one_message_many_inputs(self, capsys):
+        # one equal-mass assignment over 1,500 inputs, enumerated without
+        # one stack frame per input
+        code = main(["verify", "--corollary", "1", "--n", "1500", "--k",
+                     "1"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"]
+        assert report["witnesses"]["num_optimal"] == 1
 
     def test_optimize_kmeans_round_trip(self, data_dir, capsys):
         out = data_dir / "opt"

@@ -1,4 +1,4 @@
-import math
+import itertools
 
 import numpy as np
 import pytest
@@ -21,8 +21,12 @@ from signalgames import (
     unique_messages,
 )
 
+from signalgames.errors import BudgetExceededError
+from signalgames.metrics import _distinct_shuffles
+
 from conftest import random_protocol, random_space, rng_for
-from oracles import message_variance_bruteforce, spearman_bruteforce
+from oracles import accuracy_bruteforce, message_variance_bruteforce, \
+    spearman_bruteforce
 
 
 class TestMessageVariance:
@@ -94,6 +98,25 @@ class TestRandomBaseline:
         b = random_baseline(split, space_b, message_variance, repeats=10,
                             seed=3)
         assert a == b
+
+    @pytest.mark.parametrize("multiset", [
+        (), (1,), (3, 3, 3), (2, 1, 0), (0, 0, 1, 1, 2), (1, 0, 2, 1, 0, 1)])
+    def test_distinct_shuffles_in_lexicographic_order(self, multiset):
+        got = list(_distinct_shuffles(np.asarray(multiset, dtype=int), 1000))
+        assert got == sorted(set(itertools.permutations(multiset)))
+
+    def test_exact_baseline_of_constant_protocol_on_many_inputs(self):
+        # one distinct shuffle, however many inputs it has
+        space = InputSpace.uniform(np.arange(1500.0)[:, None])
+        constant = Protocol.constant(1500)
+        mean, std = random_baseline(constant, space, message_variance,
+                                    exact=True)
+        assert (mean, std) == (message_variance(constant, space), 0.0)
+
+    def test_distinct_shuffles_over_budget(self):
+        with pytest.raises(BudgetExceededError) as err:
+            list(_distinct_shuffles(np.array([0, 0, 1, 1, 2]), 29))
+        assert err.value.required == 30
 
 
 class TestPurity:
@@ -265,14 +288,12 @@ class TestClusterVariance:
 
 class TestDiscriminationAccuracy:
     def test_split_exact_three_quarters(self, space_b, split):
-        acc = discrimination_accuracy(split, space_b, "synchronized", d=2,
-                                      mode="exact")
-        assert abs(acc - 0.75) < 1e-15
+        acc = discrimination_accuracy(split, space_b, "synchronized", d=2)
+        assert acc == 0.75
 
     def test_lossless_with_replacement_pays_collisions(self, space_b):
         ident = Protocol.identity(4)
-        acc = discrimination_accuracy(ident, space_b, "synchronized", d=2,
-                                      mode="exact")
+        acc = discrimination_accuracy(ident, space_b, "synchronized", d=2)
         # the distractor duplicates the target with probability w, halving
         # that episode's success
         want = sum(w * (1 - w / 2) for w in space_b.weights)
@@ -281,52 +302,84 @@ class TestDiscriminationAccuracy:
     def test_lossless_excluding_target_is_perfect(self, space_b):
         ident = Protocol.identity(4)
         acc = discrimination_accuracy(ident, space_b, "synchronized", d=2,
-                                      mode="exact",
                                       distractors="exclude-target")
         assert acc == 1.0
 
     def test_constant_protocol_near_chance(self):
+        # every candidate shares the message, so the pick is a fair d-way
+        # coin: exactly 1/d, up to the rounding of the 40 uniform weights
         space = InputSpace.uniform(np.arange(40.0)[:, None])
-        for d in (2, 5):
+        for d in (2, 5, 41):
             acc = discrimination_accuracy(Protocol.constant(40), space,
-                                          "synchronized", d=d, mode="mc",
-                                          seed=0, trials=200)
-            se = math.sqrt((1 / d) * (1 - 1 / d) / (40 * 200))
-            assert abs(acc - 1.0 / d) < 4 * se + 0.5 / 40  # collision slack
+                                          "synchronized", d=d)
+            assert abs(acc - 1.0 / d) < 1e-15
 
     def test_reconstruction_nearest_on_split(self, space_b, split):
         acc = discrimination_accuracy(split, space_b,
-                                      "reconstruction-nearest", d=2,
-                                      mode="exact")
+                                      "reconstruction-nearest", d=2)
         # reconstruction lands on the class mean; the target wins unless the
         # distractor shares its class, which forces a coin flip
         assert abs(acc - 0.75) < 1e-15
 
-    def test_mc_reproducible(self, space_b, split):
-        kw = dict(receiver_kind="synchronized", d=3, mode="mc", seed=9,
-                  trials=50)
-        assert discrimination_accuracy(split, space_b, **kw) == \
-            discrimination_accuracy(split, space_b, **kw)
-
-    @pytest.mark.parametrize("kind, law, mc, exact", [
-        ("synchronized", "replacement", 0.595, 0.587996875),
-        ("synchronized", "exclude-target", 0.7999999999999999,
-         0.7910915678585462),
-        ("reconstruction-nearest", "replacement", 0.5900000000000001,
-         0.5879968749999999),
-        ("reconstruction-nearest", "exclude-target", 0.8230000000000001,
-         0.8376878397421025)])
-    def test_pinned_values(self, kind, law, mc, exact):
-        # recorded before the distractor tuples were enumerated in blocks:
-        # Monte-Carlo stays identical, exact sums may move in the last bit
+    @pytest.mark.parametrize("kind, law, exact", [
+        ("synchronized", "replacement", 0.587996875),
+        ("synchronized", "exclude-target", 0.7910915678585462),
+        ("reconstruction-nearest", "replacement", 0.5879968749999999),
+        ("reconstruction-nearest", "exclude-target", 0.8376878397421025)])
+    def test_pinned_values(self, kind, law, exact):
+        # recorded from the exact enumeration of every distractor tuple
         space = InputSpace(np.arange(5.0)[:, None],
                            [0.1, 0.2, 0.3, 0.15, 0.25])
         protocol = Protocol([0, 0, 1, 1, 2], 3)
-        kw = dict(receiver_kind=kind, d=4, distractors=law)
-        assert discrimination_accuracy(protocol, space, mode="mc", seed=3,
-                                       trials=50, **kw) == mc
-        assert abs(discrimination_accuracy(protocol, space, mode="exact",
-                                           **kw) - exact) < 1e-12
+        acc = discrimination_accuracy(protocol, space, kind, d=4,
+                                      distractors=law)
+        assert abs(acc - exact) < 1e-12
+
+    def test_matches_tuple_enumeration(self):
+        # weighted instances with duplicated points (ties in distance),
+        # unused messages and K = 1, against every distractor tuple
+        rng = rng_for("accuracy-oracle")
+        for case in range(200):
+            n = int(rng.integers(2, 6))
+            d = int(rng.integers(2, 5))
+            if case % 2:  # few grid positions: duplicates and equidistance
+                pts = rng.integers(0, 3, size=(n, 2)).astype(float)
+            else:
+                pts = rng.normal(size=(n, 2))
+            w = rng.random(n) + 0.1
+            space = InputSpace(pts, w / w.sum())
+            k = 1 if case % 5 == 0 else int(rng.integers(2, 5))
+            protocol = Protocol(rng.integers(0, k, size=n), k)
+            for kind in ("synchronized", "reconstruction-nearest"):
+                for law in ("replacement", "exclude-target"):
+                    want = accuracy_bruteforce(
+                        protocol.assignment.tolist(), pts,
+                        space.weights.tolist(), d, kind, law)
+                    got = discrimination_accuracy(protocol, space, kind, d,
+                                                  law)
+                    assert abs(got - want) < 1e-12, (case, kind, law)
+
+    def test_synchronized_closed_form_at_scale(self):
+        rng = rng_for("accuracy-scale")
+        w = rng.random(1000) + 0.1
+        space = InputSpace(rng.normal(size=(1000, 2)), w / w.sum())
+        protocol = Protocol(rng.integers(0, 18, size=1000), 18)
+        p = np.bincount(protocol.assignment, weights=space.weights,
+                        minlength=18)
+        want = float(np.sum(1.0 - (1.0 - p) ** 41) / 41)
+        assert abs(discrimination_accuracy(protocol, space, "synchronized",
+                                           d=41) - want) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 0, -3])
+    def test_fewer_than_two_candidates_rejected(self, space_b, split, d):
+        with pytest.raises(ValueError, match="at least 2"):
+            discrimination_accuracy(split, space_b, d=d)
+
+    def test_exclude_target_needs_two_inputs(self):
+        space = InputSpace.uniform(np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="two inputs"):
+            discrimination_accuracy(Protocol.constant(1), space, d=2,
+                                    distractors="exclude-target")
 
 
 class TestUniqueMessages:
