@@ -207,6 +207,23 @@ def _load_data(args) -> tuple[InputSpace, Protocol | None,
     return space, protocol, message_space, labels
 
 
+def _output_dir(args, *names: str) -> Path:
+    """The directory the files ``names`` are written to (``--out``, else
+    the current one), after checking that none of them is one of the
+    run's input files, which writing it would overwrite."""
+    out = args.out or Path(".")
+    inputs = [path for path in (
+        getattr(args, flag, None)
+        for flag in ("input", "protocol", "labels", "receiver"))
+        if path is not None and path.exists()]
+    for name in names:
+        target = out / name
+        if target.exists() and any(target.samefile(path) for path in inputs):
+            raise ParseError("output would overwrite an input file; "
+                             "choose another --out", str(target))
+    return out
+
+
 def _to_log_base(report: dict, base: str) -> dict:
     """Rescale the report's declared nats-valued fields to the requested
     base. Reports list those field names under ``_nats_fields`` (consumed
@@ -300,6 +317,9 @@ def _require_groups(args):
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args, flat_only: bool = False) -> int:
+    if args.out is not None:
+        _output_dir(args, "report.json", *(() if flat_only
+                                           else ("report.csv",)))
     space, protocol, message_space, labels = _load_data(args)
     if protocol is None:
         raise ParseError("analyze needs a --protocol file", "")
@@ -351,6 +371,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    out = _output_dir(args, "protocol.csv", "trace.csv", "result.json")
     space, _, _, labels = _load_data(args)
     label = labels[0] if labels else None
     spec_kwargs = {"kind": args.game, "d": args.d, "seed": args.seed}
@@ -404,7 +425,6 @@ def cmd_optimize(args) -> int:
         extra = {"flavor": args.flavor}
 
     message_space = io.default_message_space(args.k)
-    out = args.out or Path(".")
     io.save_protocol(out / "protocol.csv", best, message_space)
     _write_trace(out / "trace.csv", trace if trace else [value])
     report = {"schema": SCHEMA_VERSION, "seed": args.seed,
@@ -440,7 +460,8 @@ def _check_antipodal(space: InputSpace, k: int, path: Path | None) -> None:
 
 
 def cmd_counterexample(args) -> int:
-    out = args.out or Path(".")
+    out = _output_dir(args, "space.csv", "protocol.csv", "verdict.json",
+                      *(("receiver.json",) if args.which == "thm5" else ()))
     if args.which == "thm5":
         inst = counterexamples.build_mirror_pairs_instance()
         report = counterexamples.verify_mirror_pairs()
@@ -553,9 +574,7 @@ def _verify_definition(args) -> dict:
         raise ParseError(f"verify --def {args.definition} needs "
                          f"{' and '.join(missing)}", "")
     if args.definition in ("3", "4"):
-        space, labels = io.load_input_space(args.input)
-        protocol, message_space = io.load_protocol(args.protocol,
-                                                   vocab_size=args.vocab)
+        space, protocol, message_space, _ = _load_data(args)
         if args.definition == "3":
             res = consistency.semantic_consistency(protocol, space)
             return {"definition": "semantic-consistency",
@@ -660,6 +679,8 @@ def _verify_corollary(args) -> dict:
 
 
 def cmd_verify(args) -> int:
+    if args.out is not None:
+        _output_dir(args, "verdict.json")
     if args.definition:
         report = _verify_definition(args)
     elif args.lemma:

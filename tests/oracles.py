@@ -44,6 +44,43 @@ def conditional_pairwise_bruteforce(assignment, msg_dist, points, weights,
     return num / den
 
 
+def lipschitz_bruteforce(receiver, points, msg_dist, canonical=True):
+    """Worst ``||R(a) - R(b)|| / ||a - b||`` over unordered pairs of a
+    finite receiver's domain, by a plain double loop, and whether some pair
+    at domain distance zero has different outputs (such pairs are left out
+    of the worst ratio).
+
+    A reconstruction receiver's domain is its defined messages; a tabular
+    discrimination receiver's is its (message, candidates) keys, embedded
+    by the message and the stacked candidate points, with outputs sorted
+    in decreasing order when ``canonical``.
+    """
+    if hasattr(receiver, "defined"):
+        domain = [(m, [], [float(v) for v in receiver.points[m]])
+                  for m in range(len(receiver.defined))
+                  if receiver.defined[m]]
+    else:
+        domain = []
+        for (m, cands), row in receiver.table.items():
+            out = [float(v) for v in row]
+            if canonical:
+                out = sorted(out, reverse=True)
+            domain.append((m, [float(v) for c in cands for v in points[c]],
+                           out))
+    worst, degenerate = 0.0, False
+    for a in range(len(domain)):
+        for b in range(a + 1, len(domain)):
+            (ma, ea, oa), (mb, eb, ob) = domain[a], domain[b]
+            dom = math.sqrt(float(msg_dist[ma][mb]) ** 2
+                            + sum((x - y) ** 2 for x, y in zip(ea, eb)))
+            out = math.sqrt(sum((x - y) ** 2 for x, y in zip(oa, ob)))
+            if dom == 0.0:
+                degenerate = degenerate or out > 0.0
+            else:
+                worst = max(worst, out / dom)
+    return worst, degenerate
+
+
 def reconstruction_loss_bruteforce(assignment, receiver_points, points,
                                    weights):
     total = 0.0

@@ -1,9 +1,13 @@
+import inspect
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from signalgames import (
+    BudgetExceededError,
     GameSpec,
     InputSpace,
     MessageSpace,
@@ -17,12 +21,14 @@ from signalgames import (
     spatial_meaningfulness,
     synchronized_receiver,
     synchronized_sender,
+    TabularDiscriminationReceiver,
 )
-from signalgames.games import materialize_discrimination_table, \
-    SynchronizedDiscriminationReceiver
+from signalgames import consistency
+from signalgames.games import EXACT_TERM_BUDGET, \
+    materialize_discrimination_table, SynchronizedDiscriminationReceiver
 
 from conftest import random_space, rng_for
-from oracles import conditional_pairwise_bruteforce
+from oracles import conditional_pairwise_bruteforce, lipschitz_bruteforce
 
 LOG2 = math.log(2.0)
 
@@ -96,6 +102,37 @@ class TestSpatialMeaningfulness:
                     space.weights.tolist(), eps)
                 assert abs(t.conditional - want) < 1e-10
 
+    def test_sorted_sweep_matches_bruteforce(self):
+        # many messages at tied distances: Hamming sequences and points of
+        # an integer grid, so every positive distance is at least 1
+        rng = rng_for("spatial-sweep-oracle")
+        for case in range(20):
+            space = random_space(rng, n_max=10)
+            k = int(rng.integers(2, 9))
+            if case % 2:
+                atoms = rng.choice(27, size=k, replace=False)
+                ms = MessageSpace.symbol_sequences(
+                    [[a // 9, a // 3 % 3, a % 3] for a in atoms], 3)
+            else:
+                grid = rng.choice(25, size=k, replace=False)
+                ms = MessageSpace.from_vectors(
+                    np.stack([grid // 5, grid % 5], axis=1).astype(float))
+            protocol = Protocol(rng.integers(0, k, size=space.size), k)
+            dist = ms.distance_matrix()
+            res = spatial_meaningfulness(protocol, space, ms,
+                                         eps0=float(dist.max()))
+            used = protocol.used_messages()
+            realized = sorted({float(v) for v in dist[np.ix_(used, used)].flat
+                               if v > 0})
+            assert [t.epsilon for t in res.thresholds] == [0.0] + realized
+            for t in res.thresholds:
+                eps = t.epsilon if t.epsilon > 0 else 0.5
+                want = conditional_pairwise_bruteforce(
+                    protocol.assignment.tolist(), dist.tolist(),
+                    space.points, space.weights.tolist(), eps)
+                assert not t.vacuous
+                assert abs(t.conditional - want) < 1e-10
+
     def test_spatial_implies_semantic(self):
         rng = rng_for("spatial-implies-semantic")
         hits = 0
@@ -157,6 +194,70 @@ class TestReceiverSimplicity:
                                          output_mode="positional")
         assert canonical.worst_ratio <= positional.worst_ratio
 
+    def test_matches_pair_loop(self, monkeypatch):
+        # the row-block kernel against a plain double loop over unordered
+        # pairs, at block sizes of 1 and 7 elements and the default
+        rng = rng_for("simplicity-oracle")
+        blocks = (1, 7, consistency._PAIR_BLOCK)
+        seen = dict.fromkeys(("reconstruction", "undefined", "d2", "d3",
+                              "symbols", "vectors", "duplicates", "rows0",
+                              "rows1", "rows2", "diagnostic"), 0)
+        for case in range(120):
+            space, recv, ms, tags = _simplicity_instance(rng, case)
+            modes = ("points",) if "reconstruction" in tags \
+                else ("canonical", "positional")
+            for mode in modes:
+                results = []
+                for block in blocks:
+                    monkeypatch.setattr(consistency, "_PAIR_BLOCK", block)
+                    results.append(receiver_simplicity(
+                        recv, 1.0, space, ms, output_mode=mode))
+                assert results[0] == results[1] == results[2]
+                res = results[0]
+                worst, degenerate = lipschitz_bruteforce(
+                    recv, space.points.tolist(), ms.distance_matrix().tolist(),
+                    canonical=mode == "canonical")
+                assert (res.diagnostic is not None) == degenerate
+                if degenerate:
+                    assert math.isinf(res.worst_ratio) and not res.simple
+                    tags.append("diagnostic")
+                else:
+                    assert math.isclose(res.worst_ratio, worst,
+                                        rel_tol=1e-12, abs_tol=0.0)
+                    assert res.simple == (res.worst_ratio <= res.k)
+            for tag in set(tags):
+                seen[tag] += 1
+        assert min(seen.values()) > 0, seen
+
+    def test_pair_budget(self, space_b):
+        recv = ReconstructionReceiver(np.arange(5.0)[:, None])
+        ms = MessageSpace.from_vectors(np.arange(5.0)[:, None])
+        assert receiver_simplicity(recv, 1.0, space_b, ms,
+                                   budget=10).worst_ratio == 1.0
+        with pytest.raises(BudgetExceededError) as exc:
+            receiver_simplicity(recv, 1.0, space_b, ms, budget=9)
+        assert exc.value.required == 10
+        assert inspect.signature(receiver_simplicity).parameters[
+            "budget"].default == EXACT_TERM_BUDGET
+
+    def test_pair_memory_bounded(self):
+        # 2,500 rows, 3,123,750 pairs: R x R pair tensors peaked at 626 MB
+        rng = rng_for("simplicity-memory")
+        space = InputSpace.uniform(rng.normal(size=(25, 2)))
+        scores = rng.random((4, 25)) + 0.05
+        table = {(m, (a, b)): scores[m, [a, b]] / scores[m, [a, b]].sum()
+                 for m in range(4) for a in range(25) for b in range(25)}
+        recv = TabularDiscriminationReceiver(2, 4, table)
+        ms = MessageSpace.from_vectors(np.arange(4.0)[:, None])
+        tracemalloc.start()
+        try:
+            res = receiver_simplicity(recv, 1.0, space, ms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert res.diagnostic is None and res.worst_ratio > 0.0
+
     def test_k_constant(self, space_b):
         assert abs(simplicity_constant(1.0, space_b)
                    - (math.sqrt(2) - 1) / 2 * math.sqrt(1.25)) < 1e-15
@@ -192,6 +293,55 @@ class TestNonDegeneracy:
     def test_unsupported_game(self, space_b):
         with pytest.raises(ValueError):
             optimal_constant_receiver(space_b, GameSpec("global"))
+
+
+def _simplicity_instance(rng, case):
+    """An input space, a finite receiver and a message space for the pair
+    loop, with the tags of the shapes it covers. Every third case has 0, 1
+    or 2 domain rows; a point is duplicated in half the spaces, and a
+    duplicated table row keeps or changes its output."""
+    tags = []
+    n, dim, k = (int(rng.integers(1, 6)), int(rng.integers(1, 3)),
+                 int(rng.integers(1, 5)))
+    pts = rng.normal(size=(n, dim))
+    if n > 1 and rng.random() < 0.5:
+        pts[n - 1] = pts[0]
+        tags.append("duplicates")
+    space = InputSpace.uniform(pts)
+    if case // 4 % 2:
+        atoms = rng.choice(9, size=k, replace=False)
+        ms = MessageSpace.symbol_sequences([[a // 3, a % 3] for a in atoms],
+                                           3)
+        tags.append("symbols")
+    else:
+        ms = MessageSpace.from_vectors(rng.normal(size=(k, 2)))
+        tags.append("vectors")
+    rows = case // 3 % 3 if case % 3 == 0 else int(rng.integers(3, 40))
+    if case % 4 == 0:
+        defined = np.zeros(k, dtype=bool)
+        defined[rng.permutation(k)[:rows]] = True
+        tags += ["reconstruction"] + ["undefined"] * (not defined.all())
+        recv = ReconstructionReceiver(rng.normal(size=(k, dim)), defined)
+        rows = int(defined.sum())
+    else:
+        d = 2 + case % 2
+        keys = list(itertools.product(range(k), itertools.product(
+            range(n), repeat=d)))
+        keys = [keys[i] for i in rng.permutation(len(keys))[:rows]]
+        table = {key: rng.dirichlet(np.ones(d)) for key in keys}
+        if "duplicates" in tags and keys and rng.random() < 0.7:
+            # the first row again, with input 0 swapped for its copy
+            m, cands = keys[0]
+            twin = (m, tuple(n - 1 if c == 0 else c for c in cands))
+            if twin != keys[0]:
+                table[twin] = table[keys[0]] if rng.random() < 0.3 \
+                    else rng.dirichlet(np.ones(d))
+        recv = TabularDiscriminationReceiver(d, k, table)
+        tags.append(f"d{d}")
+        rows = len(table)
+    if rows <= 2:
+        tags.append(f"rows{rows}")
+    return space, recv, ms, tags
 
 
 def _lipschitz_cover_receiver(space, rng):

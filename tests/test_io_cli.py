@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io as textio
 import json
 import math
@@ -19,7 +20,7 @@ from signalgames import (
     exhaustive_search,
     synchronized_receiver,
 )
-from signalgames import io
+from signalgames import consistency, io
 from signalgames.cli import main
 from signalgames.counterexamples import build_mirror_pairs_instance
 
@@ -216,13 +217,16 @@ class TestCli:
         "corollary_n0", "kmeans_max_iters_0", "kmeans_k_above_points",
         "antipodal_k_mismatch", "verify_samples", "symbol_above_vocab",
         "metrics_d0", "def4_eps0_0", "def4_eps0_negative", "def5_eps0_0",
-        "def5_eps0_negative", "def5_eps0_nan"])
+        "def5_eps0_negative", "def5_eps0_nan", "def3_protocol_size",
+        "def4_protocol_size"])
     def test_malformed_input_exits_2(self, case, tmp_path, space_b, capsys):
         io.save_input_space(tmp_path / "space.csv", space_b)
         (tmp_path / "protocol.csv").write_text(
             "id,message\n0,0\n1,0\n2,1\n3,1\n")
         (tmp_path / "protocol5.csv").write_text(
             "id,message\n0,0\n1,0\n2,1\n3,5\n")
+        (tmp_path / "protocol3.csv").write_text(
+            "id,message\n0,0\n1,0\n2,1\n")
         (tmp_path / "empty.csv").write_text("")
         (tmp_path / "norows.json").write_text(
             '{"kind": "discrimination", "d": 2, "num_messages": 2}')
@@ -317,6 +321,12 @@ class TestCli:
             "def5_eps0_nan": ["verify", "--def", "5", "--input", space,
                               "--receiver", str(tmp_path / "points.json"),
                               "--eps0", "nan"],
+            "def3_protocol_size": ["verify", "--def", "3", "--input", space,
+                                   "--protocol",
+                                   str(tmp_path / "protocol3.csv")],
+            "def4_protocol_size": ["verify", "--def", "4", "--input", space,
+                                   "--protocol",
+                                   str(tmp_path / "protocol3.csv")],
             "symbol_groups_not_int": ["analyze", "--input", space,
                                       "--protocol", protocol,
                                       "--symbol-groups", "0;x"],
@@ -360,6 +370,52 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["counterexample", "--which", "thm2", "--input", "space.csv"],
+        ["counterexample", "--which", "thm5", "--input", "space.csv"],
+        ["optimize", "--k", "2", "--input", "space.csv", "--labels",
+         "trace.csv"],
+        ["optimize", "--k", "2", "--input", "out/protocol.csv", "--out",
+         "out"],
+        ["analyze", "--input", "space.csv", "--protocol", "protocol.csv",
+         "--labels", "report.csv", "--out", "."],
+        ["verify", "--def", "3", "--input", "space.csv", "--protocol",
+         "verdict.json", "--out", "."],
+    ], ids=["thm2", "thm5", "optimize_labels", "optimize_out",
+            "analyze", "verify"])
+    def test_outputs_never_overwrite_inputs(self, argv, tmp_path, space_b,
+                                            split, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        for path in ("space.csv", "out/protocol.csv"):
+            io.save_input_space(tmp_path / path, space_b)
+        io.save_protocol(tmp_path / "protocol.csv", split,
+                         io.default_message_space(2))
+        io.save_protocol(tmp_path / "verdict.json", split,
+                         io.default_message_space(2))
+        for path in ("trace.csv", "report.csv"):
+            (tmp_path / path).write_text("id,c\n0,a\n1,a\n2,b\n3,b\n")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*")
+                  if p.is_file()}
+        assert main(argv) == 2
+        assert "would overwrite an input file" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")
+                if p.is_file()} == before
+
+    def test_verify_def5_over_pair_budget_exits_3(self, tmp_path, space_b,
+                                                  monkeypatch, capsys):
+        monkeypatch.setattr(consistency, "receiver_simplicity",
+                            functools.partial(consistency.receiver_simplicity,
+                                              budget=2))
+        io.save_input_space(tmp_path / "space.csv", space_b)
+        (tmp_path / "points.json").write_text(
+            '{"kind": "reconstruction", "outputs": [[0.5], [1.5], [2.5]]}')
+        code = main(["verify", "--def", "5", "--input",
+                     str(tmp_path / "space.csv"), "--receiver",
+                     str(tmp_path / "points.json")])
+        assert code == 3
+        assert "3 domain pairs (budget 2)" in capsys.readouterr().err
 
     def test_short_labels_error_names_file_and_line(self, data_dir, capsys):
         (data_dir / "short.csv").write_text("id,color\n0,a\n1,b\n")
