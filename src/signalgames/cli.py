@@ -207,21 +207,22 @@ def _load_data(args) -> tuple[InputSpace, Protocol | None,
     return space, protocol, message_space, labels
 
 
-def _output_dir(args, *names: str) -> Path:
-    """The directory the files ``names`` are written to (``--out``, else
-    the current one), after checking that none of them is one of the
-    run's input files, which writing it would overwrite."""
+def _output_paths(args, *names: str) -> dict[str, Path]:
+    """The path each output file of ``names`` is written to, in ``--out``
+    (else the current directory), after checking that none of them is one
+    of the run's input files, which writing it would overwrite. Commands
+    write only to the paths this returns."""
     out = args.out or Path(".")
     inputs = [path for path in (
         getattr(args, flag, None)
         for flag in ("input", "protocol", "labels", "receiver"))
         if path is not None and path.exists()]
-    for name in names:
-        target = out / name
+    paths = {name: out / name for name in names}
+    for target in paths.values():
         if target.exists() and any(target.samefile(path) for path in inputs):
             raise ParseError("output would overwrite an input file; "
                              "choose another --out", str(target))
-    return out
+    return paths
 
 
 def _to_log_base(report: dict, base: str) -> dict:
@@ -317,9 +318,8 @@ def _require_groups(args):
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args, flat_only: bool = False) -> int:
-    if args.out is not None:
-        _output_dir(args, "report.json", *(() if flat_only
-                                           else ("report.csv",)))
+    paths = {} if args.out is None else _output_paths(
+        args, "report.json", *(() if flat_only else ("report.csv",)))
     space, protocol, message_space, labels = _load_data(args)
     if protocol is None:
         raise ParseError("analyze needs a --protocol file", "")
@@ -335,10 +335,10 @@ def cmd_analyze(args, flat_only: bool = False) -> int:
         sys.stdout.write(_csv_row_text(report))
     else:
         sys.stdout.write(io.dumps_report(report))
-    if args.out is not None:
-        io.write_report(args.out / "report.json", report)
+    if paths:
+        io.write_report(paths["report.json"], report)
         if not flat_only:
-            _write_csv_row(args.out / "report.csv", report)
+            _write_csv_row(paths["report.csv"], report)
     return 0
 
 
@@ -371,7 +371,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    out = _output_dir(args, "protocol.csv", "trace.csv", "result.json")
+    paths = _output_paths(args, "protocol.csv", "trace.csv", "result.json")
     space, _, _, labels = _load_data(args)
     label = labels[0] if labels else None
     spec_kwargs = {"kind": args.game, "d": args.d, "seed": args.seed}
@@ -425,8 +425,8 @@ def cmd_optimize(args) -> int:
         extra = {"flavor": args.flavor}
 
     message_space = io.default_message_space(args.k)
-    io.save_protocol(out / "protocol.csv", best, message_space)
-    _write_trace(out / "trace.csv", trace if trace else [value])
+    io.save_protocol(paths["protocol.csv"], best, message_space)
+    _write_trace(paths["trace.csv"], trace if trace else [value])
     report = {"schema": SCHEMA_VERSION, "seed": args.seed,
               "game": args.game, "method": args.method, "objective": value,
               "message_variance": met.message_variance(best, space), **extra}
@@ -437,7 +437,7 @@ def cmd_optimize(args) -> int:
     if args.game in NATS_OBJECTIVE_GAMES:
         report["_nats_fields"] = ["objective"]
     report = _to_log_base(report, args.log_base)
-    io.write_report(out / "result.json", report)
+    io.write_report(paths["result.json"], report)
     sys.stdout.write(io.dumps_report(report))
     return 0
 
@@ -460,15 +460,16 @@ def _check_antipodal(space: InputSpace, k: int, path: Path | None) -> None:
 
 
 def cmd_counterexample(args) -> int:
-    out = _output_dir(args, "space.csv", "protocol.csv", "verdict.json",
-                      *(("receiver.json",) if args.which == "thm5" else ()))
+    paths = _output_paths(
+        args, "space.csv", "protocol.csv", "verdict.json",
+        *(("receiver.json",) if args.which == "thm5" else ()))
     if args.which == "thm5":
         inst = counterexamples.build_mirror_pairs_instance()
         report = counterexamples.verify_mirror_pairs()
-        io.save_input_space(out / "space.csv", inst.space)
-        io.save_protocol(out / "protocol.csv", inst.protocol,
+        io.save_input_space(paths["space.csv"], inst.space)
+        io.save_protocol(paths["protocol.csv"], inst.protocol,
                          io.default_message_space(6))
-        io.write_report(out / "receiver.json",
+        io.write_report(paths["receiver.json"],
                         io.receiver_to_json(inst.receiver))
     else:
         if args.input is not None:
@@ -479,8 +480,8 @@ def cmd_counterexample(args) -> int:
         _check_antipodal(space, k, args.input)
         report = counterexamples.verify_antipodal_split(space, k)
         protocol = Protocol(np.asarray(report["assignment"]), k)
-        io.save_input_space(out / "space.csv", space)
-        io.save_protocol(out / "protocol.csv", protocol,
+        io.save_input_space(paths["space.csv"], space)
+        io.save_protocol(paths["protocol.csv"], protocol,
                          io.default_message_space(k))
     report = {"schema": SCHEMA_VERSION, "seed": args.seed, **report}
     if args.which == "thm5":
@@ -490,7 +491,7 @@ def cmd_counterexample(args) -> int:
     else:
         report["_nats_fields"] = ["exhaustive_minimum"]
     report = _to_log_base(report, args.log_base)
-    io.write_report(out / "verdict.json", report)
+    io.write_report(paths["verdict.json"], report)
     sys.stdout.write(io.dumps_report(report))
     return 0 if report["passed"] else 1
 
@@ -679,8 +680,7 @@ def _verify_corollary(args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    if args.out is not None:
-        _output_dir(args, "verdict.json")
+    paths = {} if args.out is None else _output_paths(args, "verdict.json")
     if args.definition:
         report = _verify_definition(args)
     elif args.lemma:
@@ -693,8 +693,8 @@ def cmd_verify(args) -> int:
     report = {"schema": SCHEMA_VERSION, "seed": args.seed, **report}
     report = _to_log_base(report, args.log_base)
     sys.stdout.write(io.dumps_report(report))
-    if args.out is not None:
-        io.write_report(args.out / "verdict.json", report)
+    if paths:
+        io.write_report(paths["verdict.json"], report)
     if args.expect is not None:
         return 0 if report["verdict"] == (args.expect == "pass") else 1
     return 0

@@ -202,8 +202,7 @@ _PAIR_BLOCK = 2 ** 15
 
 def receiver_simplicity(receiver, eps0: float, space: InputSpace,
                         message_space: MessageSpace,
-                        output_mode: str = "canonical",
-                        budget: int = EXACT_TERM_BUDGET) -> SimplicityCheck:
+                        output_mode: str = "canonical") -> SimplicityCheck:
     """Lipschitz-style check ``||R(a) - R(b)|| <= k ||a - b||`` over all
     pairs of the receiver's finite domain.
 
@@ -214,9 +213,10 @@ def receiver_simplicity(receiver, eps0: float, space: InputSpace,
     in canonical (sorted) form, invariant to position relabeling;
     ``output_mode="positional"`` compares raw vectors instead. Domain
     entries with identical embeddings but different outputs fail
-    automatically with a diagnostic. A domain of more than ``budget``
-    unordered pairs raises ``BudgetExceededError`` before any pair is
-    formed.
+    automatically with a diagnostic. A NaN output gives a NaN
+    ``worst_ratio``, which is not simple. A domain of more than
+    ``EXACT_TERM_BUDGET`` unordered pairs raises ``BudgetExceededError``
+    before any pair is formed.
     """
     k = simplicity_constant(eps0, space)
     if isinstance(receiver, ReconstructionReceiver):
@@ -240,11 +240,11 @@ def receiver_simplicity(receiver, eps0: float, space: InputSpace,
                         "(reconstruction or tabular discrimination)")
 
     pairs = len(msgs) * (len(msgs) - 1) // 2
-    if pairs > budget:
+    if pairs > EXACT_TERM_BUDGET:
         raise BudgetExceededError(f"receiver simplicity needs {pairs} domain "
-                                  f"pairs (budget {budget})", required=pairs)
-    worst = _worst_ratio(msgs, message_space.distance_matrix() ** 2, emb,
-                         outs)
+                                  f"pairs (budget {EXACT_TERM_BUDGET})",
+                                  required=pairs)
+    worst = _worst_ratio(msgs, message_space.distance_matrix(), emb, outs)
     if worst is None:
         return SimplicityCheck(False, math.inf, k, output_mode,
                                "duplicate domain embeddings with different "
@@ -252,42 +252,52 @@ def receiver_simplicity(receiver, eps0: float, space: InputSpace,
     return SimplicityCheck(worst <= k, worst, k, output_mode, None)
 
 
-def _worst_ratio(msgs: np.ndarray, msg_sq: np.ndarray, emb: np.ndarray,
+def _worst_ratio(msgs: np.ndarray, msg_dist: np.ndarray, emb: np.ndarray,
                  outs: np.ndarray) -> float | None:
     """The largest ``||outs[a] - outs[b]|| / ||a - b||`` over the unordered
     pairs ``a < b`` of domain rows, or None if some pair lies at domain
-    distance zero with different outputs.
+    distance zero with different outputs. Pairs at distance zero with equal
+    outputs count as 0; a NaN output makes the result NaN.
 
     The squared domain distance of a pair is the squared distance of its
-    ``emb`` rows plus the squared message distance ``msg_sq`` of its
+    ``emb`` rows plus the squared message distance ``msg_dist`` of its
     ``msgs``. Rows ``[lo, hi)`` meet columns ``[lo, R)`` in blocks of about
     ``_PAIR_BLOCK`` elements, one coordinate column at a time, so memory
-    does not grow with ``R``. Both distances are sums of squared
+    does not grow with ``R``, and the ``K``-column message table is read
+    a block of rows at a time. Both distances are sums of squared
     differences, never the ``|a|^2 + |b|^2 - 2 a.b`` expansion, so equal
     rows are at distance exactly zero.
     """
-    rows, worst = len(msgs), 0.0
+    rows, tops = len(msgs), [0.0]
     lo = 0
     while lo < rows:
-        hi = min(rows, lo + max(1, _PAIR_BLOCK // (rows - lo)))
+        # the block's rows of the message table fit in a block too
+        width = max(rows - lo, len(msg_dist))
+        hi = min(rows, lo + max(1, _PAIR_BLOCK // width))
         dom, out = (_sq_dists(x, lo, hi) for x in (emb, outs))
-        dom += np.take(msg_sq[msgs[lo:hi]], msgs[lo:], axis=1)
+        gap = np.take(msg_dist[msgs[lo:hi]], msgs[lo:], axis=1)
+        dom += np.square(gap, out=gap)
         # the diagonal block holds each of its pairs twice and each row
-        # with itself: count only the pairs above its diagonal
-        out[:, :hi - lo][np.tri(hi - lo, dtype=bool)] = 0.0
+        # with itself: the entries on and below its diagonal get ratio 0
+        below = np.tri(hi - lo, dtype=bool)
+        out[:, :hi - lo][below] = 0.0
+        dom[:, :hi - lo][below] = 1.0
         np.sqrt(dom, out=dom)
         np.sqrt(out, out=out)
-        # a zero distance gives inf for different outputs and NaN for
-        # equal ones, which fmax skips
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.divide(out, dom, out=out)
-        top = float(np.fmax.reduce(ratio, axis=None))
-        if top == math.inf and np.any(dom[np.isinf(ratio)] == 0.0):
-            return None
-        if top > worst:
-            worst = top
+        top = ratio.max()
+        if not math.isfinite(top):
+            # a zero distance gives inf for different outputs and NaN for
+            # equal ones, which count as 0; a NaN output at a positive
+            # distance stays NaN
+            if np.any(np.isinf(ratio) & (dom == 0.0)):
+                return None
+            ratio[~(dom > 0.0)] = 0.0
+            top = ratio.max()
+        tops.append(top)
         lo = hi
-    return worst
+    return float(np.max(tops))
 
 
 def _sq_dists(x: np.ndarray, lo: int, hi: int) -> np.ndarray:

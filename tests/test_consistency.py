@@ -1,4 +1,3 @@
-import inspect
 import itertools
 import math
 import tracemalloc
@@ -24,8 +23,8 @@ from signalgames import (
     TabularDiscriminationReceiver,
 )
 from signalgames import consistency
-from signalgames.games import EXACT_TERM_BUDGET, \
-    materialize_discrimination_table, SynchronizedDiscriminationReceiver
+from signalgames.games import materialize_discrimination_table, \
+    SynchronizedDiscriminationReceiver
 
 from conftest import random_space, rng_for
 from oracles import conditional_pairwise_bruteforce, lipschitz_bruteforce
@@ -229,34 +228,74 @@ class TestReceiverSimplicity:
                 seen[tag] += 1
         assert min(seen.values()) > 0, seen
 
-    def test_pair_budget(self, space_b):
+    def test_pair_budget(self, space_b, monkeypatch):
+        # the domain's pair count is checked against the budget constant
+        # before any pair is formed
         recv = ReconstructionReceiver(np.arange(5.0)[:, None])
         ms = MessageSpace.from_vectors(np.arange(5.0)[:, None])
-        assert receiver_simplicity(recv, 1.0, space_b, ms,
-                                   budget=10).worst_ratio == 1.0
+        monkeypatch.setattr(consistency, "EXACT_TERM_BUDGET", 10)
+        assert receiver_simplicity(recv, 1.0, space_b, ms).worst_ratio == 1.0
+        monkeypatch.setattr(consistency, "EXACT_TERM_BUDGET", 9)
         with pytest.raises(BudgetExceededError) as exc:
-            receiver_simplicity(recv, 1.0, space_b, ms, budget=9)
+            receiver_simplicity(recv, 1.0, space_b, ms)
         assert exc.value.required == 10
-        assert inspect.signature(receiver_simplicity).parameters[
-            "budget"].default == EXACT_TERM_BUDGET
 
-    def test_pair_memory_bounded(self):
-        # 2,500 rows, 3,123,750 pairs: R x R pair tensors peaked at 626 MB
+    @pytest.mark.parametrize("kind", ["tabular", "reconstruction"])
+    def test_pair_memory_bounded(self, kind):
+        # 2,500 rows, 3,123,750 pairs: R x R pair tensors peaked at 626 MB,
+        # and a copy of the reconstruction case's 2,500 x 2,500 message
+        # table takes 50 MB
         rng = rng_for("simplicity-memory")
         space = InputSpace.uniform(rng.normal(size=(25, 2)))
-        scores = rng.random((4, 25)) + 0.05
-        table = {(m, (a, b)): scores[m, [a, b]] / scores[m, [a, b]].sum()
-                 for m in range(4) for a in range(25) for b in range(25)}
-        recv = TabularDiscriminationReceiver(2, 4, table)
-        ms = MessageSpace.from_vectors(np.arange(4.0)[:, None])
+        if kind == "tabular":
+            scores = rng.random((4, 25)) + 0.05
+            table = {(m, (a, b)): scores[m, [a, b]] / scores[m, [a, b]].sum()
+                     for m in range(4) for a in range(25) for b in range(25)}
+            recv = TabularDiscriminationReceiver(2, 4, table)
+            ms = MessageSpace.from_vectors(np.arange(4.0)[:, None])
+        else:
+            recv = ReconstructionReceiver(rng.normal(size=(2500, 2)))
+            ms = MessageSpace.from_vectors(rng.normal(size=(2500, 3)))
         tracemalloc.start()
         try:
             res = receiver_simplicity(recv, 1.0, space, ms)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        assert peak < 16 * 2 ** 20
         assert res.diagnostic is None and res.worst_ratio > 0.0
+
+    @pytest.mark.parametrize("rows, worst", [
+        # a NaN row at a positive distance from the others
+        ([[math.nan] * 2, [0.3, 0.7], [0.3, 0.7]], math.nan),
+        # NaN rows only at distance zero from each other
+        ([[0.5, 0.5], [math.nan] * 2, [math.nan] * 2], math.nan),
+        # a NaN row does not hide a duplicate embedding with other outputs
+        ([[math.nan] * 2, [0.3, 0.7], [0.6, 0.4]], math.inf),
+        ([[0.5, 0.5], [0.3, 0.7], [0.3, 0.7]], 0.2),
+    ], ids=["nan", "nan_at_zero", "nan_and_duplicate", "finite"])
+    def test_nan_outputs_propagate(self, rows, worst, monkeypatch):
+        # keys 1 and 2 share a message and candidate points (inputs 0 and 1
+        # coincide), so they lie at domain distance zero
+        space = InputSpace.uniform(np.array([[0.0], [0.0], [1.0]]))
+        keys = [(1, (0, 1)), (0, (0, 2)), (0, (1, 2))]
+        recv = TabularDiscriminationReceiver(
+            2, 2, {key: np.array(row) for key, row in zip(keys, rows)})
+        ms = MessageSpace.from_vectors([[0.0], [1.0]])
+        for block in (1, 7, consistency._PAIR_BLOCK):
+            monkeypatch.setattr(consistency, "_PAIR_BLOCK", block)
+            res = receiver_simplicity(recv, 1.0, space, ms)
+            assert not res.simple
+            assert (res.diagnostic is not None) == math.isinf(worst)
+            assert (math.isclose(res.worst_ratio, worst, rel_tol=1e-12)
+                    or math.isnan(res.worst_ratio) and math.isnan(worst))
+
+    def test_nan_reconstruction_output(self, space_b):
+        recv = ReconstructionReceiver(np.array([[0.0], [math.nan], [0.1]]))
+        ms = MessageSpace.from_vectors([[0.0], [1.0], [2.0]])
+        res = receiver_simplicity(recv, 1.0, space_b, ms)
+        assert math.isnan(res.worst_ratio) and not res.simple
+        assert res.diagnostic is None
 
     def test_k_constant(self, space_b):
         assert abs(simplicity_constant(1.0, space_b)

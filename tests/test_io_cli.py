@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import io as textio
 import json
 import math
@@ -405,9 +404,7 @@ class TestCli:
 
     def test_verify_def5_over_pair_budget_exits_3(self, tmp_path, space_b,
                                                   monkeypatch, capsys):
-        monkeypatch.setattr(consistency, "receiver_simplicity",
-                            functools.partial(consistency.receiver_simplicity,
-                                              budget=2))
+        monkeypatch.setattr(consistency, "EXACT_TERM_BUDGET", 2)
         io.save_input_space(tmp_path / "space.csv", space_b)
         (tmp_path / "points.json").write_text(
             '{"kind": "reconstruction", "outputs": [[0.5], [1.5], [2.5]]}')
