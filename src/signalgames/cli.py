@@ -11,7 +11,6 @@ per-metric error entries), 2 parse errors, 3 budget overflows.
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import sys
 from pathlib import Path
@@ -23,8 +22,6 @@ from . import consistency, counterexamples, games, io, metrics as met, \
 from .core import GameSpec, InputSpace, LabelMap, MessageSpace, Protocol
 from .errors import BudgetExceededError, MetricUndefinedError, ParseError, \
     SignalGamesError
-
-log = logging.getLogger("signalgames")
 
 SCHEMA_VERSION = 1
 
@@ -49,7 +46,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         default="json")
     parser.add_argument("--log-base", choices=("nats", "bits"),
                         default="nats")
-    parser.add_argument("--log-level", default="warning")
 
 
 def _data_flags(parser: argparse.ArgumentParser) -> None:
@@ -166,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="greedy-uniform")
     p_opt.add_argument("--max-iters", type=_positive_int, default=100)
     p_opt.add_argument("--tol", type=float, default=0.0)
-    p_opt.add_argument("--budget", type=int,
-                       default=optimize.ENUMERATION_BUDGET)
 
     p_ctr = sub.add_parser("counterexample", help="construct and verify the "
                            "named adversarial instances")
@@ -374,7 +368,7 @@ def cmd_optimize(args) -> int:
     paths = _output_paths(args, "protocol.csv", "trace.csv", "result.json")
     space, _, _, labels = _load_data(args)
     label = labels[0] if labels else None
-    spec_kwargs = {"kind": args.game, "d": args.d, "seed": args.seed}
+    spec_kwargs = {"kind": args.game, "d": args.d}
     if args.game in ("supervised", "classification"):
         if label is None:
             raise ParseError(f"{args.game} optimization needs labels", "")
@@ -386,8 +380,7 @@ def cmd_optimize(args) -> int:
 
     trace: list[float] = []
     if args.method == "exhaustive":
-        result = optimize.exhaustive_search(space, args.k, spec,
-                                            budget=args.budget)
+        result = optimize.exhaustive_search(space, args.k, spec)
         best = result.protocols[0]
         value = result.value
         extra = {
@@ -591,9 +584,8 @@ def _verify_definition(args) -> dict:
                 "verdict": res.meaningful,
                 "witnesses": [t._asdict() for t in res.thresholds],
                 "margins": {"min_gap": min(
-                    (t.unconditional - t.conditional
-                     for t in res.thresholds if not t.vacuous),
-                    default=math.nan)}}
+                    t.unconditional - t.conditional
+                    for t in res.thresholds)}}
     space, _ = io.load_input_space(args.input)
     receiver = _load_receiver(args, space)
     if args.definition == "5":
@@ -706,8 +698,6 @@ def cmd_verify(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=getattr(logging, args.log_level.upper(),
-                                      logging.WARNING))
     handlers = {
         "analyze": cmd_analyze,
         "metrics": cmd_metrics,

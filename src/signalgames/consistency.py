@@ -23,10 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import GameSpec, InputSpace, MessageSpace, Protocol, _class_sums
-from .errors import BudgetExceededError
-from .games import ConstantDiscriminationReceiver, EXACT_TERM_BUDGET, \
-    ReconstructionReceiver, TabularDiscriminationReceiver, \
-    per_input_message_losses
+from .games import ConstantDiscriminationReceiver, ReconstructionReceiver, \
+    TabularDiscriminationReceiver, _check_terms, per_input_message_losses
 
 __all__ = [
     "SemanticConsistency",
@@ -93,7 +91,7 @@ class ThresholdCheck(NamedTuple):
     unconditional: float
     strict: bool
     boundary: bool
-    vacuous: bool
+    vacuous: bool = False   # always: the event at 0 holds same-message pairs
 
 
 class SpatialMeaningfulness(NamedTuple):
@@ -114,9 +112,7 @@ def spatial_meaningfulness(protocol: Protocol, space: InputSpace,
     (the pseudo-threshold 0 covers every eps below the smallest realized
     positive distance, where only same-message pairs are merged). Each
     conditional is an exact weighted double sum over input pairs, with
-    i.i.d. pairs, so self-pairs are included. Thresholds whose conditioning
-    event carries no mass are reported as vacuous and skipped with a
-    warning.
+    i.i.d. pairs, so self-pairs are included.
     """
     eps_m = message_space.epsilon_min()
     if eps0 is None:
@@ -153,24 +149,13 @@ def spatial_meaningfulness(protocol: Protocol, space: InputSpace,
     ends = np.searchsorted(dist, thresholds, side="right")
 
     checks = []
-    ok = True
     for eps, end in zip(thresholds, ends):
-        mass = float(cum_mass[end - 1])
-        if mass <= 0.0:
-            warnings.warn(f"threshold {eps}: conditioning event is empty; "
-                          "skipped as vacuous")
-            checks.append(ThresholdCheck(eps, math.nan, unconditional,
-                                         strict=False, boundary=False,
-                                         vacuous=True))
-            continue
-        conditional = float(cum_pair[end - 1] / mass)
+        conditional = float(cum_pair[end - 1] / cum_mass[end - 1])
         boundary = abs(conditional - unconditional) <= _BOUNDARY_TOL
         strict = conditional < unconditional and not boundary
-        ok = ok and strict
         checks.append(ThresholdCheck(eps, conditional, float(unconditional),
-                                     bool(strict), bool(boundary),
-                                     vacuous=False))
-    return SpatialMeaningfulness(ok, tuple(checks))
+                                     bool(strict), bool(boundary)))
+    return SpatialMeaningfulness(all(t.strict for t in checks), tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +224,8 @@ def receiver_simplicity(receiver, eps0: float, space: InputSpace,
         raise TypeError("simplicity is checked on finite receiver tables "
                         "(reconstruction or tabular discrimination)")
 
-    pairs = len(msgs) * (len(msgs) - 1) // 2
-    if pairs > EXACT_TERM_BUDGET:
-        raise BudgetExceededError(f"receiver simplicity needs {pairs} domain "
-                                  f"pairs (budget {EXACT_TERM_BUDGET})",
-                                  required=pairs)
+    _check_terms(len(msgs) * (len(msgs) - 1) // 2, "receiver simplicity",
+                 "domain pairs")
     worst = _worst_ratio(msgs, message_space.distance_matrix(), emb, outs)
     if worst is None:
         return SimplicityCheck(False, math.inf, k, output_mode,
@@ -337,8 +319,8 @@ def optimal_constant_receiver(space: InputSpace, spec: GameSpec):
                      f"{spec.kind!r}")
 
 
-def non_degeneracy(receiver, space: InputSpace, spec: GameSpec,
-                   budget: int = EXACT_TERM_BUDGET) -> NonDegeneracy:
+def non_degeneracy(receiver, space: InputSpace,
+                   spec: GameSpec) -> NonDegeneracy:
     """``sup_x loss(synchronized sender, receiver, x) <= 1/4 * constant loss``.
 
     The per-input achieved loss is the minimum over message choices, which
@@ -346,6 +328,6 @@ def non_degeneracy(receiver, space: InputSpace, spec: GameSpec,
     sender represents them all.
     """
     _, constant_loss = optimal_constant_receiver(space, spec)
-    losses = per_input_message_losses(receiver, space, spec, budget=budget)
+    losses = per_input_message_losses(receiver, space, spec)
     sup = float(losses.min(axis=1).max())
     return NonDegeneracy(sup <= 0.25 * constant_loss, sup, constant_loss)

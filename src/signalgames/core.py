@@ -293,8 +293,6 @@ class GameSpec:
     kind: str
     d: int = 2
     labels: LabelMap | None = field(default=None, compare=False)
-    seed: int = 0
-    samples: int = 10_000
 
     def __post_init__(self):
         if self.kind not in GAME_KINDS:
@@ -310,8 +308,6 @@ class GameSpec:
                 raise ValueError("supervised game requires d <= number of labels")
         if self.kind == "classification" and self.labels is None:
             raise ValueError("classification game requires a label map")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
 
 
 # ---------------------------------------------------------------------------

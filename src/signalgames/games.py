@@ -1,10 +1,12 @@
 """Ground-truth loss evaluators for the five games, plus synchronized agents.
 
-This module is the oracle layer: losses are evaluated either by exact
-enumeration over the finite input space (targets, candidate tuples and
-target positions) or by seeded Monte-Carlo sampling, directly from each
-game's definition. The closed forms in :mod:`signalgames.objectives` are
-verified against these evaluators.
+This module is the oracle layer: losses are evaluated by exact enumeration
+over the finite input space (targets, candidate tuples and target
+positions), directly from each game's definition, or by seeded Monte-Carlo
+only when a caller passes ``mode="mc"``. Past ``EXACT_TERM_BUDGET`` terms,
+read at call time, an exact path raises ``BudgetExceededError``. The closed
+forms in :mod:`signalgames.objectives` are verified against these
+evaluators.
 
 Receivers are represented over finite domains: a reconstruction receiver is
 a per-message point table, a global receiver a per-message distribution over
@@ -346,17 +348,22 @@ def _exact_disc_term_count(n: int, d: int) -> int:
     return n ** (d - 1) * n * d
 
 
-def _evaluation_mode(mode: str, terms: int, budget: int,
-                     what: str = "exact enumeration") -> str:
-    """``exact`` or ``mc``: ``auto`` picks exact enumeration when its term
-    count fits the budget; an explicit ``exact`` over budget raises."""
-    if mode == "auto":
-        mode = "exact" if terms <= budget else "mc"
+def _check_terms(terms: int, what: str = "exact enumeration",
+                 unit: str = "terms") -> None:
+    """Raise ``BudgetExceededError`` with ``required=terms`` when ``terms``
+    exceed ``EXACT_TERM_BUDGET``, read at call time."""
+    if terms > EXACT_TERM_BUDGET:
+        raise BudgetExceededError(f"{what} needs {terms} {unit} "
+                                  f"(budget {EXACT_TERM_BUDGET})",
+                                  required=terms)
+
+
+def _evaluation_mode(mode: str, terms: int) -> str:
+    """``mode`` checked: ``exact``, within the term budget, or ``mc``."""
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact" and terms > budget:
-        raise BudgetExceededError(
-            f"{what} needs {terms} terms (budget {budget})", required=terms)
+    if mode == "exact":
+        _check_terms(terms)
     return mode
 
 
@@ -471,20 +478,19 @@ def _mc_discrimination(messages: np.ndarray, receiver: DiscriminationReceiver,
 
 
 def eval_discrimination(protocol: Protocol, receiver: DiscriminationReceiver,
-                        space: InputSpace, d: int, mode: str = "auto",
+                        space: InputSpace, d: int, mode: str = "exact",
                         samples: int = 10_000, seed: int = 0,
-                        shards: int = 1,
-                        budget: int = EXACT_TERM_BUDGET) -> LossReport:
+                        shards: int = 1) -> LossReport:
     """Expected d-candidates discrimination loss.
 
-    ``mode`` is one of ``exact`` (refused above the term budget), ``mc``,
-    or ``auto`` (exact when affordable, Monte-Carlo otherwise). Distractors
-    are i.i.d. draws from the prior and may equal the target.
+    ``mode`` is ``exact`` (refused above the term budget) or ``mc`` (a
+    seeded estimate from ``samples`` draws in ``shards`` substreams).
+    Distractors are i.i.d. draws from the prior and may equal the target.
     """
     if d < 2:
         raise ValueError("candidate count d must be at least 2")
     terms = _exact_disc_term_count(space.size, d)
-    if _evaluation_mode(mode, terms, budget) == "exact":
+    if _evaluation_mode(mode, terms) == "exact":
         per_input = _exact_discrimination_losses(
             protocol.assignment[:, None], receiver, d, space.weights[None],
             np.zeros(space.size, dtype=int))[:, 0]
@@ -517,14 +523,14 @@ def _distractor_laws(space: InputSpace, labels: LabelMap | None
 
 
 def eval_supervised(protocol: Protocol, receiver: DiscriminationReceiver,
-                    space: InputSpace, labels: LabelMap, d: int = 2,
-                    budget: int = EXACT_TERM_BUDGET) -> LossReport:
+                    space: InputSpace, labels: LabelMap, d: int = 2
+                    ) -> LossReport:
     """Supervised discrimination: distractors are drawn from the prior
     conditioned on carrying a different label than the target."""
     if labels.size != space.size:
         raise ValueError("label map does not cover the input space")
     laws, law_of = _distractor_laws(space, labels)
-    _evaluation_mode("exact", _exact_disc_term_count(space.size, d), budget)
+    _check_terms(_exact_disc_term_count(space.size, d))
     per_input = _exact_discrimination_losses(
         protocol.assignment[:, None], receiver, d, laws, law_of)[:, 0]
     return _exact_report(per_input, space.weights)
@@ -532,9 +538,8 @@ def eval_supervised(protocol: Protocol, receiver: DiscriminationReceiver,
 
 def eval_classification(protocol: Protocol, receiver: DiscriminationReceiver,
                         space: InputSpace, labels: LabelMap,
-                        mode: str = "auto", samples: int = 10_000,
-                        seed: int = 0,
-                        budget: int = EXACT_TERM_BUDGET) -> LossReport:
+                        mode: str = "exact", samples: int = 10_000,
+                        seed: int = 0) -> LossReport:
     """Classification discrimination: the candidate tuple holds exactly one
     fresh conditional draw per label value, and the receiver must point at
     the target's label position."""
@@ -546,7 +551,7 @@ def eval_classification(protocol: Protocol, receiver: DiscriminationReceiver,
     sizes = [g.size for g in groups]
     n = space.size
     messages = protocol.assignment
-    if _evaluation_mode(mode, math.prod(sizes) * n, budget) == "exact":
+    if _evaluation_mode(mode, math.prod(sizes) * n) == "exact":
         # (target, candidate tuple) pairs, in blocks of at most 4096 rows
         per_input = np.zeros(n)
         for block in _product_rows([n] + sizes):
@@ -603,8 +608,8 @@ def synchronized_receiver(protocol: Protocol, space: InputSpace,
     raise ValueError(f"unknown game kind {spec.kind!r}")
 
 
-def per_input_message_losses(receiver, space: InputSpace, spec: GameSpec,
-                             budget: int = EXACT_TERM_BUDGET) -> np.ndarray:
+def per_input_message_losses(receiver, space: InputSpace,
+                             spec: GameSpec) -> np.ndarray:
     """Expected per-input loss of each possible message choice, shape (N, K).
 
     This is the quantity a synchronized sender minimizes pointwise; for a
@@ -629,24 +634,9 @@ def per_input_message_losses(receiver, space: InputSpace, spec: GameSpec,
         d = spec.d
         laws, law_of = _distractor_laws(
             space, spec.labels if spec.kind == "supervised" else None)
-        terms = n ** (d - 1) * n * k * d
-        if terms <= budget:
-            return _exact_discrimination_losses(
-                np.broadcast_to(np.arange(k), (n, k)), receiver, d, laws,
-                law_of)
-        # past the exact budget: seeded Monte-Carlo with draws shared
-        # across message choices, so the per-input argmin stays stable
-        draws = max(1, spec.samples // n)
-        rng = substream(spec.seed, "monte-carlo", "sender")
-        for i in range(n):
-            distr = rng.choice(n, size=(draws, d - 1), p=laws[law_of[i]])
-            positions = np.tile(rng.integers(0, d, size=draws), k)
-            nll = _query_nll(receiver, np.repeat(np.arange(k), draws),
-                             _splice(np.tile(distr, (k, 1)), i, positions),
-                             positions)
-            # a running sum per message choice, in draw order
-            losses[i] = np.cumsum(nll.reshape(k, draws), axis=1)[:, -1] / draws
-        return losses
+        _check_terms(_exact_disc_term_count(n, d) * k)
+        return _exact_discrimination_losses(
+            np.broadcast_to(np.arange(k), (n, k)), receiver, d, laws, law_of)
     if spec.kind == "classification":
         codes = spec.labels.codes()
         if isinstance(receiver, ClassificationReceiver):
@@ -662,11 +652,11 @@ def per_input_message_losses(receiver, space: InputSpace, spec: GameSpec,
     raise ValueError(f"unknown game kind {spec.kind!r}")
 
 
-def synchronized_sender(receiver, space: InputSpace, spec: GameSpec,
-                        budget: int = EXACT_TERM_BUDGET) -> Protocol:
+def synchronized_sender(receiver, space: InputSpace,
+                        spec: GameSpec) -> Protocol:
     """Loss-minimizing sender for a fixed receiver; ties break toward the
     lowest message index. The per-input achieved loss is tie-invariant."""
-    losses = per_input_message_losses(receiver, space, spec, budget=budget)
+    losses = per_input_message_losses(receiver, space, spec)
     return Protocol(np.argmin(losses, axis=1), receiver.num_messages)
 
 

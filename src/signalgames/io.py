@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,14 @@ def receiver_to_json(receiver) -> dict:
     raise TypeError(f"cannot serialize receiver of type {type(receiver)!r}")
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    """``values``, if every entry is finite: a ``null`` or a string such as
+    ``"nan"`` inside a row reads as NaN."""
+    if not np.isfinite(values).all():
+        raise ValueError("receiver values must be finite numbers")
+    return values
+
+
 def _rows_with_gaps(rows: list) -> tuple[np.ndarray, np.ndarray]:
     """A per-message table whose undefined rows are ``null``: the rows as a
     float array (NaN where undefined) and the mask of defined rows."""
@@ -258,8 +267,10 @@ def _rows_with_gaps(rows: list) -> tuple[np.ndarray, np.ndarray]:
     if not defined.any():
         raise ValueError("no receiver row is defined")
     width = len(next(r for r in rows if r is not None))
-    return np.array([r if r is not None else [math.nan] * width
-                     for r in rows], dtype=float), defined
+    values = np.array([r if r is not None else [math.nan] * width
+                       for r in rows], dtype=float)
+    _finite(values[defined])
+    return values, defined
 
 
 def receiver_from_json(data: dict):
@@ -272,15 +283,17 @@ def receiver_from_json(data: dict):
         return ClassificationReceiver(*_rows_with_gaps(data["conditional"]))
     if kind == "constant-discrimination":
         return ConstantDiscriminationReceiver(
-            np.asarray(data["vector"], dtype=float),
+            _finite(np.asarray(data["vector"], dtype=float)),
             num_messages=int(data.get("num_messages", 1)))
     if kind == "discrimination":
         table = {(int(r["message"]), tuple(int(c) for c in r["candidates"])):
                  np.asarray(r["probs"], dtype=float) for r in data["rows"]}
         if not table:
             raise ValueError("no receiver row is defined")
-        return TabularDiscriminationReceiver(int(data["d"]),
-                                             int(data["num_messages"]), table)
+        receiver = TabularDiscriminationReceiver(
+            int(data["d"]), int(data["num_messages"]), table)
+        _finite(receiver.rows)
+        return receiver
     raise ValueError(f"unknown receiver kind {kind!r}")
 
 
@@ -289,7 +302,7 @@ def load_receiver(path: str | Path):
     data = _read_json(path)
     try:
         return receiver_from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"bad receiver JSON: {exc}", str(path), line=1)
 
 
@@ -370,14 +383,31 @@ def _rows_by_id(rows: list[list[str]],
     return [records[i] for i in range(len(records))]
 
 
+def _reject_constant(token: str) -> float:
+    raise ValueError(f"non-finite number {token}")
+
+
+# a JSON string, or a constant ``json`` reads as NaN or an infinity
+_JSON_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|-?Infinity|NaN')
+
+
 def _read_json(path: Path) -> dict:
+    """The JSON object in ``path``; malformed JSON, ``NaN`` and
+    ``Infinity`` raise ``ParseError`` at their line and column."""
     try:
-        data = json.loads(path.read_text())
+        text = path.read_text()
+        data = json.loads(text, parse_constant=_reject_constant)
     except OSError as exc:
         raise ParseError(str(exc), str(path))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, str(path), line=exc.lineno,
                          column=exc.colno)
+    except ValueError as exc:  # a constant, or an integer of 4,301+ digits
+        at = next((m.start() for m in _JSON_CONSTANT.finditer(text)
+                   if m.group()[0] != '"'), 0)
+        raise ParseError(str(exc), str(path),
+                         line=text.count("\n", 0, at) + 1,
+                         column=at - text.rfind("\n", 0, at))
     if not isinstance(data, dict):
         raise ParseError("expected a JSON object at the top level", str(path),
                          line=1, column=1)

@@ -71,10 +71,10 @@ class SearchResult(NamedTuple):
 
 def exhaustive_search(space: InputSpace,
                       message_space: MessageSpace | int,
-                      spec: GameSpec,
-                      budget: int = ENUMERATION_BUDGET) -> SearchResult:
+                      spec: GameSpec) -> SearchResult:
     """The full argmin set (values within 1e-12 of the minimum) over all
-    ``K^N`` protocols.
+    ``K^N`` protocols; more than ``ENUMERATION_BUDGET`` protocols, read at
+    call time, raise ``BudgetExceededError``.
 
     Every closed form ignores message labels, so each set partition of the
     inputs into at most ``K`` blocks is scored once, as its restricted-growth
@@ -88,10 +88,10 @@ def exhaustive_search(space: InputSpace,
     if k < 1:
         raise ValueError("need at least one message")
     total = k ** n
-    if total > budget:
+    if total > ENUMERATION_BUDGET:
         raise BudgetExceededError(
-            f"search space has {total} protocols (budget {budget})",
-            required=total)
+            f"search space has {total} protocols "
+            f"(budget {ENUMERATION_BUDGET})", required=total)
     best = math.inf
     kept: list[tuple[np.ndarray, np.ndarray]] = []  # (values, rows) slices
     for rows in _partition_rows(n, k):

@@ -22,7 +22,7 @@ from signalgames import (
     synchronized_sender,
     TabularDiscriminationReceiver,
 )
-from signalgames import consistency
+from signalgames import consistency, games
 from signalgames.games import materialize_discrimination_table, \
     SynchronizedDiscriminationReceiver
 
@@ -92,8 +92,6 @@ class TestSpatialMeaningfulness:
                                              ms.distance_matrix().max()))
             dist = ms.distance_matrix().tolist()
             for t in res.thresholds:
-                if t.vacuous:
-                    continue
                 eps = t.epsilon if t.epsilon > 0 else \
                     min(v for row in dist for v in row if v > 0) / 2
                 want = conditional_pairwise_bruteforce(
@@ -229,13 +227,13 @@ class TestReceiverSimplicity:
         assert min(seen.values()) > 0, seen
 
     def test_pair_budget(self, space_b, monkeypatch):
-        # the domain's pair count is checked against the budget constant
+        # the domain's pair count is checked against the games term budget
         # before any pair is formed
         recv = ReconstructionReceiver(np.arange(5.0)[:, None])
         ms = MessageSpace.from_vectors(np.arange(5.0)[:, None])
-        monkeypatch.setattr(consistency, "EXACT_TERM_BUDGET", 10)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 10)
         assert receiver_simplicity(recv, 1.0, space_b, ms).worst_ratio == 1.0
-        monkeypatch.setattr(consistency, "EXACT_TERM_BUDGET", 9)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 9)
         with pytest.raises(BudgetExceededError) as exc:
             receiver_simplicity(recv, 1.0, space_b, ms)
         assert exc.value.required == 10

@@ -16,6 +16,7 @@ from signalgames import (
     verify_antipodal_split,
     verify_mirror_pairs,
 )
+from signalgames import optimize
 from signalgames.games import eval_discrimination, synchronized_sender
 
 LOG2 = math.log(2.0)
@@ -141,6 +142,19 @@ class TestAnticonsistentOptimal:
 
 
 class TestAntipodalVerdict:
+    def test_search_within_enumeration_budget(self, monkeypatch):
+        # 5^10 labellings fit the enumeration budget, so the split is
+        # checked against the exhaustive minimum; a budget one below 5^10
+        # leaves only the convexity bound
+        mags = np.array([3.0, 2.5, 1.5, 0.75, 0.25])
+        space = InputSpace.uniform(np.ravel(np.column_stack([mags, -mags])))
+        report = verify_antipodal_split(space, 5)
+        assert report["passed"] and report["optimal"]
+        assert abs(report["exhaustive_minimum"] - LOG2 / 5) < 1e-12
+        monkeypatch.setattr(optimize, "ENUMERATION_BUDGET", 5 ** 10 - 1)
+        report = verify_antipodal_split(space, 5)
+        assert report["passed"] and "exhaustive_minimum" not in report
+
     def test_report(self, space_b):
         report = verify_antipodal_split(space_b, 2)
         assert report["passed"]

@@ -26,6 +26,7 @@ from signalgames import (
     synchronized_receiver,
     synchronized_sender,
 )
+from signalgames import games
 from signalgames.games import (
     DiscriminationReceiver,
     ScoreDiscriminationReceiver,
@@ -123,19 +124,23 @@ class TestEvalDiscrimination:
         rep = eval_discrimination(split, recv, space_b, 2, mode="exact")
         assert rep.infinite and math.isinf(rep.expected)
 
-    def test_exact_budget_guard(self, space_b, split):
+    def test_exact_budget_guard(self, space_b, split, monkeypatch):
+        # 4 targets x 2 positions x 4 distractors: 32 terms, checked
+        # against the module budget as it stands at call time
         recv = SynchronizedDiscriminationReceiver(split, 2)
-        with pytest.raises(BudgetExceededError):
-            eval_discrimination(split, recv, space_b, 2, mode="exact",
-                                budget=3)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 32)
+        assert eval_discrimination(split, recv, space_b, 2).mode == "exact"
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 31)
+        with pytest.raises(BudgetExceededError) as exc:
+            eval_discrimination(split, recv, space_b, 2)
+        assert exc.value.required == 32
 
-    def test_auto_switches_to_mc(self, space_b, split):
+    def test_auto_mode_rejected(self, space_b, split, labels_ab):
         recv = SynchronizedDiscriminationReceiver(split, 2)
-        rep = eval_discrimination(split, recv, space_b, 2, mode="auto",
-                                  budget=3, samples=4000, seed=5)
-        assert rep.mode == "monte-carlo"
-        assert rep.std_error is not None
-        assert abs(rep.expected - 0.5 * LOG2) < 5 * rep.std_error
+        with pytest.raises(ValueError, match="unknown mode 'auto'"):
+            eval_discrimination(split, recv, space_b, 2, mode="auto")
+        with pytest.raises(ValueError, match="unknown mode 'auto'"):
+            eval_classification(split, recv, space_b, labels_ab, mode="auto")
 
     def test_matches_bruteforce_d2_and_d3(self):
         rng = rng_for("disc-oracle")
@@ -516,17 +521,6 @@ class TestMonteCarloGolden:
             1.8756026317039367, 0.5243949793684745, 1.039969533900755,
             1.2242860095230859, 1.9310025443313792])
 
-    def test_sender_losses_past_budget(self, score_instance):
-        space, _, score = score_instance
-        spec = GameSpec("discrimination", d=3, seed=7, samples=200)
-        losses = per_input_message_losses(score, space, spec, budget=10)
-        assert losses.tolist() == [
-            [1.3882756518757897, 2.402864059191707, 1.0318385402213914],
-            [0.9321449680555363, 1.1053825799188335, 1.0442291956502752],
-            [1.8919964817901023, 0.7123504916293639, 1.0440872845388727],
-            [1.3595131595694865, 1.0966519451742014, 0.6757816178874775],
-            [0.6795978806135012, 1.531449302398399, 1.9520888521505566]]
-
 
 class TestSynchronizedReceiver:
     def test_reconstruction_means(self, space_b, split):
@@ -584,13 +578,19 @@ class TestSynchronizedSender:
             chosen = losses[np.arange(space.size), sender.assignment]
             assert np.allclose(chosen, best, atol=0)
 
-    def test_mc_fallback_beyond_exact_budget(self, space_b, split):
-        # past the term budget the sender estimates per-message losses from
-        # seeded draws and still recovers the clustered assignment
+    def test_exact_within_budget_raises_past_it(self, space_b, split,
+                                                monkeypatch):
+        # 2 message choices x 32 terms each; past the budget the sender
+        # raises instead of estimating
         recv = SynchronizedDiscriminationReceiver(split, 2)
-        spec = GameSpec("discrimination", d=2, seed=3, samples=8000)
-        sender = synchronized_sender(recv, space_b, spec, budget=5)
+        spec = GameSpec("discrimination", d=2)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 64)
+        sender = synchronized_sender(recv, space_b, spec)
         assert sender.assignment.tolist() == [0, 0, 1, 1]
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 63)
+        with pytest.raises(BudgetExceededError) as exc:
+            synchronized_sender(recv, space_b, spec)
+        assert exc.value.required == 64
 
     def test_fixed_point_never_increases_loss(self):
         rng = rng_for("fixed-point")

@@ -19,7 +19,7 @@ from signalgames import (
     exhaustive_search,
     synchronized_receiver,
 )
-from signalgames import consistency, io
+from signalgames import games, io, optimize
 from signalgames.cli import main
 from signalgames.counterexamples import build_mirror_pairs_instance
 
@@ -404,7 +404,7 @@ class TestCli:
 
     def test_verify_def5_over_pair_budget_exits_3(self, tmp_path, space_b,
                                                   monkeypatch, capsys):
-        monkeypatch.setattr(consistency, "EXACT_TERM_BUDGET", 2)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 2)
         io.save_input_space(tmp_path / "space.csv", space_b)
         (tmp_path / "points.json").write_text(
             '{"kind": "reconstruction", "outputs": [[0.5], [1.5], [2.5]]}')
@@ -413,6 +413,46 @@ class TestCli:
                      str(tmp_path / "points.json")])
         assert code == 3
         assert "3 domain pairs (budget 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,where", [
+        ("NaN", ":3:4: non-finite number NaN"),
+        ("Infinity", ":3:4: non-finite number Infinity"),
+        ("-Infinity", ":3:4: non-finite number -Infinity"),
+        ("1e999", ":1: bad receiver JSON: receiver values must be finite"),
+        ("null", ":1: bad receiver JSON: receiver values must be finite"),
+        ('"nan"', ":1: bad receiver JSON: receiver values must be finite")])
+    @pytest.mark.parametrize("definition", ["5", "6"])
+    def test_non_finite_receiver_exits_2(self, tmp_path, space_b, value,
+                                         where, definition, capsys):
+        io.save_input_space(tmp_path / "space.csv", space_b)
+        path = tmp_path / "points.json"
+        path.write_text('{"kind": "reconstruction",\n "outputs": [[0.0],\n'
+                        f'  [{value}], [0.1]]}}')
+        code = main(["verify", "--def", definition, "--input",
+                     str(tmp_path / "space.csv"), "--receiver", str(path)])
+        assert code == 2
+        assert f"{path}{where}" in capsys.readouterr().err
+
+    def test_verify_def6_sender_over_term_budget_exits_3(
+            self, tmp_path, space_b, split, monkeypatch, capsys):
+        # the synchronized sender scores 2 message choices x 32 terms; past
+        # the budget the verdict is an exit 3, never a sampled estimate
+        io.save_input_space(tmp_path / "space.csv", space_b)
+        io.write_report(tmp_path / "table.json", io.receiver_to_json(
+            games.materialize_discrimination_table(
+                games.SynchronizedDiscriminationReceiver(split, 2),
+                space_b)))
+        argv = ["verify", "--def", "6", "--game", "discrimination", "--d",
+                "2", "--input", str(tmp_path / "space.csv"), "--receiver",
+                str(tmp_path / "table.json")]
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 64)
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["witnesses"]["sup_loss"] == pytest.approx(
+            0.5 * math.log(2.0), abs=1e-12)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 63)
+        assert main(argv) == 3
+        assert "needs 64 terms (budget 63)" in capsys.readouterr().err
 
     def test_short_labels_error_names_file_and_line(self, data_dir, capsys):
         (data_dir / "short.csv").write_text("id,color\n0,a\n1,b\n")
@@ -541,11 +581,13 @@ class TestCli:
         result = json.loads((out / "result.json").read_text())
         assert result["objective"] == 0.25
 
-    def test_optimize_budget_exits_3(self, data_dir):
+    def test_optimize_budget_exits_3(self, data_dir, monkeypatch, capsys):
+        monkeypatch.setattr(optimize, "ENUMERATION_BUDGET", 15)
         code = main(["optimize", "--input", str(data_dir / "space.csv"),
-                     "--method", "exhaustive", "--k", "2", "--budget", "2",
+                     "--method", "exhaustive", "--k", "2",
                      "--out", str(data_dir / "ob")])
         assert code == 3
+        assert "16 protocols (budget 15)" in capsys.readouterr().err
 
     def test_optimize_balanced(self, data_dir, capsys):
         out = data_dir / "bal"
@@ -678,6 +720,76 @@ def _input_files(draw):
     return ["".join(",".join(row) + "\n" for row in t) for t in tables]
 
 
+# JSON values that are valid in some place of a receiver file, and values
+# that are not (an integer past Python's 4,300-digit limit); the last five
+# read as NaN or an infinity
+_JSON_VALUES = st.sampled_from(["0", "1", "3", "0.5", "-1", "1e308", "[]",
+                                "{}", "true", '"x"', "9" * 4301, "NaN",
+                                "Infinity", "-Infinity", "1e999", "null",
+                                '"nan"'])
+_NON_FINITE = ("NaN", "Infinity", "1e999", "null", '"nan"')
+
+
+def _render(node) -> str:
+    """JSON text of nested dicts and lists whose leaves are JSON text, one
+    list item per line."""
+    if isinstance(node, dict):
+        return "{" + ", ".join(f'"{k}": {_render(v)}'
+                               for k, v in node.items()) + "}"
+    if isinstance(node, list):
+        return "[" + ",\n".join(map(_render, node)) + "]"
+    return node
+
+
+@st.composite
+def _receiver_files(draw):
+    """A well-formed receiver JSON on the four inputs of ``space_b``: one
+    point per message, or a d=2 table over every (message, candidate pair)
+    query, then up to three edits: a value replaced, a row dropped or
+    repeated."""
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        rows = [[draw(st.sampled_from(["0.0", "1.5", "3.0"]))]
+                for _ in range(k)]
+        doc = {"kind": '"reconstruction"', "outputs": rows}
+    else:
+        rows = [{"message": str(m), "candidates": [str(a), str(b)],
+                 "probs": ["0.25", "0.75"]}
+                for m in range(k) for a in range(4) for b in range(4)]
+        doc = {"kind": '"discrimination"', "d": "2", "num_messages": str(k),
+               "rows": rows}
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        r = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["value", "drop", "repeat"]))
+        if edit == "drop":
+            del rows[r]
+        elif edit == "repeat":
+            rows.insert(r, json.loads(json.dumps(rows[r])))
+        elif isinstance(rows[r], list):
+            rows[r][0] = draw(_JSON_VALUES)
+        else:
+            key = draw(st.sampled_from(["message", "candidates", "probs"]))
+            if key == "message":
+                rows[r][key] = draw(_JSON_VALUES)
+            else:
+                rows[r][key][draw(st.integers(0, 1))] = draw(_JSON_VALUES)
+    return _render(doc)
+
+
+def _exit_code(argv: list[str]) -> tuple[int, str]:
+    """``main(argv)``'s exit code, argparse's included, and its stderr."""
+    err = textio.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(textio.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    return code, err.getvalue()
+
+
 class TestGeneratedMalformedInputs:
     @settings(max_examples=50, deadline=None)
     @given(files=_input_files(), command=st.sampled_from([
@@ -700,12 +812,25 @@ class TestGeneratedMalformedInputs:
                     "--out", str(tmp / "out")]
             if command[0] != "optimize":
                 argv += ["--protocol", str(tmp / "protocol.csv")]
-            err = textio.StringIO()
-            with contextlib.redirect_stderr(err), \
-                    contextlib.redirect_stdout(textio.StringIO()):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse rejects the arguments
-                    code = exc.code
-        assert code in (0, 2, 3), err.getvalue()
-        assert "Traceback" not in err.getvalue()
+            code, err = _exit_code(argv)
+        assert code in (0, 2, 3), err
+        assert "Traceback" not in err
+
+    @settings(max_examples=50, deadline=None)
+    @given(text=_receiver_files(), command=st.sampled_from([
+        ["--def", "5"], ["--def", "6"],
+        ["--def", "6", "--game", "discrimination", "--d", "2"]]))
+    def test_receiver_json_exits_cleanly(self, text, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            io.save_input_space(tmp / "space.csv",
+                                InputSpace.uniform(np.arange(4.0)[:, None]))
+            (tmp / "receiver.json").write_text(text)
+            code, err = _exit_code([
+                "verify", *command, "--input", str(tmp / "space.csv"),
+                "--receiver", str(tmp / "receiver.json")])
+        # exit 1: a table without some query --def 6 asks it
+        assert code in (0, 1, 2, 3), err
+        assert "Traceback" not in err
+        if any(value in text for value in _NON_FINITE):
+            assert code == 2, err

@@ -20,6 +20,7 @@ from signalgames import (
     semantic_consistency,
 )
 from signalgames.core import GAME_KINDS
+from signalgames import optimize
 from signalgames.optimize import batch_objective
 
 from conftest import first_appearance, random_protocol, random_space, \
@@ -100,10 +101,15 @@ class TestExhaustiveSearch:
         with pytest.raises(ValueError, match="one message"):
             exhaustive_search(space_b, 0, GameSpec("reconstruction"))
 
-    def test_budget_error_reports_requirement(self, space_b):
+    def test_budget_error_reports_requirement(self, space_b, monkeypatch):
+        # the module budget is read at call time
+        monkeypatch.setattr(optimize, "ENUMERATION_BUDGET", 81)
+        # one adjacent pair merged: mass 1/2 at within-pair variance 1/4
+        spec = GameSpec("reconstruction")
+        assert exhaustive_search(space_b, 3, spec).value == 0.125
+        monkeypatch.setattr(optimize, "ENUMERATION_BUDGET", 80)
         with pytest.raises(BudgetExceededError) as exc:
-            exhaustive_search(space_b, 3, GameSpec("reconstruction"),
-                              budget=10)
+            exhaustive_search(space_b, 3, spec)
         assert exc.value.required == 81
 
     def test_batch_matches_oracles(self):
