@@ -20,8 +20,8 @@ import numpy as np
 from . import consistency, counterexamples, games, io, metrics as met, \
     objectives, optimize
 from .core import GameSpec, InputSpace, LabelMap, MessageSpace, Protocol
-from .errors import BudgetExceededError, MetricUndefinedError, ParseError, \
-    SignalGamesError
+from .errors import BudgetExceededError, EmptyClassError, \
+    MetricUndefinedError, ParseError, SignalGamesError
 
 SCHEMA_VERSION = 1
 
@@ -598,6 +598,9 @@ def _verify_definition(args) -> dict:
             raise ParseError(f"{receiver.num_messages} receiver messages for "
                              f"{message_space.size} in the message space",
                              str(args.receiver))
+        if args.eps0 is None and message_space.size < 2:
+            raise ParseError("verify --def 5 on fewer than two messages "
+                             "needs --eps0 (epsilon_M is undefined)", "")
         eps0 = args.eps0 if args.eps0 is not None \
             else message_space.epsilon_min()
         res = consistency.receiver_simplicity(receiver, eps0, space,
@@ -608,7 +611,10 @@ def _verify_definition(args) -> dict:
                               "diagnostic": res.diagnostic},
                 "margins": {"k": res.k, "slack": res.k - res.worst_ratio}}
     spec = GameSpec(args.game, d=args.d)
-    res = consistency.non_degeneracy(receiver, space, spec)
+    try:
+        res = consistency.non_degeneracy(receiver, space, spec)
+    except EmptyClassError as exc:  # the file lacks a query the game asks
+        raise ParseError(str(exc), str(args.receiver)) from None
     report = {"definition": "non-degeneracy",
               "verdict": res.non_degenerate,
               "witnesses": {"sup_loss": res.sup_loss,

@@ -258,7 +258,8 @@ def _worst_ratio(msgs: np.ndarray, msg_dist: np.ndarray, emb: np.ndarray,
         hi = min(rows, lo + max(1, _PAIR_BLOCK // width))
         dom, out = (_sq_dists(x, lo, hi) for x in (emb, outs))
         gap = np.take(msg_dist[msgs[lo:hi]], msgs[lo:], axis=1)
-        dom += np.square(gap, out=gap)
+        with np.errstate(over="ignore"):  # a distance past float64 is inf
+            dom += np.square(gap, out=gap)
         # the diagonal block holds each of its pairs twice and each row
         # with itself: the entries on and below its diagonal get ratio 0
         below = np.tri(hi - lo, dtype=bool)
@@ -287,9 +288,10 @@ def _sq_dists(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
     ``[lo, len(x))`` of ``x``, summed one coordinate column at a time."""
     total = np.zeros((hi - lo, len(x) - lo))
     diff = np.empty_like(total)
-    for col in x.T:
-        np.subtract.outer(col[lo:hi], col[lo:], out=diff)
-        total += np.square(diff, out=diff)
+    with np.errstate(over="ignore"):  # a distance past float64 is inf
+        for col in x.T:
+            np.subtract.outer(col[lo:hi], col[lo:], out=diff)
+            total += np.square(diff, out=diff)
     return total
 
 

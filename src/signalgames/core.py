@@ -365,6 +365,30 @@ def _product_rows(radices: Sequence[int],
         yield rows
 
 
+def _multiset_rows(n: int, r: int,
+                   chunk: int = 4096) -> Iterator[np.ndarray]:
+    """The non-decreasing ``r``-tuples over ``range(n)``,
+    ``itertools.combinations_with_replacement(range(n), r)`` in the same
+    order, as (B, r) integer arrays of at most ``chunk`` rows. Each block
+    is unranked from its row numbers, one ``searchsorted`` per column."""
+    total = math.comb(n + r - 1, r) if n else int(r == 0)
+    # firsts[c][v]: the completions of columns c.. whose column c is below
+    # v, were column c free to start at 0; below a prefix ending in u, a
+    # row's rank counts from firsts[c][u]
+    firsts = [np.cumsum([0] + [math.comb(n - v + r - c - 2, r - c - 1)
+                               for v in range(n)], dtype=np.int64)
+              for c in range(r)]
+    for start in range(0, total, chunk):
+        q = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        rows = np.empty((q.size, r), dtype=np.int64)
+        low = np.zeros(q.size, dtype=np.int64)  # the previous column
+        for c, first in enumerate(firsts):
+            q += first[low]
+            low = rows[:, c] = np.searchsorted(first, q, side="right") - 1
+            q -= first[low]
+        yield rows
+
+
 # Rows per block of :func:`_partition_rows`, half of :func:`_product_rows`'s:
 # scoring a 4096-row block of 12 inputs frees about 1 MB of temporaries at
 # once, and glibc's allocator then returns it to the system and faults it

@@ -8,6 +8,16 @@ read at call time, an exact path raises ``BudgetExceededError``. The closed
 forms in :mod:`signalgames.objectives` are verified against these
 evaluators.
 
+The built-in :class:`SynchronizedDiscriminationReceiver` and
+:class:`ScoreDiscriminationReceiver` give the target the same probability
+at every position and for every order of the distractors. For them the
+discrimination-style paths fix the target first and enumerate distractor
+multisets, each weighted by its number of orderings: ``C(S+d-2, d-1)``
+terms per target and message choice over a law's ``S`` support points,
+instead of ``d * S^(d-1)`` ordered ones. Every other receiver, a subclass
+that overrides ``probabilities_batch`` included, is asked every ordered
+query. The budget counts the terms actually enumerated.
+
 Receivers are represented over finite domains: a reconstruction receiver is
 a per-message point table, a global receiver a per-message distribution over
 input indices, and a discrimination receiver a
@@ -42,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GameSpec, InputSpace, LabelMap, Protocol, _class_sums, \
-    _product_rows, message_probabilities
+    _multiset_rows, _product_rows, message_probabilities
 from .errors import BudgetExceededError, EmptyClassError
 
 __all__ = [
@@ -199,11 +209,24 @@ class SynchronizedDiscriminationReceiver(DiscriminationReceiver):
         return _uniform_where(k == 0, match, k)
 
 
+def _query_keys(messages, candidates) -> np.ndarray:
+    """Each query row ``(m, c0, ..., c_{d-1})`` as one fixed-width void
+    scalar of its int64 values: equal queries have equal keys, and the
+    keys have a total order to sort and search by."""
+    candidates = np.asarray(candidates)
+    rows = np.empty((len(candidates), candidates.shape[1] + 1),
+                    dtype=np.int64)
+    rows[:, 0], rows[:, 1:] = messages, candidates
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))
+                     ).ravel()
+
+
 class TabularDiscriminationReceiver(DiscriminationReceiver):
     """Dense table over explicit (message, candidate tuple) queries.
 
     ``rows`` holds one distribution per query in the order of ``table``,
-    whose values are views of those rows.
+    whose values are views of those rows. A batch finds its rows by one
+    sorted search over the keys of the table.
     """
 
     def __init__(self, d: int, num_messages: int,
@@ -226,18 +249,32 @@ class TabularDiscriminationReceiver(DiscriminationReceiver):
         if bad.any():
             raise ValueError(f"row for query {list(table)[bad.argmax()]} "
                              "is not a distribution")
-        self._row_of = {key: r for r, key in enumerate(table)}
-        self.table = dict(zip(self._row_of, self.rows))
+        self.table = dict(zip(table, self.rows))
+        try:
+            keys = _query_keys([m for m, _ in table],
+                               np.array([c for _, c in table],
+                                        dtype=np.int64).reshape(-1, d))
+        except OverflowError:
+            raise ValueError("a table query does not fit in 64-bit "
+                             "integers") from None
+        self._order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._order]
 
     def probabilities_batch(self, messages, candidates):
-        keys = zip(np.asarray(messages).tolist(),
-                   map(tuple, np.asarray(candidates).tolist()))
-        try:
-            return self.rows[[self._row_of[key] for key in keys]]
-        except KeyError as exc:
-            m, cands = exc.args[0]
+        messages, candidates = np.asarray(messages), np.asarray(candidates)
+        at = np.zeros(len(candidates), dtype=np.int64)
+        found = at.astype(bool)
+        if candidates.shape[1] == self.num_candidates:
+            queries = _query_keys(messages, candidates)
+            at = np.searchsorted(self._keys, queries)
+            found = at < self._keys.size
+            found[found] = self._keys[at[found]] == queries[found]
+        if not found.all():
+            r = int(np.argmin(found))
             raise EmptyClassError(
-                f"receiver undefined on query ({m}, {cands})") from None
+                f"receiver undefined on query ({int(messages[r])}, "
+                f"{tuple(candidates[r].tolist())})")
+        return self.rows[self._order[at]]
 
 
 class ConstantDiscriminationReceiver(DiscriminationReceiver):
@@ -344,10 +381,6 @@ def eval_global(protocol: Protocol, receiver: GlobalReceiver,
 # Discrimination-style games
 # ---------------------------------------------------------------------------
 
-def _exact_disc_term_count(n: int, d: int) -> int:
-    return n ** (d - 1) * n * d
-
-
 def _check_terms(terms: int, what: str = "exact enumeration",
                  unit: str = "terms") -> None:
     """Raise ``BudgetExceededError`` with ``required=terms`` when ``terms``
@@ -358,12 +391,9 @@ def _check_terms(terms: int, what: str = "exact enumeration",
                                   required=terms)
 
 
-def _evaluation_mode(mode: str, terms: int) -> str:
-    """``mode`` checked: ``exact``, within the term budget, or ``mc``."""
+def _check_mode(mode: str) -> str:
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact":
-        _check_terms(terms)
     return mode
 
 
@@ -402,31 +432,83 @@ def _add_sorted(out: np.ndarray, index: np.ndarray,
     out[lo:lo + part.size] += part
 
 
+def _disc_terms(laws: np.ndarray, law_of: np.ndarray, k: int, d: int,
+                multiset: bool) -> int:
+    """Terms the exact enumeration visits: per law, targets x ``k`` message
+    choices x either the ``C(S+d-2, d-1)`` distractor multisets or the
+    ``d`` positions x ``S^(d-1)`` distractor tuples over its support of
+    size ``S``."""
+    total = 0
+    for law, dw in enumerate(laws):
+        s = int(np.count_nonzero(dw > 0.0))
+        per_target = math.comb(s + d - 2, d - 1) if multiset \
+            else d * s ** (d - 1)
+        total += int(np.count_nonzero(law_of == law)) * k * per_target
+    return total
+
+
+def _arrangements(rows: np.ndarray) -> np.ndarray:
+    """Distinct orderings of each non-decreasing row, ``r! / prod(run
+    lengths!)``, built column by column; every partial product counts the
+    orderings of a prefix, an integer, so it is exact below 2^53."""
+    count, run = np.ones(len(rows)), np.ones(len(rows))
+    for c in range(1, rows.shape[1]):
+        run = np.where(rows[:, c] == rows[:, c - 1], run + 1.0, 1.0)
+        count = count * (c + 1) / run
+    return count
+
+
 def _exact_discrimination_losses(
         messages: np.ndarray, receiver: DiscriminationReceiver, d: int,
         laws: np.ndarray, law_of: np.ndarray) -> np.ndarray:
     """Loss of each input ``i`` under each message choice ``messages[i, j]``,
-    shape (N, J), by full enumeration of distractor tuples and target
-    positions. Input ``i`` draws its distractors from ``laws[law_of[i]]``.
+    shape (N, J), by full enumeration of distractors. Input ``i`` draws its
+    distractors from ``laws[law_of[i]]``. Past ``EXACT_TERM_BUDGET`` terms
+    it raises before enumerating.
 
-    Per law, the (target, choice, position, distractor tuple) terms are
-    enumerated target-major in blocks of at most 4096 rows, and each block
-    is one receiver batch.
+    For the built-in synchronized and score receivers the target sits at
+    position 0 and the distractors run over the non-decreasing tuples of
+    the law's support, each weighted by its number of orderings. Any other
+    receiver is asked every (target position, ordered distractor tuple).
+    Per law, the terms are enumerated in blocks, each one receiver batch
+    of at most 4096 rows.
     """
     n, k = messages.shape
+    # these two ignore the target's position and the distractors' order;
+    # a subclass that overrides their batch may not
+    multiset = type(receiver).probabilities_batch in (
+        SynchronizedDiscriminationReceiver.probabilities_batch,
+        ScoreDiscriminationReceiver.probabilities_batch)
+    _check_terms(_disc_terms(laws, law_of, k, d, multiset))
     losses = np.zeros((n, k))
     for law, dw in enumerate(laws):
         targets = np.flatnonzero(law_of == law)
         support = np.flatnonzero(dw > 0.0)
         sums = np.zeros(targets.size * k)
-        for block in _product_rows([targets.size, k, d]
-                                   + [support.size] * (d - 1)):
-            i, j, t = targets[block[:, 0]], block[:, 1], block[:, 2]
-            distr = support[block[:, 3:]]
-            w = dw[distr].prod(axis=1) * (1.0 / d)
-            nll = _query_nll(receiver, messages[i, j], _splice(distr, i, t),
-                             t)
-            _add_sorted(sums, block[:, 0] * k + j, w * nll)
+        if multiset:
+            for block in _multiset_rows(support.size, d - 1):
+                distr = support[block]
+                w = _arrangements(block) * dw[distr].prod(axis=1)
+                step = max(1, 4096 // len(block))  # (target, choice) pairs
+                for first in range(0, sums.size, step):
+                    pairs = np.arange(first, min(first + step, sums.size))
+                    i, j = targets[pairs // k], pairs % k
+                    cands = np.empty((pairs.size, len(block), d),
+                                     dtype=np.int64)
+                    cands[:, :, 0], cands[:, :, 1:] = i[:, None], distr
+                    nll = _query_nll(receiver,
+                                     np.repeat(messages[i, j], len(block)),
+                                     cands.reshape(-1, d), 0)
+                    sums[pairs] += (nll.reshape(pairs.size, -1) * w).sum(1)
+        else:
+            for block in _product_rows([targets.size, k, d]
+                                       + [support.size] * (d - 1)):
+                i, j, t = targets[block[:, 0]], block[:, 1], block[:, 2]
+                distr = support[block[:, 3:]]
+                w = dw[distr].prod(axis=1) * (1.0 / d)
+                nll = _query_nll(receiver, messages[i, j],
+                                 _splice(distr, i, t), t)
+                _add_sorted(sums, block[:, 0] * k + j, w * nll)
         losses[targets] = sums.reshape(-1, k)
     return losses
 
@@ -489,8 +571,7 @@ def eval_discrimination(protocol: Protocol, receiver: DiscriminationReceiver,
     """
     if d < 2:
         raise ValueError("candidate count d must be at least 2")
-    terms = _exact_disc_term_count(space.size, d)
-    if _evaluation_mode(mode, terms) == "exact":
+    if _check_mode(mode) == "exact":
         per_input = _exact_discrimination_losses(
             protocol.assignment[:, None], receiver, d, space.weights[None],
             np.zeros(space.size, dtype=int))[:, 0]
@@ -530,7 +611,6 @@ def eval_supervised(protocol: Protocol, receiver: DiscriminationReceiver,
     if labels.size != space.size:
         raise ValueError("label map does not cover the input space")
     laws, law_of = _distractor_laws(space, labels)
-    _check_terms(_exact_disc_term_count(space.size, d))
     per_input = _exact_discrimination_losses(
         protocol.assignment[:, None], receiver, d, laws, law_of)[:, 0]
     return _exact_report(per_input, space.weights)
@@ -551,7 +631,8 @@ def eval_classification(protocol: Protocol, receiver: DiscriminationReceiver,
     sizes = [g.size for g in groups]
     n = space.size
     messages = protocol.assignment
-    if _evaluation_mode(mode, math.prod(sizes) * n) == "exact":
+    if _check_mode(mode) == "exact":
+        _check_terms(math.prod(sizes) * n)
         # (target, candidate tuple) pairs, in blocks of at most 4096 rows
         per_input = np.zeros(n)
         for block in _product_rows([n] + sizes):
@@ -634,7 +715,6 @@ def per_input_message_losses(receiver, space: InputSpace,
         d = spec.d
         laws, law_of = _distractor_laws(
             space, spec.labels if spec.kind == "supervised" else None)
-        _check_terms(_exact_disc_term_count(n, d) * k)
         return _exact_discrimination_losses(
             np.broadcast_to(np.arange(k), (n, k)), receiver, d, laws, law_of)
     if spec.kind == "classification":

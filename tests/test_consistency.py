@@ -164,6 +164,14 @@ class TestReceiverSimplicity:
         assert abs(res.worst_ratio - math.sqrt(2.0)) < 1e-12
         assert abs(res.k - (math.sqrt(2) - 1) / 2) < 1e-12
 
+    def test_output_distance_past_float64_is_infinite(self, space_b):
+        # the squared output gap (1e308)^2 overflows: an infinite ratio,
+        # not simple, and no overflow warning
+        recv = ReconstructionReceiver(np.asarray([[1e308], [0.0]]))
+        ms = MessageSpace.from_vectors([[0.0], [1.0]])
+        res = receiver_simplicity(recv, 1.0, space_b, ms)
+        assert not res.simple and res.worst_ratio == math.inf
+
     def test_duplicate_domain_diagnostic(self):
         # two indices carrying the same point embed two queries identically
         # while the receiver answers them differently

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from signalgames import (
     conditional_stats,
     message_probabilities,
 )
-from signalgames.core import _class_sums, _product_rows
+from signalgames.core import _class_sums, _multiset_rows, _product_rows
 
 from conftest import random_protocol, random_space, rng_for
 from oracles import pairwise_sqdist_bruteforce, variance_bruteforce
@@ -215,3 +216,29 @@ class TestProductRows:
         assert all(0 < b.shape[0] <= 5 for b in blocks)
         rows = [tuple(r) for b in blocks for r in b.tolist()]
         assert rows == list(itertools.product(*map(range, radices)))
+
+
+class TestMultisetRows:
+    @pytest.mark.parametrize("n,r", [(4, 3), (1, 5), (6, 1), (3, 0), (0, 2),
+                                     (5, 4)])
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_matches_combinations_with_replacement(self, n, r, chunk):
+        blocks = list(_multiset_rows(n, r, chunk=chunk))
+        assert all(0 < b.shape[0] <= chunk and b.shape[1] == r
+                   for b in blocks)
+        assert all(b.shape[0] == chunk for b in blocks[:-1])
+        rows = [tuple(row) for b in blocks for row in b.tolist()]
+        assert rows == list(itertools.combinations_with_replacement(
+            range(n), r))
+
+    def test_default_blocks_hold_4096_rows(self):
+        # C(30, 5) = 142,506 rows, checked on the first and last blocks
+        sizes, first, last = [], None, None
+        for block in _multiset_rows(26, 5):
+            sizes.append(len(block))
+            first = block if first is None else first
+            last = block
+        assert sum(sizes) == math.comb(30, 5) and max(sizes) == 4096
+        assert first[:2].tolist() == [[0] * 5, [0, 0, 0, 0, 1]]
+        assert last[-1].tolist() == [25] * 5
+        assert np.all(np.diff(last, axis=1) >= 0)

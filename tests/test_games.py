@@ -125,15 +125,15 @@ class TestEvalDiscrimination:
         assert rep.infinite and math.isinf(rep.expected)
 
     def test_exact_budget_guard(self, space_b, split, monkeypatch):
-        # 4 targets x 2 positions x 4 distractors: 32 terms, checked
+        # 4 targets x C(4, 1) distractor multisets: 16 terms, checked
         # against the module budget as it stands at call time
         recv = SynchronizedDiscriminationReceiver(split, 2)
-        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 32)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 16)
         assert eval_discrimination(split, recv, space_b, 2).mode == "exact"
-        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 31)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 15)
         with pytest.raises(BudgetExceededError) as exc:
             eval_discrimination(split, recv, space_b, 2)
-        assert exc.value.required == 32
+        assert exc.value.required == 16
 
     def test_auto_mode_rejected(self, space_b, split, labels_ab):
         recv = SynchronizedDiscriminationReceiver(split, 2)
@@ -213,6 +213,187 @@ class TestEvalDiscrimination:
         rep = eval_discrimination(split, recv, space_b, 2, mode="mc",
                                   samples=3000, seed=11)
         assert abs(rep.expected - 0.5 * LOG2) < 5 * rep.std_error
+
+
+class _Ordered(DiscriminationReceiver):
+    """Answers as ``inner`` does, but is not a built-in receiver, so the
+    exact paths ask it every (target position, ordered distractor tuple)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.num_candidates = inner.num_candidates
+        self.num_messages = inner.num_messages
+
+    def probabilities_batch(self, messages, candidates):
+        return self.inner.probabilities_batch(messages, candidates)
+
+
+def _score_probs(scores):
+    """The score receiver's distribution for one query, in plain Python."""
+    def probs(m, cands):
+        s = [float(scores[m][c]) for c in cands]
+        total = sum(s)
+        return [1.0 / len(s)] * len(s) if total <= 0.0 \
+            else [v / total for v in s]
+    return probs
+
+
+def _assert_losses_match(got, want, tol=1e-12):
+    """Equal infinities, and finite entries within ``tol``."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= tol)
+
+
+class TestMultisetPath:
+    """The built-in synchronized and score receivers enumerate distractor
+    multisets; every answer must equal the ordered enumeration's."""
+
+    @staticmethod
+    def instance(rng):
+        """A random space (points on a small grid, so that some repeat),
+        protocol and score table (some scores 0, so that some losses are
+        infinite), with ``n^d`` small enough for the plain-loop oracle."""
+        d = int(rng.integers(2, 6))
+        n = int(rng.integers(2, {2: 7, 3: 7, 4: 6, 5: 5}[d]))
+        k = int(rng.integers(1, 4))
+        w = rng.random(n) + 0.05
+        space = InputSpace(rng.integers(0, 2, size=(n, 2)).astype(float),
+                           w / w.sum())
+        protocol = Protocol(rng.integers(0, k, size=n), k)
+        scores = rng.random((k, n)) * (rng.random((k, n)) > 0.25)
+        return space, protocol, scores, d
+
+    def test_matches_ordered_enumeration(self):
+        rng = rng_for("multiset-path")
+        infinite = finite = 0
+        for _ in range(120):
+            space, protocol, scores, d = self.instance(rng)
+            a, w = protocol.assignment.tolist(), space.weights.tolist()
+            sync = SynchronizedDiscriminationReceiver(protocol, d)
+            score = ScoreDiscriminationReceiver(scores, d)
+            for recv, probs in ((sync, None), (score, _score_probs(scores))):
+                rep = eval_discrimination(protocol, recv, space, d)
+                want = discrimination_loss_bruteforce(a, w, d, probs)
+                _assert_losses_match(rep.expected, want)
+                ordered = eval_discrimination(protocol, _Ordered(recv),
+                                              space, d)
+                _assert_losses_match(rep.per_input, ordered.per_input)
+                spec = GameSpec("discrimination", d=d)
+                _assert_losses_match(
+                    per_input_message_losses(recv, space, spec),
+                    per_input_message_losses(_Ordered(recv), space, spec))
+                infinite += rep.infinite
+                finite += not rep.infinite
+        assert infinite >= 10 and finite >= 100
+
+    def test_supervised_law_matches_ordered_enumeration(self):
+        rng = rng_for("multiset-supervised")
+        for _ in range(30):
+            d = int(rng.integers(2, 5))
+            v = int(rng.integers(d, d + 2))  # the game asks d <= labels
+            per = int(rng.integers(1, 3))
+            space = InputSpace.uniform(rng.integers(0, 2, size=(v * per, 1)))
+            labels = LabelMap(np.repeat(np.arange(v), per).tolist())
+            protocol = random_protocol(rng, space.size, k_max=3)
+            scores = rng.random((protocol.num_messages, space.size)) \
+                * (rng.random((protocol.num_messages, space.size)) > 0.25)
+            sync = SynchronizedDiscriminationReceiver(protocol, d)
+            got = eval_supervised(protocol, sync, space, labels, d=d)
+            assert abs(got.expected - supervised_loss_bruteforce(
+                protocol.assignment.tolist(), space.weights.tolist(),
+                list(labels.labels), d)) < 1e-12
+            spec = GameSpec("supervised", d=d, labels=labels)
+            for recv in (sync, ScoreDiscriminationReceiver(scores, d)):
+                _assert_losses_match(
+                    eval_supervised(protocol, recv, space, labels,
+                                    d=d).per_input,
+                    eval_supervised(protocol, _Ordered(recv), space, labels,
+                                    d=d).per_input)
+                _assert_losses_match(
+                    per_input_message_losses(recv, space, spec),
+                    per_input_message_losses(_Ordered(recv), space, spec))
+
+    def test_zero_weight_inputs_in_a_law(self):
+        # laws that give some inputs no weight, as the supervised laws do
+        rng = rng_for("multiset-zero-weights")
+        for _ in range(30):
+            space, protocol, scores, d = self.instance(rng)
+            n, k = space.size, protocol.num_messages
+            laws = rng.random((2, n)) * (rng.random((2, n)) > 0.4)
+            laws[:, 0] += 0.1  # every law keeps some support
+            laws /= laws.sum(axis=1, keepdims=True)
+            law_of = rng.integers(0, 2, size=n)
+            messages = np.broadcast_to(np.arange(k), (n, k))
+            for recv in (SynchronizedDiscriminationReceiver(protocol, d),
+                         ScoreDiscriminationReceiver(scores, d)):
+                _assert_losses_match(
+                    games._exact_discrimination_losses(
+                        messages, recv, d, laws, law_of),
+                    games._exact_discrimination_losses(
+                        messages, _Ordered(recv), d, laws, law_of))
+
+    def test_position_dependent_subclass_takes_the_ordered_path(
+            self, score_instance):
+        space, protocol, score = score_instance
+
+        class Reversed(ScoreDiscriminationReceiver):
+            def probabilities_batch(self, messages, candidates):
+                return super().probabilities_batch(messages,
+                                                   candidates)[:, ::-1]
+
+        recv = Reversed(score.scores, 3)
+        probs = _score_probs(score.scores)
+        got = eval_discrimination(protocol, recv, space, 3).expected
+        want = discrimination_loss_bruteforce(
+            protocol.assignment.tolist(), space.weights.tolist(), 3,
+            lambda m, cands: probs(m, cands)[::-1])
+        assert abs(got - want) < 1e-12
+        # the multiset answer (target always first) would differ
+        assert abs(got - eval_discrimination(protocol, score, space,
+                                             3).expected) > 1e-3
+
+    def test_batches_hold_at_most_4096_rows(self, monkeypatch):
+        sizes = []
+        batch = ScoreDiscriminationReceiver.probabilities_batch
+
+        def counted(self, messages, candidates):
+            sizes.append(len(candidates))
+            return batch(self, messages, candidates)
+
+        monkeypatch.setattr(ScoreDiscriminationReceiver,
+                            "probabilities_batch", counted)
+        space = InputSpace.uniform(np.arange(20.0)[:, None])
+        protocol = Protocol(np.arange(20) % 4, 4)
+        labels = LabelMap(list("abcd") * 5)
+        recv = ScoreDiscriminationReceiver(
+            rng_for("multiset-rows").random((4, 20)) + 0.1, 5)
+        eval_discrimination(protocol, recv, space, 5, mode="exact")
+        eval_supervised(protocol, recv, space, labels, d=5)
+        per_input_message_losses(recv, space, GameSpec("discrimination", d=5))
+        # 20 x C(23, 4) terms, then 20 x C(18, 4), then 4 choices of each
+        assert sum(sizes) == 20 * math.comb(23, 4) + 20 * math.comb(18, 4) \
+            + 4 * 20 * math.comb(23, 4)
+        assert max(sizes) == 4096
+
+    def test_past_the_budget_raises_before_enumerating(self, space_b, split,
+                                                       monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated past the budget")
+
+        monkeypatch.setattr(games, "_multiset_rows", refuse)
+        monkeypatch.setattr(games, "_product_rows", refuse)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 4 * math.comb(6, 3)
+                            - 1)
+        recv = SynchronizedDiscriminationReceiver(split, 4)
+        with pytest.raises(BudgetExceededError) as exc:
+            eval_discrimination(split, recv, space_b, 4)
+        assert exc.value.required == 4 * math.comb(6, 3)
+        # the ordered path counts positions and distractor tuples
+        with pytest.raises(BudgetExceededError) as exc:
+            eval_discrimination(split, _Ordered(recv), space_b, 4)
+        assert exc.value.required == 4 * 4 * 4 ** 3
 
 
 def _one_query_reference(recv, m, cands) -> np.ndarray:
@@ -580,17 +761,17 @@ class TestSynchronizedSender:
 
     def test_exact_within_budget_raises_past_it(self, space_b, split,
                                                 monkeypatch):
-        # 2 message choices x 32 terms each; past the budget the sender
-        # raises instead of estimating
+        # 2 message choices x 16 multiset terms each; past the budget the
+        # sender raises instead of estimating
         recv = SynchronizedDiscriminationReceiver(split, 2)
         spec = GameSpec("discrimination", d=2)
-        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 64)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 32)
         sender = synchronized_sender(recv, space_b, spec)
         assert sender.assignment.tolist() == [0, 0, 1, 1]
-        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 63)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 31)
         with pytest.raises(BudgetExceededError) as exc:
             synchronized_sender(recv, space_b, spec)
-        assert exc.value.required == 64
+        assert exc.value.required == 32
 
     def test_fixed_point_never_increases_loss(self):
         rng = rng_for("fixed-point")

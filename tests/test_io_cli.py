@@ -183,18 +183,20 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["topsim"] == "undefined"
 
-    def test_sparse_table_query_exits_1(self, data_dir, capsys):
-        (data_dir / "table.json").write_text(json.dumps(
+    def test_sparse_table_query_exits_2(self, data_dir, capsys):
+        # a table without a query the game asks is a defect of the file
+        table = data_dir / "table.json"
+        table.write_text(json.dumps(
             {"kind": "discrimination", "d": 2, "num_messages": 2,
              "rows": [{"message": 0, "candidates": [0, 1],
                        "probs": [0.5, 0.5]}]}))
         code = main(["verify", "--def", "6", "--game", "discrimination",
                      "--d", "2", "--input", str(data_dir / "space.csv"),
-                     "--receiver", str(data_dir / "table.json"),
+                     "--receiver", str(table),
                      "--out", str(data_dir / "out")])
-        assert code == 1
+        assert code == 2
         assert capsys.readouterr().err == \
-            "error: receiver undefined on query (0, (0, 0))\n"
+            f"error: {table}: receiver undefined on query (0, (0, 0))\n"
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -414,6 +416,20 @@ class TestCli:
         assert code == 3
         assert "3 domain pairs (budget 2)" in capsys.readouterr().err
 
+    def test_verify_def5_one_message_needs_eps0(self, tmp_path, space_b,
+                                                capsys):
+        # epsilon_M, the default eps0, needs two messages
+        io.save_input_space(tmp_path / "space.csv", space_b)
+        (tmp_path / "points.json").write_text(
+            '{"kind": "reconstruction", "outputs": [[1.5]]}')
+        argv = ["verify", "--def", "5", "--input",
+                str(tmp_path / "space.csv"), "--receiver",
+                str(tmp_path / "points.json")]
+        assert main(argv) == 2
+        assert "needs --eps0" in capsys.readouterr().err
+        assert main([*argv, "--eps0", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"]
+
     @pytest.mark.parametrize("value,where", [
         ("NaN", ":3:4: non-finite number NaN"),
         ("Infinity", ":3:4: non-finite number Infinity"),
@@ -534,12 +550,24 @@ class TestCli:
         assert report["max_gap"] < 1e-10 and report["tolerance"] == 1e-10
         assert "max_gap_in_4se_units" not in report
 
+    def test_verify_lemma2_at_d20(self, capsys):
+        # the second instance at the default seed has 8 inputs: 8 targets
+        # x C(26, 19) distractor multisets, 5,262,400 terms
+        code = main(["verify", "--lemma", "2", "--d", "20", "--instances",
+                     "2", "--expect", "pass"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["d"] == 20 and report["max_gap"] < 1e-10
+
     @pytest.mark.parametrize("argv,terms", [
-        # 8 balanced labels on 8 inputs: 8^8 * 8 terms
-        (["--lemma", "a2", "--d", "8"], 8 ** 8 * 8),
-        # the first instance at seed 1 has 4 inputs: 4^12 * 12 terms
-        (["--lemma", "2", "--d", "12", "--seed", "1"], 4 ** 12 * 12)])
+        # 15 balanced labels on 15 inputs: each target draws 14 distractors
+        # from the 14 other inputs, 15 * C(27, 14) multisets
+        (["--lemma", "a2", "--d", "15"], 15 * math.comb(27, 14)),
+        # the first instance at seed 1 has 4 inputs: 4 * C(533, 530)
+        (["--lemma", "2", "--d", "531", "--seed", "1"],
+         4 * math.comb(533, 530))])
     def test_verify_lemma_past_term_budget_exits_3(self, argv, terms, capsys):
+        assert terms > games.EXACT_TERM_BUDGET
         assert main(["verify", *argv]) == 3
         assert f"needs {terms} terms" in capsys.readouterr().err
 
@@ -829,8 +857,7 @@ class TestGeneratedMalformedInputs:
             code, err = _exit_code([
                 "verify", *command, "--input", str(tmp / "space.csv"),
                 "--receiver", str(tmp / "receiver.json")])
-        # exit 1: a table without some query --def 6 asks it
-        assert code in (0, 1, 2, 3), err
+        assert code in (0, 2, 3), err
         assert "Traceback" not in err
         if any(value in text for value in _NON_FINITE):
             assert code == 2, err
