@@ -601,9 +601,7 @@ def _verify_definition(args) -> dict:
         if args.eps0 is None and message_space.size < 2:
             raise ParseError("verify --def 5 on fewer than two messages "
                              "needs --eps0 (epsilon_M is undefined)", "")
-        eps0 = args.eps0 if args.eps0 is not None \
-            else message_space.epsilon_min()
-        res = consistency.receiver_simplicity(receiver, eps0, space,
+        res = consistency.receiver_simplicity(receiver, args.eps0, space,
                                               message_space)
         return {"definition": "receiver-simplicity", "verdict": res.simple,
                 "witnesses": {"worst_ratio": res.worst_ratio,

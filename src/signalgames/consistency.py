@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import GameSpec, InputSpace, MessageSpace, Protocol, _class_sums
+from .core import GameSpec, InputSpace, MessageSpace, Protocol, \
+    _class_sums, _pair_blocks, _sq_dists
 from .games import ConstantDiscriminationReceiver, ReconstructionReceiver, \
     TabularDiscriminationReceiver, _check_terms, per_input_message_losses
 
@@ -136,7 +137,7 @@ def spatial_meaningfulness(protocol: Protocol, space: InputSpace,
     # p_a p_b E ||x1 - x2||^2 over independent draws from classes a and b
     pair = p[None, :] * sq[:, None] + p[:, None] * sq[None, :] \
         - 2.0 * first @ first.T
-    dist = message_space.distance_matrix()[np.ix_(used, used)].ravel()
+    dist = message_space.distances(used, used).ravel()
     unconditional = 2.0 * space.variance()
 
     # one pass in order of message distance: the event d <= eps is a prefix
@@ -177,19 +178,11 @@ class SimplicityCheck(NamedTuple):
     diagnostic: str | None
 
 
-# Elements per block of the pair kernel. Each temporary it makes is one
-# block of float64 (256 KiB), whatever the number of domain rows. On a
-# 2,500-row table (2-core x86-64 VM) 2**14 and 2**15 ran fastest of
-# 2**12 to 2**18: larger blocks fall out of cache, smaller ones pay more
-# per-call overhead.
-_PAIR_BLOCK = 2 ** 15
-
-
-def receiver_simplicity(receiver, eps0: float, space: InputSpace,
+def receiver_simplicity(receiver, eps0: float | None, space: InputSpace,
                         message_space: MessageSpace,
                         output_mode: str = "canonical") -> SimplicityCheck:
     """Lipschitz-style check ``||R(a) - R(b)|| <= k ||a - b||`` over all
-    pairs of the receiver's finite domain.
+    pairs of the receiver's finite domain (``eps0=None`` takes ``eps_M``).
 
     Domain distances compose the message metric with the Euclidean distance
     of the candidate vectors (reconstruction receivers have message-only
@@ -201,9 +194,8 @@ def receiver_simplicity(receiver, eps0: float, space: InputSpace,
     automatically with a diagnostic. A NaN output gives a NaN
     ``worst_ratio``, which is not simple. A domain of more than
     ``EXACT_TERM_BUDGET`` unordered pairs raises ``BudgetExceededError``
-    before any pair is formed.
+    before any pair is formed or ``eps_M`` is computed.
     """
-    k = simplicity_constant(eps0, space)
     if isinstance(receiver, ReconstructionReceiver):
         output_mode = "points"
         msgs = np.flatnonzero(receiver.defined)
@@ -226,7 +218,9 @@ def receiver_simplicity(receiver, eps0: float, space: InputSpace,
 
     _check_terms(len(msgs) * (len(msgs) - 1) // 2, "receiver simplicity",
                  "domain pairs")
-    worst = _worst_ratio(msgs, message_space.distance_matrix(), emb, outs)
+    k = simplicity_constant(message_space.epsilon_min() if eps0 is None
+                            else eps0, space)
+    worst = _worst_ratio(msgs, message_space, emb, outs)
     if worst is None:
         return SimplicityCheck(False, math.inf, k, output_mode,
                                "duplicate domain embeddings with different "
@@ -234,35 +228,25 @@ def receiver_simplicity(receiver, eps0: float, space: InputSpace,
     return SimplicityCheck(worst <= k, worst, k, output_mode, None)
 
 
-def _worst_ratio(msgs: np.ndarray, msg_dist: np.ndarray, emb: np.ndarray,
-                 outs: np.ndarray) -> float | None:
+def _worst_ratio(msgs: np.ndarray, message_space: MessageSpace,
+                 emb: np.ndarray, outs: np.ndarray) -> float | None:
     """The largest ``||outs[a] - outs[b]|| / ||a - b||`` over the unordered
     pairs ``a < b`` of domain rows, or None if some pair lies at domain
     distance zero with different outputs. Pairs at distance zero with equal
     outputs count as 0; a NaN output makes the result NaN.
 
     The squared domain distance of a pair is the squared distance of its
-    ``emb`` rows plus the squared message distance ``msg_dist`` of its
-    ``msgs``. Rows ``[lo, hi)`` meet columns ``[lo, R)`` in blocks of about
-    ``_PAIR_BLOCK`` elements, one coordinate column at a time, so memory
-    does not grow with ``R``, and the ``K``-column message table is read
-    a block of rows at a time. Both distances are sums of squared
-    differences, never the ``|a|^2 + |b|^2 - 2 a.b`` expansion, so equal
-    rows are at distance exactly zero.
+    ``emb`` rows plus the squared message distance of its ``msgs``, taken
+    in the blocks of ``core._pair_blocks``, so memory does not grow with
+    the number of rows. Equal rows are at distance exactly zero.
     """
-    rows, tops = len(msgs), [0.0]
-    lo = 0
-    while lo < rows:
-        # the block's rows of the message table fit in a block too
-        width = max(rows - lo, len(msg_dist))
-        hi = min(rows, lo + max(1, _PAIR_BLOCK // width))
-        dom, out = (_sq_dists(x, lo, hi) for x in (emb, outs))
-        gap = np.take(msg_dist[msgs[lo:hi]], msgs[lo:], axis=1)
+    tops = [0.0]
+    for lo, hi, below in _pair_blocks(len(msgs)):
+        dom, out = (_sq_dists(x[lo:hi], x[lo:]) for x in (emb, outs))
+        gap = message_space.distances(msgs[lo:hi], msgs[lo:])
         with np.errstate(over="ignore"):  # a distance past float64 is inf
             dom += np.square(gap, out=gap)
-        # the diagonal block holds each of its pairs twice and each row
-        # with itself: the entries on and below its diagonal get ratio 0
-        below = np.tri(hi - lo, dtype=bool)
+        # the entries on and below the diagonal get ratio 0
         out[:, :hi - lo][below] = 0.0
         dom[:, :hi - lo][below] = 1.0
         np.sqrt(dom, out=dom)
@@ -279,20 +263,7 @@ def _worst_ratio(msgs: np.ndarray, msg_dist: np.ndarray, emb: np.ndarray,
             ratio[~(dom > 0.0)] = 0.0
             top = ratio.max()
         tops.append(top)
-        lo = hi
     return float(np.max(tops))
-
-
-def _sq_dists(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Squared Euclidean distances between rows ``[lo, hi)`` and rows
-    ``[lo, len(x))`` of ``x``, summed one coordinate column at a time."""
-    total = np.zeros((hi - lo, len(x) - lo))
-    diff = np.empty_like(total)
-    with np.errstate(over="ignore"):  # a distance past float64 is inf
-        for col in x.T:
-            np.subtract.outer(col[lo:hi], col[lo:], out=diff)
-            total += np.square(diff, out=diff)
-    return total
 
 
 # ---------------------------------------------------------------------------

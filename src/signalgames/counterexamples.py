@@ -148,7 +148,8 @@ def verify_mirror_pairs() -> dict:
 
     # the predicate quantifies over all eps <= eps0; every choice of eps0
     # must fail because the sub-unit thresholds sit exactly on equality
-    realized = np.unique(message_space.distance_matrix())
+    every = np.arange(message_space.size)
+    realized = np.unique(message_space.distances(every, every))
     verdicts = [spatial_meaningfulness(sender, space, message_space, eps0=e)
                 for e in realized if e >= eps_m]
     base = verdicts[0]

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GameSpec, InputSpace, LabelMap, Protocol, _class_sums, \
-    _multiset_rows, _product_rows, message_probabilities
+    _multiset_rows, _product_rows, _sq_dists, message_probabilities
 from .errors import BudgetExceededError, EmptyClassError
 
 __all__ = [
@@ -539,7 +539,8 @@ def _mc_discrimination(messages: np.ndarray, receiver: DiscriminationReceiver,
     counts = [samples // shards + (1 if s < samples % shards else 0)
               for s in range(shards)]
     loss_chunks, target_chunks = [], []
-    sync = isinstance(receiver, SynchronizedDiscriminationReceiver)
+    sync = type(receiver).probabilities_batch is \
+        SynchronizedDiscriminationReceiver.probabilities_batch
     for shard, size in enumerate(counts):
         if size == 0:
             continue
@@ -700,10 +701,8 @@ def per_input_message_losses(receiver, space: InputSpace,
     n, k = space.size, receiver.num_messages
     losses = np.full((n, k), np.inf)
     if spec.kind == "reconstruction":
-        for m in range(k):
-            if receiver.defined[m]:
-                diff = space.points - receiver.points[m]
-                losses[:, m] = np.einsum("ij,ij->i", diff, diff)
+        defined = receiver.defined
+        losses[:, defined] = _sq_dists(space.points, receiver.points[defined])
         return losses
     if spec.kind == "global":
         for m in range(k):

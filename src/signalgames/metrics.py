@@ -27,7 +27,7 @@ import numpy as np
 from scipy import stats
 
 from .core import InputSpace, LabelMap, MessageSpace, Protocol, \
-    _class_sums, message_probabilities
+    _class_sums, _sq_dists, message_probabilities
 from .errors import BudgetExceededError, MetricUndefinedError
 from .games import GameSpec, substream, synchronized_receiver
 
@@ -42,10 +42,6 @@ __all__ = [
     "cluster_variance",
     "discrimination_accuracy",
 ]
-
-# distinct shuffles an exact random baseline may enumerate
-_EXACT_BASELINE_BUDGET = 100_000
-
 
 def unique_messages(protocol: Protocol) -> int:
     return int(protocol.used_messages().size)
@@ -71,15 +67,12 @@ def message_variance(protocol: Protocol, space: InputSpace) -> float:
 
 def random_baseline(protocol: Protocol, space: InputSpace,
                     metric: Callable[[Protocol, InputSpace], float],
-                    repeats: int = 100, seed: int = 0,
-                    exact: bool = False) -> tuple[float, float]:
-    """Mean and population std of a metric over class-size-preserving
-    shuffles of the assignment.
+                    repeats: int = 100, seed: int = 0) -> tuple[float, float]:
+    """Mean and population std of a metric over ``repeats`` seeded
+    class-size-preserving shuffles of the assignment.
 
-    ``exact=True`` enumerates every distinct assignment with the given class
-    cardinalities (all equally likely under a uniform shuffle) instead of
-    sampling. Non-uniform weights trigger a warning: a shuffle preserves
-    class cardinalities, not class masses.
+    Non-uniform weights trigger a warning: a shuffle preserves class
+    cardinalities, not class masses.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -87,20 +80,11 @@ def random_baseline(protocol: Protocol, space: InputSpace,
         warnings.warn("random baseline preserves class cardinalities; with "
                       "non-uniform weights the class masses change under "
                       "shuffling")
-    if exact:
-        values = [metric(Protocol(np.asarray(a, dtype=int),
-                                  protocol.num_messages), space)
-                  for a in _distinct_shuffles(protocol.assignment,
-                                              _EXACT_BASELINE_BUDGET)]
-    else:
-        rng = substream(seed, "baseline")
-        values = []
-        for _ in range(repeats):
-            perm = rng.permutation(space.size)
-            values.append(metric(Protocol(protocol.assignment[perm],
-                                          protocol.num_messages), space))
-    arr = np.asarray(values, dtype=float)
-    return float(arr.mean()), float(arr.std(ddof=0))
+    rng = substream(seed, "baseline")
+    values = np.array([metric(Protocol(
+        protocol.assignment[rng.permutation(space.size)],
+        protocol.num_messages), space) for _ in range(repeats)], dtype=float)
+    return float(values.mean()), float(values.std(ddof=0))
 
 
 def _distinct_shuffles(assignment: np.ndarray, budget: int):
@@ -161,10 +145,9 @@ def topsim(protocol: Protocol, space: InputSpace,
     if space.size < 2:
         raise MetricUndefinedError("topsim needs at least two inputs")
     iu = np.triu_indices(space.size, k=1)
-    diff = space.points[iu[0]] - space.points[iu[1]]
-    input_d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    msg_d = message_space.distance_matrix()[
-        protocol.assignment[iu[0]], protocol.assignment[iu[1]]]
+    input_d = np.sqrt(_sq_dists(space.points, space.points)[iu])
+    used, inv = np.unique(protocol.assignment, return_inverse=True)
+    msg_d = message_space.distances(used, used)[inv[iu[0]], inv[iu[1]]]
     if np.ptp(input_d) == 0.0 or np.ptp(msg_d) == 0.0:
         raise MetricUndefinedError("topsim undefined (zero variance)")
     rho = stats.spearmanr(input_d, msg_d).statistic

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import GameSpec, InputSpace, MessageSpace, Protocol, _as_readonly, \
-    _class_sums, _partition_rows
+    _class_sums, _partition_rows, _sq_dists
 from .errors import BudgetExceededError
 from .games import substream
 from .objectives import batch_objective
@@ -172,9 +172,8 @@ def kmeans_alternation(space: InputSpace, k: int,
     assign = np.zeros(space.size, dtype=int)
     for _ in range(max_iters):
         rounds += 1
-        assign, centroids = _assign_with_repair(pts, w, centroids)
-        d2 = _sq_dists(pts, centroids)
-        trace.append(float(w @ d2[np.arange(space.size), assign]))
+        assign, centroids, obj = _assign_with_repair(pts, w, centroids)
+        trace.append(obj)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             converged = True
             break
@@ -192,23 +191,18 @@ def kmeans_alternation(space: InputSpace, k: int,
     return KMeansResult(protocol, centroids, trace, rounds, converged)
 
 
-def _sq_dists(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = pts[:, None, :] - centroids[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
-
-
 def _assign_with_repair(pts, w, centroids):
-    """Nearest-centroid assignment, re-seeding empty clusters to the point
-    farthest from its nearest centroid."""
+    """Nearest-centroid assignment and its weighted objective, re-seeding
+    empty clusters to the point farthest from its nearest centroid."""
     k = centroids.shape[0]
     centroids = centroids.copy()
     for _ in range(k + 1):
         d2 = _sq_dists(pts, centroids)
         assign = np.argmin(d2, axis=1)
+        nearest = d2[np.arange(pts.shape[0]), assign]
         empty = [m for m in range(k) if not np.any(assign == m)]
         if not empty:
-            return assign, centroids
-        nearest = d2[np.arange(pts.shape[0]), assign]
+            return assign, centroids, float(w @ nearest)
         centroids[empty[0]] = pts[int(np.argmax(nearest))]
     raise RuntimeError("empty-cluster repair did not converge")
 
@@ -243,15 +237,12 @@ def balanced_partition(space: InputSpace, k: int,
         if not space.is_uniform():
             raise ValueError("adversarial pairing requires a uniform prior")
         assign = np.full(space.size, -1, dtype=int)
-        diff = space.points[:, None, :] - space.points[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        d2 = _sq_dists(space.points, space.points)
         unmatched = list(range(space.size))
         for m in range(k):
-            i = unmatched[0]
-            rest = unmatched[1:]
-            j = rest[int(np.argmax(d2[i, rest]))]
+            i, *unmatched = unmatched
+            j = unmatched[int(np.argmax(d2[i, unmatched]))]
             assign[i] = assign[j] = m
-            unmatched.remove(i)
             unmatched.remove(j)
         return Protocol(assign, k)
     raise ValueError(f"unknown flavor {flavor!r}")

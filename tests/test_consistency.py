@@ -22,7 +22,7 @@ from signalgames import (
     synchronized_sender,
     TabularDiscriminationReceiver,
 )
-from signalgames import consistency, games
+from signalgames import core, games
 from signalgames.games import materialize_discrimination_table, \
     SynchronizedDiscriminationReceiver
 
@@ -87,10 +87,11 @@ class TestSpatialMeaningfulness:
             protocol = Protocol(rng.integers(0, k, size=space.size), k)
             vecs = np.sort(rng.normal(size=k))[:, None] * 3.0
             ms = MessageSpace.from_vectors(vecs)
+            every = np.arange(k)
             res = spatial_meaningfulness(protocol, space, ms,
                                          eps0=float(
-                                             ms.distance_matrix().max()))
-            dist = ms.distance_matrix().tolist()
+                                             ms.distances(every, every).max()))
+            dist = ms.distances(every, every).tolist()
             for t in res.thresholds:
                 eps = t.epsilon if t.epsilon > 0 else \
                     min(v for row in dist for v in row if v > 0) / 2
@@ -115,7 +116,7 @@ class TestSpatialMeaningfulness:
                 ms = MessageSpace.from_vectors(
                     np.stack([grid // 5, grid % 5], axis=1).astype(float))
             protocol = Protocol(rng.integers(0, k, size=space.size), k)
-            dist = ms.distance_matrix()
+            dist = ms.distances(np.arange(k), np.arange(k))
             res = spatial_meaningfulness(protocol, space, ms,
                                          eps0=float(dist.max()))
             used = protocol.used_messages()
@@ -203,7 +204,7 @@ class TestReceiverSimplicity:
         # the row-block kernel against a plain double loop over unordered
         # pairs, at block sizes of 1 and 7 elements and the default
         rng = rng_for("simplicity-oracle")
-        blocks = (1, 7, consistency._PAIR_BLOCK)
+        blocks = (1, 7, core._PAIR_BLOCK)
         seen = dict.fromkeys(("reconstruction", "undefined", "d2", "d3",
                               "symbols", "vectors", "duplicates", "rows0",
                               "rows1", "rows2", "diagnostic"), 0)
@@ -214,13 +215,14 @@ class TestReceiverSimplicity:
             for mode in modes:
                 results = []
                 for block in blocks:
-                    monkeypatch.setattr(consistency, "_PAIR_BLOCK", block)
+                    monkeypatch.setattr(core, "_PAIR_BLOCK", block)
                     results.append(receiver_simplicity(
                         recv, 1.0, space, ms, output_mode=mode))
                 assert results[0] == results[1] == results[2]
                 res = results[0]
                 worst, degenerate = lipschitz_bruteforce(
-                    recv, space.points.tolist(), ms.distance_matrix().tolist(),
+                    recv, space.points.tolist(), ms.distances(
+                        np.arange(ms.size), np.arange(ms.size)).tolist(),
                     canonical=mode == "canonical")
                 assert (res.diagnostic is not None) == degenerate
                 if degenerate:
@@ -288,8 +290,8 @@ class TestReceiverSimplicity:
         recv = TabularDiscriminationReceiver(
             2, 2, {key: np.array(row) for key, row in zip(keys, rows)})
         ms = MessageSpace.from_vectors([[0.0], [1.0]])
-        for block in (1, 7, consistency._PAIR_BLOCK):
-            monkeypatch.setattr(consistency, "_PAIR_BLOCK", block)
+        for block in (1, 7, core._PAIR_BLOCK):
+            monkeypatch.setattr(core, "_PAIR_BLOCK", block)
             res = receiver_simplicity(recv, 1.0, space, ms)
             assert not res.simple
             assert (res.diagnostic is not None) == math.isinf(worst)

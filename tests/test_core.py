@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from signalgames import (
     conditional_stats,
     message_probabilities,
 )
+from signalgames import core, io
 from signalgames.core import _class_sums, _multiset_rows, _product_rows
 
 from conftest import random_protocol, random_space, rng_for
@@ -167,7 +169,7 @@ class TestMessageSpace:
         ms = MessageSpace.symbol_sequences(["0000", "0001", "0371"],
                                            vocab_size=8, length=4)
         assert ms.epsilon_min() == 1.0  # 0000 and 0001 differ in one symbol
-        assert ms.distance(0, 2) == 3.0
+        assert ms.distances([0], [2]).tolist() == [[3.0]]
 
     def test_scalar_messages(self):
         ms = MessageSpace.from_vectors(np.arange(1.0, 7.0)[:, None])
@@ -194,6 +196,78 @@ class TestMessageSpace:
     def test_full_code(self):
         ms = MessageSpace.full_code(2, 2)
         assert ms.size == 4 and ms.atoms[0] == (0, 0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: MessageSpace.from_vectors([[0.0, 1.0], [2.0, 0.0],
+                                           [0.0, 1.0]]),
+        lambda: MessageSpace.from_vectors([[0.0], [-0.0]]),
+        lambda: MessageSpace.from_distance_table(
+            "abc", [[0, 1, 0], [1, 0, 2], [0, 2, 0]]),
+    ], ids=["vectors", "signed_zero", "table"])
+    def test_duplicate_vectors_and_table_entries_rejected(self, build):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            build()
+
+    def test_empty_symbols_and_non_finite_vectors_rejected(self):
+        with pytest.raises(ValueError, match="at least one symbol"):
+            MessageSpace.symbol_sequences([()], 2)
+        with pytest.raises(ValueError, match="finite"):
+            MessageSpace.from_vectors([[0.0], [math.nan]])
+
+    @pytest.mark.parametrize("kind", ["hamming", "euclidean", "table"])
+    def test_distances_match_double_loop(self, kind):
+        rng = rng_for(f"message-distances-{kind}")
+        k = 12
+        if kind == "hamming":
+            codes = rng.choice(4 ** 3, size=k, replace=False)
+            atoms = [(c // 16, c // 4 % 4, c % 4) for c in codes.tolist()]
+            ms = MessageSpace.symbol_sequences(atoms, 4)
+
+            def dist(i, j):
+                return float(sum(a != b for a, b in zip(atoms[i], atoms[j])))
+        elif kind == "euclidean":
+            vecs = rng.normal(size=(k, 3)).tolist()
+            ms = MessageSpace.from_vectors(vecs)
+
+            def dist(i, j):
+                return math.sqrt(sum((a - b) * (a - b)
+                                     for a, b in zip(vecs[i], vecs[j])))
+        else:
+            x = rng.normal(size=k)
+            table = (np.abs(x[:, None] - x[None, :]) + 1.0
+                     - np.eye(k)).tolist()
+            ms = MessageSpace.from_distance_table(range(k), table)
+
+            def dist(i, j):
+                return table[i][j]
+        # unsorted and repeated rows; columns a strided, descending view
+        rows = np.array([7, 2, 2, 11, 0, 7])
+        cols = np.arange(k)[::-3]
+        want = [[dist(i, j) for j in cols.tolist()] for i in rows.tolist()]
+        assert ms.distances(rows, cols).tolist() == want
+        assert ms.distances(cols, cols).diagonal().tolist() == \
+            [dist(j, j) for j in cols.tolist()]
+
+    def test_epsilon_min_in_the_last_row_block(self, monkeypatch):
+        # 300 scalar messages one apart but the last, half a unit from its
+        # neighbour: with the default block the pair sits in the last of
+        # three row blocks
+        vecs = np.arange(300.0)
+        vecs[-1] = 298.5
+        ms = MessageSpace.from_vectors(vecs)
+        for block in (1, 7, core._PAIR_BLOCK):
+            monkeypatch.setattr(core, "_PAIR_BLOCK", block)
+            assert ms.epsilon_min() == 0.5
+
+    def test_epsilon_min_memory_grows_with_messages(self):
+        # a dense 4,000 x 4,000 table and its masks peaked at 260 MB
+        tracemalloc.start()
+        try:
+            eps = io.default_message_space(4000).epsilon_min()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert eps == 1.0 and peak < 16 * 2 ** 20
 
 
 class TestProtocol:

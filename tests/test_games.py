@@ -214,6 +214,22 @@ class TestEvalDiscrimination:
                                   samples=3000, seed=11)
         assert abs(rep.expected - 0.5 * LOG2) < 5 * rep.std_error
 
+    def test_mc_asks_a_subclass_that_overrides_the_batch(self, space_b,
+                                                         split):
+        # half the synchronized rows, half the uniform coin: the
+        # synchronized shortcut would estimate the parent's 0.5 log 2
+        class Blurred(SynchronizedDiscriminationReceiver):
+            def probabilities_batch(self, messages, candidates):
+                return 0.5 * super().probabilities_batch(
+                    messages, candidates) + 0.25
+
+        recv = Blurred(split, 2)
+        exact = eval_discrimination(split, recv, space_b, 2,
+                                    mode="exact").expected
+        rep = eval_discrimination(split, recv, space_b, 2, mode="mc",
+                                  samples=20_000, seed=7)
+        assert abs(rep.expected - exact) < 4 * rep.std_error
+
 
 class _Ordered(DiscriminationReceiver):
     """Answers as ``inner`` does, but is not a built-in receiver, so the

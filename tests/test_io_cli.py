@@ -3,6 +3,7 @@ import io as textio
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -415,6 +416,28 @@ class TestCli:
                      str(tmp_path / "points.json")])
         assert code == 3
         assert "3 domain pairs (budget 2)" in capsys.readouterr().err
+
+    def test_verify_def5_pair_budget_before_any_message_table(
+            self, tmp_path, space_b, monkeypatch, capsys):
+        # 2,000 messages without --protocol: the default message space and
+        # the pair count come before eps_M or any K x K array (a dense
+        # table of this space peaked at 65 MB)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 10 ** 6)
+        io.save_input_space(tmp_path / "space.csv", space_b)
+        (tmp_path / "points.json").write_text(json.dumps(
+            {"kind": "reconstruction",
+             "outputs": np.arange(2000.0)[:, None].tolist()}))
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--def", "5", "--input",
+                         str(tmp_path / "space.csv"), "--receiver",
+                         str(tmp_path / "points.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "needs 1999000 domain pairs" in capsys.readouterr().err
+        assert peak < 8 * 2 ** 20
 
     def test_verify_def5_one_message_needs_eps0(self, tmp_path, space_b,
                                                 capsys):

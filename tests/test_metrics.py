@@ -64,11 +64,6 @@ class TestRandomBaseline:
                                     message_variance, repeats=5, seed=0)
         assert abs(mean - 1.25) < 1e-15 and std == 0.0
 
-    def test_exact_enumeration_of_even_splits(self, space_b, split):
-        mean, std = random_baseline(split, space_b, message_variance,
-                                    exact=True)
-        assert abs(mean - 5.0 / 6.0) < 1e-12
-
     def test_lossless_baseline_zero(self, space_b):
         mean, std = random_baseline(Protocol.identity(4), space_b,
                                     message_variance, repeats=4, seed=1)
@@ -82,8 +77,10 @@ class TestRandomBaseline:
             k = 2
             best = exhaustive_search(space, k,
                                      GameSpec("reconstruction")).protocols[0]
+            # every shuffle is a protocol the search scored, so the bound
+            # holds for each sample and for any seeded mean of them
             mean, _ = random_baseline(best, space, message_variance,
-                                      exact=True)
+                                      repeats=20, seed=5)
             assert mean >= message_variance(best, space) - 1e-12
 
     def test_nonuniform_warns(self, split):
@@ -104,14 +101,6 @@ class TestRandomBaseline:
     def test_distinct_shuffles_in_lexicographic_order(self, multiset):
         got = list(_distinct_shuffles(np.asarray(multiset, dtype=int), 1000))
         assert got == sorted(set(itertools.permutations(multiset)))
-
-    def test_exact_baseline_of_constant_protocol_on_many_inputs(self):
-        # one distinct shuffle, however many inputs it has
-        space = InputSpace.uniform(np.arange(1500.0)[:, None])
-        constant = Protocol.constant(1500)
-        mean, std = random_baseline(constant, space, message_variance,
-                                    exact=True)
-        assert (mean, std) == (message_variance(constant, space), 0.0)
 
     def test_distinct_shuffles_over_budget(self):
         with pytest.raises(BudgetExceededError) as err:
@@ -158,8 +147,8 @@ class TestTopsim:
             iu = np.triu_indices(space.size, k=1)
             din = np.linalg.norm(space.points[iu[0]] - space.points[iu[1]],
                                  axis=1)
-            dmsg = ms.distance_matrix()[protocol.assignment[iu[0]],
-                                        protocol.assignment[iu[1]]]
+            dmsg = ms.distances(np.arange(k), np.arange(k))[
+                protocol.assignment[iu[0]], protocol.assignment[iu[1]]]
             if np.ptp(din) == 0 or np.ptp(dmsg) == 0:
                 continue
             want = spearman_bruteforce(din.tolist(), dmsg.tolist())
