@@ -293,6 +293,8 @@ class LabelMap:
         self.name = name
         self.values = tuple(sorted(set(self.labels), key=str))
         self._index = {v: k for k, v in enumerate(self.values)}
+        self._codes = _as_readonly(np.array(
+            [self._index[l] for l in self.labels], dtype=int))
 
     @property
     def size(self) -> int:
@@ -303,8 +305,8 @@ class LabelMap:
         return len(self.values)
 
     def codes(self) -> np.ndarray:
-        """Labels as integer codes into :attr:`values`."""
-        return np.array([self._index[l] for l in self.labels], dtype=int)
+        """Labels as integer codes into :attr:`values` (read-only)."""
+        return self._codes
 
     def __repr__(self) -> str:
         return f"LabelMap({self.name!r}, n={self.size}, values={self.values})"

@@ -24,7 +24,6 @@ import warnings
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .core import InputSpace, LabelMap, MessageSpace, Protocol, \
     _class_sums, _sq_dists, message_probabilities
@@ -148,10 +147,24 @@ def topsim(protocol: Protocol, space: InputSpace,
     input_d = np.sqrt(_sq_dists(space.points, space.points)[iu])
     used, inv = np.unique(protocol.assignment, return_inverse=True)
     msg_d = message_space.distances(used, used)[inv[iu[0]], inv[iu[1]]]
-    if np.ptp(input_d) == 0.0 or np.ptp(msg_d) == 0.0:
+    ranks = np.column_stack((_average_ranks(input_d), _average_ranks(msg_d)))
+    # checked on the finite ranks, so all-infinite distances count as equal
+    if np.ptp(ranks, axis=0).min() == 0.0:
         raise MetricUndefinedError("topsim undefined (zero variance)")
-    rho = stats.spearmanr(input_d, msg_d).statistic
-    return float(rho)
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, each run of ties given the mean of its
+    positions. The means are half-integers whatever order the sort leaves
+    ties in, so the default (unstable) sort serves."""
+    order = np.argsort(x)
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
 
 
 # ---------------------------------------------------------------------------

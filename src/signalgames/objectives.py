@@ -27,7 +27,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import entr
 
 from .core import GameSpec, InputSpace, LabelMap, Protocol, _check_sizes, \
     _class_sums, message_probabilities
@@ -147,10 +146,20 @@ def convexity_check(d: int, grid_step: float = 1e-3) -> bool:
 # Plug-in information quantities
 # ---------------------------------------------------------------------------
 
+_TINY = np.finfo(float).smallest_subnormal
+
+
 def entropy(probs: np.ndarray) -> np.ndarray:
     """Plug-in Shannon entropy in nats with ``0 log 0 = 0``, of each
-    distribution along the last axis."""
-    return entr(np.asarray(probs, dtype=float)).sum(axis=-1)
+    distribution along the last axis. Entries must be non-negative.
+
+    Every positive float is at least the smallest subnormal, so clamping
+    there moves only ``p = 0``, whose term ``log(tiny) * -0`` is then
+    ``+0`` with no warning. Each term is ``log(p) * -p``, signed zeros
+    included, so a point mass has entropy ``+0``.
+    """
+    probs = np.asarray(probs, dtype=float)
+    return (np.log(np.maximum(probs, _TINY)) * -probs).sum(axis=-1)
 
 
 def mutual_information(joint: np.ndarray) -> np.ndarray:

@@ -236,6 +236,16 @@ def message_variance_bruteforce(assignment, points):
     return pair_sum / (2 * len(assignment))
 
 
+def average_ranks_bruteforce(values):
+    """1-based average ranks from the definition: the count of smaller
+    values plus half of (the count of equal values, self included, plus
+    one)."""
+    x = np.asarray(values, dtype=float)
+    less = (x[None, :] < x[:, None]).sum(axis=1)
+    equal = (x[None, :] == x[:, None]).sum(axis=1)
+    return less + (equal + 1) / 2
+
+
 def spearman_bruteforce(xs, ys):
     """Spearman correlation via average ranks and the Pearson formula."""
 

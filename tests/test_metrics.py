@@ -21,12 +21,13 @@ from signalgames import (
     unique_messages,
 )
 
+from signalgames.core import _sq_dists
 from signalgames.errors import BudgetExceededError
-from signalgames.metrics import _distinct_shuffles
+from signalgames.metrics import _average_ranks, _distinct_shuffles
 
 from conftest import random_protocol, random_space, rng_for
-from oracles import accuracy_bruteforce, message_variance_bruteforce, \
-    spearman_bruteforce
+from oracles import accuracy_bruteforce, average_ranks_bruteforce, \
+    message_variance_bruteforce, spearman_bruteforce
 
 
 class TestMessageVariance:
@@ -126,6 +127,20 @@ class TestPurity:
         assert abs(max_purity(split, space_b, [attr2]) - 0.5) < 1e-15
 
 
+class TestAverageRanks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 257, 2000])
+    @pytest.mark.parametrize("kind", ["ties", "continuous"])
+    def test_matches_definition(self, n, kind):
+        rng = rng_for(f"average-ranks-{kind}-{n}")
+        x = rng.integers(0, 5, size=n).astype(float) if kind == "ties" \
+            else rng.normal(size=n)
+        assert np.array_equal(_average_ranks(x), average_ranks_bruteforce(x))
+
+    def test_infinities_tie_last(self):
+        x = np.array([np.inf, 1.0, np.inf, 0.0])
+        assert _average_ranks(x).tolist() == [3.5, 2.0, 3.5, 1.0]
+
+
 class TestTopsim:
     def test_monotone_code_is_one(self):
         space = InputSpace.uniform(np.arange(3.0)[:, None])
@@ -153,6 +168,43 @@ class TestTopsim:
                 continue
             want = spearman_bruteforce(din.tolist(), dmsg.tolist())
             assert abs(topsim(protocol, space, ms) - want) < 1e-10
+
+    def test_matches_scipy_spearman(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = rng_for("topsim-scipy")
+        grid = np.indices((20, 20)).reshape(2, -1).T.astype(float)
+        checked = 0
+        for i in range(60):
+            n = int(rng.integers(3, 301))
+            # grid points tie in distance; normal points do not
+            pts = grid[rng.choice(len(grid), n, replace=False)] if i % 2 \
+                else rng.normal(size=(n, 2))
+            kind = i % 3
+            if kind == 0:  # Hamming: integer distances, heavy ties
+                ms = MessageSpace.full_code(3, 2)
+            elif kind == 1:
+                ms = MessageSpace.from_vectors(rng.normal(size=(6, 2)))
+            else:
+                table = np.triu(rng.integers(1, 4, size=(6, 6)), 1)
+                ms = MessageSpace.from_distance_table(
+                    list("abcdef"), (table + table.T).astype(float))
+            protocol = Protocol(rng.integers(0, ms.size, size=n), ms.size)
+            iu = np.triu_indices(n, k=1)
+            din = np.sqrt(_sq_dists(pts, pts)[iu])
+            dmsg = ms.distances(protocol.assignment, protocol.assignment)[iu]
+            if np.ptp(din) == 0 or np.ptp(dmsg) == 0:
+                continue
+            assert topsim(protocol, InputSpace.uniform(pts), ms) \
+                == stats.spearmanr(din, dmsg).statistic
+            checked += 1
+        assert checked >= 50
+
+    def test_equal_infinite_distances_undefined(self):
+        # every input pair is farther apart than float64 reaches
+        space = InputSpace.uniform(np.asarray([[0.0], [1e200], [-1e200]]))
+        ms = MessageSpace.symbol_sequences(["00", "01", "11"], 2)
+        with pytest.raises(MetricUndefinedError, match="zero variance"):
+            topsim(Protocol.identity(3), space, ms)
 
     def test_invariant_under_distance_preserving_relabeling(self):
         # permuting the symbol alphabet preserves Hamming distances

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,51 @@ class TestInformationHelpers:
             joint /= joint.sum()
             assert abs(mutual_information(joint)
                        - mutual_information_bruteforce(joint)) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(300, 7), (40, 6, 5)])
+    def test_entropy_matches_entr(self, shape):
+        special = pytest.importorskip("scipy.special")
+        p = _tables_with_zeros(rng_for(f"entropy-entr-{shape}"), shape, 1)
+        got, want = entropy(p), special.entr(p).sum(axis=-1)
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+        # the point masses among the rows keep entr's +0
+        assert np.any(want == 0.0)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_mutual_information_matches_entr(self):
+        special = pytest.importorskip("scipy.special")
+        joint = _tables_with_zeros(rng_for("mi-entr"), (300, 6, 4), 2)
+
+        def h(q):
+            return special.entr(q).sum(axis=-1)
+
+        want = h(joint.sum(axis=-1)) + h(joint.sum(axis=-2)) \
+            - h(joint.reshape(len(joint), -1))
+        assert np.max(np.abs(mutual_information(joint) - want)) <= 1e-15
+
+    def test_zero_and_subnormal_entries_warn_nothing(self):
+        tiny = 5e-324
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.copysign(1.0, entropy([1.0, 0.0])) == 1.0
+            assert 0.0 < entropy([tiny, 0.0, 1.0]) < 1e-300
+            assert 0.0 <= mutual_information([[tiny, 0.0], [0.0, 1.0]]) \
+                < 1e-300
+            # -H(S) of a point mass among empty messages reads -0.0
+            one = InputSpace.uniform([[0.0]])
+            assert math.copysign(1.0, global_objective(
+                Protocol([0], 2), one)) == -1.0
+
+
+def _tables_with_zeros(rng, shape, axes):
+    """Random probability tables over the last ``axes`` axes, about a third
+    of the entries zero, the first table a point mass."""
+    p = rng.random(shape)
+    p[rng.random(shape) < 0.35] = 0.0
+    p[0] = 0.0
+    p[(0,) * len(shape)] = 1.0
+    total = p.sum(axis=tuple(range(-axes, 0)), keepdims=True)
+    return p / np.where(total > 0.0, total, 1.0)
 
 
 def _argmin_set(values, tol=1e-12):
