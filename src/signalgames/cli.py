@@ -512,26 +512,16 @@ def _random_instance(rng, num_labels: int = 0):
     return space, protocol, labels
 
 
-# lemma -> the game it states a closed form for, and that game's exact
-# evaluator on (protocol, synchronized receiver, space, spec)
-_LEMMA_GAMES = {
-    "1": ("reconstruction",
-          lambda p, r, s, g: games.eval_reconstruction(p, r, s)),
-    "2": ("discrimination", lambda p, r, s, g: games.eval_discrimination(
-        p, r, s, g.d, mode="exact")),
-    "a1": ("global", lambda p, r, s, g: games.eval_global(p, r, s)),
-    "a2": ("supervised", lambda p, r, s, g: games.eval_supervised(
-        p, r, s, g.labels, d=g.d)),
-    "a3": ("classification", lambda p, r, s, g: games.eval_classification(
-        p, r, s, g.labels, mode="exact")),
-}
+# lemma -> the game it states a closed form for
+_LEMMA_GAMES = {"1": "reconstruction", "2": "discrimination", "a1": "global",
+                "a2": "supervised", "a3": "classification"}
 
 
 def _verify_lemma(args) -> dict:
     """The exact loss of the synchronized pair against the closed form, on
     random instances, to 1e-10. An instance whose enumeration exceeds the
     term budget raises ``BudgetExceededError``."""
-    kind, evaluate = _LEMMA_GAMES[args.lemma]
+    kind = _LEMMA_GAMES[args.lemma]
     rng = games.substream(args.seed, "verify-lemma", str(args.lemma))
     # the supervised game needs at least d label values
     num_labels = {"supervised": max(2, args.d), "classification": 2}.get(
@@ -541,7 +531,8 @@ def _verify_lemma(args) -> dict:
         space, protocol, labels = _random_instance(rng, num_labels)
         spec = GameSpec(kind, d=args.d, labels=labels)
         recv = games.synchronized_receiver(protocol, space, spec)
-        exact = evaluate(protocol, recv, space, spec).expected
+        exact = games._exact_eval(protocol, recv, space, kind, spec.d,
+                                  labels).expected
         closed = float(objectives.batch_objective(protocol.assignment[None],
                                                   space, spec)[0])
         if kind == "global":  # plus H(X)
@@ -655,16 +646,15 @@ def _verify_corollary(args) -> dict:
     result = optimize.exhaustive_search(space, args.k, spec)
     uniform_ok = True
     target = 1.0 / args.k
+    masses = (result.partitions[:, :, None] == np.arange(args.k)).sum(axis=1)
     if args.n % args.k == 0:
-        equal_mass = np.array(list(met._distinct_shuffles(
-            np.repeat(np.arange(args.k), args.n // args.k),
-            optimize.ENUMERATION_BUDGET)))
-        values = optimize.batch_objective(equal_mass, space, spec)
-        uniform_ok = bool(np.all(np.abs(values - result.value) <= 1e-12))
+        # every equal-mass partition is among the tied optima
+        size = args.n // args.k
+        equal_mass = math.factorial(args.n) // (
+            math.factorial(size) ** args.k * math.factorial(args.k))
+        uniform_ok = int(np.all(masses == size, axis=1).sum()) == equal_mass
     convex = objectives.convexity_check(args.d)
-    masses_uniform_at_min = bool(np.allclose(
-        (result.partitions[:, :, None] == np.arange(args.k)).sum(axis=1),
-        args.n / args.k))
+    masses_uniform_at_min = bool(np.allclose(masses, args.n / args.k))
     return {"check": "corollary-1", "n": args.n, "k": args.k, "d": args.d,
             "verdict": uniform_ok and convex,
             "_nats_fields": ["exhaustive_minimum"],

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -93,12 +94,20 @@ class InputSpace:
         return self.points.shape[1]
 
     def mean(self) -> np.ndarray:
-        return self.weights @ self.points
+        """``E X``, read-only, computed on the first call."""
+        return self._moments[0]
 
     def variance(self) -> float:
-        """Total variance ``E ||X - E X||^2`` (trace of the covariance)."""
-        centered = self.points - self.mean()
-        return float(self.weights @ np.einsum("ij,ij->i", centered, centered))
+        """Total variance ``E ||X - E X||^2`` (trace of the covariance),
+        computed on the first call."""
+        return self._moments[1]
+
+    @cached_property
+    def _moments(self) -> tuple[np.ndarray, float]:
+        mean = _as_readonly(self.weights @ self.points)
+        centered = self.points - mean
+        return mean, float(self.weights @ np.einsum("ij,ij->i", centered,
+                                                    centered))
 
     def is_uniform(self, tol: float = 1e-12) -> bool:
         return bool(np.all(np.abs(self.weights - 1.0 / self.size) <= tol))

@@ -8,6 +8,11 @@ read at call time, an exact path raises ``BudgetExceededError``. The closed
 forms in :mod:`signalgames.objectives` are verified against these
 evaluators.
 
+Each game's per-input loss is written once, as the (N, J) loss of every
+input under J message choices: the exact evaluators read it at the
+protocol's messages, the synchronized sender at every defined message, so
+the two agree bit for bit.
+
 The built-in :class:`SynchronizedDiscriminationReceiver` and
 :class:`ScoreDiscriminationReceiver` give the target the same probability
 at every position and for every order of the distractors. For them the
@@ -52,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GameSpec, InputSpace, LabelMap, Protocol, _class_sums, \
-    _multiset_rows, _product_rows, _sq_dists, message_probabilities
+    _multiset_rows, _product_rows, message_probabilities
 from .errors import BudgetExceededError, EmptyClassError
 
 __all__ = [
@@ -101,8 +106,13 @@ def substream(seed: int, *names: str) -> np.random.Generator:
         entropy=int(seed), spawn_key=(digest,)))
 
 
-def _nll(p: float) -> float:
-    return -math.log(p) if p > 0.0 else math.inf
+def _nll(p) -> np.ndarray:
+    """``-log p`` elementwise, ``inf`` where ``p`` is 0; ``math.log`` is
+    taken once per distinct value."""
+    p = np.asarray(p, dtype=float)
+    distinct, inverse = np.unique(p.ravel(), return_inverse=True)
+    return np.array([-math.log(v) if v > 0.0 else math.inf
+                     for v in distinct.tolist()])[inverse].reshape(p.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +132,6 @@ class ReconstructionReceiver:
                         if defined is None else np.asarray(defined, dtype=bool))
         self.num_messages = pts.shape[0]
 
-    def point(self, m: int) -> np.ndarray:
-        if not self.defined[m]:
-            raise EmptyClassError(f"receiver undefined for message {m} "
-                                  "(empty equivalence class)")
-        return self.points[m]
-
 
 class GlobalReceiver:
     """Per-message distribution over input indices."""
@@ -142,12 +146,6 @@ class GlobalReceiver:
             row = tab[m]
             if np.any(row < 0.0) or abs(row.sum() - 1.0) > _PROB_TOL:
                 raise ValueError(f"row {m} is not a probability distribution")
-
-    def likelihood(self, m: int, i: int) -> float:
-        if not self.defined[m]:
-            raise EmptyClassError(f"receiver undefined for message {m} "
-                                  "(empty equivalence class)")
-        return float(self.table[m, i])
 
 
 class DiscriminationReceiver:
@@ -345,10 +343,48 @@ class LossReport:
     infinite: bool = False
 
 
-def _exact_report(per_input: np.ndarray, weights: np.ndarray) -> LossReport:
+def _exact_eval(protocol: Protocol, receiver, space: InputSpace, kind: str,
+                d: int = 2, labels: LabelMap | None = None) -> LossReport:
+    """Exact report of a protocol: the message-loss table read at each
+    input's own message. A receiver with a ``defined`` mask must define
+    every message the protocol uses."""
+    defined = getattr(receiver, "defined", None)
+    if defined is not None:
+        used = protocol.used_messages()
+        missing = used[~defined[used]]
+        if missing.size:
+            raise EmptyClassError(
+                f"receiver missing used messages {missing.tolist()}")
+    per_input = _message_losses(receiver, space, protocol.assignment[:, None],
+                                kind, d, labels)[:, 0]
     infinite = bool(np.any(np.isinf(per_input)))
-    expected = float(weights @ per_input) if not infinite else math.inf
+    expected = float(space.weights @ per_input) if not infinite else math.inf
     return LossReport(expected, per_input, "exact", infinite=infinite)
+
+
+def _message_losses(receiver, space: InputSpace, messages: np.ndarray,
+                    kind: str, d: int = 2, labels: LabelMap | None = None
+                    ) -> np.ndarray:
+    """Loss of each input ``i`` under each message choice ``messages[i, j]``,
+    shape (N, J): the one place each game's per-input loss is written. The
+    exact evaluators read it at the protocol's messages and the
+    synchronized sender at every defined message, so the two agree."""
+    if kind == "reconstruction":  # squared distance, one coordinate a time
+        losses = np.zeros(messages.shape)
+        with np.errstate(over="ignore"):  # a distance past float64 is inf
+            for x, y in zip(space.points.T, receiver.points.T):
+                losses += np.square(y[messages] - x[:, None])
+        return losses
+    if kind == "global":
+        return _nll(receiver.table[messages, np.arange(space.size)[:, None]])
+    if kind == "classification":
+        return _classification_losses(messages, receiver, space, labels)
+    if kind in ("discrimination", "supervised"):
+        laws, law_of = _distractor_laws(
+            space, labels if kind == "supervised" else None)
+        return _exact_discrimination_losses(messages, receiver, d, laws,
+                                            law_of)
+    raise ValueError(f"unknown game kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -358,23 +394,13 @@ def _exact_report(per_input: np.ndarray, weights: np.ndarray) -> LossReport:
 def eval_reconstruction(protocol: Protocol, receiver: ReconstructionReceiver,
                         space: InputSpace) -> LossReport:
     """Exact expected squared-distance loss ``E ||R(S(x)) - x||^2``."""
-    used = protocol.used_messages()
-    if not np.all(receiver.defined[used]):
-        missing = used[~receiver.defined[used]]
-        raise EmptyClassError(f"receiver missing used messages {missing.tolist()}")
-    diff = receiver.points[protocol.assignment] - space.points
-    per_input = np.einsum("ij,ij->i", diff, diff)
-    return _exact_report(per_input, space.weights)
+    return _exact_eval(protocol, receiver, space, "reconstruction")
 
 
 def eval_global(protocol: Protocol, receiver: GlobalReceiver,
                 space: InputSpace) -> LossReport:
     """Exact expected loss ``E [-log P(R(S(x)) = x)]``."""
-    per_input = np.array([
-        _nll(receiver.likelihood(protocol.assignment[i], i))
-        for i in range(space.size)
-    ])
-    return _exact_report(per_input, space.weights)
+    return _exact_eval(protocol, receiver, space, "global")
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +428,11 @@ def _query_nll(receiver: DiscriminationReceiver, messages, candidates,
     """Loss ``-log P(target position)`` of one receiver query per row of the
     (B, d) candidate matrix; ``messages`` and ``positions`` are given per
     row or shared by all rows. One ``probabilities_batch`` call answers
-    every row; the logarithm is ``math.log``, taken once per distinct
-    probability."""
+    every row."""
     b = len(candidates)
     probs = receiver.probabilities_batch(np.broadcast_to(messages, (b,)),
                                          candidates)
-    p = probs[np.arange(b), np.broadcast_to(positions, (b,))]
-    distinct, inverse = np.unique(p, return_inverse=True)
-    return np.array([_nll(v) for v in distinct.tolist()])[inverse]
+    return _nll(probs[np.arange(b), np.broadcast_to(positions, (b,))])
 
 
 def _splice(distractors: np.ndarray, targets, positions) -> np.ndarray:
@@ -430,6 +453,21 @@ def _add_sorted(out: np.ndarray, index: np.ndarray,
     lo = index[0]
     part = np.bincount(index - lo, weights=values)
     out[lo:lo + part.size] += part
+
+
+def _group_chunk(inner: list[int]) -> int:
+    """Rows per block of a product enumeration whose trailing ``inner``
+    radices run over one (input, message choice) group's terms: as many
+    whole groups as fit in 4096 rows, or else the largest product of
+    trailing radices that fits (at least the last). Every group then splits
+    at the same offsets, so its sum is associated the same way whatever its
+    index and however many message choices are enumerated."""
+    chunk = 1
+    for r in reversed(inner):
+        if chunk > 1 and chunk * r > 4096:
+            return chunk
+        chunk *= r
+    return max(1, 4096 // chunk) * chunk
 
 
 def _disc_terms(laws: np.ndarray, law_of: np.ndarray, k: int, d: int,
@@ -471,7 +509,8 @@ def _exact_discrimination_losses(
     the law's support, each weighted by its number of orderings. Any other
     receiver is asked every (target position, ordered distractor tuple).
     Per law, the terms are enumerated in blocks, each one receiver batch
-    of at most 4096 rows.
+    of at most 4096 rows (more only when one law's support exceeds 4096),
+    split at the same offsets in every (input, choice) group.
     """
     n, k = messages.shape
     # these two ignore the target's position and the distractors' order;
@@ -501,8 +540,9 @@ def _exact_discrimination_losses(
                                      cands.reshape(-1, d), 0)
                     sums[pairs] += (nll.reshape(pairs.size, -1) * w).sum(1)
         else:
-            for block in _product_rows([targets.size, k, d]
-                                       + [support.size] * (d - 1)):
+            inner = [d] + [support.size] * (d - 1)
+            for block in _product_rows([targets.size, k] + inner,
+                                       _group_chunk(inner)):
                 i, j, t = targets[block[:, 0]], block[:, 1], block[:, 2]
                 distr = support[block[:, 3:]]
                 w = dw[distr].prod(axis=1) * (1.0 / d)
@@ -573,12 +613,20 @@ def eval_discrimination(protocol: Protocol, receiver: DiscriminationReceiver,
     if d < 2:
         raise ValueError("candidate count d must be at least 2")
     if _check_mode(mode) == "exact":
-        per_input = _exact_discrimination_losses(
-            protocol.assignment[:, None], receiver, d, space.weights[None],
-            np.zeros(space.size, dtype=int))[:, 0]
-        return _exact_report(per_input, space.weights)
+        return _exact_eval(protocol, receiver, space, "discrimination", d)
     return _mc_discrimination(protocol.assignment, receiver, space, d,
                               samples, seed, shards)
+
+
+def _label_groups(space: InputSpace, labels: LabelMap):
+    """Each input's label code, the inputs of each label value, and the
+    prior conditioned on each label value over its inputs."""
+    if labels.size != space.size:
+        raise ValueError("label map does not cover the input space")
+    codes = labels.codes()
+    groups = [np.flatnonzero(codes == y) for y in range(labels.num_values)]
+    return codes, groups, [space.weights[g] / space.weights[g].sum()
+                           for g in groups]
 
 
 def _distractor_laws(space: InputSpace, labels: LabelMap | None
@@ -588,7 +636,7 @@ def _distractor_laws(space: InputSpace, labels: LabelMap | None
     game), per label value, the prior conditioned on another label."""
     if labels is None:
         return space.weights[None], np.zeros(space.size, dtype=int)
-    codes = labels.codes()
+    codes = _label_groups(space, labels)[0]
     masses, = _class_sums(codes[None], labels.num_values, space.weights)
     if labels.num_values < 2:
         raise ValueError("supervised game needs >=2 labels")
@@ -609,12 +657,28 @@ def eval_supervised(protocol: Protocol, receiver: DiscriminationReceiver,
                     ) -> LossReport:
     """Supervised discrimination: distractors are drawn from the prior
     conditioned on carrying a different label than the target."""
-    if labels.size != space.size:
-        raise ValueError("label map does not cover the input space")
-    laws, law_of = _distractor_laws(space, labels)
-    per_input = _exact_discrimination_losses(
-        protocol.assignment[:, None], receiver, d, laws, law_of)[:, 0]
-    return _exact_report(per_input, space.weights)
+    return _exact_eval(protocol, receiver, space, "supervised", d, labels)
+
+
+def _classification_losses(messages: np.ndarray,
+                           receiver: DiscriminationReceiver,
+                           space: InputSpace, labels: LabelMap) -> np.ndarray:
+    """Classification loss of each input under each message choice, shape
+    (N, J), by enumerating every candidate tuple of one input per label
+    value, in blocks of whole (input, choice) groups (``_group_chunk``)."""
+    codes, groups, cond = _label_groups(space, labels)
+    n, k = messages.shape
+    sizes = [g.size for g in groups]
+    _check_terms(math.prod(sizes) * n * k)
+    sums = np.zeros(n * k)
+    for block in _product_rows([n, k] + sizes, _group_chunk(sizes)):
+        i, j, picks = block[:, 0], block[:, 1], block[:, 2:]
+        cands = np.stack([g[picks[:, y]] for y, g in enumerate(groups)],
+                         axis=1)
+        w = np.prod([c[picks[:, y]] for y, c in enumerate(cond)], axis=0)
+        nll = _query_nll(receiver, messages[i, j], cands, codes[i])
+        _add_sorted(sums, i * k + j, w * nll)
+    return sums.reshape(n, k)
 
 
 def eval_classification(protocol: Protocol, receiver: DiscriminationReceiver,
@@ -624,33 +688,17 @@ def eval_classification(protocol: Protocol, receiver: DiscriminationReceiver,
     """Classification discrimination: the candidate tuple holds exactly one
     fresh conditional draw per label value, and the receiver must point at
     the target's label position."""
-    if labels.size != space.size:
-        raise ValueError("label map does not cover the input space")
-    codes = labels.codes()
-    groups = [np.flatnonzero(codes == y) for y in range(labels.num_values)]
-    cond = [space.weights[g] / space.weights[g].sum() for g in groups]
-    sizes = [g.size for g in groups]
-    n = space.size
-    messages = protocol.assignment
     if _check_mode(mode) == "exact":
-        _check_terms(math.prod(sizes) * n)
-        # (target, candidate tuple) pairs, in blocks of at most 4096 rows
-        per_input = np.zeros(n)
-        for block in _product_rows([n] + sizes):
-            i, picks = block[:, 0], block[:, 1:]
-            cands = np.stack([g[picks[:, y]] for y, g in enumerate(groups)],
-                             axis=1)
-            w = np.prod([c[picks[:, y]] for y, c in enumerate(cond)], axis=0)
-            nll = _query_nll(receiver, messages[i], cands, codes[i])
-            _add_sorted(per_input, i, w * nll)
-        return _exact_report(per_input, space.weights)
-
+        return _exact_eval(protocol, receiver, space, "classification",
+                           labels=labels)
+    codes, groups, cond = _label_groups(space, labels)
     rng = substream(seed, "monte-carlo", "classification")
-    targets = rng.choice(n, size=samples, p=space.weights)
+    targets = rng.choice(space.size, size=samples, p=space.weights)
     cands = np.stack([g[rng.choice(len(g), size=samples, p=c)]
                       for g, c in zip(groups, cond)], axis=1)
-    losses = _query_nll(receiver, messages[targets], cands, codes[targets])
-    return _mc_report(losses, targets, n, seed)
+    losses = _query_nll(receiver, protocol.assignment[targets], cands,
+                        codes[targets])
+    return _mc_report(losses, targets, space.size, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -692,43 +740,22 @@ def synchronized_receiver(protocol: Protocol, space: InputSpace,
 
 def per_input_message_losses(receiver, space: InputSpace,
                              spec: GameSpec) -> np.ndarray:
-    """Expected per-input loss of each possible message choice, shape (N, K).
+    """Expected per-input loss of each possible message choice, shape (N, K),
+    ``inf`` at the messages a receiver with a ``defined`` mask leaves
+    undefined.
 
     This is the quantity a synchronized sender minimizes pointwise; for a
     fixed receiver the loss of input ``x`` depends on the sender only
     through the message chosen for ``x``.
     """
     n, k = space.size, receiver.num_messages
+    defined = np.flatnonzero(getattr(receiver, "defined",
+                                     np.ones(k, dtype=bool)))
     losses = np.full((n, k), np.inf)
-    if spec.kind == "reconstruction":
-        defined = receiver.defined
-        losses[:, defined] = _sq_dists(space.points, receiver.points[defined])
-        return losses
-    if spec.kind == "global":
-        for m in range(k):
-            if receiver.defined[m]:
-                with np.errstate(divide="ignore"):
-                    losses[:, m] = -np.log(receiver.table[m])
-        return losses
-    if spec.kind in ("discrimination", "supervised"):
-        d = spec.d
-        laws, law_of = _distractor_laws(
-            space, spec.labels if spec.kind == "supervised" else None)
-        return _exact_discrimination_losses(
-            np.broadcast_to(np.arange(k), (n, k)), receiver, d, laws, law_of)
-    if spec.kind == "classification":
-        codes = spec.labels.codes()
-        if isinstance(receiver, ClassificationReceiver):
-            for m in range(k):
-                if receiver.defined[m]:
-                    row = receiver.conditional[m]
-                    losses[:, m] = [_nll(float(row[codes[i]]))
-                                    for i in range(n)]
-            return losses
-        raise NotImplementedError(
-            "synchronized sender for classification needs a "
-            "candidate-independent receiver table")
-    raise ValueError(f"unknown game kind {spec.kind!r}")
+    losses[:, defined] = _message_losses(
+        receiver, space, np.broadcast_to(defined, (n, defined.size)),
+        spec.kind, spec.d, spec.labels)
+    return losses
 
 
 def synchronized_sender(receiver, space: InputSpace,

@@ -19,7 +19,6 @@ scores themselves are ratios and therefore base-free.
 
 from __future__ import annotations
 
-import math
 import warnings
 from typing import Callable, Sequence
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .core import InputSpace, LabelMap, MessageSpace, Protocol, \
     _class_sums, _sq_dists, message_probabilities
-from .errors import BudgetExceededError, MetricUndefinedError
+from .errors import MetricUndefinedError
 from .games import GameSpec, substream, synchronized_receiver
 
 __all__ = [
@@ -84,33 +83,6 @@ def random_baseline(protocol: Protocol, space: InputSpace,
         protocol.assignment[rng.permutation(space.size)],
         protocol.num_messages), space) for _ in range(repeats)], dtype=float)
     return float(values.mean()), float(values.std(ddof=0))
-
-
-def _distinct_shuffles(assignment: np.ndarray, budget: int):
-    """All distinct rearrangements of the assignment multiset, in
-    lexicographic order (next-permutation steps from the sorted one)."""
-    counts = np.unique(assignment, return_counts=True)[1]
-    total = math.factorial(len(assignment)) // math.prod(
-        math.factorial(int(c)) for c in counts)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} distinct shuffles exceed budget {budget}",
-            required=total)
-    perm = sorted(int(m) for m in assignment)
-    while True:
-        yield tuple(perm)
-        # the longest non-increasing suffix is the last arrangement of its
-        # items; raise the item before it to the next larger one in it
-        i = len(perm) - 2
-        while i >= 0 and perm[i] >= perm[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(perm) - 1
-        while perm[j] <= perm[i]:
-            j -= 1
-        perm[i], perm[j] = perm[j], perm[i]
-        perm[i + 1:] = reversed(perm[i + 1:])
 
 
 def purity(protocol: Protocol, space: InputSpace, labels: LabelMap) -> float:

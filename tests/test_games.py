@@ -204,7 +204,9 @@ class TestEvalDiscrimination:
                             mode="exact")
         # 20 x 20^2 x 3 terms, then 20 x 15^2 x 3, then 4 choices each
         assert sum(sizes) == 24_000 + 13_500 + 96_000 + 5 ** 4 * 20
-        assert max(sizes) == 4096
+        # each batch holds whole (input, choice) groups: at most three of
+        # 3 x 20^2 terms, or six of 5^4 candidate tuples
+        assert max(sizes) == 6 * 5 ** 4 and max(sizes[:7]) == 3 * 1200
 
     def test_generic_receiver_mc_path(self, space_b, split):
         # dense table receivers run the per-episode path
@@ -737,12 +739,23 @@ class TestSynchronizedReceiver:
             anti, space_b, GameSpec("classification", labels=labels_ab))
         assert np.allclose(recv.conditional, 0.5)
 
-    def test_empty_class_query_errors(self, space_b):
+    def test_empty_class_query_errors(self, space_b, split, labels_ab):
+        # a constant protocol leaves message 1 undefined: an evaluator
+        # asked for it names it, and the sender's table scores it inf
         const = Protocol.constant(4, 2)
-        recv = synchronized_receiver(const, space_b,
-                                     GameSpec("reconstruction"))
-        with pytest.raises(EmptyClassError):
-            recv.point(1)
+        for kind, evaluate in (
+                ("reconstruction", eval_reconstruction),
+                ("global", eval_global),
+                ("classification", lambda p, r, s: eval_classification(
+                    p, r, s, labels_ab))):
+            spec = GameSpec(kind, labels=labels_ab)
+            recv = synchronized_receiver(const, space_b, spec)
+            with pytest.raises(EmptyClassError,
+                               match=r"missing used messages \[1\]$"):
+                evaluate(split, recv, space_b)
+            losses = per_input_message_losses(recv, space_b, spec)
+            assert np.isfinite(losses[:, 0]).all()
+            assert np.isposinf(losses[:, 1]).all()
 
 
 class TestSynchronizedSender:
@@ -789,6 +802,19 @@ class TestSynchronizedSender:
             synchronized_sender(recv, space_b, spec)
         assert exc.value.required == 32
 
+    def test_classification_with_a_candidate_aware_receiver(
+            self, score_instance):
+        space, protocol, recv = score_instance
+        labels = LabelMap(["a", "b", "a", "c", "b"])
+        spec = GameSpec("classification", labels=labels)
+        sender = synchronized_sender(recv, space, spec)
+        losses = per_input_message_losses(recv, space, spec)
+        assert sender.assignment.tolist() \
+            == np.argmin(losses, axis=1).tolist()
+        best = eval_classification(sender, recv, space, labels).expected
+        assert best <= eval_classification(protocol, recv, space,
+                                           labels).expected
+
     def test_fixed_point_never_increases_loss(self):
         rng = rng_for("fixed-point")
         spec = GameSpec("reconstruction")
@@ -800,6 +826,95 @@ class TestSynchronizedSender:
             resync = synchronized_sender(recv, space, spec)
             after = eval_reconstruction(resync, recv, space).expected
             assert after <= before + 1e-12
+
+
+class TestMessageLossTable:
+    """The sender's loss table read at a protocol's own messages equals
+    that protocol's exact per-input losses with ``==``, infinities
+    included: both read one loss table per game. Some instances span
+    several 4096-row enumeration blocks."""
+
+    @staticmethod
+    def assert_agree(protocol, receiver, space, spec, evaluate):
+        table = per_input_message_losses(receiver, space, spec)
+        got = table[np.arange(space.size), protocol.assignment]
+        want = evaluate(protocol, receiver, space).per_input
+        assert (got == want).all(), (got - want)
+
+    @staticmethod
+    def weighted_space(rng, n, dim=1):
+        w = rng.random(n) + 0.1
+        return InputSpace(rng.normal(size=(n, dim)), w / w.sum())
+
+    @staticmethod
+    def scores(rng, k, n):
+        """Scores with some zeros, so that some losses are infinite."""
+        return rng.random((k, n)) * (rng.random((k, n)) > 0.2)
+
+    def test_reconstruction_in_three_dimensions(self):
+        rng = rng_for("loss-table-reconstruction")
+        spec = GameSpec("reconstruction")
+        for _ in range(50):
+            n, k = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+            space = self.weighted_space(rng, n, dim=3)
+            protocol = Protocol(rng.integers(0, k, size=n), k)
+            for recv in (ReconstructionReceiver(rng.normal(size=(k, 3))),
+                         synchronized_receiver(protocol, space, spec)):
+                self.assert_agree(protocol, recv, space, spec,
+                                  eval_reconstruction)
+
+    def test_global_with_random_tables(self):
+        rng = rng_for("loss-table-global")
+        spec = GameSpec("global")
+        for n in (3, 8, 1000, 5000):
+            k = int(rng.integers(1, 5))
+            space = self.weighted_space(rng, n)
+            table = rng.dirichlet(np.ones(n), size=k)
+            table[:, rng.random(n) < 0.1] = 0.0
+            table /= table.sum(axis=1, keepdims=True)
+            protocol = Protocol(rng.integers(0, k, size=n), k)
+            self.assert_agree(protocol, GlobalReceiver(table), space, spec,
+                              eval_global)
+
+    @pytest.mark.parametrize("kind", ["discrimination", "supervised"])
+    def test_discrimination_games(self, kind):
+        rng = rng_for(f"loss-table-{kind}")
+        for n, k, d in ((6, 2, 2), (6, 3, 3), (60, 4, 2)):
+            space = self.weighted_space(rng, n)
+            labels = None
+            if kind == "supervised":
+                space = InputSpace.uniform(space.points)
+                labels = LabelMap((np.arange(n) % 3).tolist())
+            spec = GameSpec(kind, d=d, labels=labels)
+            protocol = Protocol(rng.integers(0, k, size=n), k)
+            score = ScoreDiscriminationReceiver(self.scores(rng, k, n), d)
+            if kind == "supervised":
+                def evaluate(p, r, s):
+                    return eval_supervised(p, r, s, labels, d=d)
+            else:
+                def evaluate(p, r, s):
+                    return eval_discrimination(p, r, s, d)
+            for recv in (score, materialize_discrimination_table(score,
+                                                                 space)):
+                self.assert_agree(protocol, recv, space, spec, evaluate)
+
+    def test_classification(self):
+        rng = rng_for("loss-table-classification")
+        for n, k in ((5, 2), (8, 3), (30, 4), (51, 2)):
+            space = self.weighted_space(rng, n)
+            labels = LabelMap((np.arange(n) % 3).tolist())
+            spec = GameSpec("classification", labels=labels)
+            protocol = Protocol(rng.integers(0, k, size=n), k)
+            conditional = rng.dirichlet(np.ones(3), size=k)
+            conditional[rng.random((k, 3)) < 0.2] = 0.0
+            conditional[:, 0] += conditional.sum(axis=1) == 0.0
+            conditional /= conditional.sum(axis=1, keepdims=True)
+            for recv in (ClassificationReceiver(conditional),
+                         ScoreDiscriminationReceiver(self.scores(rng, k, n),
+                                                     3)):
+                self.assert_agree(
+                    protocol, recv, space, spec,
+                    lambda p, r, s: eval_classification(p, r, s, labels))
 
 
 class TestProperScoring:

@@ -609,6 +609,20 @@ class TestCli:
         assert report["witnesses"]["num_optimal"] == 34650  # 12!/(4!)^3
         assert report["witnesses"]["minimizers_all_equal_mass"]
 
+    def test_verify_corollary_fails_on_a_missing_equal_mass_optimum(
+            self, capsys, monkeypatch):
+        search = optimize.exhaustive_search
+
+        def drop_first(*args):
+            result = search(*args)
+            return result._replace(partitions=result.partitions[1:])
+
+        monkeypatch.setattr(optimize, "exhaustive_search", drop_first)
+        code = main(["verify", "--corollary", "1", "--n", "4", "--k", "2",
+                     "--d", "2", "--expect", "fail"])
+        assert code == 0
+        assert not json.loads(capsys.readouterr().out)["verdict"]
+
     def test_verify_corollary_one_message_many_inputs(self, capsys):
         # one equal-mass assignment over 1,500 inputs, enumerated without
         # one stack frame per input

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -22,8 +20,7 @@ from signalgames import (
 )
 
 from signalgames.core import _sq_dists
-from signalgames.errors import BudgetExceededError
-from signalgames.metrics import _average_ranks, _distinct_shuffles
+from signalgames.metrics import _average_ranks
 
 from conftest import random_protocol, random_space, rng_for
 from oracles import accuracy_bruteforce, average_ranks_bruteforce, \
@@ -96,17 +93,6 @@ class TestRandomBaseline:
         b = random_baseline(split, space_b, message_variance, repeats=10,
                             seed=3)
         assert a == b
-
-    @pytest.mark.parametrize("multiset", [
-        (), (1,), (3, 3, 3), (2, 1, 0), (0, 0, 1, 1, 2), (1, 0, 2, 1, 0, 1)])
-    def test_distinct_shuffles_in_lexicographic_order(self, multiset):
-        got = list(_distinct_shuffles(np.asarray(multiset, dtype=int), 1000))
-        assert got == sorted(set(itertools.permutations(multiset)))
-
-    def test_distinct_shuffles_over_budget(self):
-        with pytest.raises(BudgetExceededError) as err:
-            list(_distinct_shuffles(np.array([0, 0, 1, 1, 2]), 29))
-        assert err.value.required == 30
 
 
 class TestPurity:
