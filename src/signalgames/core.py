@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -94,20 +93,12 @@ class InputSpace:
         return self.points.shape[1]
 
     def mean(self) -> np.ndarray:
-        """``E X``, read-only, computed on the first call."""
-        return self._moments[0]
+        return self.weights @ self.points
 
     def variance(self) -> float:
-        """Total variance ``E ||X - E X||^2`` (trace of the covariance),
-        computed on the first call."""
-        return self._moments[1]
-
-    @cached_property
-    def _moments(self) -> tuple[np.ndarray, float]:
-        mean = _as_readonly(self.weights @ self.points)
-        centered = self.points - mean
-        return mean, float(self.weights @ np.einsum("ij,ij->i", centered,
-                                                    centered))
+        """Total variance ``E ||X - E X||^2`` (trace of the covariance)."""
+        centered = self.points - self.mean()
+        return float(self.weights @ np.einsum("ij,ij->i", centered, centered))
 
     def is_uniform(self, tol: float = 1e-12) -> bool:
         return bool(np.all(np.abs(self.weights - 1.0 / self.size) <= tol))
@@ -490,7 +481,7 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     total = np.zeros((len(a), len(b)))
     diff = np.empty_like(total)
     with np.errstate(over="ignore"):  # a distance past float64 is inf
-        for x, y in zip(a.T, b.T):
+        for x, y in zip(a.T, b.T, strict=True):
             np.subtract.outer(x, y, out=diff)
             total += np.square(diff, out=diff)
     return total

@@ -32,10 +32,12 @@ the input space carries their geometry.
 Every loss path queries a discrimination receiver in batches:
 ``probabilities_batch(messages (B,), candidates (B, d)) -> (B, d)`` returns
 one distribution over candidate positions per row. The exact paths pass at
-most 4096 rows per call. The built-in receivers implement the batch in
-numpy, and their scalar ``probabilities(message, candidates)`` is the batch
-on one row. A subclass may define only the scalar method instead; the base
-class then stacks it row by row.
+most 4096 rows per call, except where one input's terms under one message
+choice exceed 4096: a batch then holds the smallest product of trailing
+radices of that enumeration that reaches 4096. The built-in receivers
+implement the batch in numpy, and their scalar ``probabilities(message,
+candidates)`` is the batch on one row. A subclass may define only the
+scalar method instead; the base class then stacks it row by row.
 
 Conventions:
 
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GameSpec, InputSpace, LabelMap, Protocol, _class_sums, \
-    _multiset_rows, _product_rows, message_probabilities
+    _multiset_rows, _product_rows, _sq_dists, message_probabilities
 from .errors import BudgetExceededError, EmptyClassError
 
 __all__ = [
@@ -369,12 +371,9 @@ def _message_losses(receiver, space: InputSpace, messages: np.ndarray,
     shape (N, J): the one place each game's per-input loss is written. The
     exact evaluators read it at the protocol's messages and the
     synchronized sender at every defined message, so the two agree."""
-    if kind == "reconstruction":  # squared distance, one coordinate a time
-        losses = np.zeros(messages.shape)
-        with np.errstate(over="ignore"):  # a distance past float64 is inf
-            for x, y in zip(space.points.T, receiver.points.T):
-                losses += np.square(y[messages] - x[:, None])
-        return losses
+    if kind == "reconstruction":
+        return _sq_dists(space.points, receiver.points)[
+            np.arange(space.size)[:, None], messages]
     if kind == "global":
         return _nll(receiver.table[messages, np.arange(space.size)[:, None]])
     if kind == "classification":
@@ -458,16 +457,18 @@ def _add_sorted(out: np.ndarray, index: np.ndarray,
 def _group_chunk(inner: list[int]) -> int:
     """Rows per block of a product enumeration whose trailing ``inner``
     radices run over one (input, message choice) group's terms: as many
-    whole groups as fit in 4096 rows, or else the largest product of
-    trailing radices that fits (at least the last). Every group then splits
-    at the same offsets, so its sum is associated the same way whatever its
-    index and however many message choices are enumerated."""
+    whole groups as fit in 4096 rows, or else the smallest product of
+    trailing radices that reaches 4096, at most one group. Every group then
+    splits at the same offsets, so its sum is associated the same way
+    whatever its index and however many message choices are enumerated."""
+    group = math.prod(inner)
+    if group <= 4096:
+        return 4096 // group * group
     chunk = 1
     for r in reversed(inner):
-        if chunk > 1 and chunk * r > 4096:
-            return chunk
         chunk *= r
-    return max(1, 4096 // chunk) * chunk
+        if chunk >= 4096:
+            return chunk
 
 
 def _disc_terms(laws: np.ndarray, law_of: np.ndarray, k: int, d: int,
@@ -509,8 +510,9 @@ def _exact_discrimination_losses(
     the law's support, each weighted by its number of orderings. Any other
     receiver is asked every (target position, ordered distractor tuple).
     Per law, the terms are enumerated in blocks, each one receiver batch
-    of at most 4096 rows (more only when one law's support exceeds 4096),
-    split at the same offsets in every (input, choice) group.
+    of at most 4096 rows (more only when one input's terms under one
+    choice exceed 4096), split at the same offsets in every (input,
+    choice) group.
     """
     n, k = messages.shape
     # these two ignore the target's position and the distractors' order;
@@ -636,7 +638,9 @@ def _distractor_laws(space: InputSpace, labels: LabelMap | None
     game), per label value, the prior conditioned on another label."""
     if labels is None:
         return space.weights[None], np.zeros(space.size, dtype=int)
-    codes = _label_groups(space, labels)[0]
+    if labels.size != space.size:
+        raise ValueError("label map does not cover the input space")
+    codes = labels.codes()
     masses, = _class_sums(codes[None], labels.num_values, space.weights)
     if labels.num_values < 2:
         raise ValueError("supervised game needs >=2 labels")
@@ -664,9 +668,14 @@ def _classification_losses(messages: np.ndarray,
                            receiver: DiscriminationReceiver,
                            space: InputSpace, labels: LabelMap) -> np.ndarray:
     """Classification loss of each input under each message choice, shape
-    (N, J), by enumerating every candidate tuple of one input per label
-    value, in blocks of whole (input, choice) groups (``_group_chunk``)."""
+    (N, J). A built-in :class:`ClassificationReceiver` ignores the
+    candidates, so its loss is read off its table; any other receiver is
+    asked every candidate tuple of one input per label value, in blocks
+    split alike in every (input, choice) group (``_group_chunk``)."""
     codes, groups, cond = _label_groups(space, labels)
+    if type(receiver).probabilities_batch \
+            is ClassificationReceiver.probabilities_batch:
+        return _nll(receiver.conditional[messages, codes[:, None]])
     n, k = messages.shape
     sizes = [g.size for g in groups]
     _check_terms(math.prod(sizes) * n * k)

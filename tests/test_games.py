@@ -78,6 +78,15 @@ class TestEvalReconstruction:
         rep = eval_reconstruction(Protocol.constant(4), recv, space_b)
         assert abs(rep.expected - 1.25) < 1e-15
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_receiver_of_another_dimension_raises(self, dim):
+        space = InputSpace.uniform(np.eye(3))
+        recv = ReconstructionReceiver(np.zeros((2, dim)))
+        with pytest.raises(ValueError):
+            eval_reconstruction(Protocol([0, 1, 0], 2), recv, space)
+        with pytest.raises(ValueError):
+            per_input_message_losses(recv, space, GameSpec("reconstruction"))
+
     def test_missing_message_errors(self, space_b, split):
         recv = ReconstructionReceiver(np.asarray([[0.5], [np.nan]]),
                                       defined=[True, False])
@@ -207,6 +216,29 @@ class TestEvalDiscrimination:
         # each batch holds whole (input, choice) groups: at most three of
         # 3 x 20^2 terms, or six of 5^4 candidate tuples
         assert max(sizes) == 6 * 5 ** 4 and max(sizes[:7]) == 3 * 1200
+
+    def test_batches_never_shrink_below_4096_rows(self):
+        # where one input's terms exceed 4096 rows, a batch holds the
+        # fewest trailing radices that reach 4096, whatever the label order
+        assert games._group_chunk([1500, 3]) == 4500
+        assert games._group_chunk([3000, 2]) == 6000
+        assert games._group_chunk([3, 1500]) == 4500
+        assert games._group_chunk([2, 5000]) == 5000
+        assert games._group_chunk([3, 100, 100]) == 10_000
+        sizes = []
+
+        class Sizes(ScoreDiscriminationReceiver):
+            def probabilities_batch(self, messages, candidates):
+                sizes.append(len(candidates))
+                return super().probabilities_batch(messages, candidates)
+
+        n = 129  # labels of 65 and 64 inputs: 4160 tuples per input
+        space = InputSpace.uniform(np.arange(float(n))[:, None])
+        labels = LabelMap([0] * 65 + [1] * 64)
+        recv = Sizes(rng_for("batch-floor").random((2, n)) + 0.1, 2)
+        eval_classification(Protocol(np.arange(n) % 2, 2), recv, space,
+                            labels)
+        assert sizes == [65 * 64] * n
 
     def test_generic_receiver_mc_path(self, space_b, split):
         # dense table receivers run the per-episode path
@@ -759,6 +791,23 @@ class TestSynchronizedReceiver:
 
 
 class TestSynchronizedSender:
+    def test_classification_table_is_read_not_enumerated(self):
+        # 100^3 candidate tuples per input would pass the term budget; a
+        # ClassificationReceiver ignores them, so its table is read
+        n, k = 300, 4
+        rng = rng_for("classification-lookup")
+        space = InputSpace.uniform(rng.normal(size=(n, 1)))
+        labels = LabelMap((np.arange(n) % 3).tolist())
+        cond = rng.dirichlet(np.ones(3), size=k)
+        recv = ClassificationReceiver(cond)
+        spec = GameSpec("classification", labels=labels)
+        losses = per_input_message_losses(recv, space, spec)
+        assert (losses == [[-math.log(cond[m, y]) for m in range(k)]
+                           for y in labels.codes()]).all()
+        sender = synchronized_sender(recv, space, spec)
+        assert (eval_classification(sender, recv, space, labels).per_input
+                == losses.min(axis=1)).all()
+
     def test_projection(self, space_b):
         recv = ReconstructionReceiver(np.asarray([[0.5], [2.5]]))
         sender = synchronized_sender(recv, space_b,
