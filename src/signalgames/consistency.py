@@ -113,21 +113,25 @@ def spatial_meaningfulness(protocol: Protocol, space: InputSpace,
     (the pseudo-threshold 0 covers every eps below the smallest realized
     positive distance, where only same-message pairs are merged). Each
     conditional is an exact weighted double sum over input pairs, with
-    i.i.d. pairs, so self-pairs are included.
+    i.i.d. pairs, so self-pairs are included. ``eps_M`` is computed only
+    when ``eps0`` is None or no realized positive distance is within
+    ``eps0``; otherwise that distance bounds ``eps_M <= eps0`` already.
     """
-    eps_m = message_space.epsilon_min()
-    if eps0 is None:
-        eps0 = eps_m
-    if eps0 <= 0.0:
+    if eps0 is not None and eps0 <= 0.0:
         raise ValueError("eps0 must be positive")
-    if eps0 < eps_m:
-        # the plain form of the definition asks for eps0 >= eps_M; below
-        # that only same-message pairs ever merge, which is still a
-        # well-defined (weaker) check
-        warnings.warn(f"eps0 = {eps0} is below eps_M = {eps_m}; only "
-                      "same-message pairs are conditioned on")
-
     used = protocol.used_messages()
+    dist = message_space.distances(used, used).ravel()
+    if eps0 is None or not np.any((dist > 0.0) & (dist <= eps0)):
+        eps_m = message_space.epsilon_min()
+        if eps0 is None:
+            eps0 = eps_m
+        elif eps0 < eps_m:
+            # the plain form of the definition asks for eps0 >= eps_M;
+            # below that only same-message pairs ever merge, which is
+            # still a well-defined (weaker) check
+            warnings.warn(f"eps0 = {eps0} is below eps_M = {eps_m}; only "
+                          "same-message pairs are conditioned on")
+
     w, pts = space.weights, space.points
     # per-class mass, second moment and first moment, unnormalized
     p, sq, *first = (s[0, used] for s in _class_sums(
@@ -137,7 +141,6 @@ def spatial_meaningfulness(protocol: Protocol, space: InputSpace,
     # p_a p_b E ||x1 - x2||^2 over independent draws from classes a and b
     pair = p[None, :] * sq[:, None] + p[:, None] * sq[None, :] \
         - 2.0 * first @ first.T
-    dist = message_space.distances(used, used).ravel()
     unconditional = 2.0 * space.variance()
 
     # one pass in order of message distance: the event d <= eps is a prefix

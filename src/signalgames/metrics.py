@@ -25,9 +25,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import InputSpace, LabelMap, MessageSpace, Protocol, \
-    _class_sums, _sq_dists, message_probabilities
+    _class_sums, _pair_blocks, _sq_dists, message_probabilities
 from .errors import MetricUndefinedError
-from .games import GameSpec, substream, synchronized_receiver
+from .games import GameSpec, _check_terms, substream, synchronized_receiver
 
 __all__ = [
     "unique_messages",
@@ -111,19 +111,54 @@ def topsim(protocol: Protocol, space: InputSpace,
     message-pair distances, over all unordered input pairs.
 
     Ties get average ranks. A constant distance vector on either side makes
-    the correlation undefined and raises.
+    the correlation undefined and raises. More than ``EXACT_TERM_BUDGET``
+    input pairs raise ``BudgetExceededError`` before anything is allocated.
+
+    The input distances are formed in the blocks of ``core._pair_blocks``
+    and ranked by one sort. A message distance depends only on the pair of
+    used messages, so its average rank comes from the count of input pairs
+    behind each distinct distance of the U x U table.
     """
-    if space.size < 2:
+    n = space.size
+    if n < 2:
         raise MetricUndefinedError("topsim needs at least two inputs")
-    iu = np.triu_indices(space.size, k=1)
-    input_d = np.sqrt(_sq_dists(space.points, space.points)[iu])
+    pairs = n * (n - 1) // 2
+    _check_terms(pairs, "topsim", "input pairs")
     used, inv = np.unique(protocol.assignment, return_inverse=True)
-    msg_d = message_space.distances(used, used)[inv[iu[0]], inv[iu[1]]]
-    ranks = np.column_stack((_average_ranks(input_d), _average_ranks(msg_d)))
-    # checked on the finite ranks, so all-infinite distances count as equal
-    if np.ptp(ranks, axis=0).min() == 0.0:
+    # cls: the index of each message pair's distance among the distinct ones
+    _, cls = np.unique(message_space.distances(used, used),
+                       return_inverse=True)
+    cls = cls.reshape(used.size, used.size)
+    # input pairs per message pair: n_a n_b off the diagonal (a < b) and
+    # n_a (n_a - 1) / 2 on it
+    sizes = np.bincount(inv)
+    per_pair = np.triu(np.outer(sizes, sizes), 1)
+    per_pair[np.diag_indices(used.size)] = sizes * (sizes - 1) // 2
+    counts = np.bincount(cls.ravel(), per_pair.ravel()).astype(np.int64)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    msg_rank = ((starts + ends + 1) / 2)[cls]
+
+    # row 0: input distances, then their ranks; row 1: message ranks, both
+    # in the row-major order of the pairs i < j
+    ranks = np.empty((2, pairs))
+    at = 0
+    for lo, hi, below in _pair_blocks(n):
+        upper = np.ones((hi - lo, n - lo), dtype=bool)
+        upper[:, :hi - lo] = ~below
+        stop = at + int(np.count_nonzero(upper))
+        ranks[0, at:stop] = _sq_dists(space.points[lo:hi],
+                                      space.points[lo:])[upper]
+        ranks[1, at:stop] = msg_rank[np.ix_(inv[lo:hi], inv[lo:])][upper]
+        at = stop
+    np.sqrt(ranks[0], out=ranks[0])
+    ranks[0] = _average_ranks(ranks[0])
+    # the largest input rank is (P + 1) / 2 only when every input pair ties
+    # (all-infinite distances count as equal); on the message side every
+    # pair falls in one distance class
+    if ranks[0].max() == (pairs + 1) / 2 or counts.max() == pairs:
         raise MetricUndefinedError("topsim undefined (zero variance)")
-    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+    return float(np.corrcoef(ranks)[1, 0])
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -132,9 +167,13 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     ties in, so the default (unstable) sort serves."""
     order = np.argsort(x)
     xs = x[order]
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    ends = np.r_[starts[1:], x.size]
+    distinct = xs[1:] != xs[:-1]
     ranks = np.empty(x.size)
+    if distinct.all():
+        ranks[order] = np.arange(1.0, x.size + 1)
+        return ranks
+    starts = np.flatnonzero(np.r_[True, distinct])
+    ends = np.r_[starts[1:], x.size]
     ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
     return ranks
 

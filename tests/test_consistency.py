@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,25 @@ class TestSpatialMeaningfulness:
         ms = MessageSpace.from_vectors([[0.0], [4.0]])
         with pytest.raises(ValueError):
             spatial_meaningfulness(split, space_b, ms, eps0=0.0)
+
+    def test_eps_m_scanned_only_when_it_can_warn(self, space_b, split,
+                                                  monkeypatch):
+        calls = []
+        scan = MessageSpace.epsilon_min
+        monkeypatch.setattr(MessageSpace, "epsilon_min",
+                            lambda self: calls.append(1) or scan(self))
+        ms = MessageSpace.from_vectors([[0.0], [4.0], [1.0]])
+        # the used pair at distance 4 is within eps0, so eps_M <= eps0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spatial_meaningfulness(split, space_b, ms, eps0=4.0)
+        assert calls == []
+        # no used pair within eps0: eps_M = 1 decides the warning
+        with pytest.warns(UserWarning, match="below eps_M"):
+            spatial_meaningfulness(split, space_b, ms, eps0=0.5)
+        assert calls == [1]
+        spatial_meaningfulness(split, space_b, ms)
+        assert calls == [1, 1]
 
     def test_conditionals_match_bruteforce(self):
         rng = rng_for("spatial-oracle")

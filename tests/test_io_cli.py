@@ -184,6 +184,18 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["topsim"] == "undefined"
 
+    def test_topsim_over_pair_budget_is_an_error_entry(
+            self, data_dir, monkeypatch, capsys):
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 5)
+        code = main(["analyze", "--input", str(data_dir / "space.csv"),
+                     "--protocol", str(data_dir / "protocol.csv"),
+                     "--d", "2"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["topsim"] == {
+            "error": "topsim needs 6 input pairs (budget 5)"}
+        assert report["message_variance"] == 0.25
+
     def test_sparse_table_query_exits_2(self, data_dir, capsys):
         # a table without a query the game asks is a defect of the file
         table = data_dir / "table.json"

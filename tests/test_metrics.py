@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from signalgames import (
+    BudgetExceededError,
     InputSpace,
     LabelMap,
     MessageSpace,
@@ -19,6 +22,7 @@ from signalgames import (
     unique_messages,
 )
 
+from signalgames import games, io
 from signalgames.core import _sq_dists
 from signalgames.metrics import _average_ranks
 
@@ -184,6 +188,57 @@ class TestTopsim:
                 == stats.spearmanr(din, dmsg).statistic
             checked += 1
         assert checked >= 50
+
+    def test_pinned_value(self):
+        # seeded N=1,000 inputs on the 18-message length-2 code of two
+        # symbol groups, messages following position with a tenth
+        # reassigned; the value is pinned to the bit
+        rng = rng_for("topsim-pin")
+        pts = rng.normal(size=(1000, 2))
+        groups = ((0, 1, 2), (3, 4, 5))
+        ms = MessageSpace.symbol_sequences(
+            [(a, b) for g in groups for a in g for b in g], vocab_size=6,
+            length=2)
+        tertile = lambda v: np.searchsorted(  # noqa: E731
+            np.quantile(v, [1 / 3, 2 / 3]), v)
+        msgs = 9 * (pts[:, 0] > 0) + 3 * tertile(pts[:, 1]) \
+            + tertile(pts[:, 0])
+        noise = rng.random(1000) < 0.1
+        msgs[noise] = rng.integers(0, 18, size=noise.sum())
+        value = topsim(Protocol(msgs, 18), InputSpace.uniform(pts), ms)
+        assert value.hex() == "0x1.5fce2cb5b8c13p-2"
+
+    def test_equidistant_messages_undefined(self):
+        # distinct messages, but every input pair in one distance class
+        space = InputSpace.uniform(np.arange(3.0)[:, None])
+        ms = MessageSpace.symbol_sequences(["0", "1", "2"], 3)
+        with pytest.raises(MetricUndefinedError, match="zero variance"):
+            topsim(Protocol.identity(3), space, ms)
+
+    def test_pair_budget(self, space_b, monkeypatch):
+        ms = MessageSpace.symbol_sequences(["00", "01", "11", "10"], 2)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 6)
+        assert topsim(Protocol.identity(4), space_b, ms) > 0.0
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 5)
+        with pytest.raises(BudgetExceededError, match="6 input pairs") as exc:
+            topsim(Protocol.identity(4), space_b, ms)
+        assert exc.value.required == 6
+
+    def test_memory_per_input_pair(self):
+        # the full N x N distance matrix, triu indices and a (P, 2) rank
+        # table took 96 bytes per input pair
+        n = 2000
+        rng = rng_for("topsim-memory")
+        space = InputSpace.uniform(rng.normal(size=(n, 2)))
+        protocol = Protocol(rng.integers(0, 18, size=n), 18)
+        ms = io.default_message_space(18)
+        tracemalloc.start()
+        try:
+            topsim(protocol, space, ms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * n * (n - 1) // 2
 
     def test_equal_infinite_distances_undefined(self):
         # every input pair is farther apart than float64 reaches
