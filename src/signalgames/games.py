@@ -54,6 +54,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,9 @@ EXACT_TERM_BUDGET = 10 ** 8
 MAX_TABLE_ROWS = 10 ** 6
 
 _PROB_TOL = 1e-12
+
+# uniforms per block of Monte-Carlo draws
+_DRAW_BLOCK = 1 << 16
 
 
 def substream(seed: int, *names: str) -> np.random.Generator:
@@ -555,13 +559,68 @@ def _exact_discrimination_losses(
     return losses
 
 
+def _check_samples(samples, shards=1) -> None:
+    """Monte-Carlo sizes: ``samples`` and ``shards`` must be positive
+    integers."""
+    for name, value in (("samples", samples), ("shards", shards)):
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(
+                f"{name} must be a positive integer, got {value!r}")
+
+
+class _Sampler:
+    """Draws from a finite law that are exactly those of
+    ``Generator.choice(n, size, p=weights)`` on the same stream: the same
+    uniforms ``rng.random`` in stream order, against the same normalized
+    cdf (``np.cumsum(weights)``, divided by its last entry), answered as
+    ``cdf.searchsorted(u, "right")``.
+
+    A uniform is looked up in a guide table of ``m`` equal-width buckets
+    (Chen & Asau 1974; Devroye 1986, ch. III), ``m`` the smallest power of
+    two of at least ``16 n``. Bucket ``b`` covers ``[b/m, (b+1)/m)``; it
+    holds the answer of every draw in it, ``searchsorted(cdf, b/m,
+    "right")``, unless a cdf step falls inside it, and then ``-1``. Scaling
+    by a power of two is exact, so a draw's bucket ``floor(u m)`` is exact,
+    and only draws in a step bucket (at most ``n / m`` of the unit
+    interval) go through ``searchsorted``. Uniforms are taken in blocks of
+    ``_DRAW_BLOCK``: ``random(a)`` then ``random(b)`` is the stream of
+    ``random(a + b)``."""
+
+    def __init__(self, weights: np.ndarray):
+        self.cdf = np.cumsum(weights)
+        self.cdf /= self.cdf[-1]
+        self.m = 1 << (16 * self.cdf.size - 1).bit_length()
+        edges = np.arange(self.m + 1) / self.m
+        first = self.cdf.searchsorted(edges[:-1], "right")
+        self.guide = np.where(
+            first == self.cdf.searchsorted(edges[1:], "left"), first, -1)
+
+    def draw(self, rng: np.random.Generator, shape,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """int64 draws of the given shape, written into ``out`` (a
+        contiguous int64 array of that shape) when one is passed."""
+        if out is None:
+            out = np.empty(shape, dtype=np.int64)
+        flat = out.reshape(-1)
+        for lo in range(0, flat.size, _DRAW_BLOCK):
+            u = rng.random(min(_DRAW_BLOCK, flat.size - lo))
+            # every bucket index is below m; "clip" writes ``out`` unbuffered
+            idx = self.guide.take((u * self.m).astype(np.intp),
+                                  out=flat[lo:lo + u.size], mode="clip")
+            step = np.flatnonzero(idx < 0)
+            if step.size:
+                idx.put(step, self.cdf.searchsorted(u.take(step), "right"))
+        return out
+
+
 def _mc_report(losses: np.ndarray, targets: np.ndarray, n: int,
                seed: int) -> LossReport:
     """Report of a Monte-Carlo sample: the mean loss, overall and per
     target input (NaN for inputs never drawn), with its standard error."""
     per_input = np.full(n, np.nan)
-    sums, hits = _class_sums(targets[None], n, losses, np.ones(losses.size))
-    np.divide(sums[0], hits[0], out=per_input, where=hits[0] > 0)
+    sums, = _class_sums(targets[None], n, losses)
+    hits = np.bincount(targets, minlength=n)
+    np.divide(sums[0], hits, out=per_input, where=hits > 0)
     infinite = bool(np.any(np.isinf(losses)))
     expected = float(losses.mean()) if not infinite else math.inf
     se = float(losses.std(ddof=1) / math.sqrt(losses.size)) \
@@ -574,32 +633,45 @@ def _mc_discrimination(messages: np.ndarray, receiver: DiscriminationReceiver,
                        space: InputSpace, d: int, samples: int, seed: int,
                        shards: int = 1) -> LossReport:
     """Seeded Monte-Carlo estimate; shards derive independent substreams so
-    results are reproducible for a fixed (seed, samples, shards)."""
-    if samples < 1 or shards < 1:
-        raise ValueError("samples and shards must be positive")
-    n = space.size
-    counts = [samples // shards + (1 if s < samples % shards else 0)
-              for s in range(shards)]
-    loss_chunks, target_chunks = [], []
+    results are reproducible for a fixed (seed, samples, shards).
+
+    Each shard draws its targets, then its (size, d-1) distractors in row
+    order, then (table receivers only) the target positions, all through
+    one :class:`_Sampler` of the prior. The synchronized receiver's loss
+    is ``log(1 + c)`` for ``c`` distractors sharing the target's message:
+    its distractors are drawn and scored in blocks of rows, so the path
+    holds the targets and losses (16 B per sample) and one block."""
+    _check_samples(samples, shards)
+    sampler = _Sampler(space.weights)
+    targets = np.empty(samples, dtype=np.int64)
+    losses = np.empty(samples)
     sync = type(receiver).probabilities_batch is \
         SynchronizedDiscriminationReceiver.probabilities_batch
-    for shard, size in enumerate(counts):
+    log_counts = np.log1p(np.arange(d, dtype=float))
+    rows = max(1, _DRAW_BLOCK // (d - 1))
+    start = 0
+    for shard in range(shards):
+        size = samples // shards + (1 if shard < samples % shards else 0)
         if size == 0:
             continue
         rng = substream(seed, "monte-carlo", str(shard))
-        targets = rng.choice(n, size=size, p=space.weights)
-        distr = rng.choice(n, size=(size, d - 1), p=space.weights)
+        drawn = sampler.draw(rng, size, out=targets[start:start + size])
+        out = losses[start:start + size]
         if sync:
-            share = messages[distr] == messages[targets][:, None]
-            losses = np.log1p(share.sum(axis=1).astype(float))
+            for lo in range(0, size, rows):
+                distr = sampler.draw(rng, (min(rows, size - lo), d - 1))
+                own = messages[drawn[lo:lo + len(distr)]]
+                count = np.zeros(len(distr), dtype=np.intp)
+                for c in range(d - 1):
+                    count += messages[distr[:, c]] == own
+                log_counts.take(count, out=out[lo:lo + len(distr)])
         else:
+            distr = sampler.draw(rng, (size, d - 1))
             positions = rng.integers(0, d, size=size)
-            losses = _query_nll(receiver, messages[targets],
-                                _splice(distr, targets, positions), positions)
-        loss_chunks.append(losses)
-        target_chunks.append(targets)
-    return _mc_report(np.concatenate(loss_chunks),
-                      np.concatenate(target_chunks), n, seed)
+            out[:] = _query_nll(receiver, messages[drawn],
+                                _splice(distr, drawn, positions), positions)
+        start += size
+    return _mc_report(losses, targets, space.size, seed)
 
 
 def eval_discrimination(protocol: Protocol, receiver: DiscriminationReceiver,
@@ -700,10 +772,11 @@ def eval_classification(protocol: Protocol, receiver: DiscriminationReceiver,
     if _check_mode(mode) == "exact":
         return _exact_eval(protocol, receiver, space, "classification",
                            labels=labels)
+    _check_samples(samples)
     codes, groups, cond = _label_groups(space, labels)
     rng = substream(seed, "monte-carlo", "classification")
-    targets = rng.choice(space.size, size=samples, p=space.weights)
-    cands = np.stack([g[rng.choice(len(g), size=samples, p=c)]
+    targets = _Sampler(space.weights).draw(rng, samples)
+    cands = np.stack([g[_Sampler(c).draw(rng, samples)]
                       for g, c in zip(groups, cond)], axis=1)
     losses = _query_nll(receiver, protocol.assignment[targets], cands,
                         codes[targets])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -263,6 +264,112 @@ class TestEvalDiscrimination:
         rep = eval_discrimination(split, recv, space_b, 2, mode="mc",
                                   samples=20_000, seed=7)
         assert abs(rep.expected - exact) < 4 * rep.std_error
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_mc_synchronized_memory_per_sample(self, score_instance, d,
+                                               shards):
+        # the synchronized path holds its targets and losses and one block
+        # of distractors, never a (samples, d - 1) array
+        space, protocol, _ = score_instance
+        recv = synchronized_receiver(protocol, space,
+                                     GameSpec("discrimination", d=d))
+        samples = 10 ** 6
+        tracemalloc.start()
+        try:
+            eval_discrimination(protocol, recv, space, d, mode="mc",
+                                samples=samples, seed=2, shards=shards)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * samples
+
+
+class TestMonteCarloSizes:
+    @pytest.mark.parametrize("samples", [0, -1, 2.5])
+    def test_samples_must_be_a_positive_integer(self, score_instance,
+                                                samples):
+        space, protocol, score = score_instance
+        labels = LabelMap(["a", "b", "a", "c", "b"])
+        with pytest.raises(ValueError, match="samples must be a positive"):
+            eval_discrimination(protocol, score, space, 3, mode="mc",
+                                samples=samples)
+        with pytest.raises(ValueError, match="samples must be a positive"):
+            eval_classification(protocol, score, space, labels, mode="mc",
+                                samples=samples)
+
+    @pytest.mark.parametrize("shards", [0, -1, 2.5])
+    def test_shards_must_be_a_positive_integer(self, score_instance, shards):
+        space, protocol, score = score_instance
+        with pytest.raises(ValueError, match="shards must be a positive"):
+            eval_discrimination(protocol, score, space, 3, mode="mc",
+                                samples=10, shards=shards)
+
+
+class TestSampler:
+    """The guide-table sampler returns exactly ``Generator.choice``'s draws
+    on the same stream."""
+
+    @staticmethod
+    def weights(kind, n):
+        u = rng_for(f"sampler-{n}").random(n)
+        if kind == "uniform":
+            w = np.ones(n)
+        elif kind == "steep":  # many cdf steps in the first buckets
+            w = u ** 7 + 1e-12
+        else:  # one input holds nearly all the mass
+            w = np.full(n, 1e-9)
+            w[n // 2] = 1.0
+        return w / w.sum()
+
+    @pytest.mark.parametrize("kind", ["uniform", "steep", "dominant"])
+    @pytest.mark.parametrize("n", [1, 2, 24, 255, 256, 257, 5000])
+    def test_draws_equal_generator_choice(self, n, kind):
+        w = self.weights(kind, n)
+        sampler = games._Sampler(w)
+        for shape in [(0,), (1,), (65537,), (70001, 2), (3, 0)]:
+            for seed in range(3):
+                want = np.random.default_rng(seed).choice(n, size=shape, p=w)
+                got = sampler.draw(np.random.default_rng(seed), shape)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("w", [[1.0], [1 / 3, 2 / 3], [0.25, 0.25, 0.5],
+                                   [0.1, 0.2, 0.3, 0.15, 0.25]])
+    def test_uniforms_on_cdf_values_and_bucket_edges(self, w):
+        # uniforms that equal a cdf value, a bucket edge or their
+        # neighbouring doubles answer as searchsorted(cdf, u, "right")
+        class Uniforms:
+            def __init__(self, u):
+                self.u, self.at = u, 0
+
+            def random(self, size):
+                self.at += size
+                return self.u[self.at - size:self.at]
+
+        cdf = np.cumsum(w)
+        cdf /= cdf[-1]
+        edges = np.concatenate([np.arange(2 ** j) / 2 ** j
+                                for j in range(12)])
+        u = np.concatenate([cdf, edges, 1 / np.arange(3.0, 99.0)])
+        u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        sampler = games._Sampler(np.array(w))
+        # u * m and b / m are exact only for a power of two m
+        assert sampler.m >= 4 * len(w) and sampler.m & (sampler.m - 1) == 0
+        got = sampler.draw(Uniforms(u), u.size)
+        assert np.array_equal(got, cdf.searchsorted(u, "right"))
+
+    def test_draws_continue_the_stream(self):
+        # a draw takes exactly its own uniforms, so the next call on the
+        # same generator sees what follows them
+        w = self.weights("steep", 24)
+        want, got = np.random.default_rng(9), np.random.default_rng(9)
+        sampler = games._Sampler(w)
+        for size in (5, 70_000, 3):
+            assert np.array_equal(sampler.draw(got, size),
+                                  want.choice(24, size=size, p=w))
+        assert got.random() == want.random()
 
 
 class _Ordered(DiscriminationReceiver):
@@ -751,6 +858,30 @@ class TestMonteCarloGolden:
         self.assert_report(rep, 1.269148558578663, 0.040506632031829116, [
             1.8756026317039367, 0.5243949793684745, 1.039969533900755,
             1.2242860095230859, 1.9310025443313792])
+
+    @pytest.mark.parametrize("d, shards, expected, std_error, per_input", [
+        (2, 1, 0.245439735040251, 0.0007412290400507853, [
+            0.2073573924712682, 0.20895621258738023, 0.3111430439013522,
+            0.3103423653007002, 0.17183705835979854]),
+        (2, 4, 0.2452213969534459, 0.0007410799146805046, [
+            0.20701294210402404, 0.2063373437041939, 0.31085708408729756,
+            0.311701082490679, 0.1732141382028512]),
+        (3, 1, 0.45391083564083734, 0.0009161658552250066, [
+            0.3898468511460093, 0.39102380390229824, 0.567459590818776,
+            0.5620516522005302, 0.3282995590674397]),
+        (3, 4, 0.45524261726378645, 0.0009167238224614813, [
+            0.3875559584815223, 0.39212139652316563, 0.5677881166259096,
+            0.5657049744838524, 0.3319258415837915]),
+    ])
+    def test_synchronized(self, score_instance, d, shards, expected,
+                          std_error, per_input):
+        # enough samples that each shard draws and scores several blocks
+        space, protocol, _ = score_instance
+        recv = synchronized_receiver(protocol, space,
+                                     GameSpec("discrimination", d=d))
+        rep = eval_discrimination(protocol, recv, space, d, mode="mc",
+                                  samples=200_003, seed=11, shards=shards)
+        self.assert_report(rep, expected, std_error, per_input)
 
 
 class TestSynchronizedReceiver:
