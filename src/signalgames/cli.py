@@ -629,7 +629,7 @@ def _load_receiver(args, space: InputSpace):
     if points:
         fits = fits and receiver.points.shape[1] == space.dim
     if table:
-        fits = fits and all(max(c) < space.size for _, c in receiver.table)
+        fits = fits and bool(np.all(receiver.candidates < space.size))
     if not fits:
         use = "" if args.definition == "5" \
             else f" --game {args.game} --d {args.d}"

@@ -205,11 +205,9 @@ def receiver_simplicity(receiver, eps0: float | None, space: InputSpace,
         emb = np.empty((len(msgs), 0))
         outs = receiver.points[msgs]
     elif isinstance(receiver, TabularDiscriminationReceiver):
-        d = receiver.num_candidates
-        msgs = np.array([m for m, _ in receiver.table], dtype=int)
-        cands = np.array([c for _, c in receiver.table],
-                         dtype=int).reshape(len(msgs), d)
-        emb = space.points[cands].reshape(len(msgs), d * space.dim)
+        msgs = receiver.messages
+        emb = space.points[receiver.candidates].reshape(
+            len(msgs), receiver.num_candidates * space.dim)
         outs = receiver.rows
         if output_mode == "canonical":
             outs = np.sort(outs, axis=1)[:, ::-1]

@@ -189,9 +189,11 @@ class DiscriminationReceiver:
 
 def _uniform_where(empty: np.ndarray, rows: np.ndarray,
                    totals: np.ndarray) -> np.ndarray:
-    """``rows / totals``, with uniform rows where ``empty`` is set."""
-    safe = np.where(empty, 1.0, totals)
-    return np.where(empty, 1.0 / rows.shape[1], rows / safe)
+    """``rows / totals``, with uniform rows where ``empty`` (shape (B, 1))
+    is set: the division runs only on the other rows."""
+    out = np.divide(rows, totals, out=np.empty(rows.shape), where=~empty)
+    out[empty[:, 0]] = 1.0 / rows.shape[1]
+    return out
 
 
 class SynchronizedDiscriminationReceiver(DiscriminationReceiver):
@@ -213,24 +215,21 @@ class SynchronizedDiscriminationReceiver(DiscriminationReceiver):
         return _uniform_where(k == 0, match, k)
 
 
-def _query_keys(messages, candidates) -> np.ndarray:
-    """Each query row ``(m, c0, ..., c_{d-1})`` as one fixed-width void
-    scalar of its int64 values: equal queries have equal keys, and the
-    keys have a total order to sort and search by."""
-    candidates = np.asarray(candidates)
-    rows = np.empty((len(candidates), candidates.shape[1] + 1),
-                    dtype=np.int64)
-    rows[:, 0], rows[:, 1:] = messages, candidates
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))
-                     ).ravel()
-
-
 class TabularDiscriminationReceiver(DiscriminationReceiver):
     """Dense table over explicit (message, candidate tuple) queries.
 
     ``rows`` holds one distribution per query in the order of ``table``,
-    whose values are views of those rows. A batch finds its rows by one
-    sorted search over the keys of the table.
+    whose values are views of those rows; ``messages`` (Q,) and
+    ``candidates`` (Q, d) hold the queries in the same order.
+
+    A query ``(m, c_0, ..., c_{d-1})`` has the mixed-radix code
+    ``((m R + c_0) R + c_1) R ...``, where ``R`` is one more than the
+    largest candidate in the table and messages run to one more than the
+    largest message. An index of one entry per code, ``-1`` where the table
+    has no row, answers a batch with one ``take``. The index is built on
+    the first lookup; past ``EXACT_TERM_BUDGET`` codes that lookup raises
+    ``BudgetExceededError``, while a table that is never looked up (for
+    receiver simplicity, or to serialize) is never indexed.
     """
 
     def __init__(self, d: int, num_messages: int,
@@ -255,30 +254,60 @@ class TabularDiscriminationReceiver(DiscriminationReceiver):
                              "is not a distribution")
         self.table = dict(zip(table, self.rows))
         try:
-            keys = _query_keys([m for m, _ in table],
-                               np.array([c for _, c in table],
-                                        dtype=np.int64).reshape(-1, d))
+            self.messages = np.array([m for m, _ in table], dtype=np.int64)
+            self.candidates = np.array([c for _, c in table],
+                                       dtype=np.int64).reshape(-1, d)
         except OverflowError:
             raise ValueError("a table query does not fit in 64-bit "
                              "integers") from None
-        self._order = np.argsort(keys, kind="stable")
-        self._keys = keys[self._order]
+        # codes run over messages below ``_stops[0]`` and candidates below
+        # ``_stops[1]``
+        self._stops = (int(self.messages.max(initial=-1)) + 1,
+                       int(self.candidates.max(initial=-1)) + 1)
+        self._index = None
+
+    def _code(self, messages: np.ndarray, candidates: np.ndarray
+              ) -> np.ndarray:
+        """Mixed-radix code of each query row; meaningful only where the
+        message and every candidate are below their stops."""
+        code = messages.astype(np.int64)
+        for c in candidates.T:
+            code *= self._stops[1]
+            code += c
+        return code
+
+    def _lookup(self) -> np.ndarray:
+        """The index from code to row (``-1`` for no row) in the smallest
+        signed type that holds every row number; built on first use, after
+        ``_check_terms`` on its length."""
+        if self._index is None:
+            codes = self._stops[0] * self._stops[1] ** self.num_candidates
+            _check_terms(codes, "tabular receiver index", "query codes")
+            index = np.full(max(codes, 1), -1,
+                            dtype=np.min_scalar_type(-1 - len(self.rows)))
+            index[self._code(self.messages, self.candidates)] = \
+                np.arange(len(self.rows))
+            self._index = index
+        return self._index
 
     def probabilities_batch(self, messages, candidates):
         messages, candidates = np.asarray(messages), np.asarray(candidates)
-        at = np.zeros(len(candidates), dtype=np.int64)
-        found = at.astype(bool)
+        at = np.zeros(len(candidates), dtype=np.intp)
+        found = at < 0
         if candidates.shape[1] == self.num_candidates:
-            queries = _query_keys(messages, candidates)
-            at = np.searchsorted(self._keys, queries)
-            found = at < self._keys.size
-            found[found] = self._keys[at[found]] == queries[found]
+            # a row out of range codes anywhere: "clip" keeps its code in
+            # the index, and the range test refuses it
+            at = self._lookup().take(self._code(messages, candidates),
+                                     mode="clip")
+            found = (at >= 0) & (messages >= 0) \
+                & (messages < self._stops[0]) \
+                & ((candidates >= 0) & (candidates < self._stops[1])).all(1)
         if not found.all():
             r = int(np.argmin(found))
             raise EmptyClassError(
                 f"receiver undefined on query ({int(messages[r])}, "
                 f"{tuple(candidates[r].tolist())})")
-        return self.rows[self._order[at]]
+        return self.rows[at]
 
 
 class ConstantDiscriminationReceiver(DiscriminationReceiver):
@@ -442,10 +471,16 @@ def _splice(distractors: np.ndarray, targets, positions) -> np.ndarray:
     """Candidate rows: each row's distractors in order with its target
     inserted at its position (targets and positions per row or shared)."""
     b, d = distractors.shape[0], distractors.shape[1] + 1
-    at = np.arange(d) == np.broadcast_to(positions, (b,))[:, None]
     cands = np.empty((b, d), dtype=np.int64)
-    cands[at] = np.broadcast_to(targets, (b,))
-    cands[~at] = distractors.ravel()
+    for j in range(d):
+        # left of the target column j holds distractor j, right of it
+        # distractor j - 1
+        if j == 0 or j == d - 1:
+            other = distractors[:, min(j, d - 2)]
+        else:
+            other = np.where(positions < j, distractors[:, j - 1],
+                             distractors[:, j])
+        cands[:, j] = np.where(positions == j, targets, other)
     return cands
 
 
@@ -776,6 +811,18 @@ def eval_classification(protocol: Protocol, receiver: DiscriminationReceiver,
     codes, groups, cond = _label_groups(space, labels)
     rng = substream(seed, "monte-carlo", "classification")
     targets = _Sampler(space.weights).draw(rng, samples)
+    if type(receiver).probabilities_batch \
+            is ClassificationReceiver.probabilities_batch:
+        # candidates are drawn after the targets and never read: the loss
+        # of input i is -log conditional[m_i, y_i], read once per input
+        missed = targets[~receiver.defined[protocol.assignment][targets]]
+        if missed.size:
+            raise EmptyClassError(
+                f"receiver undefined for message "
+                f"{protocol.assignment[missed[0]]} (empty equivalence class)")
+        per_input = _classification_losses(protocol.assignment[:, None],
+                                            receiver, space, labels)[:, 0]
+        return _mc_report(per_input[targets], targets, space.size, seed)
     cands = np.stack([g[_Sampler(c).draw(rng, samples)]
                       for g, c in zip(groups, cond)], axis=1)
     losses = _query_nll(receiver, protocol.assignment[targets], cands,

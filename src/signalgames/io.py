@@ -273,6 +273,14 @@ def _rows_with_gaps(rows: list) -> tuple[np.ndarray, np.ndarray]:
     return values, defined
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is a JSON integer: a float, a boolean or a string
+    that ``int`` would read is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def receiver_from_json(data: dict):
     kind = data.get("kind")
     if kind == "reconstruction":
@@ -284,14 +292,22 @@ def receiver_from_json(data: dict):
     if kind == "constant-discrimination":
         return ConstantDiscriminationReceiver(
             _finite(np.asarray(data["vector"], dtype=float)),
-            num_messages=int(data.get("num_messages", 1)))
+            num_messages=_integer(data.get("num_messages", 1),
+                                  "num_messages"))
     if kind == "discrimination":
-        table = {(int(r["message"]), tuple(int(c) for c in r["candidates"])):
-                 np.asarray(r["probs"], dtype=float) for r in data["rows"]}
+        table = {}
+        for r in data["rows"]:
+            query = (_integer(r["message"], "a row's message"),
+                     tuple(_integer(c, "a candidate")
+                           for c in r["candidates"]))
+            if query in table:
+                raise ValueError(f"query {query} has two rows")
+            table[query] = np.asarray(r["probs"], dtype=float)
         if not table:
             raise ValueError("no receiver row is defined")
         receiver = TabularDiscriminationReceiver(
-            int(data["d"]), int(data["num_messages"]), table)
+            _integer(data["d"], "d"),
+            _integer(data["num_messages"], "num_messages"), table)
         _finite(receiver.rows)
         return receiver
     raise ValueError(f"unknown receiver kind {kind!r}")

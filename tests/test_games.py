@@ -691,6 +691,114 @@ class TestTabularReceiver:
                    for row in recv.table.values())
 
 
+    @staticmethod
+    def random_table(rng, d, k, n, rows):
+        """A table over ``rows`` distinct random queries."""
+        queries = {(int(rng.integers(k)),
+                    tuple(rng.integers(n, size=d).tolist()))
+                   for _ in range(rows)}
+        return TabularDiscriminationReceiver(d, k, {
+            q: (w := rng.random(d) + 0.1) / w.sum() for q in sorted(queries)})
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_batch_reads_the_table_row(self, d):
+        rng = rng_for(f"tabular-index-{d}")
+        recv = self.random_table(rng, d, 3, 6, 200)
+        keys = list(recv.table)
+        picks = rng.integers(len(keys), size=500)
+        messages = np.array([keys[i][0] for i in picks])
+        cands = np.array([keys[i][1] for i in picks])
+        batch = recv.probabilities_batch(messages, cands)
+        for row, i in zip(batch, picks.tolist()):
+            assert row.tobytes() == recv.table[keys[i]].tobytes()
+
+    @pytest.mark.parametrize("messages, cands, missing", [
+        ([0, 1], [[0, 1, 2], [0, 0, 0]], r"\(1, \(0, 0, 0\)\)"),  # no row
+        # out of range, coding onto or clipped to a row of the table
+        ([0, 0], [[0, 1, 2], [0, 0, 5]], r"\(0, \(0, 0, 5\)\)"),
+        ([0, 0], [[0, 1, 2], [0, 2, -1]], r"\(0, \(0, 2, -1\)\)"),
+        ([0, 2], [[0, 1, 2], [0, 0, 0]], r"\(2, \(0, 0, 0\)\)"),
+        ([-1], [[2, 2, 2]], r"\(-1, \(2, 2, 2\)\)"),
+        ([0], [[0, 1]], r"\(0, \(0, 1\)\)"),  # wrong width
+    ])
+    def test_missing_queries_raise(self, messages, cands, missing):
+        # R = 3, and messages stop at 2, below num_messages
+        recv = TabularDiscriminationReceiver(3, 3, {
+            (0, (0, 0, 0)): [0.1, 0.1, 0.8], (0, (0, 1, 2)): [0.2, 0.3, 0.5],
+            (1, (2, 2, 2)): [0.4, 0.3, 0.3]})
+        assert recv.probabilities_batch([1, 0], [[2, 2, 2], [0, 0, 0]]
+                                        ).tolist() == [[0.4, 0.3, 0.3],
+                                                       [0.1, 0.1, 0.8]]
+        with pytest.raises(EmptyClassError, match=missing):
+            recv.probabilities_batch(np.array(messages), np.array(cands))
+
+    def test_empty_table_raises(self):
+        recv = TabularDiscriminationReceiver(2, 2, {})
+        with pytest.raises(EmptyClassError, match=r"\(0, \(0, 0\)\)$"):
+            recv.probabilities(0, (0, 0))
+
+    def test_index_past_the_budget(self, space_b, monkeypatch):
+        # a sparse table whose index spans 2 x 4^3 = 128 codes: past the
+        # budget it still builds, serializes and is checked for
+        # simplicity, and only its lookup raises
+        from signalgames import MessageSpace, io, receiver_simplicity
+        table = {(0, (0, 1, 2)): [0.2, 0.3, 0.5],
+                 (1, (3, 0, 0)): [0.4, 0.3, 0.3]}
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 127)
+        recv = TabularDiscriminationReceiver(3, 2, table)
+        assert io.receiver_from_json(io.receiver_to_json(recv)).table.keys() \
+            == recv.table.keys()
+        ms = MessageSpace.from_vectors(np.arange(2.0)[:, None])
+        assert receiver_simplicity(recv, 1.0, space_b, ms).worst_ratio > 0.0
+        with pytest.raises(BudgetExceededError,
+                           match="tabular receiver index needs 128 query "
+                                 r"codes \(budget 127\)") as exc:
+            recv.probabilities(0, (0, 1, 2))
+        assert exc.value.required == 128
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 128)
+        assert recv.probabilities(1, (3, 0, 0)).tolist() == [0.4, 0.3, 0.3]
+
+
+class TestMaskFreeKernels:
+    @staticmethod
+    def splice_reference(distractors, targets, positions):
+        # the boolean-mask scatter the column-wise splice replaced
+        b, d = distractors.shape[0], distractors.shape[1] + 1
+        at = np.arange(d) == np.broadcast_to(positions, (b,))[:, None]
+        cands = np.empty((b, d), dtype=np.int64)
+        cands[at] = np.broadcast_to(targets, (b,))
+        cands[~at] = distractors.ravel()
+        return cands
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_splice_matches_mask_scatter(self, d):
+        rng = rng_for(f"splice-{d}")
+        distr = rng.integers(0, 50, size=(300, d - 1))
+        targets, positions = rng.integers(0, 50, 300), rng.integers(0, d, 300)
+        for t in (targets, 7):
+            for p in (positions, 0, d - 1, d // 2):
+                got = games._splice(distr, t, p)
+                assert got.dtype == np.int64
+                assert np.array_equal(got,
+                                      self.splice_reference(distr, t, p))
+
+    @pytest.mark.parametrize("share", [0.0, 0.3, 1.0])
+    def test_uniform_where_bits(self, share):
+        # the former double np.where, bit for bit, on float and 0/1 rows
+        rng = rng_for(f"uniform-where-{share}")
+        scores = rng.random((400, 3)) * 7.0
+        scores[rng.random(400) < share] = 0.0
+        match = rng.random((400, 5)) < 0.4
+        match[rng.random(400) < share] = False
+        for rows in (scores, match):
+            totals = rows.sum(axis=1, keepdims=True)
+            empty = totals <= 0
+            safe = np.where(empty, 1.0, totals)
+            want = np.where(empty, 1.0 / rows.shape[1], rows / safe)
+            assert games._uniform_where(empty, rows, totals).tobytes() == \
+                want.tobytes()
+
+
 class TestEvalGlobal:
     def test_lossless_point_mass(self, space_b):
         ident = Protocol.identity(4)
@@ -858,6 +966,60 @@ class TestMonteCarloGolden:
         self.assert_report(rep, 1.269148558578663, 0.040506632031829116, [
             1.8756026317039367, 0.5243949793684745, 1.039969533900755,
             1.2242860095230859, 1.9310025443313792])
+
+    @pytest.mark.parametrize("samples, seed, expected, std_error, "
+                             "per_input", [
+        (300, 5, 0.473330975140028, 0.023005887394214407, [
+            1.0986122886681098, 0.40546510810816405, 0.40546510810816455,
+            1.0986122886681087, 0.0]),
+        (100_003, 11, 0.4766736967662405, 0.0012492293630117412, [
+            1.098612288667977, 0.40546510810803466, 0.4054651081079628,
+            1.0986122886679635, 0.0]),
+    ])
+    def test_classification_table(self, score_instance, samples, seed,
+                                  expected, std_error, per_input):
+        # the built-in receiver's loss is read off its table: the targets
+        # are drawn as before and the candidates no longer are
+        space, protocol, _ = score_instance
+        labels = LabelMap(["a", "b", "a", "c", "b"])
+        recv = synchronized_receiver(
+            protocol, space, GameSpec("classification", labels=labels))
+        rep = eval_classification(protocol, recv, space, labels, mode="mc",
+                                  samples=samples, seed=seed)
+        self.assert_report(rep, expected, std_error, per_input)
+        recv = ClassificationReceiver(np.array(
+            [[0.6, 0.3, 0.1], [0.2, 0.3, 0.5], [0.1, 0.8, 0.1]]))
+        rep = eval_classification(protocol, recv, space, labels, mode="mc",
+                                  samples=300, seed=5)
+        self.assert_report(rep, 0.940060333788365, 0.03227660114716842, [
+            0.5108256237659906, 1.2039728043259361, 1.6094379124340998,
+            0.693147180559945, 0.22314355131420924])
+
+    def test_classification_table_undefined_message(self, score_instance):
+        space, protocol, _ = score_instance
+        labels = LabelMap(["a", "b", "a", "c", "b"])
+        recv = ClassificationReceiver(np.full((3, 3), 1.0 / 3.0),
+                                      defined=[True, False, True])
+        with pytest.raises(EmptyClassError, match="^receiver undefined for "
+                                                  "message 1 "):
+            eval_classification(protocol, recv, space, labels, mode="mc",
+                                samples=300, seed=5)
+
+    def test_classification_table_memory_per_sample(self, score_instance):
+        # targets and losses only: no (samples, labels) candidate array
+        space, protocol, _ = score_instance
+        labels = LabelMap(["a", "b", "a", "c", "b"])
+        recv = synchronized_receiver(
+            protocol, space, GameSpec("classification", labels=labels))
+        samples = 10 ** 6
+        tracemalloc.start()
+        try:
+            eval_classification(protocol, recv, space, labels, mode="mc",
+                                samples=samples, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * samples
 
     @pytest.mark.parametrize("d, shards, expected, std_error, per_input", [
         (2, 1, 0.245439735040251, 0.0007412290400507853, [

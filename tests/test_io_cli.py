@@ -2,6 +2,7 @@ import contextlib
 import io as textio
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -146,6 +147,44 @@ class TestReceiverJson:
                                      GameSpec("reconstruction"))
         back = io.receiver_from_json(io.receiver_to_json(recv))
         assert back.defined.tolist() == [True, False]
+
+
+    @pytest.mark.parametrize("edit, message", [
+        (("candidates", [1.5, 0]), "a candidate must be an integer, got 1.5"),
+        (("message", True), "a row's message must be an integer, got True"),
+        (("message", "1"), "a row's message must be an integer, got '1'"),
+        (("d", 2.0), "d must be an integer, got 2.0"),
+        (("num_messages", False),
+         "num_messages must be an integer, got False"),
+        (("rows", "repeat"), r"query \(1, \(0, 1\)\) has two rows"),
+    ])
+    @pytest.mark.parametrize("definition", ["5", "6"])
+    def test_malformed_table_exits_2(self, tmp_path, space_b, edit, message,
+                                     definition, capsys):
+        # int() once read 1.5 as 1, true and "1" as 1, and let the last of
+        # two rows for one query win
+        rows = [{"message": m, "candidates": [a, b], "probs": [0.5, 0.5]}
+                for m in range(2) for a in range(4) for b in range(4)]
+        doc = {"kind": "discrimination", "d": 2, "num_messages": 2,
+               "rows": rows}
+        key, value = edit
+        if key in ("d", "num_messages"):
+            doc[key] = value
+        elif value == "repeat":
+            rows.append(dict(rows[17], probs=[0.25, 0.75]))
+        else:
+            rows[17][key] = value
+        io.save_input_space(tmp_path / "space.csv", space_b)
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(doc))
+        argv = ["verify", "--def", definition, "--input",
+                str(tmp_path / "space.csv"), "--receiver", str(path)]
+        if definition == "6":
+            argv += ["--game", "discrimination", "--d", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: bad receiver JSON: ")
+        assert re.search(message, err)
 
 
 class TestReportFormatting:
