@@ -83,8 +83,11 @@ def _positive_float(text: str) -> float:
 
 
 def _floats(text: str) -> list[float]:
-    """An argparse type: numbers separated by commas or semicolons."""
-    return [float(v) for v in text.replace(";", ",").split(",")]
+    """An argparse type: finite numbers split by commas or semicolons."""
+    values = [float(v) for v in text.replace(";", ",").split(",")]
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return values
 
 
 def _parse_symbol_groups(text: str) -> list[list[int]]:
@@ -568,6 +571,9 @@ def _verify_definition(args) -> dict:
                                   "unexplained": res.unexplained_variance},
                     "margins": {"gap": res.explained_variance,
                                 "boundary": res.boundary}}
+        if args.eps0 is None and message_space.size < 2:
+            raise ParseError("verify --def 4 on fewer than two messages "
+                             "needs --eps0 (epsilon_M is undefined)", "")
         res = consistency.spatial_meaningfulness(protocol, space,
                                                  message_space,
                                                  eps0=args.eps0)

@@ -116,12 +116,15 @@ def spatial_meaningfulness(protocol: Protocol, space: InputSpace,
     i.i.d. pairs, so self-pairs are included. ``eps_M`` is computed only
     when ``eps0`` is None or no realized positive distance is within
     ``eps0``; otherwise that distance bounds ``eps_M <= eps0`` already.
+    With one message and a given ``eps0`` it is never computed: the only
+    threshold, 0, merges every pair, so the check is not strict.
     """
     if eps0 is not None and eps0 <= 0.0:
         raise ValueError("eps0 must be positive")
     used = protocol.used_messages()
     dist = message_space.distances(used, used).ravel()
-    if eps0 is None or not np.any((dist > 0.0) & (dist <= eps0)):
+    if eps0 is None or (message_space.size > 1 and not np.any(
+            (dist > 0.0) & (dist <= eps0))):
         eps_m = message_space.epsilon_min()
         if eps0 is None:
             eps0 = eps_m

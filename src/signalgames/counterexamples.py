@@ -186,8 +186,8 @@ def verify_antipodal_split(space: InputSpace, k: int) -> dict:
     """Verdict report for the antipodal split on the given space.
 
     Confirms the construction ties the exhaustive optimum when the search
-    fits ``optimize.ENUMERATION_BUDGET`` (past it, uniform masses attain
-    the convexity bound) and reports its semantic-consistency verdict.
+    fits ``games.EXACT_TERM_BUDGET`` (past it, uniform masses attain the
+    convexity bound) and reports its semantic-consistency verdict.
     """
     protocol = build_anticonsistent_optimal(space, k)
     simplified = disc_objective_simplified(protocol, space)

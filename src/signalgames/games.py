@@ -81,16 +81,12 @@ __all__ = [
     "synchronized_receiver",
     "synchronized_sender",
     "per_input_message_losses",
-    "materialize_discrimination_table",
     "substream",
     "EXACT_TERM_BUDGET",
-    "MAX_TABLE_ROWS",
 ]
 
+# the package's only work limit; every check goes through _check_terms
 EXACT_TERM_BUDGET = 10 ** 8
-
-# rows a dense discrimination table may hold, when built or serialized
-MAX_TABLE_ROWS = 10 ** 6
 
 _PROB_TOL = 1e-12
 
@@ -893,21 +889,4 @@ def synchronized_sender(receiver, space: InputSpace,
     lowest message index. The per-input achieved loss is tie-invariant."""
     losses = per_input_message_losses(receiver, space, spec)
     return Protocol(np.argmin(losses, axis=1), receiver.num_messages)
-
-
-def materialize_discrimination_table(receiver: DiscriminationReceiver,
-                                     space: InputSpace
-                                     ) -> TabularDiscriminationReceiver:
-    """Dense (message x candidate tuple) table of a discrimination receiver."""
-    d = receiver.num_candidates
-    rows = receiver.num_messages * space.size ** d
-    if rows > MAX_TABLE_ROWS:
-        raise ValueError(f"dense table would need {rows} rows "
-                         f"(max {MAX_TABLE_ROWS})")
-    table = {}
-    for block in _product_rows([receiver.num_messages] + [space.size] * d):
-        probs = receiver.probabilities_batch(block[:, 0], block[:, 1:])
-        for (m, *cands), row in zip(block.tolist(), probs):
-            table[(m, tuple(cands))] = row
-    return TabularDiscriminationReceiver(d, receiver.num_messages, table)
 

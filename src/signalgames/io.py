@@ -23,9 +23,8 @@ import numpy as np
 
 from .core import InputSpace, LabelMap, MessageSpace, Protocol
 from .errors import ParseError
-from .games import MAX_TABLE_ROWS, ClassificationReceiver, \
-    ConstantDiscriminationReceiver, GlobalReceiver, ReconstructionReceiver, \
-    TabularDiscriminationReceiver
+from .games import ClassificationReceiver, ConstantDiscriminationReceiver, \
+    GlobalReceiver, ReconstructionReceiver, TabularDiscriminationReceiver
 
 __all__ = [
     "load_input_space",
@@ -240,10 +239,6 @@ def receiver_to_json(receiver) -> dict:
                 "vector": [float(v) for v in receiver.vector],
                 "num_messages": receiver.num_messages}
     if isinstance(receiver, TabularDiscriminationReceiver):
-        if len(receiver.table) > MAX_TABLE_ROWS:
-            raise ValueError(
-                f"dense discrimination table has {len(receiver.table)} rows; "
-                f"only tables up to {MAX_TABLE_ROWS} rows serialize")
         rows = [{"message": int(m), "candidates": [int(c) for c in cands],
                  "probs": [float(v) for v in row]}
                 for (m, cands), row in sorted(receiver.table.items())]

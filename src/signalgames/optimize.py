@@ -23,8 +23,7 @@ import numpy as np
 
 from .core import GameSpec, InputSpace, MessageSpace, Protocol, _as_readonly, \
     _class_sums, _partition_rows, _sq_dists
-from .errors import BudgetExceededError
-from .games import substream
+from .games import _check_terms, substream
 from .objectives import batch_objective
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "kmeans_alternation",
     "balanced_partition",
 ]
-
-ENUMERATION_BUDGET = 10 ** 7
 
 _TIE_TOL = 1e-12  # objective values this close to the minimum are optima
 
@@ -73,25 +70,23 @@ def exhaustive_search(space: InputSpace,
                       message_space: MessageSpace | int,
                       spec: GameSpec) -> SearchResult:
     """The full argmin set (values within 1e-12 of the minimum) over all
-    ``K^N`` protocols; more than ``ENUMERATION_BUDGET`` protocols, read at
-    call time, raise ``BudgetExceededError``.
+    protocols of ``K`` messages.
 
     Every closed form ignores message labels, so each set partition of the
     inputs into at most ``K`` blocks is scored once, as its restricted-growth
     string. ``partitions`` holds the tied strings in lexicographic order.
     ``protocols`` holds every labelling of them (``K!/(K-j)!`` for a
     partition with ``j`` blocks), ordered as ``itertools.product`` with
-    input 0 as the fastest digit."""
+    input 0 as the fastest digit. ``games.EXACT_TERM_BUDGET`` bounds the
+    partitions scored, checked before any is, and then the assignment
+    entries of the labelled optima, checked before any is built; past
+    either the call raises ``BudgetExceededError``."""
     k = message_space.size if isinstance(message_space, MessageSpace) \
         else int(message_space)
     n = space.size
     if k < 1:
         raise ValueError("need at least one message")
-    total = k ** n
-    if total > ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"search space has {total} protocols "
-            f"(budget {ENUMERATION_BUDGET})", required=total)
+    _check_terms(_partition_count(n, k), "exhaustive search", "partitions")
     best = math.inf
     kept: list[tuple[np.ndarray, np.ndarray]] = []  # (values, rows) slices
     for rows in _partition_rows(n, k):
@@ -107,15 +102,32 @@ def exhaustive_search(space: InputSpace,
                         _as_readonly(partitions.astype(int)))
 
 
+def _partition_count(n: int, k: int) -> int:
+    """The set partitions of ``n`` inputs into at most ``k`` blocks,
+    ``sum_{j <= min(k, n)} S(n, j)``, from the Stirling recurrence
+    ``S(i, j) = j S(i-1, j) + S(i-1, j-1)`` on Python integers."""
+    row = [1] + [0] * min(k, n)  # S(0, j)
+    for _ in range(n):
+        for j in range(len(row) - 1, 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+    return sum(row)
+
+
 def _labellings(partitions: np.ndarray, k: int) -> np.ndarray:
     """Every injective relabelling of the blocks of each partition row by
-    messages ``0..k-1``, sorted with input 0 as the fastest digit. The
-    sort runs on the enumerator's small unsigned type, where ``lexsort`` is
-    about 8x faster than on ``int``; the result is ``int``, so that callers'
+    messages ``0..k-1``, sorted with input 0 as the fastest digit, once
+    their ``N sum_j perm(k, j)`` entries fit the budget. The sort runs on
+    the enumerator's small unsigned type, where ``lexsort`` is about 8x
+    faster than on ``int``; the result is ``int``, so that callers'
     arithmetic on it cannot wrap around."""
     top = partitions.max(axis=1)  # the number of blocks, minus one
+    counts = np.bincount(top).tolist()
+    _check_terms(partitions.shape[1] * sum(
+        c * math.perm(k, j + 1) for j, c in enumerate(counts)),
+        "exhaustive search's labelled optima", "assignment entries")
     labelled = []
-    for j in np.unique(top).tolist():
+    for j in np.flatnonzero(counts).tolist():
         labels = np.array(list(itertools.permutations(range(k), j + 1)),
                           dtype=partitions.dtype)
         labelled.append(labels[:, partitions[top == j]].reshape(
@@ -142,12 +154,12 @@ def kmeans_alternation(space: InputSpace, k: int,
     """Alternate nearest-centroid assignment and class-mean updates.
 
     ``init`` is either ``"sample"`` (a seeded draw of ``k`` distinct data
-    points) or an explicit centroid array. Ties in the assignment step break
-    toward the lowest message index. An empty cluster is re-seeded to the
-    point farthest from its nearest centroid. The returned trace holds the
-    weighted sum of squared distances after every half-step and is
-    non-increasing; the final value equals the reconstruction objective of
-    the returned protocol.
+    points) or an explicit array of finite centroids. Ties in the
+    assignment step break toward the lowest message index. An empty
+    cluster is re-seeded to the point farthest from its nearest centroid.
+    The returned trace holds the weighted sum of squared distances after
+    every half-step and is non-increasing; the final value equals the
+    reconstruction objective of the returned protocol.
     """
     distinct = len(np.unique(space.points, axis=0))
     if not 1 <= k <= distinct:
@@ -163,6 +175,8 @@ def kmeans_alternation(space: InputSpace, k: int,
         centroids = np.asarray(init, dtype=float).reshape(k, -1)
         if centroids.shape[1] != space.dim:
             raise ValueError("centroid dimension mismatch")
+        if not np.isfinite(centroids).all():
+            raise ValueError("centroids must be finite")
 
     trace: list[float] = []
     prev_assign = None

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from signalgames.games import TabularDiscriminationReceiver
+
 
 def variance_bruteforce(points, weights):
     """Var[X] via the pairwise identity: E||x1 - x2||^2 / 2."""
@@ -118,6 +120,18 @@ def discrimination_loss_bruteforce(assignment, weights, d,
                 p = receiver(m, cands)[t]
                 total += w / d * (-math.log(p) if p > 0 else math.inf)
     return total
+
+
+def materialize_discrimination_table(receiver, space):
+    """Dense (message x ordered candidate tuple) table of a discrimination
+    receiver over the inputs of ``space``, one ``probabilities`` query per
+    row."""
+    d = receiver.num_candidates
+    table = {}
+    for m, *cands in itertools.product(range(receiver.num_messages),
+                                       *[range(space.size)] * d):
+        table[(m, tuple(cands))] = receiver.probabilities(m, tuple(cands))
+    return TabularDiscriminationReceiver(d, receiver.num_messages, table)
 
 
 def accuracy_bruteforce(assignment, points, weights, d, receiver_kind,

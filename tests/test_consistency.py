@@ -24,11 +24,11 @@ from signalgames import (
     TabularDiscriminationReceiver,
 )
 from signalgames import core, games
-from signalgames.games import materialize_discrimination_table, \
-    SynchronizedDiscriminationReceiver
+from signalgames.games import SynchronizedDiscriminationReceiver
 
 from conftest import random_space, rng_for
-from oracles import conditional_pairwise_bruteforce, lipschitz_bruteforce
+from oracles import conditional_pairwise_bruteforce, lipschitz_bruteforce, \
+    materialize_discrimination_table
 
 LOG2 = math.log(2.0)
 

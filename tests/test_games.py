@@ -1,7 +1,9 @@
+import ast
 import itertools
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,6 @@ from signalgames.games import (
     ScoreDiscriminationReceiver,
     SynchronizedDiscriminationReceiver,
     TabularDiscriminationReceiver,
-    materialize_discrimination_table,
     per_input_message_losses,
     substream,
 )
@@ -42,6 +43,7 @@ from conftest import random_protocol, random_space, rng_for
 from oracles import (
     discrimination_loss_bruteforce,
     global_loss_bruteforce,
+    materialize_discrimination_table,
     reconstruction_loss_bruteforce,
     supervised_loss_bruteforce,
 )
@@ -1304,3 +1306,27 @@ class TestSubstream:
         b = substream(7, "accuracy").random(3)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
+
+
+def test_term_budget_is_the_only_limit():
+    # every limit goes through games._check_terms against the one constant
+    def raises_budget(node):
+        return isinstance(node, ast.Call) and "BudgetExceededError" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    constants, calls, raised = [], 0, []
+    for path in sorted(Path(games.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            constants += [(path.stem, t.id) for t in targets
+                          if isinstance(t, ast.Name)
+                          and (t.id.endswith("_BUDGET")
+                               or t.id.startswith("MAX_"))]
+        calls += sum(map(raises_budget, ast.walk(tree)))
+        raised += [(path.stem, func.name) for func in ast.walk(tree)
+                   if isinstance(func, ast.FunctionDef)
+                   for node in ast.walk(func) if raises_budget(node)]
+    assert constants == [("games", "EXACT_TERM_BUDGET")]
+    assert calls == 1 and raised == [("games", "_check_terms")]

@@ -4,7 +4,9 @@ import json
 import math
 import re
 import tempfile
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from signalgames.cli import main
 from signalgames.counterexamples import build_mirror_pairs_instance
 
 from conftest import first_appearance, random_space, rng_for
+from oracles import materialize_discrimination_table
 
 
 @pytest.fixture
@@ -271,7 +274,7 @@ class TestCli:
         "antipodal_k_mismatch", "verify_samples", "symbol_above_vocab",
         "metrics_d0", "def4_eps0_0", "def4_eps0_negative", "def5_eps0_0",
         "def5_eps0_negative", "def5_eps0_nan", "def3_protocol_size",
-        "def4_protocol_size"])
+        "def4_protocol_size", "kmeans_init_nan", "kmeans_init_inf"])
     def test_malformed_input_exits_2(self, case, tmp_path, space_b, capsys):
         io.save_input_space(tmp_path / "space.csv", space_b)
         (tmp_path / "protocol.csv").write_text(
@@ -386,6 +389,10 @@ class TestCli:
             "kmeans_init_shape": ["optimize", "--method", "kmeans", "--init",
                                   "0.1,0.2,0.3", "--k", "2", "--input",
                                   space],
+            "kmeans_init_nan": ["optimize", "--method", "kmeans", "--init",
+                                "nan,1", "--k", "2", "--input", space],
+            "kmeans_init_inf": ["optimize", "--method", "kmeans", "--init",
+                                "0;-inf", "--k", "2", "--input", space],
             "optimize_d1": ["optimize", "--game", "discrimination", "--d",
                             "1", "--k", "2", "--input", space],
             "lemma2_d1": ["verify", "--lemma", "2", "--d", "1"],
@@ -504,6 +511,27 @@ class TestCli:
         assert main([*argv, "--eps0", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"]
 
+    def test_verify_def4_one_message_needs_eps0(self, tmp_path, space_b,
+                                                capsys):
+        # epsilon_M, the default eps0, needs two messages; given eps0, the
+        # only threshold is 0, where every pair merges, so no check is
+        # strict and the below-eps_M warning has nothing to compare
+        io.save_input_space(tmp_path / "space.csv", space_b)
+        (tmp_path / "protocol.csv").write_text(
+            "id,message\n0,0\n1,0\n2,0\n3,0\n")
+        argv = ["verify", "--def", "4", "--input",
+                str(tmp_path / "space.csv"), "--protocol",
+                str(tmp_path / "protocol.csv")]
+        assert main(argv) == 2
+        assert "needs --eps0" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--eps0", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert not report["verdict"]
+        assert [t["epsilon"] for t in report["witnesses"]] == [0.0]
+        assert report["witnesses"][0]["boundary"]
+
     @pytest.mark.parametrize("value,where", [
         ("NaN", ":3:4: non-finite number NaN"),
         ("Infinity", ":3:4: non-finite number Infinity"),
@@ -529,7 +557,7 @@ class TestCli:
         # the budget the verdict is an exit 3, never a sampled estimate
         io.save_input_space(tmp_path / "space.csv", space_b)
         io.write_report(tmp_path / "table.json", io.receiver_to_json(
-            games.materialize_discrimination_table(
+            materialize_discrimination_table(
                 games.SynchronizedDiscriminationReceiver(split, 2),
                 space_b)))
         argv = ["verify", "--def", "6", "--game", "discrimination", "--d",
@@ -698,12 +726,19 @@ class TestCli:
         assert result["objective"] == 0.25
 
     def test_optimize_budget_exits_3(self, data_dir, monkeypatch, capsys):
-        monkeypatch.setattr(optimize, "ENUMERATION_BUDGET", 15)
-        code = main(["optimize", "--input", str(data_dir / "space.csv"),
-                     "--method", "exhaustive", "--k", "2",
-                     "--out", str(data_dir / "ob")])
-        assert code == 3
-        assert "16 protocols (budget 15)" in capsys.readouterr().err
+        argv = ["optimize", "--input", str(data_dir / "space.csv"),
+                "--method", "exhaustive", "--out", str(data_dir / "ob")]
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 7)
+        assert main([*argv, "--k", "2"]) == 3
+        assert "needs 8 partitions (budget 7)" in capsys.readouterr().err
+        # 15 partitions fit, but labelling the optimum's 4 blocks would
+        # take 100000!/99996! label tuples: refused before any is built
+        monkeypatch.undo()
+        start = time.perf_counter()
+        assert main([*argv, "--k", "100000"]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert f"needs {4 * math.perm(100000, 4)} assignment entries" \
+            in capsys.readouterr().err
 
     def test_optimize_balanced(self, data_dir, capsys):
         out = data_dir / "bal"

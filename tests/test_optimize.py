@@ -19,8 +19,8 @@ from signalgames import (
     reco_objective,
     semantic_consistency,
 )
-from signalgames.core import GAME_KINDS
-from signalgames import optimize
+from signalgames.core import GAME_KINDS, _partition_rows
+from signalgames import games, optimize
 from signalgames.optimize import batch_objective
 
 from conftest import first_appearance, random_protocol, random_space, \
@@ -102,15 +102,52 @@ class TestExhaustiveSearch:
             exhaustive_search(space_b, 0, GameSpec("reconstruction"))
 
     def test_budget_error_reports_requirement(self, space_b, monkeypatch):
-        # the module budget is read at call time
-        monkeypatch.setattr(optimize, "ENUMERATION_BUDGET", 81)
-        # one adjacent pair merged: mass 1/2 at within-pair variance 1/4
+        # the term budget, read at call time, counts the 14 partitions of
+        # 4 inputs into at most 3 blocks before any is scored, then the 72
+        # assignment entries of the 18 labelled optima
+        scored = []
+        monkeypatch.setattr(optimize, "batch_objective",
+                            lambda *a: scored.append(1) or batch_objective(*a))
         spec = GameSpec("reconstruction")
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 72)
+        # one adjacent pair merged: mass 1/2 at within-pair variance 1/4
         assert exhaustive_search(space_b, 3, spec).value == 0.125
-        monkeypatch.setattr(optimize, "ENUMERATION_BUDGET", 80)
+        for budget, required, scores in ((71, 72, True), (13, 14, False)):
+            monkeypatch.setattr(games, "EXACT_TERM_BUDGET", budget)
+            scored.clear()
+            with pytest.raises(BudgetExceededError) as exc:
+                exhaustive_search(space_b, 3, spec)
+            assert exc.value.required == required
+            assert bool(scored) == scores
+
+    def test_partition_count_matches_enumeration(self):
+        for n in range(1, 9):
+            for k in range(1, 7):
+                rows = sum(len(r) for r in _partition_rows(n, k))
+                assert optimize._partition_count(n, k) == rows
+
+    def test_all_tie_labels_every_protocol(self, monkeypatch):
+        # six equal points tie all 122 partitions into at most 3 blocks;
+        # their labellings are all 3^6 = 729 protocols, 4,374 entries
+        space = InputSpace.uniform(np.zeros((6, 1)))
+        spec = GameSpec("reconstruction")
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 6 * 729)
+        result = exhaustive_search(space, 3, spec)
+        assert len(result.partitions) == 122
+        every = np.array(list(itertools.product(range(3), repeat=6)))
+        assert np.array_equal(result.protocols.rows, every[:, ::-1])
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 6 * 729 - 1)
         with pytest.raises(BudgetExceededError) as exc:
-            exhaustive_search(space_b, 3, spec)
-        assert exc.value.required == 81
+            exhaustive_search(space, 3, spec)
+        assert exc.value.required == 6 * 729
+
+    def test_counts_partitions_not_labelled_protocols(self):
+        # 3^15 = 14,348,907 labelled protocols, 2,391,485 partitions; the
+        # equal-mass splits 15!/(5!^3 3!) tie
+        space = InputSpace.uniform(np.arange(15.0)[:, None])
+        result = exhaustive_search(space, 3, GameSpec("discrimination", d=2))
+        assert len(result.partitions) == 126_126
+        assert len(result.protocols) == 6 * 126_126
 
     def test_batch_matches_oracles(self):
         rng = rng_for("batch-objective")
@@ -244,6 +281,11 @@ class TestKMeans:
         space = InputSpace.uniform([[0.0], [1.0], [10.0]])
         res = kmeans_alternation(space, 2, init=[[10.0], [10.0]])
         assert len(set(res.protocol.assignment.tolist())) == 2
+
+    def test_non_finite_init_rejected(self, space_b):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                kmeans_alternation(space_b, 2, init=[[bad], [1.0]])
 
     def test_validates_k(self, space_b):
         with pytest.raises(ValueError):
