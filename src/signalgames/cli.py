@@ -554,6 +554,14 @@ def _verify_lemma(args) -> dict:
     return report
 
 
+def _require_eps0(args, message_space: MessageSpace) -> None:
+    """``epsilon_M`` needs two messages; with fewer, ``--eps0`` must give
+    the threshold."""
+    if args.eps0 is None and message_space.size < 2:
+        raise ParseError(f"verify --def {args.definition} on fewer than two "
+                         "messages needs --eps0 (epsilon_M is undefined)", "")
+
+
 def _verify_definition(args) -> dict:
     needs = ("input", "protocol") if args.definition in ("3", "4") \
         else ("input", "receiver")
@@ -571,9 +579,7 @@ def _verify_definition(args) -> dict:
                                   "unexplained": res.unexplained_variance},
                     "margins": {"gap": res.explained_variance,
                                 "boundary": res.boundary}}
-        if args.eps0 is None and message_space.size < 2:
-            raise ParseError("verify --def 4 on fewer than two messages "
-                             "needs --eps0 (epsilon_M is undefined)", "")
+        _require_eps0(args, message_space)
         res = consistency.spatial_meaningfulness(protocol, space,
                                                  message_space,
                                                  eps0=args.eps0)
@@ -595,9 +601,7 @@ def _verify_definition(args) -> dict:
             raise ParseError(f"{receiver.num_messages} receiver messages for "
                              f"{message_space.size} in the message space",
                              str(args.receiver))
-        if args.eps0 is None and message_space.size < 2:
-            raise ParseError("verify --def 5 on fewer than two messages "
-                             "needs --eps0 (epsilon_M is undefined)", "")
+        _require_eps0(args, message_space)
         res = consistency.receiver_simplicity(receiver, args.eps0, space,
                                               message_space)
         return {"definition": "receiver-simplicity", "verdict": res.simple,

@@ -436,11 +436,13 @@ def eval_global(protocol: Protocol, receiver: GlobalReceiver,
 # ---------------------------------------------------------------------------
 
 def _check_terms(terms: int, what: str = "exact enumeration",
-                 unit: str = "terms") -> None:
+                 unit: str = "terms", at_least: bool = False) -> None:
     """Raise ``BudgetExceededError`` with ``required=terms`` when ``terms``
-    exceed ``EXACT_TERM_BUDGET``, read at call time."""
+    exceed ``EXACT_TERM_BUDGET``, read at call time; ``at_least`` marks
+    ``terms`` as a lower bound of the work in the message."""
     if terms > EXACT_TERM_BUDGET:
-        raise BudgetExceededError(f"{what} needs {terms} {unit} "
+        bound = "at least " if at_least else ""
+        raise BudgetExceededError(f"{what} needs {bound}{terms} {unit} "
                                   f"(budget {EXACT_TERM_BUDGET})",
                                   required=terms)
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import GameSpec, InputSpace, MessageSpace, Protocol, _as_readonly, \
     _class_sums, _partition_rows, _sq_dists
+from . import games
 from .games import _check_terms, substream
 from .objectives import batch_objective
 
@@ -79,53 +80,88 @@ def exhaustive_search(space: InputSpace,
     partition with ``j`` blocks), ordered as ``itertools.product`` with
     input 0 as the fastest digit. ``games.EXACT_TERM_BUDGET`` bounds the
     partitions scored, checked before any is, and then the assignment
-    entries of the labelled optima, checked before any is built; past
-    either the call raises ``BudgetExceededError``."""
+    entries of the labelled optima, checked before any labelling is built;
+    past either the call raises ``BudgetExceededError``."""
     k = message_space.size if isinstance(message_space, MessageSpace) \
         else int(message_space)
     n = space.size
     if k < 1:
         raise ValueError("need at least one message")
-    _check_terms(_partition_count(n, k), "exhaustive search", "partitions")
-    best = math.inf
-    kept: list[tuple[np.ndarray, np.ndarray]] = []  # (values, rows) slices
-    for rows in _partition_rows(n, k):
-        values = batch_objective(rows, space, spec)
-        if values.min() < best:
-            best = float(values.min())
-            kept = [(v[v <= best + _TIE_TOL], r[v <= best + _TIE_TOL])
-                    for v, r in kept]
-        tied = values <= best + _TIE_TOL
-        kept.append((values[tied], rows[tied]))
-    partitions = np.concatenate([r for _, r in kept])
+    count, exact = _partition_count(n, k, games.EXACT_TERM_BUDGET)
+    _check_terms(count, "exhaustive search", "partitions", at_least=not exact)
+    best, partitions = _argmin_rows(n, k, space, spec)
+    if partitions is None:
+        # the ties outgrew the budget before the minimum was known
+        best, partitions = _argmin_rows(n, k, space, spec, best)
     return SearchResult(best, ProtocolRows(_labellings(partitions, k), k),
                         _as_readonly(partitions.astype(int)))
 
 
-def _partition_count(n: int, k: int) -> int:
+def _partition_count(n: int, k: int, limit: int) -> tuple[int, bool]:
     """The set partitions of ``n`` inputs into at most ``k`` blocks,
-    ``sum_{j <= min(k, n)} S(n, j)``, from the Stirling recurrence
-    ``S(i, j) = j S(i-1, j) + S(i-1, j-1)`` on Python integers."""
-    row = [1] + [0] * min(k, n)  # S(0, j)
-    for _ in range(n):
+    ``sum_{j <= min(k, n)} S(n, j)``, by the Stirling recurrence, and
+    whether that is exact: the count never falls as inputs are added, so
+    it stops at the first prefix whose count passes ``limit``, a lower
+    bound (for ``k >= 2`` within about ``log2(limit)`` inputs)."""
+    row = [1]  # S(i, j) for j <= min(k, i)
+    for i in range(1, n + 1):
+        if len(row) <= k:
+            row.append(0)
         for j in range(len(row) - 1, 0, -1):
             row[j] = j * row[j] + row[j - 1]
         row[0] = 0
-    return sum(row)
+        if i < n and sum(row) > limit:
+            return sum(row), False
+    return sum(row), True
 
 
-def _labellings(partitions: np.ndarray, k: int) -> np.ndarray:
+def _argmin_rows(n: int, k: int, space: InputSpace, spec: GameSpec,
+                 best: float | None = None):
+    """The minimum over the partitions of ``n`` inputs into at most ``k``
+    blocks, and the rows within ``_TIE_TOL`` of it in enumeration order.
+    Each row has at least ``n k`` labelled entries, so at most
+    ``budget / (n k)`` rows are held; past that they come back as
+    ``None``, or, given the minimum as ``best``, the call raises."""
+    fixed = best is not None
+    best = best if fixed else math.inf
+    kept: list | None = []  # (values, rows) slices within _TIE_TOL of best
+    held = 0  # rows in kept
+    for rows in _partition_rows(n, k):
+        values = batch_objective(rows, space, spec)
+        low = float(values.min())
+        if low < best:
+            best = low
+            if kept is not None:
+                kept = [(v[v <= best + _TIE_TOL], r[v <= best + _TIE_TOL])
+                        for v, r in kept]
+                held = sum(len(v) for v, _ in kept)
+        if kept is None or low > best + _TIE_TOL:
+            continue
+        tied = values <= best + _TIE_TOL
+        kept.append((values[tied], rows[tied]))
+        held += len(kept[-1][0])
+        if held * n * k > games.EXACT_TERM_BUDGET:
+            if fixed:  # the tie set only grows: this refuses what it holds
+                _labellings(np.concatenate([r for _, r in kept]), k, True)
+            kept = None
+    return best, kept and np.concatenate([r for _, r in kept])
+
+
+def _labellings(partitions: np.ndarray, k: int,
+                at_least: bool = False) -> np.ndarray:
     """Every injective relabelling of the blocks of each partition row by
     messages ``0..k-1``, sorted with input 0 as the fastest digit, once
-    their ``N sum_j perm(k, j)`` entries fit the budget. The sort runs on
-    the enumerator's small unsigned type, where ``lexsort`` is about 8x
-    faster than on ``int``; the result is ``int``, so that callers'
-    arithmetic on it cannot wrap around."""
+    their ``N sum_j perm(k, j)`` entries fit the budget (``at_least``: the
+    rows are part of the optima). The sort runs on the enumerator's small
+    unsigned type, where ``lexsort`` is about 8x faster than on ``int``;
+    the result is ``int``, so that callers' arithmetic on it cannot wrap
+    around."""
     top = partitions.max(axis=1)  # the number of blocks, minus one
     counts = np.bincount(top).tolist()
     _check_terms(partitions.shape[1] * sum(
         c * math.perm(k, j + 1) for j, c in enumerate(counts)),
-        "exhaustive search's labelled optima", "assignment entries")
+        "exhaustive search's labelled optima", "assignment entries",
+        at_least)
     labelled = []
     for j in np.flatnonzero(counts).tolist():
         labels = np.array(list(itertools.permutations(range(k), j + 1)),

@@ -1,10 +1,10 @@
 import contextlib
 import io as textio
+import itertools
 import json
 import math
 import re
 import tempfile
-import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -37,6 +37,10 @@ def data_dir(tmp_path, space_b, split, labels_ab):
     io.save_protocol(tmp_path / "protocol.csv", split,
                      io.default_message_space(2))
     return tmp_path
+
+
+def _never(*args):
+    raise AssertionError("called past the budget")
 
 
 class TestInputSpaceFiles:
@@ -734,11 +738,20 @@ class TestCli:
         # 15 partitions fit, but labelling the optimum's 4 blocks would
         # take 100000!/99996! label tuples: refused before any is built
         monkeypatch.undo()
-        start = time.perf_counter()
+        monkeypatch.setattr(itertools, "permutations", _never)
         assert main([*argv, "--k", "100000"]) == 3
-        assert time.perf_counter() - start < 1.0
         assert f"needs {4 * math.perm(100000, 4)} assignment entries" \
             in capsys.readouterr().err
+
+    def test_verify_corollary_past_partition_budget_exits_3(
+            self, monkeypatch, capsys):
+        # the partition count stops at 14 inputs, whose 190,899,322
+        # partitions pass the budget, and no partition is scored
+        monkeypatch.setattr(optimize, "batch_objective", _never)
+        assert main(["verify", "--corollary", "1", "--n", "100000",
+                     "--k", "100000"]) == 3
+        assert "exhaustive search needs at least 190899322 partitions " \
+            "(budget 100000000)" in capsys.readouterr().err
 
     def test_optimize_balanced(self, data_dir, capsys):
         out = data_dir / "bal"

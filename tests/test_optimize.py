@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from signalgames import (
     semantic_consistency,
 )
 from signalgames.core import GAME_KINDS, _partition_rows
-from signalgames import games, optimize
+from signalgames import core, games, optimize
 from signalgames.optimize import batch_objective
 
 from conftest import first_appearance, random_protocol, random_space, \
@@ -124,7 +125,21 @@ class TestExhaustiveSearch:
         for n in range(1, 9):
             for k in range(1, 7):
                 rows = sum(len(r) for r in _partition_rows(n, k))
-                assert optimize._partition_count(n, k) == rows
+                assert optimize._partition_count(n, k, rows) == (rows, True)
+                # a stop just below the count still passes the limit
+                assert optimize._partition_count(n, k, rows - 1)[0] == rows
+
+    def test_partition_count_stops_past_the_limit(self):
+        # the count never falls as inputs are added: for 10^5 inputs into
+        # at most 10^5 blocks it stops at the 14 inputs whose Bell number,
+        # 190,899,322, first passes 10^8, and reports that lower bound
+        assert optimize._partition_count(10 ** 5, 10 ** 5, 10 ** 8) == \
+            (190_899_322, False)
+        assert optimize._partition_count(14, 14, 10 ** 8) == \
+            (190_899_322, True)
+        # 2^(i-1) partitions of i inputs into at most 2 blocks
+        assert optimize._partition_count(10 ** 6, 2, 10 ** 8) == \
+            (2 ** 27, False)
 
     def test_all_tie_labels_every_protocol(self, monkeypatch):
         # six equal points tie all 122 partitions into at most 3 blocks;
@@ -140,6 +155,50 @@ class TestExhaustiveSearch:
         with pytest.raises(BudgetExceededError) as exc:
             exhaustive_search(space, 3, spec)
         assert exc.value.required == 6 * 729
+
+    def test_rescans_when_ties_outgrow_the_budget(self, monkeypatch):
+        # every partition but the last, 0122, ties at 1 and it scores 0:
+        # one row per batch, so the scan holds at most 24 / (4 * 3) = 2
+        # tied rows before it sees the minimum, and a second scan keeps
+        # 0122, whose 6 labellings take the 24 entries
+        def score(rows, *rest):
+            scored.append(len(rows))
+            return np.where((rows == [0, 1, 2, 2]).all(axis=1), 0.0, 1.0)
+
+        scored = []
+        monkeypatch.setattr(optimize, "batch_objective", score)
+        monkeypatch.setattr(core, "_PARTITION_BLOCK", 1)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 24)
+        space = InputSpace.uniform(np.arange(4.0)[:, None])
+        result = exhaustive_search(space, 3, GameSpec("reconstruction"))
+        assert scored == [1] * 28
+        assert result.value == 0.0
+        assert result.partitions.tolist() == [[0, 1, 2, 2]]
+        assert sorted(result.protocols.rows.tolist()) == sorted(
+            [a, b, c, c] for a, b, c in itertools.permutations(range(3)))
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 23)
+        with pytest.raises(BudgetExceededError) as exc:
+            exhaustive_search(space, 3, GameSpec("reconstruction"))
+        assert exc.value.required == 24
+
+    def test_scan_holds_rows_within_the_budget(self, monkeypatch):
+        # 20 equal points tie all 2^19 partitions into at most 2 blocks,
+        # whose 2^20 labellings take 20 * 2^20 entries; at a budget of
+        # 2^19 both scans hold at most 2^19 / (20 * 2) of the rows, about
+        # 28 B each (15 MB for all of them), and the second refuses the
+        # labellings of those it holds
+        space = InputSpace.uniform(np.zeros((20, 1)))
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 2 ** 19)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as exc:
+                exhaustive_search(space, 2, GameSpec("reconstruction"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "needs at least" in str(exc.value)
+        assert 2 ** 19 < exc.value.required < 20 * 2 ** 20
+        assert peak < 4 * 2 ** 20
 
     def test_counts_partitions_not_labelled_protocols(self):
         # 3^15 = 14,348,907 labelled protocols, 2,391,485 partitions; the
