@@ -650,6 +650,14 @@ def _load_receiver(args, space: InputSpace):
     return receiver
 
 
+def _equal_mass_partitions(n: int, k: int) -> int:
+    """The number of partitions of ``n`` inputs into ``k`` unordered blocks
+    of ``n / k`` each, ``n! / ((n/k)!^k k!)``: block ``j`` takes the
+    smallest input left and ``n/k - 1`` of the other ``n - j n/k - 1``."""
+    size = n // k
+    return math.prod(math.comb(n - j * size - 1, size - 1) for j in range(k))
+
+
 def _verify_corollary(args) -> dict:
     space = InputSpace.uniform(np.arange(float(args.n))[:, None])
     spec = GameSpec("discrimination", d=args.d)
@@ -659,10 +667,8 @@ def _verify_corollary(args) -> dict:
     masses = (result.partitions[:, :, None] == np.arange(args.k)).sum(axis=1)
     if args.n % args.k == 0:
         # every equal-mass partition is among the tied optima
-        size = args.n // args.k
-        equal_mass = math.factorial(args.n) // (
-            math.factorial(size) ** args.k * math.factorial(args.k))
-        uniform_ok = int(np.all(masses == size, axis=1).sum()) == equal_mass
+        uniform_ok = int(np.all(masses == args.n // args.k, axis=1).sum()) \
+            == _equal_mass_partitions(args.n, args.k)
     convex = objectives.convexity_check(args.d)
     masses_uniform_at_min = bool(np.allclose(masses, args.n / args.k))
     return {"check": "corollary-1", "n": args.n, "k": args.k, "d": args.d,

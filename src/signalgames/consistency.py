@@ -137,8 +137,8 @@ def spatial_meaningfulness(protocol: Protocol, space: InputSpace,
 
     w, pts = space.weights, space.points
     # per-class mass, second moment and first moment, unnormalized
-    p, sq, *first = (s[0, used] for s in _class_sums(
-        protocol.assignment[None], protocol.num_messages, w,
+    p, sq, *first = (s[used] for s in _class_sums(
+        protocol.assignment, protocol.num_messages, w,
         w * np.einsum("ij,ij->i", pts, pts), *(w * pts.T)))
     first = np.stack(first, axis=1)
     # p_a p_b E ||x1 - x2||^2 over independent draws from classes a and b

@@ -77,6 +77,16 @@ class InputSpace:
             raise ValueError(f"weights must sum to 1 (got {w.sum()!r})")
         self.points = _as_readonly(pts)
         self.weights = _as_readonly(w)
+        # the moments depend on the space alone, so they are computed once
+        pts, w = self.points, self.weights
+        mean = w @ pts
+        centered = pts - mean
+        self._mean = _as_readonly(mean)
+        self._variance = float(w @ np.einsum("ij,ij->i", centered, centered))
+        # per coordinate, w_i (x_i - E X): the reconstruction closed form's
+        # class sums
+        self._centered_weighted = tuple(_as_readonly(c)
+                                        for c in w * centered.T)
 
     @classmethod
     def uniform(cls, points: Sequence[Sequence[float]] | np.ndarray) -> "InputSpace":
@@ -93,12 +103,12 @@ class InputSpace:
         return self.points.shape[1]
 
     def mean(self) -> np.ndarray:
-        return self.weights @ self.points
+        """``E X``, as a new array on each call."""
+        return self._mean.copy()
 
     def variance(self) -> float:
         """Total variance ``E ||X - E X||^2`` (trace of the covariance)."""
-        centered = self.points - self.mean()
-        return float(self.weights @ np.einsum("ij,ij->i", centered, centered))
+        return self._variance
 
     def is_uniform(self, tol: float = 1e-12) -> bool:
         return bool(np.all(np.abs(self.weights - 1.0 / self.size) <= tol))
@@ -343,8 +353,8 @@ class GameSpec:
 def message_probabilities(protocol: Protocol, space: InputSpace) -> np.ndarray:
     """``p_m = P(S(X) = m)`` for every message index."""
     _check_sizes(protocol, space)
-    return _class_sums(protocol.assignment[None], protocol.num_messages,
-                       space.weights)[0][0]
+    return _class_sums(protocol.assignment, protocol.num_messages,
+                       space.weights)[0]
 
 
 def conditional_stats(protocol: Protocol, space: InputSpace,
@@ -368,10 +378,11 @@ def _class_sums(codes: np.ndarray, size: int,
     """Per-row class sums of a (B, N) code matrix with values below
     ``size``: for each weight vector, ``out[b, c]`` sums ``weights[i]``
     over the inputs ``i`` with ``codes[b, i] == c``. The codes are offset
-    by row, so one bincount per weight vector does all rows."""
+    by row, so one bincount per weight vector does all rows. One (N,)
+    row of codes gives (size,) sums."""
+    if codes.ndim == 1:
+        return [np.bincount(codes, w, size) for w in weights]
     rows = len(codes)
-    if rows == 1:  # one row needs no offsets
-        return [np.bincount(codes[0], w, size)[None] for w in weights]
     flat = (codes + np.arange(0, rows * size, size)[:, None]).ravel()
     return [np.bincount(flat, np.tile(w, rows), rows * size).reshape(
         rows, size) for w in weights]
@@ -431,6 +442,9 @@ def _partition_rows(n: int, k: int) -> Iterator[np.ndarray]:
     ``_PARTITION_BLOCK`` rows in the smallest unsigned integer type that
     holds ``k - 1``. Prefixes are extended one column at a time, block by
     block, so that only a few blocks per column are held at once."""
+    if k == 1:  # the one partition puts every input in block 0
+        yield np.zeros((1, n), dtype=np.uint8)
+        return
     stack = [(np.zeros((1, n), dtype=np.min_scalar_type(k - 1)),
               np.zeros(1, dtype=np.int64), 1)]  # rows, largest block, width
     while stack:

@@ -651,9 +651,9 @@ def _mc_report(losses: np.ndarray, targets: np.ndarray, n: int,
     """Report of a Monte-Carlo sample: the mean loss, overall and per
     target input (NaN for inputs never drawn), with its standard error."""
     per_input = np.full(n, np.nan)
-    sums, = _class_sums(targets[None], n, losses)
+    sums, = _class_sums(targets, n, losses)
     hits = np.bincount(targets, minlength=n)
-    np.divide(sums[0], hits, out=per_input, where=hits > 0)
+    np.divide(sums, hits, out=per_input, where=hits > 0)
     infinite = bool(np.any(np.isinf(losses)))
     expected = float(losses.mean()) if not infinite else math.inf
     se = float(losses.std(ddof=1) / math.sqrt(losses.size)) \
@@ -746,7 +746,7 @@ def _distractor_laws(space: InputSpace, labels: LabelMap | None
     if labels.size != space.size:
         raise ValueError("label map does not cover the input space")
     codes = labels.codes()
-    masses, = _class_sums(codes[None], labels.num_values, space.weights)
+    masses, = _class_sums(codes, labels.num_values, space.weights)
     if labels.num_values < 2:
         raise ValueError("supervised game needs >=2 labels")
     if np.any(np.abs(masses - 1.0 / labels.num_values) > 1e-9):
@@ -843,10 +843,10 @@ def synchronized_receiver(protocol: Protocol, space: InputSpace,
     p = message_probabilities(protocol, space)
     used = p > 0.0
     if spec.kind == "reconstruction":
-        firsts = _class_sums(protocol.assignment[None], protocol.num_messages,
+        firsts = _class_sums(protocol.assignment, protocol.num_messages,
                              *(space.weights * space.points.T))
         pts = np.full((protocol.num_messages, space.dim), np.nan)
-        np.divide(np.concatenate(firsts).T, p[:, None], out=pts,
+        np.divide(np.stack(firsts, axis=1), p[:, None], out=pts,
                   where=used[:, None])
         return ReconstructionReceiver(pts, defined=used)
     if spec.kind in ("discrimination", "supervised"):

@@ -55,9 +55,9 @@ def message_variance(protocol: Protocol, space: InputSpace) -> float:
     pts = space.points
     # per class: the count n_m, sum ||x||^2 and sum x; the pair sum over
     # the class is 2 (n_m sum ||x||^2 - ||sum x||^2)
-    counts, sq, *first = (s[0] for s in _class_sums(
-        protocol.assignment[None], protocol.num_messages,
-        np.ones(space.size), np.einsum("ij,ij->i", pts, pts), *pts.T))
+    counts, sq, *first = _class_sums(
+        protocol.assignment, protocol.num_messages,
+        np.ones(space.size), np.einsum("ij,ij->i", pts, pts), *pts.T)
     spread = sum(f * f for f in first)
     np.divide(spread, counts, out=spread, where=counts > 0)
     return float((sq - spread).sum() / space.size)
@@ -185,7 +185,7 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 def _weighted_joint(codes_a: np.ndarray, codes_b: np.ndarray,
                     weights: np.ndarray) -> np.ndarray:
     rows, cols = codes_a.max() + 1, codes_b.max() + 1
-    joint, = _class_sums((codes_a * cols + codes_b)[None], rows * cols,
+    joint, = _class_sums(codes_a * cols + codes_b, rows * cols,
                          weights)
     return joint.reshape(rows, cols)
 

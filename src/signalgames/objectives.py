@@ -69,10 +69,14 @@ def _log1p_binomial_mean(p: np.ndarray, d: int) -> np.ndarray:
     if d < 2:
         raise ValueError("candidate count d must be at least 2")
     n = d - 1
-    q = 1.0 - p
-    acc = 0.0
+    q = 1.0 - p if n > 1 else None
+    acc = None
     for k in range(1, n + 1):  # k = 0 contributes log 1 = 0
-        acc = acc + math.comb(n, k) * math.log1p(k) * p ** k * q ** (n - k)
+        # x ** 1 is x and x ** 0 is 1 exactly, so those powers are skipped
+        term = math.comb(n, k) * math.log1p(k) * (p ** k if k > 1 else p)
+        if k < n:
+            term = term * (q ** (n - k) if k < n - 1 else q)
+        acc = term if acc is None else acc + term
     return acc
 
 
@@ -118,7 +122,7 @@ def supervised_objective(protocol: Protocol, space: InputSpace,
     :func:`batch_objective` gives the loss itself at any ``d``.
     """
     diversity, purity = map(float, _supervised_terms(
-        joint_message_label(protocol, space, labels)))
+        _joint(protocol.assignment, protocol.num_messages, space, labels)))
     return SupervisedObjective(diversity - purity, diversity, purity)
 
 
@@ -159,22 +163,22 @@ def entropy(probs: np.ndarray) -> np.ndarray:
     included, so a point mass has entropy ``+0``.
     """
     probs = np.asarray(probs, dtype=float)
-    return (np.log(np.maximum(probs, _TINY)) * -probs).sum(axis=-1)
+    return np.add.reduce(np.log(np.maximum(probs, _TINY)) * -probs, axis=-1)
 
 
 def mutual_information(joint: np.ndarray) -> np.ndarray:
     """``I(row; col)`` of joint probability tables held in the last two
     axes, in nats."""
     joint = np.asarray(joint, dtype=float)
-    return entropy(joint.sum(axis=-1)) + entropy(joint.sum(axis=-2)) \
+    add = np.add.reduce
+    return entropy(add(joint, axis=-1)) + entropy(add(joint, axis=-2)) \
         - entropy(joint.reshape(*joint.shape[:-2], -1))
 
 
 def joint_message_label(protocol: Protocol, space: InputSpace,
                         labels: LabelMap) -> np.ndarray:
     """Exact joint table ``P(S(X) = m, Y = y)`` of shape (K, |Y|)."""
-    return _joint(protocol.assignment[None], protocol.num_messages, space,
-                  labels)[0]
+    return _joint(protocol.assignment, protocol.num_messages, space, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -196,33 +200,37 @@ def batch_objective(assignments: np.ndarray, space: InputSpace,
 def _one_row(protocol: Protocol, space: InputSpace, kind: str, d: int = 2,
              labels: LabelMap | None = None) -> float:
     _check_sizes(protocol, space)
-    return float(_objective_rows(protocol.assignment[None],
-                                 protocol.num_messages, space, kind, d,
-                                 labels)[0])
+    return float(_objective_rows(protocol.assignment, protocol.num_messages,
+                                 space, kind, d, labels))
 
 
 def _objective_rows(assignments: np.ndarray, k: int, space: InputSpace,
                     kind: str, d: int, labels: LabelMap | None) -> np.ndarray:
     """The one dispatch from class sums to each game's closed form, for a
-    (B, N) matrix of assignments with values below ``k``."""
-    w = space.weights
+    (B, N) matrix of assignments with values below ``k`` (or one (N,)
+    assignment, giving a scalar)."""
+    w, add = space.weights, np.add.reduce
     if kind == "reconstruction":
-        # Var[X] minus the explained part sum_m ||E[(X - EX) 1{S=m}]||^2 / p_m
-        masses, *sums = _class_sums(assignments, k, w,
-                                    *(w * (space.points - space.mean()).T))
-        explained = sum(s * s for s in sums)
-        np.divide(explained, masses, out=explained, where=masses > 0.0)
-        return space.variance() - explained.sum(axis=-1)
+        # Var[X] minus the explained part sum_m ||E[(X - EX) 1{S=m}]||^2 / p_m;
+        # an empty class has sums of exactly 0, so dividing by tiny keeps 0
+        masses, first, *rest = _class_sums(assignments, k, w,
+                                           *space._centered_weighted)
+        explained = first * first
+        for s in rest:
+            explained += s * s
+        explained /= np.maximum(masses, _TINY)
+        return space._variance - add(explained, axis=-1)
     if kind in ("discrimination", "global"):
         masses, = _class_sums(assignments, k, w)
         if kind == "global":
             return -entropy(masses)
-        return (masses * _log1p_binomial_mean(masses, d)).sum(axis=-1)
+        return add(masses * _log1p_binomial_mean(masses, d), axis=-1)
     if kind == "supervised":
         joint = _joint(assignments, k, space, labels)
-        outside = 1.0 - joint.sum(axis=-2, keepdims=True)  # 1 - P(y)
-        q = (joint.sum(axis=-1, keepdims=True) - joint) / outside
-        return (joint * _log1p_binomial_mean(q, d)).sum(axis=(-2, -1))
+        outside = 1.0 - add(joint, axis=-2, keepdims=True)  # 1 - P(y)
+        q = add(joint, axis=-1, keepdims=True) - joint
+        q /= outside
+        return add(joint * _log1p_binomial_mean(q, d), axis=(-2, -1))
     if kind == "classification":
         return -mutual_information(_joint(assignments, k, space, labels))
     raise ValueError(f"unknown game kind {kind!r}")
@@ -230,16 +238,18 @@ def _objective_rows(assignments: np.ndarray, k: int, space: InputSpace,
 
 def _joint(assignments: np.ndarray, k: int, space: InputSpace,
            labels: LabelMap) -> np.ndarray:
-    """``P(S(X) = m, Y = y)`` for each row, shape (B, K, |Y|)."""
+    """``P(S(X) = m, Y = y)`` for each row, shape (B, K, |Y|), or (K, |Y|)
+    for one (N,) assignment."""
     if labels.size != space.size:
         raise ValueError("label map does not cover the input space")
     v = labels.num_values
     sums, = _class_sums(assignments * v + labels.codes(), k * v,
                         space.weights)
-    return sums.reshape(-1, k, v)
+    return sums.reshape(*assignments.shape[:-1], k, v)
 
 
 def _supervised_terms(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``sum_m P(m)^2`` and ``sum_{m,y} P(m, y)^2`` of joint tables."""
-    masses = joint.sum(axis=-1)
-    return (masses * masses).sum(axis=-1), (joint * joint).sum(axis=(-2, -1))
+    add = np.add.reduce
+    masses = add(joint, axis=-1)
+    return add(masses * masses, axis=-1), add(joint * joint, axis=(-2, -1))

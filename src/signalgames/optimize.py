@@ -227,8 +227,8 @@ def kmeans_alternation(space: InputSpace, k: int,
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             converged = True
             break
-        masses, *firsts = _class_sums(assign[None], k, w, *(w * pts.T))
-        centroids = np.concatenate(firsts).T / masses.T
+        masses, *firsts = _class_sums(assign, k, w, *(w * pts.T))
+        centroids = np.stack(firsts, axis=1) / masses[:, None]
         d2 = _sq_dists(pts, centroids)
         obj = float(w @ d2[np.arange(space.size), assign])
         trace.append(obj)

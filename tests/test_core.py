@@ -15,6 +15,7 @@ from signalgames import (
     Protocol,
     conditional_stats,
     message_probabilities,
+    reco_objective,
 )
 from signalgames import core, io
 from signalgames.core import _class_sums, _multiset_rows, _product_rows
@@ -110,6 +111,48 @@ class TestVariance:
             s = random_space(rng)
             assert abs(s.variance()
                        - variance_bruteforce(s.points, s.weights)) < 1e-10
+
+
+class TestMoments:
+    """The mean and total variance are computed once per space; the cached
+    values keep the bits of the direct formulas and cannot be corrupted
+    through what :meth:`InputSpace.mean` hands out."""
+
+    def test_match_direct_formulas_bit_for_bit(self):
+        rng = rng_for("cached-moments")
+        for _ in range(50):
+            s = random_space(rng, n_max=40, dim_max=4)
+            x, w = s.points, s.weights
+            mean = w @ x
+            centered = x - mean
+            assert np.array_equal(s.mean(), mean)
+            assert s.variance() == float(
+                w @ np.einsum("ij,ij->i", centered, centered))
+
+    def test_writing_into_the_mean_changes_nothing(self):
+        rng = rng_for("cached-moments-write")
+        s = random_space(rng, n_max=12)
+        protocol = random_protocol(rng, s.size)
+        mean, var = s.mean(), s.variance()
+        reco = reco_objective(protocol, s)
+        handed_out = s.mean()
+        handed_out += 1e3
+        assert np.array_equal(s.mean(), mean)
+        assert s.variance() == var
+        assert reco_objective(protocol, s) == reco
+
+    def test_reconstruction_objective_reads_the_cache(self, monkeypatch):
+        rng = rng_for("cached-moments-calls")
+        s = random_space(rng, n_max=12)
+        protocols = [random_protocol(rng, s.size) for _ in range(100)]
+
+        def refuse(self):
+            raise AssertionError("moment recomputed per protocol")
+
+        monkeypatch.setattr(InputSpace, "mean", refuse)
+        monkeypatch.setattr(InputSpace, "variance", refuse)
+        for protocol in protocols:
+            reco_objective(protocol, s)
 
 
 class TestConditionalStats:

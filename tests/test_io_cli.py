@@ -24,7 +24,7 @@ from signalgames import (
     synchronized_receiver,
 )
 from signalgames import games, io, optimize
-from signalgames.cli import main
+from signalgames.cli import _equal_mass_partitions, main
 from signalgames.counterexamples import build_mirror_pairs_instance
 
 from conftest import first_appearance, random_space, rng_for
@@ -715,6 +715,26 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"]
         assert report["witnesses"]["num_optimal"] == 1
+
+    def test_verify_corollary_one_message_never_repeats_rows(
+            self, capsys, monkeypatch):
+        # the one partition is built whole, not grown a column at a time
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.repeat on the one-message path")
+
+        monkeypatch.setattr(np, "repeat", refuse)
+        code = main(["verify", "--corollary", "1", "--n", "20000", "--k",
+                     "1"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["verdict"]
+
+    def test_equal_mass_count_matches_factorials(self):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                if n % k == 0:
+                    size = n // k
+                    assert _equal_mass_partitions(n, k) == math.factorial(
+                        n) // (math.factorial(size) ** k * math.factorial(k))
 
     def test_optimize_kmeans_round_trip(self, data_dir, capsys):
         out = data_dir / "opt"

@@ -29,7 +29,7 @@ from signalgames.games import (
     eval_supervised,
     synchronized_receiver,
 )
-from signalgames.objectives import joint_message_label
+from signalgames.objectives import batch_objective, joint_message_label
 
 from conftest import random_protocol, random_space, rng_for
 from oracles import entropy_bruteforce, mutual_information_bruteforce
@@ -178,6 +178,81 @@ class TestClassificationObjective:
             joint = joint_message_label(protocol, space, labels)
             assert abs(classification_objective(protocol, space, labels)
                        + mutual_information_bruteforce(joint)) < 1e-10
+
+
+class TestPinnedBits:
+    """The closed forms' exact bits on a small seeded population, recorded
+    before the kernel was tuned; any reordering of its float operations
+    that moves a bit fails here."""
+
+    # per protocol: reconstruction, discrimination (d=3), global,
+    # supervised value, diversity and purity terms, classification
+    SCALAR = [
+        ["0x1.fa69ed5b84395p+0", "0x1.1a9c6c0dd3adep-1",
+         "-0x1.d7a7411008e08p-1", "0x1.ca394e20de757p-3",
+         "0x1.c808d052afe02p-2", "0x1.c5d85284814adp-3",
+         "-0x1.703e858f26a1cp-2"],
+        ["0x1.042a35e825b26p+1", "0x1.029ff30218834p-1",
+         "-0x1.fcdead43fbe76p-1", "0x1.0000000000000p-54",
+         "0x1.9bf85e0ad95d7p-2", "0x1.9bf85e0ad95d6p-2",
+         "-0x1.fcdead43fbe76p-1"],
+        ["0x1.177e83713bfcap+1", "0x1.c597d0499aa04p-2",
+         "-0x1.14932bd98fd72p+0", "0x1.6d12c997998f1p-3",
+         "0x1.612828a8b8864p-2", "0x1.553d87b9d77d7p-3",
+         "-0x1.c7c940de55c50p-3"],
+        ["0x1.3db5b271e473ep+0", "0x1.cc13b56135ca6p-2",
+         "-0x1.125af94ac4a6bp+0", "0x1.1c16bc66038b9p-3",
+         "0x1.6719c3b72e681p-2", "0x1.b21ccb0859449p-3",
+         "-0x1.aeb140b1a9ab0p-2"],
+    ]
+    # batch_objective's supervised loss at d=3, one entry per protocol
+    SUPERVISED_LOSS = ["0x1.bc27293059ddap-2", "0x0.0p+0",
+                       "0x1.9809e12152f25p-2", "0x1.3434762e479eep-2"]
+
+    @staticmethod
+    def _population():
+        rng = rng_for("pinned closed-form bits")
+        n, k = 7, 3
+        pts = rng.normal(size=(n, 2))
+        w = rng.random(n) + 0.1
+        space = InputSpace(pts, w / w.sum())
+        labels = LabelMap([f"y{int(v)}" for v in rng.integers(0, 3, size=n)])
+        rows = []
+        while len(rows) < 4:  # batch_objective infers K from message K-1
+            a = rng.integers(0, k, size=n)
+            if a.max() == k - 1:
+                rows.append(a)
+        return space, labels, np.array(rows), k
+
+    def test_scalar_forms(self):
+        space, labels, rows, k = self._population()
+        for a, want in zip(rows, self.SCALAR):
+            q = Protocol(a, k)
+            sup = supervised_objective(q, space, labels)
+            got = [reco_objective(q, space), disc_objective(q, space, 3),
+                   global_objective(q, space), sup.value,
+                   sup.diversity_term, sup.purity_term,
+                   classification_objective(q, space, labels)]
+            assert [float.hex(v) for v in got] == want
+
+    def test_batch_equals_scalar(self):
+        space, labels, rows, k = self._population()
+        scalar = {
+            "reconstruction": lambda q: reco_objective(q, space),
+            "discrimination": lambda q: disc_objective(q, space, 3),
+            "global": lambda q: global_objective(q, space),
+            "classification": lambda q: classification_objective(
+                q, space, labels),
+        }
+        for kind, form in scalar.items():
+            batch = batch_objective(rows, space,
+                                    GameSpec(kind, d=3, labels=labels))
+            for a, value in zip(rows, batch):
+                assert float.hex(float(value)) == float.hex(
+                    form(Protocol(a, k)))
+        sup = batch_objective(rows, space,
+                              GameSpec("supervised", d=3, labels=labels))
+        assert [float.hex(float(v)) for v in sup] == self.SUPERVISED_LOSS
 
 
 class TestConvexity:
