@@ -39,6 +39,13 @@ implement the batch in numpy, and their scalar ``probabilities(message,
 candidates)`` is the batch on one row. A subclass may define only the
 scalar method instead; the base class then stacks it row by row.
 
+Monte-Carlo estimates cut each substream into blocks of ``_MC_BLOCK`` rows
+that start at exact stream offsets, so a block draws what it would draw in
+order. Blocks of the built-in synchronized, score and tabular receivers
+run on a thread pool, built on first use; any other receiver is asked on
+the caller's thread. Every seeded report is the same for every worker
+count.
+
 Conventions:
 
 * logarithms are in nats;
@@ -55,6 +62,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +99,29 @@ EXACT_TERM_BUDGET = 10 ** 8
 
 _PROB_TOL = 1e-12
 
-# uniforms per block of Monte-Carlo draws
+# uniforms per chunk of Monte-Carlo draws: a Monte-Carlo block scores its
+# rows a chunk at a time, so each worker holds one chunk
 _DRAW_BLOCK = 1 << 16
+
+# rows per Monte-Carlo block: fixed, so every row's draws and every report
+# are the same whatever the worker count
+_MC_BLOCK = 1 << 16
+
+# Monte-Carlo worker threads; None reads the usable cores at each call
+_WORKERS = None
+_POOLS: dict = {}
+_POOL_LOCK = threading.Lock()
+
+
+def _forget_pools() -> None:
+    """In a forked child: the parent's pool threads do not exist there."""
+    global _POOL_LOCK
+    _POOLS.clear()
+    _POOL_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pools)
 
 
 def substream(seed: int, *names: str) -> np.random.Generator:
@@ -649,17 +679,93 @@ class _Sampler:
 def _mc_report(losses: np.ndarray, targets: np.ndarray, n: int,
                seed: int) -> LossReport:
     """Report of a Monte-Carlo sample: the mean loss, overall and per
-    target input (NaN for inputs never drawn), with its standard error."""
+    target input (NaN for inputs never drawn), with its standard error.
+    Losses are never NaN or ``-inf``, so a non-finite mean means an
+    infinite loss. Past one block of samples the standard error is
+    computed on the pool while the caller sums per input."""
+    mean = float(losses.mean())
+    infinite = not math.isfinite(mean)
+    spread = not infinite and losses.size > 1
+    pool = _pool() if spread and losses.size > _MC_BLOCK else None
+    se = pool.submit(_std_error, losses) if pool else None
     per_input = np.full(n, np.nan)
     sums, = _class_sums(targets, n, losses)
     hits = np.bincount(targets, minlength=n)
     np.divide(sums, hits, out=per_input, where=hits > 0)
-    infinite = bool(np.any(np.isinf(losses)))
-    expected = float(losses.mean()) if not infinite else math.inf
-    se = float(losses.std(ddof=1) / math.sqrt(losses.size)) \
-        if not infinite and losses.size > 1 else None
-    return LossReport(expected, per_input, "monte-carlo", samples=losses.size,
-                      seed=seed, std_error=se, infinite=infinite)
+    if spread:
+        se = se.result() if pool else _std_error(losses)
+    return LossReport(math.inf if infinite else mean, per_input,
+                      "monte-carlo", samples=losses.size, seed=seed,
+                      std_error=se, infinite=infinite)
+
+
+def _std_error(losses: np.ndarray) -> float:
+    return float(losses.std(ddof=1) / math.sqrt(losses.size))
+
+
+def _worker_count() -> int:
+    """Threads for Monte-Carlo blocks: ``_WORKERS`` when set, else the
+    cores this process may run on."""
+    if _WORKERS is not None:
+        return _WORKERS
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity
+        return os.cpu_count() or 1
+
+
+def _pool():
+    """The shared pool of ``_worker_count()`` threads, built on first use;
+    None for one worker."""
+    workers = _worker_count()
+    if workers < 2:
+        return None
+    with _POOL_LOCK:
+        pool = _POOLS.get(workers)
+        if pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            pool = _POOLS[workers] = ThreadPoolExecutor(
+                workers, thread_name_prefix="signalgames-mc")
+    return pool
+
+
+def _run_blocks(job, blocks: list[tuple], concurrent: bool) -> None:
+    """``job(*block)`` for every block: on the pool when ``concurrent`` is
+    set and there are several blocks and workers, else on the caller's
+    thread in order. Either way the first failing block in order raises
+    its exception."""
+    pool = _pool() if concurrent and len(blocks) > 1 else None
+    if pool is None:
+        for block in blocks:
+            job(*block)
+        return
+    for _ in pool.map(lambda block: job(*block), blocks):
+        pass
+
+
+def _pool_safe(receiver: DiscriminationReceiver, d: int) -> bool:
+    """Whether blocks of queries to ``receiver`` may run concurrently: only
+    for the built-in score and tabular receivers, whose batch writes
+    nothing. The tabular index is built here, before any block runs."""
+    batch = type(receiver).probabilities_batch
+    if batch is TabularDiscriminationReceiver.probabilities_batch \
+            and receiver.num_candidates == d:
+        receiver._lookup()
+    return batch in (ScoreDiscriminationReceiver.probabilities_batch,
+                     TabularDiscriminationReceiver.probabilities_batch)
+
+
+def _advanced(seeds, steps: int) -> np.random.Generator:
+    """The PCG64 generator of the seed sequence ``seeds``, moved ``steps``
+    draws ahead, one per uniform."""
+    return np.random.Generator(np.random.PCG64(seeds).advance(steps))
+
+
+def _row_blocks(start: int, size: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` offsets of ``_MC_BLOCK``-row blocks over ``size``
+    rows, then shifted by ``start``."""
+    return [(start + lo, start + min(lo + _MC_BLOCK, size))
+            for lo in range(0, size, _MC_BLOCK)]
 
 
 def _mc_discrimination(messages: np.ndarray, receiver: DiscriminationReceiver,
@@ -668,42 +774,71 @@ def _mc_discrimination(messages: np.ndarray, receiver: DiscriminationReceiver,
     """Seeded Monte-Carlo estimate; shards derive independent substreams so
     results are reproducible for a fixed (seed, samples, shards).
 
-    Each shard draws its targets, then its (size, d-1) distractors in row
-    order, then (table receivers only) the target positions, all through
-    one :class:`_Sampler` of the prior. The synchronized receiver's loss
-    is ``log(1 + c)`` for ``c`` distractors sharing the target's message:
-    its distractors are drawn and scored in blocks of rows, so the path
-    holds the targets and losses (16 B per sample) and one block."""
+    A shard of ``size`` rows draws, through one :class:`_Sampler` of the
+    prior, ``size`` target uniforms, then ``size * (d - 1)`` distractor
+    uniforms in row order, then (for every receiver but the synchronized
+    one) ``integers(0, d, size)`` target positions. Its rows are cut into
+    blocks of ``_MC_BLOCK``: block ``[lo, hi)`` draws its targets from the
+    shard's generator rebuilt from its seed sequence and moved ``lo`` draws
+    ahead, and its distractors from one moved ``size + lo * (d - 1)``
+    ahead, so every row
+    gets the same draws however the blocks run. The positions come from
+    the shard's generator moved ``size * d`` ahead, in block order on the
+    caller's thread; ``integers`` rejects some draws, so their offsets are
+    unknown.
+
+    The synchronized receiver's loss is ``log(1 + c)`` for ``c``
+    distractors sharing the target's message. Its blocks, and those of the
+    built-in score and tabular receivers, run on ``_run_blocks``'s pool;
+    any other receiver is asked block by block on the caller's thread. A
+    block is scored a chunk of at most ``_DRAW_BLOCK`` uniforms at a time,
+    so the path holds the targets and losses (16 B per sample), the
+    positions (1 B more) and one chunk per worker."""
     _check_samples(samples, shards)
+    _check_terms(samples, "Monte-Carlo", "samples")
     sampler = _Sampler(space.weights)
     targets = np.empty(samples, dtype=np.int64)
     losses = np.empty(samples)
     sync = type(receiver).probabilities_batch is \
         SynchronizedDiscriminationReceiver.probabilities_batch
+    positions = None if sync \
+        else np.empty(samples, dtype=np.min_scalar_type(d - 1))
     log_counts = np.log1p(np.arange(d, dtype=float))
-    rows = max(1, _DRAW_BLOCK // (d - 1))
+
+    chunk = max(1, _DRAW_BLOCK // d)  # rows of d uniforms
+
+    def job(seeds, size, start, lo, hi):
+        target_draws = _advanced(seeds, lo - start)
+        distractor_draws = _advanced(seeds, size + (lo - start) * (d - 1))
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
+            drawn = sampler.draw(target_draws, b - a, out=targets[a:b])
+            distr = sampler.draw(distractor_draws, (b - a, d - 1))
+            if sync:
+                own = messages[drawn]
+                count = np.zeros(b - a, dtype=np.intp)
+                for c in range(d - 1):
+                    count += messages[distr[:, c]] == own
+                log_counts.take(count, out=losses[a:b])
+            else:
+                at = positions[a:b]
+                losses[a:b] = _query_nll(receiver, messages[drawn],
+                                         _splice(distr, drawn, at), at)
+
+    blocks = []
     start = 0
     for shard in range(shards):
         size = samples // shards + (1 if shard < samples % shards else 0)
-        if size == 0:
-            continue
         rng = substream(seed, "monte-carlo", str(shard))
-        drawn = sampler.draw(rng, size, out=targets[start:start + size])
-        out = losses[start:start + size]
-        if sync:
-            for lo in range(0, size, rows):
-                distr = sampler.draw(rng, (min(rows, size - lo), d - 1))
-                own = messages[drawn[lo:lo + len(distr)]]
-                count = np.zeros(len(distr), dtype=np.intp)
-                for c in range(d - 1):
-                    count += messages[distr[:, c]] == own
-                log_counts.take(count, out=out[lo:lo + len(distr)])
-        else:
-            distr = sampler.draw(rng, (size, d - 1))
-            positions = rng.integers(0, d, size=size)
-            out[:] = _query_nll(receiver, messages[drawn],
-                                _splice(distr, drawn, positions), positions)
+        rows = _row_blocks(start, size)
+        if not sync:
+            rng.bit_generator.advance(size * d)
+            for lo, hi in rows:
+                positions[lo:hi] = rng.integers(0, d, size=hi - lo)
+        blocks += [(rng.bit_generator.seed_seq, size, start, lo, hi)
+                   for lo, hi in rows]
         start += size
+    _run_blocks(job, blocks, sync or _pool_safe(receiver, d))
     return _mc_report(losses, targets, space.size, seed)
 
 
@@ -806,13 +941,15 @@ def eval_classification(protocol: Protocol, receiver: DiscriminationReceiver,
         return _exact_eval(protocol, receiver, space, "classification",
                            labels=labels)
     _check_samples(samples)
+    _check_terms(samples, "Monte-Carlo", "samples")
     codes, groups, cond = _label_groups(space, labels)
     rng = substream(seed, "monte-carlo", "classification")
-    targets = _Sampler(space.weights).draw(rng, samples)
+    sampler = _Sampler(space.weights)
     if type(receiver).probabilities_batch \
             is ClassificationReceiver.probabilities_batch:
         # candidates are drawn after the targets and never read: the loss
         # of input i is -log conditional[m_i, y_i], read once per input
+        targets = sampler.draw(rng, samples)
         missed = targets[~receiver.defined[protocol.assignment][targets]]
         if missed.size:
             raise EmptyClassError(
@@ -821,10 +958,28 @@ def eval_classification(protocol: Protocol, receiver: DiscriminationReceiver,
         per_input = _classification_losses(protocol.assignment[:, None],
                                             receiver, space, labels)[:, 0]
         return _mc_report(per_input[targets], targets, space.size, seed)
-    cands = np.stack([g[_Sampler(c).draw(rng, samples)]
-                      for g, c in zip(groups, cond)], axis=1)
-    losses = _query_nll(receiver, protocol.assignment[targets], cands,
-                        codes[targets])
+    # the stream holds the targets, then each label's draws in turn: block
+    # [lo, hi) of label y starts samples * (1 + y) + lo draws in
+    targets = np.empty(samples, dtype=np.int64)
+    losses = np.empty(samples)
+    label_samplers = [_Sampler(c) for c in cond]
+
+    chunk = max(1, _DRAW_BLOCK // (1 + len(groups)))  # rows of uniforms
+
+    def job(lo, hi):
+        streams = [_advanced(rng.bit_generator.seed_seq, samples * y + lo)
+                   for y in range(1 + len(groups))]
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
+            drawn = sampler.draw(streams[0], b - a, out=targets[a:b])
+            cands = np.empty((b - a, len(groups)), dtype=np.int64)
+            for y, (g, draws) in enumerate(zip(groups, label_samplers)):
+                cands[:, y] = g[draws.draw(streams[1 + y], b - a)]
+            losses[a:b] = _query_nll(receiver, protocol.assignment[drawn],
+                                     cands, codes[drawn])
+
+    _run_blocks(job, _row_blocks(0, samples),
+                _pool_safe(receiver, len(groups)))
     return _mc_report(losses, targets, space.size, seed)
 
 

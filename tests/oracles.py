@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from signalgames.games import TabularDiscriminationReceiver
+from signalgames.games import TabularDiscriminationReceiver, substream
 
 
 def variance_bruteforce(points, weights):
@@ -132,6 +132,61 @@ def materialize_discrimination_table(receiver, space):
                                        *[range(space.size)] * d):
         table[(m, tuple(cands))] = receiver.probabilities(m, tuple(cands))
     return TabularDiscriminationReceiver(d, receiver.num_messages, table)
+
+
+def _asked_losses(receiver, messages, candidates, positions):
+    """``-log`` of the probability each query row gives its target's
+    position, ``inf`` where it is 0; one batch answers every row."""
+    probs = receiver.probabilities_batch(messages, candidates)
+    return np.array([-math.log(p) if p > 0.0 else math.inf
+                     for p in probs[np.arange(len(probs)), positions]])
+
+
+def discrimination_mc_flat(assignment, receiver, weights, d, samples, seed,
+                           shards=1, synchronized=False):
+    """Targets and losses of seeded Monte-Carlo discrimination with every
+    shard's draws taken in single calls: all ``size`` targets by
+    ``Generator.choice``, then all (size, d-1) distractors, then (unless
+    ``synchronized``) all target positions by ``integers``. A synchronized
+    loss is ``log(1 + c)`` for ``c`` distractors sharing the target's
+    message; any other receiver is asked every row at once."""
+    assignment = np.asarray(assignment)
+    n = len(weights)
+    targets, losses = [], []
+    for shard in range(shards):
+        size = samples // shards + (1 if shard < samples % shards else 0)
+        rng = substream(seed, "monte-carlo", str(shard))
+        t = rng.choice(n, size, p=weights)
+        distr = rng.choice(n, (size, d - 1), p=weights)
+        if synchronized:
+            count = (assignment[distr] == assignment[t][:, None]).sum(axis=1)
+            losses.append(np.log1p(np.arange(d, dtype=float))[count])
+        else:
+            pos = rng.integers(0, d, size=size)
+            cands = np.array([list(row[:p]) + [i] + list(row[p:])
+                              for row, i, p in zip(distr.tolist(),
+                                                   t.tolist(), pos.tolist())],
+                             dtype=np.int64).reshape(size, d)
+            losses.append(_asked_losses(receiver, assignment[t], cands, pos))
+        targets.append(t)
+    return np.concatenate(targets), np.concatenate(losses)
+
+
+def classification_mc_flat(assignment, receiver, weights, codes, samples,
+                           seed):
+    """Targets and losses of seeded Monte-Carlo classification with all
+    targets drawn in one ``Generator.choice`` call, then each label's
+    candidates in one call, label by label."""
+    assignment, codes = np.asarray(assignment), np.asarray(codes)
+    rng = substream(seed, "monte-carlo", "classification")
+    t = rng.choice(len(weights), samples, p=weights)
+    cands = []
+    for y in range(codes.max() + 1):
+        group = np.flatnonzero(codes == y)
+        law = np.asarray(weights)[group] / np.asarray(weights)[group].sum()
+        cands.append(group[rng.choice(group.size, samples, p=law)])
+    return t, _asked_losses(receiver, assignment[t], np.stack(cands, axis=1),
+                            codes[t])
 
 
 def accuracy_bruteforce(assignment, points, weights, d, receiver_kind,

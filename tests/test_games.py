@@ -1,6 +1,11 @@
 import ast
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -41,7 +46,9 @@ from signalgames.games import (
 
 from conftest import random_protocol, random_space, rng_for
 from oracles import (
+    classification_mc_flat,
     discrimination_loss_bruteforce,
+    discrimination_mc_flat,
     global_loss_bruteforce,
     materialize_discrimination_table,
     reconstruction_loss_bruteforce,
@@ -1046,6 +1053,276 @@ class TestMonteCarloGolden:
         rep = eval_discrimination(protocol, recv, space, d, mode="mc",
                                   samples=200_003, seed=11, shards=shards)
         self.assert_report(rep, expected, std_error, per_input)
+
+
+class Leaning(ScoreDiscriminationReceiver):
+    """A user subclass that overrides the batch: its parent's answer
+    weighted by position, so every target position matters. It records
+    the thread of every call."""
+
+    def __init__(self, scores, d):
+        super().__init__(scores, d)
+        self.threads = set()
+
+    def probabilities_batch(self, messages, candidates):
+        self.threads.add(threading.get_ident())
+        p = super().probabilities_batch(messages, candidates) \
+            * np.arange(1.0, self.num_candidates + 1.0)
+        return p / p.sum(axis=1, keepdims=True)
+
+
+_TABLES = {}
+
+
+def discrimination_receiver(kind, space, protocol, scores, d):
+    if kind == "synchronized":
+        return SynchronizedDiscriminationReceiver(protocol, d)
+    if kind == "subclass":
+        return Leaning(scores, d)
+    if kind == "score":
+        return ScoreDiscriminationReceiver(scores, d)
+    # the leaning receiver's answers, in a built-in table
+    if d not in _TABLES:
+        _TABLES[d] = materialize_discrimination_table(Leaning(scores, d),
+                                                      space)
+    return _TABLES[d]
+
+
+class TestMonteCarloBlocks:
+    """Monte-Carlo rows are drawn and scored in fixed blocks at exact
+    stream offsets, on a thread pool for the built-in receivers: every
+    report equals the one of single-call draws, for every worker count."""
+
+    @pytest.fixture(params=[1, 3])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(games, "_WORKERS", request.param)
+        return request.param
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        # blocks of 700 rows scored in chunks of 256 uniforms, so a few
+        # thousand samples split unevenly over shards, blocks and chunks
+        monkeypatch.setattr(games, "_MC_BLOCK", 700)
+        monkeypatch.setattr(games, "_DRAW_BLOCK", 256)
+
+    @staticmethod
+    def assert_same(rep, want):
+        assert rep.expected == want.expected
+        assert rep.std_error == want.std_error
+        assert rep.samples == want.samples and rep.infinite == want.infinite
+        assert np.array_equal(rep.per_input, want.per_input, equal_nan=True)
+
+    @pytest.mark.parametrize("kind", ["synchronized", "score", "tabular",
+                                      "subclass"])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("shards", [1, 3, 4])
+    def test_blocks_draw_what_single_calls_draw(self, score_instance, kind,
+                                                d, shards, workers,
+                                                small_blocks):
+        space, protocol, score = score_instance
+        recv = discrimination_receiver(kind, space, protocol, score.scores,
+                                       d)
+        samples = 5003
+        rep = eval_discrimination(protocol, recv, space, d, mode="mc",
+                                  samples=samples, seed=17, shards=shards)
+        targets, losses = discrimination_mc_flat(
+            protocol.assignment, recv, space.weights, d, samples, 17,
+            shards, synchronized=kind == "synchronized")
+        self.assert_same(rep, games._mc_report(losses, targets, space.size,
+                                               17))
+
+    @pytest.mark.parametrize("kind", ["score", "tabular", "subclass"])
+    def test_classification_blocks_draw_what_single_calls_draw(
+            self, score_instance, kind, workers, small_blocks):
+        space, protocol, score = score_instance
+        labels = LabelMap(["a", "b", "a", "c", "b"])
+        recv = discrimination_receiver(kind, space, protocol, score.scores,
+                                       3)
+        rep = eval_classification(protocol, recv, space, labels, mode="mc",
+                                  samples=4001, seed=5)
+        targets, losses = classification_mc_flat(
+            protocol.assignment, recv, space.weights, labels.codes(), 4001,
+            5)
+        self.assert_same(rep, games._mc_report(losses, targets, space.size,
+                                               5))
+
+    def test_more_workers_than_cores_with_fast_switching(
+            self, score_instance, small_blocks, monkeypatch):
+        # blocks write disjoint slices of shared arrays: a lost or crossed
+        # write would move the report off the single-call draws
+        monkeypatch.setattr(games, "_WORKERS",
+                            len(os.sched_getaffinity(0)) + 1
+                            if hasattr(os, "sched_getaffinity") else 3)
+        space, protocol, score = score_instance
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for kind in ("synchronized", "score", "tabular"):
+                recv = discrimination_receiver(kind, space, protocol,
+                                               score.scores, 3)
+                rep = eval_discrimination(protocol, recv, space, 3,
+                                          mode="mc", samples=20_011,
+                                          seed=23, shards=3)
+                targets, losses = discrimination_mc_flat(
+                    protocol.assignment, recv, space.weights, 3, 20_011, 23,
+                    3, synchronized=kind == "synchronized")
+                self.assert_same(rep, games._mc_report(
+                    losses, targets, space.size, 23))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_golden_pins_hold_for_every_worker_count(self, score_instance,
+                                                     workers):
+        # the 200,003-sample pins span several full-size blocks
+        golden = TestMonteCarloGolden()
+        for tabular in (False, True):
+            golden.test_discrimination_one_shard(score_instance, tabular)
+        golden.test_discrimination_three_shards(score_instance)
+        golden.test_classification(score_instance)
+        pins, = [mark.args[1] for mark
+                 in TestMonteCarloGolden.test_synchronized.pytestmark
+                 if mark.name == "parametrize"]
+        for pin in pins:
+            golden.test_synchronized(score_instance, *pin)
+
+    def test_user_batch_runs_on_the_calling_thread(self, score_instance,
+                                                   small_blocks,
+                                                   monkeypatch):
+        monkeypatch.setattr(games, "_WORKERS", 3)
+        space, protocol, score = score_instance
+        recv = Leaning(score.scores, 3)
+        eval_discrimination(protocol, recv, space, 3, mode="mc",
+                            samples=5003, seed=1, shards=2)
+        eval_classification(protocol, recv, space,
+                            LabelMap(["a", "b", "a", "c", "b"]), mode="mc",
+                            samples=5003, seed=1)
+        assert recv.threads == {threading.get_ident()}
+
+    def test_first_failing_block_raises(self, score_instance, workers,
+                                        small_blocks, monkeypatch):
+        # a table without the queries of message 2: every worker count
+        # names the same first undefined row
+        space, protocol, score = score_instance
+        full = discrimination_receiver("tabular", space, protocol,
+                                       score.scores, 2)
+        sparse = TabularDiscriminationReceiver(2, 3, {
+            key: row for key, row in full.table.items() if key[0] != 2})
+        with pytest.raises(EmptyClassError) as caught:
+            eval_discrimination(protocol, sparse, space, 2, mode="mc",
+                                samples=5003, seed=3, shards=2)
+        monkeypatch.setattr(games, "_WORKERS", 1)
+        with pytest.raises(EmptyClassError) as serial:
+            eval_discrimination(protocol, sparse, space, 2, mode="mc",
+                                samples=5003, seed=3, shards=2)
+        assert str(caught.value) == str(serial.value)
+
+    def test_single_block_stays_on_the_calling_thread(self, score_instance,
+                                                      monkeypatch):
+        monkeypatch.setattr(games, "_WORKERS", 3)
+        monkeypatch.setattr(games, "_pool", None)  # calling it fails
+        space, protocol, score = score_instance
+        for recv in (score, SynchronizedDiscriminationReceiver(protocol, 3)):
+            eval_discrimination(protocol, recv, space, 3, mode="mc",
+                                samples=games._MC_BLOCK, seed=1)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_builds_its_own_pool(self, score_instance,
+                                              monkeypatch):
+        # the parent's pool threads do not exist in a forked child
+        monkeypatch.setattr(games, "_WORKERS", 2)
+        space, protocol, score = score_instance
+        run = lambda: eval_discrimination(  # noqa: E731
+            protocol, score, space, 3, mode="mc", samples=3 * games._MC_BLOCK,
+            seed=4).expected
+        want = run()
+        assert games._POOLS
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if run() == want else 1
+            finally:
+                os._exit(code)
+        for _ in range(600):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.1)
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish in 60 s")
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_import_starts_no_thread(self):
+        script = ("import sys, threading, signalgames; "
+                  "print(threading.active_count(), "
+                  "'concurrent.futures' in sys.modules)")
+        src = str(Path(games.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "False"]
+
+    @pytest.mark.parametrize("kind", ["score", "tabular"])
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_memory_per_sample(self, score_instance, kind, d):
+        # targets, losses and positions, the standard error's deviations,
+        # and one chunk per worker: no (samples, d) array
+        space, protocol, score = score_instance
+        recv = discrimination_receiver(kind, space, protocol, score.scores,
+                                       d)
+        eval_discrimination(protocol, recv, space, d, mode="mc", samples=10)
+        samples = 10 ** 6
+        tracemalloc.start()
+        try:
+            eval_discrimination(protocol, recv, space, d, mode="mc",
+                                samples=samples, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * samples
+
+    def test_classification_memory_per_sample(self, score_instance):
+        space, protocol, score = score_instance
+        labels = LabelMap(["a", "b", "a", "c", "b"])
+        samples = 10 ** 6
+        tracemalloc.start()
+        try:
+            eval_classification(protocol, score, space, labels, mode="mc",
+                                samples=samples, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * samples
+
+    def test_samples_past_the_budget_exit_before_drawing(self, score_instance,
+                                                         monkeypatch):
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 1000)
+        monkeypatch.setattr(games, "_Sampler", None)  # drawing fails
+        space, protocol, score = score_instance
+        labels = LabelMap(["a", "b", "a", "c", "b"])
+        table = synchronized_receiver(
+            protocol, space, GameSpec("classification", labels=labels))
+        calls = [
+            lambda: eval_discrimination(protocol, score, space, 3,
+                                        mode="mc", samples=1001),
+            lambda: eval_discrimination(
+                protocol, SynchronizedDiscriminationReceiver(protocol, 3),
+                space, 3, mode="mc", samples=1001, shards=4),
+            lambda: eval_classification(protocol, score, space, labels,
+                                        mode="mc", samples=1001),
+            lambda: eval_classification(protocol, table, space, labels,
+                                        mode="mc", samples=1001),
+        ]
+        for call in calls:
+            with pytest.raises(BudgetExceededError,
+                               match="Monte-Carlo needs 1001 samples") as e:
+                call()
+            assert e.value.required == 1001
 
 
 class TestSynchronizedReceiver:
