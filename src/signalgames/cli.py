@@ -367,6 +367,15 @@ def cmd_metrics(args) -> int:
     return cmd_analyze(args, flat_only=True)
 
 
+# Tied partitions per block of the optimum census and the corollary's
+# masses: the block's temporaries stay a few MB, not a copy of the ties.
+_ROW_BLOCK = 4096
+
+
+def _row_blocks(rows: np.ndarray):
+    return (rows[i:i + _ROW_BLOCK] for i in range(0, len(rows), _ROW_BLOCK))
+
+
 def cmd_optimize(args) -> int:
     paths = _output_paths(args, "protocol.csv", "trace.csv", "result.json")
     space, _, _, labels = _load_data(args)
@@ -387,10 +396,11 @@ def cmd_optimize(args) -> int:
         best = result.protocols[0]
         value = result.value
         extra = {
-            "num_optimal": len(result.protocols),
+            "num_optimal": optimize.labelled_count(result.partitions, args.k),
             "num_optimal_up_to_relabeling": len(result.partitions),
-            "num_optimal_semantically_consistent": int(
-                consistency.consistent_rows(result.partitions, space).sum()),
+            "num_optimal_semantically_consistent": sum(
+                int(consistency.consistent_rows(rows, space).sum())
+                for rows in _row_blocks(result.partitions)),
         }
     elif args.method == "kmeans":
         if spec.kind != "reconstruction":
@@ -662,21 +672,22 @@ def _verify_corollary(args) -> dict:
     space = InputSpace.uniform(np.arange(float(args.n))[:, None])
     spec = GameSpec("discrimination", d=args.d)
     result = optimize.exhaustive_search(space, args.k, spec)
-    uniform_ok = True
-    target = 1.0 / args.k
-    masses = (result.partitions[:, :, None] == np.arange(args.k)).sum(axis=1)
-    if args.n % args.k == 0:
-        # every equal-mass partition is among the tied optima
-        uniform_ok = int(np.all(masses == args.n // args.k, axis=1).sum()) \
-            == _equal_mass_partitions(args.n, args.k)
+    equal_mass, masses_uniform_at_min = 0, True
+    for rows in _row_blocks(result.partitions):
+        masses = (rows[:, :, None] == np.arange(args.k)).sum(axis=1)
+        equal_mass += int(np.all(masses == args.n // args.k, axis=1).sum())
+        masses_uniform_at_min &= bool(np.allclose(masses, args.n / args.k))
+    # every equal-mass partition is among the tied optima
+    uniform_ok = args.n % args.k != 0 \
+        or equal_mass == _equal_mass_partitions(args.n, args.k)
     convex = objectives.convexity_check(args.d)
-    masses_uniform_at_min = bool(np.allclose(masses, args.n / args.k))
     return {"check": "corollary-1", "n": args.n, "k": args.k, "d": args.d,
             "verdict": uniform_ok and convex,
             "_nats_fields": ["exhaustive_minimum"],
             "witnesses": {"exhaustive_minimum": result.value,
-                          "uniform_mass": target,
-                          "num_optimal": len(result.protocols),
+                          "uniform_mass": 1.0 / args.k,
+                          "num_optimal": optimize.labelled_count(
+                              result.partitions, args.k),
                           "minimizers_all_equal_mass": masses_uniform_at_min,
                           "convexity": convex}}
 

@@ -745,13 +745,14 @@ def _run_blocks(job, blocks: list[tuple], concurrent: bool) -> None:
 
 def _pool_safe(receiver: DiscriminationReceiver, d: int) -> bool:
     """Whether blocks of queries to ``receiver`` may run concurrently: only
-    for the built-in score and tabular receivers, whose batch writes
-    nothing. The tabular index is built here, before any block runs."""
+    for the built-in synchronized, score and tabular receivers, whose batch
+    writes nothing. The tabular index is built here, before any block."""
     batch = type(receiver).probabilities_batch
     if batch is TabularDiscriminationReceiver.probabilities_batch \
             and receiver.num_candidates == d:
         receiver._lookup()
-    return batch in (ScoreDiscriminationReceiver.probabilities_batch,
+    return batch in (SynchronizedDiscriminationReceiver.probabilities_batch,
+                     ScoreDiscriminationReceiver.probabilities_batch,
                      TabularDiscriminationReceiver.probabilities_batch)
 
 
@@ -776,31 +777,33 @@ def _mc_discrimination(messages: np.ndarray, receiver: DiscriminationReceiver,
 
     A shard of ``size`` rows draws, through one :class:`_Sampler` of the
     prior, ``size`` target uniforms, then ``size * (d - 1)`` distractor
-    uniforms in row order, then (for every receiver but the synchronized
-    one) ``integers(0, d, size)`` target positions. Its rows are cut into
-    blocks of ``_MC_BLOCK``: block ``[lo, hi)`` draws its targets from the
-    shard's generator rebuilt from its seed sequence and moved ``lo`` draws
-    ahead, and its distractors from one moved ``size + lo * (d - 1)``
-    ahead, so every row
-    gets the same draws however the blocks run. The positions come from
-    the shard's generator moved ``size * d`` ahead, in block order on the
-    caller's thread; ``integers`` rejects some draws, so their offsets are
-    unknown.
+    uniforms in row order, then (unless the synchronized shortcut below
+    applies) ``integers(0, d, size)`` target positions. Its rows are cut
+    into blocks of ``_MC_BLOCK``: block ``[lo, hi)`` draws its targets from
+    the shard's generator rebuilt from its seed sequence and moved ``lo``
+    draws ahead, and its distractors from one moved ``size + lo * (d - 1)``
+    ahead, so every row gets the same draws however the blocks run. The
+    positions come from the shard's generator moved ``size * d`` ahead, in
+    block order on the caller's thread; ``integers`` rejects some draws, so
+    their offsets are unknown.
 
-    The synchronized receiver's loss is ``log(1 + c)`` for ``c``
-    distractors sharing the target's message. Its blocks, and those of the
-    built-in score and tabular receivers, run on ``_run_blocks``'s pool;
-    any other receiver is asked block by block on the caller's thread. A
-    block is scored a chunk of at most ``_DRAW_BLOCK`` uniforms at a time,
-    so the path holds the targets and losses (16 B per sample), the
-    positions (1 B more) and one chunk per worker."""
+    A synchronized receiver built from ``messages`` has the loss
+    ``log(1 + c)`` for ``c`` distractors sharing the target's message; one
+    built from other messages is asked like the score receiver. Blocks of
+    the built-in synchronized, score and tabular receivers run on
+    ``_run_blocks``'s pool; any other receiver is asked block by block on
+    the caller's thread. A block is scored a chunk of at most
+    ``_DRAW_BLOCK`` uniforms at a time, so the path holds the targets and
+    losses (16 B per sample), the positions (1 B more) and one chunk per
+    worker."""
     _check_samples(samples, shards)
     _check_terms(samples, "Monte-Carlo", "samples")
     sampler = _Sampler(space.weights)
     targets = np.empty(samples, dtype=np.int64)
     losses = np.empty(samples)
     sync = type(receiver).probabilities_batch is \
-        SynchronizedDiscriminationReceiver.probabilities_batch
+        SynchronizedDiscriminationReceiver.probabilities_batch \
+        and np.array_equal(receiver.messages, messages)
     positions = None if sync \
         else np.empty(samples, dtype=np.min_scalar_type(d - 1))
     log_counts = np.log1p(np.arange(d, dtype=float))
@@ -838,7 +841,7 @@ def _mc_discrimination(messages: np.ndarray, receiver: DiscriminationReceiver,
         blocks += [(rng.bit_generator.seed_seq, size, start, lo, hi)
                    for lo, hi in rows]
         start += size
-    _run_blocks(job, blocks, sync or _pool_safe(receiver, d))
+    _run_blocks(job, blocks, _pool_safe(receiver, d))
     return _mc_report(losses, targets, space.size, seed)
 
 

@@ -3,7 +3,7 @@ reconstruction optimization, and balanced-partition constructors.
 
 The exhaustive search evaluates the closed-form objective of the requested
 game once for every set partition of the inputs into at most K messages and
-keeps the whole argmin set, both as partitions and as labelled protocols.
+keeps the whole argmin set as partitions, with a view of their labellings.
 The alternation for the reconstruction game interleaves a nearest-output
 assignment step with a class-mean update step, exactly the classic weighted
 k-means loop, and its objective trace is non-increasing.
@@ -14,7 +14,7 @@ point with its farthest unmatched partner.
 
 from __future__ import annotations
 
-import itertools
+import copy
 import math
 from collections.abc import Sequence
 from typing import NamedTuple
@@ -41,29 +41,54 @@ _TIE_TOL = 1e-12  # objective values this close to the minimum are optima
 
 
 class ProtocolRows(Sequence):
-    """A read-only sequence of protocols over the rows of one (M, N)
-    assignment array; a :class:`Protocol` is built only when an item is
-    read."""
+    """Every labelled protocol of a (P, N) partition array, read-only: each
+    partition's ``j`` blocks relabelled by ``itertools.permutations(range(K),
+    j)`` in turn. An item is built when read; a slice views a ``range``."""
 
-    def __init__(self, rows: np.ndarray, num_messages: int):
-        self.rows = _as_readonly(rows)
-        self.num_messages = int(num_messages)
+    def __init__(self, partitions: np.ndarray, num_messages: int):
+        self.partitions = partitions
+        self.num_messages = k = int(num_messages)
+        self._index = range(labelled_count(partitions, k))
+        top = partitions.max(axis=1)  # the number of blocks, minus one
+        sizes = np.array([math.perm(k, j) for j in range(1, top.max() + 2)],
+                         dtype=np.int64 if self._index.stop < 2 ** 63
+                         else object)
+        self._ends = np.cumsum(sizes[top])  # one past each partition's items
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._index)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return ProtocolRows(self.rows[index], self.num_messages)
-        return Protocol(self.rows[index], self.num_messages)
+            view = copy.copy(self)
+            view._index = self._index[index]
+            return view
+        i = self._index[index]
+        p = int(np.searchsorted(self._ends, i, side="right"))
+        row, k = self.partitions[p], self.num_messages
+        rank, j = i - int(self._ends[p - 1] if p else 0), int(row.max()) + 1
+        labels: list[int] = []  # item rank of permutations(range(k), j)
+        for place in range(j):
+            label, rank = divmod(rank, math.perm(k - place - 1, j - place - 1))
+            for used in sorted(labels):  # the label-th label not yet used
+                label += used <= label
+            labels.append(label)
+        return Protocol(np.array(labels)[row], k)
 
     def __add__(self, other: Sequence[Protocol]) -> list[Protocol]:
         return [*self, *other]
 
 
+def labelled_count(partitions: np.ndarray, k: int) -> int:
+    """The labellings of the partition rows by ``k`` messages, ``sum
+    perm(k, j)`` over the rows with ``j`` blocks, as an exact int."""
+    counts = np.bincount(partitions.max(axis=1)).tolist()
+    return sum(c * math.perm(k, j) for j, c in enumerate(counts, 1))
+
+
 class SearchResult(NamedTuple):
     value: float
-    protocols: ProtocolRows  # every labelled optimum, input 0 fastest
+    protocols: ProtocolRows  # every labelled optimum, built when read
     partitions: np.ndarray   # one row per optimum up to relabeling
 
 
@@ -76,11 +101,10 @@ def exhaustive_search(space: InputSpace,
     Every closed form ignores message labels, so each set partition of the
     inputs into at most ``K`` blocks is scored once, as its restricted-growth
     string. ``partitions`` holds the tied strings in lexicographic order.
-    ``protocols`` holds every labelling of them (``K!/(K-j)!`` for a
-    partition with ``j`` blocks), ordered as ``itertools.product`` with
-    input 0 as the fastest digit. ``games.EXACT_TERM_BUDGET`` bounds the
-    partitions scored, checked before any is, and then the assignment
-    entries of the labelled optima, checked before any labelling is built;
+    ``protocols`` views every labelling of them (``K!/(K-j)!`` for a
+    partition with ``j`` blocks), and :func:`labelled_count` counts them.
+    ``games.EXACT_TERM_BUDGET`` bounds the partitions scored, checked
+    before any is, then the assignment entries of the tied partitions;
     past either the call raises ``BudgetExceededError``."""
     k = message_space.size if isinstance(message_space, MessageSpace) \
         else int(message_space)
@@ -93,8 +117,8 @@ def exhaustive_search(space: InputSpace,
     if partitions is None:
         # the ties outgrew the budget before the minimum was known
         best, partitions = _argmin_rows(n, k, space, spec, best)
-    return SearchResult(best, ProtocolRows(_labellings(partitions, k), k),
-                        _as_readonly(partitions.astype(int)))
+    partitions = _as_readonly(partitions)
+    return SearchResult(best, ProtocolRows(partitions, k), partitions)
 
 
 def _partition_count(n: int, k: int, limit: int) -> tuple[int, bool]:
@@ -118,10 +142,9 @@ def _partition_count(n: int, k: int, limit: int) -> tuple[int, bool]:
 def _argmin_rows(n: int, k: int, space: InputSpace, spec: GameSpec,
                  best: float | None = None):
     """The minimum over the partitions of ``n`` inputs into at most ``k``
-    blocks, and the rows within ``_TIE_TOL`` of it in enumeration order.
-    Each row has at least ``n k`` labelled entries, so at most
-    ``budget / (n k)`` rows are held; past that they come back as
-    ``None``, or, given the minimum as ``best``, the call raises."""
+    blocks, and the ``int`` rows within ``_TIE_TOL`` of it in enumeration
+    order. At most ``budget / n`` rows of ``n`` entries are held; past that
+    they come back as ``None``, or, given the minimum as ``best``, raise."""
     fixed = best is not None
     best = best if fixed else math.inf
     kept: list | None = []  # (values, rows) slices within _TIE_TOL of best
@@ -140,36 +163,12 @@ def _argmin_rows(n: int, k: int, space: InputSpace, spec: GameSpec,
         tied = values <= best + _TIE_TOL
         kept.append((values[tied], rows[tied]))
         held += len(kept[-1][0])
-        if held * n * k > games.EXACT_TERM_BUDGET:
+        if held * n > games.EXACT_TERM_BUDGET:
             if fixed:  # the tie set only grows: this refuses what it holds
-                _labellings(np.concatenate([r for _, r in kept]), k, True)
+                _check_terms(held * n, "exhaustive search's tie set",
+                             "assignment entries", at_least=True)
             kept = None
-    return best, kept and np.concatenate([r for _, r in kept])
-
-
-def _labellings(partitions: np.ndarray, k: int,
-                at_least: bool = False) -> np.ndarray:
-    """Every injective relabelling of the blocks of each partition row by
-    messages ``0..k-1``, sorted with input 0 as the fastest digit, once
-    their ``N sum_j perm(k, j)`` entries fit the budget (``at_least``: the
-    rows are part of the optima). The sort runs on the enumerator's small
-    unsigned type, where ``lexsort`` is about 8x faster than on ``int``;
-    the result is ``int``, so that callers' arithmetic on it cannot wrap
-    around."""
-    top = partitions.max(axis=1)  # the number of blocks, minus one
-    counts = np.bincount(top).tolist()
-    _check_terms(partitions.shape[1] * sum(
-        c * math.perm(k, j + 1) for j, c in enumerate(counts)),
-        "exhaustive search's labelled optima", "assignment entries",
-        at_least)
-    labelled = []
-    for j in np.flatnonzero(counts).tolist():
-        labels = np.array(list(itertools.permutations(range(k), j + 1)),
-                          dtype=partitions.dtype)
-        labelled.append(labels[:, partitions[top == j]].reshape(
-            -1, partitions.shape[1]))
-    rows = np.concatenate(labelled)
-    return rows[np.lexsort(rows.T)].astype(int)
+    return best, kept and np.concatenate([r for _, r in kept], dtype=int)
 
 
 # ---------------------------------------------------------------------------

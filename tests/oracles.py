@@ -83,6 +83,15 @@ def lipschitz_bruteforce(receiver, points, msg_dist, canonical=True):
     return worst, degenerate
 
 
+def labellings_bruteforce(partitions, k):
+    """Every labelled protocol of the set partitions (rows numbering their
+    blocks from 0), as tuples: row by row, the j blocks of a row take the
+    messages of each tuple of itertools.permutations(range(k), j) in turn."""
+    return [tuple(labels[b] for b in row)
+            for row in partitions
+            for labels in itertools.permutations(range(k), max(row) + 1)]
+
+
 def reconstruction_loss_bruteforce(assignment, receiver_points, points,
                                    weights):
     total = 0.0

@@ -143,20 +143,19 @@ class TestAnticonsistentOptimal:
 
 class TestAntipodalVerdict:
     def test_search_within_enumeration_budget(self, monkeypatch):
-        # the search scores 86,472 partitions and labels 945 tied pairings
-        # 5! ways, 1,134,000 assignment entries: within the term budget the
-        # split is checked against the exhaustive minimum, and a budget one
-        # below either count leaves only the convexity bound
+        # the search scores 86,472 partitions and holds 945 tied pairings
+        # of 10 entries each: within the term budget the split is checked
+        # against the exhaustive minimum, and a budget one below the
+        # partition count leaves only the convexity bound
         mags = np.array([3.0, 2.5, 1.5, 0.75, 0.25])
         space = InputSpace.uniform(np.ravel(np.column_stack([mags, -mags])))
-        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 1_134_000)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 86_472)
         report = verify_antipodal_split(space, 5)
         assert report["passed"] and report["optimal"]
         assert abs(report["exhaustive_minimum"] - LOG2 / 5) < 1e-12
-        for budget in (1_134_000 - 1, 86_472 - 1):
-            monkeypatch.setattr(games, "EXACT_TERM_BUDGET", budget)
-            report = verify_antipodal_split(space, 5)
-            assert report["passed"] and "exhaustive_minimum" not in report
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 86_472 - 1)
+        report = verify_antipodal_split(space, 5)
+        assert report["passed"] and "exhaustive_minimum" not in report
 
     def test_report(self, space_b):
         report = verify_antipodal_split(space_b, 2)

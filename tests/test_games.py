@@ -174,6 +174,19 @@ class TestEvalDiscrimination:
                     protocol.assignment.tolist(), space.weights.tolist(), d)
                 assert abs(got - want) < 1e-12
 
+    def test_mc_synchronized_on_other_messages(self, space_b):
+        # a receiver synchronized with 0101 reads message 0 as inputs 0
+        # and 2, so input 1 of 0011 gets probability 0 beside either of
+        # them (input 2 likewise): an infinite loss in both modes
+        protocol = Protocol([0, 0, 1, 1], 2)
+        recv = SynchronizedDiscriminationReceiver(Protocol([0, 1, 0, 1], 2),
+                                                  2)
+        exact = eval_discrimination(protocol, recv, space_b, 2)
+        mc = eval_discrimination(protocol, recv, space_b, 2, mode="mc",
+                                 samples=20_000, seed=1)
+        for rep in (exact, mc):
+            assert rep.infinite and rep.expected == math.inf
+
     def test_mc_deterministic_and_sharded(self, space_b, split):
         recv = SynchronizedDiscriminationReceiver(split, 2)
         a = eval_discrimination(split, recv, space_b, 2, mode="mc",
@@ -1128,6 +1141,23 @@ class TestMonteCarloBlocks:
         targets, losses = discrimination_mc_flat(
             protocol.assignment, recv, space.weights, d, samples, 17,
             shards, synchronized=kind == "synchronized")
+        self.assert_same(rep, games._mc_report(losses, targets, space.size,
+                                               17))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_synchronized_on_other_messages_is_asked(self, score_instance, d,
+                                                     workers, small_blocks):
+        # a synchronized receiver of another protocol gets no log(1 + c)
+        # shortcut: it is asked every row, as the score receiver is
+        space, protocol, _ = score_instance
+        other = Protocol(np.roll(protocol.assignment, 1),
+                         protocol.num_messages)
+        assert other != protocol
+        recv = SynchronizedDiscriminationReceiver(other, d)
+        rep = eval_discrimination(protocol, recv, space, d, mode="mc",
+                                  samples=5003, seed=17, shards=3)
+        targets, losses = discrimination_mc_flat(
+            protocol.assignment, recv, space.weights, d, 5003, 17, 3)
         self.assert_same(rep, games._mc_report(losses, targets, space.size,
                                                17))
 

@@ -755,13 +755,19 @@ class TestCli:
         monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 7)
         assert main([*argv, "--k", "2"]) == 3
         assert "needs 8 partitions (budget 7)" in capsys.readouterr().err
-        # 15 partitions fit, but labelling the optimum's 4 blocks would
-        # take 100000!/99996! label tuples: refused before any is built
+        # 15 partitions fit, and the optimum's 4 blocks have 100000!/99996!
+        # labellings, past sys.maxsize: counted exactly, and none is built
+        # but the first, the tied partition itself
         monkeypatch.undo()
         monkeypatch.setattr(itertools, "permutations", _never)
-        assert main([*argv, "--k", "100000"]) == 3
-        assert f"needs {4 * math.perm(100000, 4)} assignment entries" \
-            in capsys.readouterr().err
+        assert main([*argv, "--k", "100000"]) == 0
+        report = json.loads((data_dir / "ob" / "result.json").read_text())
+        assert report["num_optimal"] == math.perm(100000, 4)
+        assert report["num_optimal_up_to_relabeling"] == 1
+        assert f'"num_optimal": {math.perm(100000, 4)},' \
+            in capsys.readouterr().out
+        protocol, _ = io.load_protocol(data_dir / "ob" / "protocol.csv")
+        assert protocol.assignment.tolist() == [0, 1, 2, 3]
 
     def test_verify_corollary_past_partition_budget_exits_3(
             self, monkeypatch, capsys):

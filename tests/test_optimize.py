@@ -28,8 +28,8 @@ from conftest import first_appearance, random_protocol, random_space, \
     rng_for
 from oracles import classification_loss_bruteforce, \
     discrimination_loss_bruteforce, entropy_bruteforce, \
-    global_loss_bruteforce, reconstruction_loss_bruteforce, \
-    supervised_loss_bruteforce
+    global_loss_bruteforce, labellings_bruteforce, \
+    reconstruction_loss_bruteforce, supervised_loss_bruteforce
 
 LOG2 = math.log(2.0)
 
@@ -103,21 +103,23 @@ class TestExhaustiveSearch:
             exhaustive_search(space_b, 0, GameSpec("reconstruction"))
 
     def test_budget_error_reports_requirement(self, space_b, monkeypatch):
-        # the term budget, read at call time, counts the 14 partitions of
-        # 4 inputs into at most 3 blocks before any is scored, then the 72
-        # assignment entries of the 18 labelled optima
+        # four equal points tie all 14 partitions into at most 3 blocks:
+        # the term budget, read at call time, counts those partitions
+        # before any is scored, then the 56 assignment entries of the ties
         scored = []
         monkeypatch.setattr(optimize, "batch_objective",
                             lambda *a: scored.append(1) or batch_objective(*a))
+        space = InputSpace.uniform(np.zeros((4, 1)))
         spec = GameSpec("reconstruction")
-        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 72)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 56)
+        assert len(exhaustive_search(space, 3, spec).partitions) == 14
         # one adjacent pair merged: mass 1/2 at within-pair variance 1/4
         assert exhaustive_search(space_b, 3, spec).value == 0.125
-        for budget, required, scores in ((71, 72, True), (13, 14, False)):
+        for budget, required, scores in ((55, 56, True), (13, 14, False)):
             monkeypatch.setattr(games, "EXACT_TERM_BUDGET", budget)
             scored.clear()
             with pytest.raises(BudgetExceededError) as exc:
-                exhaustive_search(space_b, 3, spec)
+                exhaustive_search(space, 3, spec)
             assert exc.value.required == required
             assert bool(scored) == scores
 
@@ -142,25 +144,24 @@ class TestExhaustiveSearch:
             (2 ** 27, False)
 
     def test_all_tie_labels_every_protocol(self, monkeypatch):
-        # six equal points tie all 122 partitions into at most 3 blocks;
-        # their labellings are all 3^6 = 729 protocols, 4,374 entries
+        # six equal points tie all 122 partitions into at most 3 blocks,
+        # 732 entries; their labellings are all 3^6 = 729 protocols
         space = InputSpace.uniform(np.zeros((6, 1)))
         spec = GameSpec("reconstruction")
-        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 6 * 729)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 6 * 122)
         result = exhaustive_search(space, 3, spec)
         assert len(result.partitions) == 122
-        every = np.array(list(itertools.product(range(3), repeat=6)))
-        assert np.array_equal(result.protocols.rows, every[:, ::-1])
-        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 6 * 729 - 1)
+        assert sorted(tuple(p.assignment.tolist()) for p in result.protocols) \
+            == list(itertools.product(range(3), repeat=6))
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 6 * 122 - 1)
         with pytest.raises(BudgetExceededError) as exc:
             exhaustive_search(space, 3, spec)
-        assert exc.value.required == 6 * 729
+        assert exc.value.required == 6 * 122
 
     def test_rescans_when_ties_outgrow_the_budget(self, monkeypatch):
         # every partition but the last, 0122, ties at 1 and it scores 0:
-        # one row per batch, so the scan holds at most 24 / (4 * 3) = 2
-        # tied rows before it sees the minimum, and a second scan keeps
-        # 0122, whose 6 labellings take the 24 entries
+        # one row per batch, so the scan holds at most 14 / 4 = 3 tied
+        # rows before it sees the minimum, and a second scan keeps 0122
         def score(rows, *rest):
             scored.append(len(rows))
             return np.where((rows == [0, 1, 2, 2]).all(axis=1), 0.0, 1.0)
@@ -168,25 +169,31 @@ class TestExhaustiveSearch:
         scored = []
         monkeypatch.setattr(optimize, "batch_objective", score)
         monkeypatch.setattr(core, "_PARTITION_BLOCK", 1)
-        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 24)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 14)
         space = InputSpace.uniform(np.arange(4.0)[:, None])
         result = exhaustive_search(space, 3, GameSpec("reconstruction"))
         assert scored == [1] * 28
         assert result.value == 0.0
         assert result.partitions.tolist() == [[0, 1, 2, 2]]
-        assert sorted(result.protocols.rows.tolist()) == sorted(
-            [a, b, c, c] for a, b, c in itertools.permutations(range(3)))
-        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 23)
+        assert sorted(p.assignment.tolist() for p in result.protocols) \
+            == sorted([a, b, c, c] for a, b, c in itertools.permutations(
+                range(3)))
+        # when all 14 tie, the second scan refuses the 4 rows, 16 entries,
+        # that it holds on its first step past the budget
+        scored.clear()
+        monkeypatch.setattr(optimize, "batch_objective", lambda rows, *rest:
+                            scored.append(len(rows)) or np.zeros(len(rows)))
         with pytest.raises(BudgetExceededError) as exc:
             exhaustive_search(space, 3, GameSpec("reconstruction"))
-        assert exc.value.required == 24
+        assert exc.value.required == 16
+        assert "needs at least 16 assignment entries" in str(exc.value)
+        assert scored == [1] * 18
 
     def test_scan_holds_rows_within_the_budget(self, monkeypatch):
         # 20 equal points tie all 2^19 partitions into at most 2 blocks,
-        # whose 2^20 labellings take 20 * 2^20 entries; at a budget of
-        # 2^19 both scans hold at most 2^19 / (20 * 2) of the rows, about
-        # 28 B each (15 MB for all of them), and the second refuses the
-        # labellings of those it holds
+        # 20 * 2^19 entries; at a budget of 2^19 both scans hold at most
+        # 2^19 / 20 of the rows, about 28 B each (15 MB for all of them),
+        # and the second refuses the entries of those it holds
         space = InputSpace.uniform(np.zeros((20, 1)))
         monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 2 ** 19)
         tracemalloc.start()
@@ -197,7 +204,7 @@ class TestExhaustiveSearch:
         finally:
             tracemalloc.stop()
         assert "needs at least" in str(exc.value)
-        assert 2 ** 19 < exc.value.required < 20 * 2 ** 20
+        assert 2 ** 19 < exc.value.required < 20 * 2 ** 19
         assert peak < 4 * 2 ** 20
 
     def test_counts_partitions_not_labelled_protocols(self):
@@ -233,17 +240,19 @@ class TestExhaustiveSearch:
 
 
 def _search_matches_bruteforce(space, k, spec):
-    """Check the search's value and ordered argmin list against every
-    labelled protocol, in the search's own order (input 0 is the
-    fastest-moving digit), scored by the oracles. Returns the search
-    result and the brute-force argmin list."""
-    rows = [a[::-1] for a in itertools.product(range(k), repeat=space.size)]
+    """Check the search's value and labelled argmin set against every
+    labelled protocol scored by the oracles: the same protocols, each
+    once, in any order. Returns the search result and the brute-force
+    argmin list, sorted."""
+    rows = list(itertools.product(range(k), repeat=space.size))
     values = np.array([_oracle_objective(spec, r, space) for r in rows])
     best = values.min()
     want = [r for r, v in zip(rows, values) if v <= best + 1e-9]
     result = exhaustive_search(space, k, spec)
     assert abs(result.value - best) < 1e-12
-    assert [tuple(p.assignment.tolist()) for p in result.protocols] == want
+    got = [tuple(p.assignment.tolist()) for p in result.protocols]
+    assert len(got) == len(want) == len(set(got))
+    assert sorted(got) == want
     return result, want
 
 
@@ -274,26 +283,58 @@ class TestPartitionSearch:
         space, k, spec = _edge_instance(kind, case)
         result, want = _search_matches_bruteforce(space, k, spec)
         assert len(result.protocols) == sum(
-            math.perm(k, int(row.max()) + 1) for row in result.partitions)
+            math.perm(k, int(row.max()) + 1) for row in result.partitions) \
+            == optimize.labelled_count(result.partitions, k)
         partitions = [tuple(row) for row in result.partitions.tolist()]
         assert len(set(partitions)) == len(partitions)
         assert set(partitions) == {first_appearance(r) for r in want}
         if case == "weighted_ties":
             assert len(partitions) > 1
 
+    def test_view_order_matches_itertools(self):
+        # seven tied partitions, of 2 and of 3 blocks
+        space, k, spec = _edge_instance("supervised", "weighted_ties")
+        result = exhaustive_search(space, k, spec)
+        assert {int(row.max()) for row in result.partitions} == {1, 2}
+        assert [tuple(p.assignment.tolist()) for p in result.protocols] \
+            == labellings_bruteforce(result.partitions.tolist(), k)
+
     def test_protocols_sequence(self, space_b):
-        result = exhaustive_search(space_b, 2, GameSpec("discrimination"))
+        result = exhaustive_search(space_b, 3, GameSpec("discrimination"))
         protocols = result.protocols
-        assert protocols[-1] == list(protocols)[-1]
-        assert [p.assignment.tolist() for p in protocols[1:3]] \
-            == [p.assignment.tolist() for p in list(protocols)[1:3]]
-        assert len(protocols + protocols[:1]) == len(protocols) + 1
-        assert not protocols.rows.flags.writeable
-        assert not result.partitions.flags.writeable
-        # plain ints, so that arithmetic on the arrays cannot wrap around
-        assert protocols.rows.dtype == result.partitions.dtype == int
+        every = labellings_bruteforce(result.partitions.tolist(), 3)
+        assert len(protocols) == len(every) == 36
+        for index in (0, 5, -1, -7, -36):
+            assert tuple(protocols[index].assignment) == every[index]
+        for part in (slice(1, 3), slice(None, None, -5), slice(-4, None),
+                     slice(40, None)):
+            view = [tuple(p.assignment) for p in protocols[part]]
+            assert len(protocols[part]) == len(view)
+            assert view == every[part]
+        assert protocols[1:][2:][-1] == protocols[-1]
+        joined = protocols + protocols[:1]
+        assert isinstance(joined, list) and joined == [*protocols,
+                                                       protocols[0]]
+        for index in (36, -37):
+            with pytest.raises(IndexError):
+                protocols[index]
         with pytest.raises(IndexError):
-            protocols[len(protocols)]
+            protocols[:2][2]
+        # plain ints, so that arithmetic on the array cannot wrap around
+        assert result.partitions.dtype == int
+        assert not result.partitions.flags.writeable
+
+    def test_counts_past_sys_maxsize(self):
+        # four equal points tie all 15 partitions, whose labellings by
+        # 10^5 messages are every protocol: 10^20, past len()
+        space = InputSpace.uniform(np.zeros((4, 1)))
+        result = exhaustive_search(space, 10 ** 5, GameSpec("reconstruction"))
+        assert optimize.labelled_count(result.partitions, 10 ** 5) == 10 ** 20
+        with pytest.raises(OverflowError):
+            len(result.protocols)
+        assert result.protocols[0] == Protocol([0, 0, 0, 0], 10 ** 5)
+        assert result.protocols[-1] == Protocol(
+            [99_999, 99_998, 99_997, 99_996], 10 ** 5)
 
 
 class TestKMeans:
