@@ -264,6 +264,8 @@ def _rows_with_gaps(rows: list) -> tuple[np.ndarray, np.ndarray]:
     width = len(next(r for r in rows if r is not None))
     values = np.array([r if r is not None else [math.nan] * width
                        for r in rows], dtype=float)
+    if values.ndim != 2:
+        raise ValueError("each receiver row must be a list of numbers")
     _finite(values[defined])
     return values, defined
 

@@ -555,6 +555,19 @@ class TestCli:
         assert code == 2
         assert f"{path}{where}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("outputs", ["[[[]], [[]]]", "[[[0.0]], [[1.0]]]",
+                                         "[0.0, 1.0]"])
+    @pytest.mark.parametrize("definition", ["5", "6"])
+    def test_receiver_rows_not_lists_of_numbers_exit_2(
+            self, tmp_path, space_b, outputs, definition, capsys):
+        io.save_input_space(tmp_path / "space.csv", space_b)
+        path = tmp_path / "points.json"
+        path.write_text(f'{{"kind": "reconstruction", "outputs": {outputs}}}')
+        code = main(["verify", "--def", definition, "--input",
+                     str(tmp_path / "space.csv"), "--receiver", str(path)])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_verify_def6_sender_over_term_budget_exits_3(
             self, tmp_path, space_b, split, monkeypatch, capsys):
         # the synchronized sender scores 2 message choices x 32 terms; past
