@@ -122,6 +122,8 @@ def spatial_meaningfulness(protocol: Protocol, space: InputSpace,
     if eps0 is not None and eps0 <= 0.0:
         raise ValueError("eps0 must be positive")
     used = protocol.used_messages()
+    # about eight U x U arrays over the U used messages
+    _check_terms(used.size ** 2, "spatial meaningfulness", "message pairs")
     dist = message_space.distances(used, used).ravel()
     if eps0 is None or (message_space.size > 1 and not np.any(
             (dist > 0.0) & (dist <= eps0))):

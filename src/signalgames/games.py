@@ -39,12 +39,12 @@ implement the batch in numpy, and their scalar ``probabilities(message,
 candidates)`` is the batch on one row. A subclass may define only the
 scalar method instead; the base class then stacks it row by row.
 
-Monte-Carlo estimates cut each substream into blocks of ``_MC_BLOCK`` rows
-that start at exact stream offsets, so a block draws what it would draw in
-order. Blocks of the built-in synchronized, score and tabular receivers
-run on a thread pool, built on first use; any other receiver is asked on
-the caller's thread. Every seeded report is the same for every worker
-count.
+Monte-Carlo estimates of both games run through one engine that cuts each
+substream into blocks of ``_MC_BLOCK`` rows at exact stream offsets, so a
+block draws what it would draw in order. Blocks of the built-in
+synchronized, score, tabular and classification receivers run on a thread
+pool, built on first use; any other receiver is asked on the caller's
+thread. Every seeded report is the same for every worker count.
 
 Conventions:
 
@@ -377,6 +377,12 @@ class ClassificationReceiver(DiscriminationReceiver):
                         if defined is None else np.asarray(defined, dtype=bool))
         self.num_candidates = tab.shape[1]
         self.num_messages = tab.shape[0]
+        rows = np.flatnonzero(self.defined)
+        bad = np.any(tab[rows] < 0.0, axis=1) \
+            | (np.abs(tab[rows].sum(axis=1) - 1.0) > _PROB_TOL)
+        if bad.any():
+            raise ValueError(f"row {rows[bad.argmax()]} is not a probability "
+                             "distribution")
 
     def probabilities_batch(self, messages, candidates):
         messages = np.asarray(messages)
@@ -729,31 +735,19 @@ def _pool():
     return pool
 
 
-def _run_blocks(job, blocks: list[tuple], concurrent: bool) -> None:
-    """``job(*block)`` for every block: on the pool when ``concurrent`` is
-    set and there are several blocks and workers, else on the caller's
-    thread in order. Either way the first failing block in order raises
-    its exception."""
-    pool = _pool() if concurrent and len(blocks) > 1 else None
-    if pool is None:
-        for block in blocks:
-            job(*block)
-        return
-    for _ in pool.map(lambda block: job(*block), blocks):
-        pass
-
-
 def _pool_safe(receiver: DiscriminationReceiver, d: int) -> bool:
     """Whether blocks of queries to ``receiver`` may run concurrently: only
-    for the built-in synchronized, score and tabular receivers, whose batch
-    writes nothing. The tabular index is built here, before any block."""
+    for the built-in synchronized, score, tabular and classification
+    receivers, whose batch writes nothing. The tabular index is built here,
+    before any block."""
     batch = type(receiver).probabilities_batch
     if batch is TabularDiscriminationReceiver.probabilities_batch \
             and receiver.num_candidates == d:
         receiver._lookup()
     return batch in (SynchronizedDiscriminationReceiver.probabilities_batch,
                      ScoreDiscriminationReceiver.probabilities_batch,
-                     TabularDiscriminationReceiver.probabilities_batch)
+                     TabularDiscriminationReceiver.probabilities_batch,
+                     ClassificationReceiver.probabilities_batch)
 
 
 def _advanced(seeds, steps: int) -> np.random.Generator:
@@ -769,38 +763,64 @@ def _row_blocks(start: int, size: int) -> list[tuple[int, int]]:
             for lo in range(0, size, _MC_BLOCK)]
 
 
+def _mc_rows(shards: list[tuple], laws: list[tuple], score,
+             concurrent: bool, n: int, seed: int) -> LossReport:
+    """The one Monte-Carlo engine: the report of rows drawn and scored in
+    ``_MC_BLOCK``-row blocks at exact stream offsets.
+
+    ``shards`` lists ``(seed sequence, size, first row)``; ``laws`` lists
+    ``(sampler, width)``, the targets' law of width 1 first. A shard's
+    stream holds each law's ``size * width`` uniforms in turn, row-major,
+    so block ``[lo, hi)`` of law ``s`` starts ``size * (widths before s) +
+    lo * width`` draws in, however the blocks run. A block draws a chunk of
+    at most ``_DRAW_BLOCK`` uniforms at a time, and ``score(a, b, targets,
+    *draws)`` gives the losses of rows ``[a, b)`` from one (b - a, width)
+    array per further law. Blocks run on the pool when ``concurrent``, else
+    in order on the caller's thread; either way the first failing block in
+    order raises. The call holds 16 B per sample and a chunk per worker."""
+    targets = np.empty(sum(size for _, size, _ in shards), dtype=np.int64)
+    losses = np.empty(targets.size)
+    before = np.cumsum([0] + [width for _, width in laws]).tolist()
+    chunk = max(1, _DRAW_BLOCK // before[-1])  # rows of uniforms
+
+    def job(seeds, size, start, lo, hi):
+        streams = [_advanced(seeds, size * ahead + (lo - start) * width)
+                   for ahead, (_, width) in zip(before, laws)]
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
+            drawn = laws[0][0].draw(streams[0], b - a, out=targets[a:b])
+            draws = [sampler.draw(stream, (b - a, width)) for
+                     (sampler, width), stream in zip(laws[1:], streams[1:])]
+            losses[a:b] = score(a, b, drawn, *draws)
+
+    blocks = [(seeds, size, start, lo, hi) for seeds, size, start in shards
+              for lo, hi in _row_blocks(start, size)]
+    pool = _pool() if concurrent and len(blocks) > 1 else None
+    # either map yields block by block in order, so the first failing
+    # block in order raises
+    for _ in (pool.map if pool else map)(lambda block: job(*block), blocks):
+        pass
+    return _mc_report(losses, targets, n, seed)
+
+
 def _mc_discrimination(messages: np.ndarray, receiver: DiscriminationReceiver,
                        space: InputSpace, d: int, samples: int, seed: int,
                        shards: int = 1) -> LossReport:
     """Seeded Monte-Carlo estimate; shards derive independent substreams so
     results are reproducible for a fixed (seed, samples, shards).
 
-    A shard of ``size`` rows draws, through one :class:`_Sampler` of the
-    prior, ``size`` target uniforms, then ``size * (d - 1)`` distractor
-    uniforms in row order, then (unless the synchronized shortcut below
-    applies) ``integers(0, d, size)`` target positions. Its rows are cut
-    into blocks of ``_MC_BLOCK``: block ``[lo, hi)`` draws its targets from
-    the shard's generator rebuilt from its seed sequence and moved ``lo``
-    draws ahead, and its distractors from one moved ``size + lo * (d - 1)``
-    ahead, so every row gets the same draws however the blocks run. The
-    positions come from the shard's generator moved ``size * d`` ahead, in
-    block order on the caller's thread; ``integers`` rejects some draws, so
-    their offsets are unknown.
+    A shard of ``size`` rows draws through :func:`_mc_rows` ``size``
+    targets, then ``size * (d - 1)`` distractors, both from the prior, then
+    (unless the synchronized shortcut below applies) ``integers(0, d,
+    size)`` target positions, block by block on the caller's thread before
+    the blocks run: ``integers`` rejects some draws, so their offsets are
+    unknown. The positions take 1 B per sample beyond the engine's 16 B.
 
     A synchronized receiver built from ``messages`` has the loss
     ``log(1 + c)`` for ``c`` distractors sharing the target's message; one
-    built from other messages is asked like the score receiver. Blocks of
-    the built-in synchronized, score and tabular receivers run on
-    ``_run_blocks``'s pool; any other receiver is asked block by block on
-    the caller's thread. A block is scored a chunk of at most
-    ``_DRAW_BLOCK`` uniforms at a time, so the path holds the targets and
-    losses (16 B per sample), the positions (1 B more) and one chunk per
-    worker."""
+    built from other messages is asked like the score receiver."""
     _check_samples(samples, shards)
     _check_terms(samples, "Monte-Carlo", "samples")
-    sampler = _Sampler(space.weights)
-    targets = np.empty(samples, dtype=np.int64)
-    losses = np.empty(samples)
     sync = type(receiver).probabilities_batch is \
         SynchronizedDiscriminationReceiver.probabilities_batch \
         and np.array_equal(receiver.messages, messages)
@@ -808,41 +828,31 @@ def _mc_discrimination(messages: np.ndarray, receiver: DiscriminationReceiver,
         else np.empty(samples, dtype=np.min_scalar_type(d - 1))
     log_counts = np.log1p(np.arange(d, dtype=float))
 
-    chunk = max(1, _DRAW_BLOCK // d)  # rows of d uniforms
+    def score(a, b, targets, distr):
+        if sync:
+            own = messages[targets]
+            count = np.zeros(b - a, dtype=np.intp)
+            for c in range(d - 1):
+                count += messages[distr[:, c]] == own
+            return log_counts.take(count)
+        at = positions[a:b]
+        return _query_nll(receiver, messages[targets],
+                          _splice(distr, targets, at), at)
 
-    def job(seeds, size, start, lo, hi):
-        target_draws = _advanced(seeds, lo - start)
-        distractor_draws = _advanced(seeds, size + (lo - start) * (d - 1))
-        for a in range(lo, hi, chunk):
-            b = min(a + chunk, hi)
-            drawn = sampler.draw(target_draws, b - a, out=targets[a:b])
-            distr = sampler.draw(distractor_draws, (b - a, d - 1))
-            if sync:
-                own = messages[drawn]
-                count = np.zeros(b - a, dtype=np.intp)
-                for c in range(d - 1):
-                    count += messages[distr[:, c]] == own
-                log_counts.take(count, out=losses[a:b])
-            else:
-                at = positions[a:b]
-                losses[a:b] = _query_nll(receiver, messages[drawn],
-                                         _splice(distr, drawn, at), at)
-
-    blocks = []
+    streams = []
     start = 0
     for shard in range(shards):
         size = samples // shards + (1 if shard < samples % shards else 0)
         rng = substream(seed, "monte-carlo", str(shard))
-        rows = _row_blocks(start, size)
         if not sync:
             rng.bit_generator.advance(size * d)
-            for lo, hi in rows:
+            for lo, hi in _row_blocks(start, size):
                 positions[lo:hi] = rng.integers(0, d, size=hi - lo)
-        blocks += [(rng.bit_generator.seed_seq, size, start, lo, hi)
-                   for lo, hi in rows]
+        streams.append((rng.bit_generator.seed_seq, size, start))
         start += size
-    _run_blocks(job, blocks, _pool_safe(receiver, d))
-    return _mc_report(losses, targets, space.size, seed)
+    prior = _Sampler(space.weights)
+    return _mc_rows(streams, [(prior, 1), (prior, d - 1)], score,
+                    _pool_safe(receiver, d), space.size, seed)
 
 
 def eval_discrimination(protocol: Protocol, receiver: DiscriminationReceiver,
@@ -946,44 +956,19 @@ def eval_classification(protocol: Protocol, receiver: DiscriminationReceiver,
     _check_samples(samples)
     _check_terms(samples, "Monte-Carlo", "samples")
     codes, groups, cond = _label_groups(space, labels)
-    rng = substream(seed, "monte-carlo", "classification")
-    sampler = _Sampler(space.weights)
-    if type(receiver).probabilities_batch \
-            is ClassificationReceiver.probabilities_batch:
-        # candidates are drawn after the targets and never read: the loss
-        # of input i is -log conditional[m_i, y_i], read once per input
-        targets = sampler.draw(rng, samples)
-        missed = targets[~receiver.defined[protocol.assignment][targets]]
-        if missed.size:
-            raise EmptyClassError(
-                f"receiver undefined for message "
-                f"{protocol.assignment[missed[0]]} (empty equivalence class)")
-        per_input = _classification_losses(protocol.assignment[:, None],
-                                            receiver, space, labels)[:, 0]
-        return _mc_report(per_input[targets], targets, space.size, seed)
-    # the stream holds the targets, then each label's draws in turn: block
-    # [lo, hi) of label y starts samples * (1 + y) + lo draws in
-    targets = np.empty(samples, dtype=np.int64)
-    losses = np.empty(samples)
-    label_samplers = [_Sampler(c) for c in cond]
+    seeds = substream(seed, "monte-carlo", "classification") \
+        .bit_generator.seed_seq
 
-    chunk = max(1, _DRAW_BLOCK // (1 + len(groups)))  # rows of uniforms
+    def score(a, b, targets, *draws):
+        cands = np.concatenate([g[draw] for g, draw in zip(groups, draws)],
+                               axis=1)
+        return _query_nll(receiver, protocol.assignment[targets], cands,
+                          codes[targets])
 
-    def job(lo, hi):
-        streams = [_advanced(rng.bit_generator.seed_seq, samples * y + lo)
-                   for y in range(1 + len(groups))]
-        for a in range(lo, hi, chunk):
-            b = min(a + chunk, hi)
-            drawn = sampler.draw(streams[0], b - a, out=targets[a:b])
-            cands = np.empty((b - a, len(groups)), dtype=np.int64)
-            for y, (g, draws) in enumerate(zip(groups, label_samplers)):
-                cands[:, y] = g[draws.draw(streams[1 + y], b - a)]
-            losses[a:b] = _query_nll(receiver, protocol.assignment[drawn],
-                                     cands, codes[drawn])
-
-    _run_blocks(job, _row_blocks(0, samples),
-                _pool_safe(receiver, len(groups)))
-    return _mc_report(losses, targets, space.size, seed)
+    # the targets, then one draw per row from each label's conditional law
+    laws = [(_Sampler(w), 1) for w in [space.weights] + cond]
+    return _mc_rows([(seeds, samples, 0)], laws, score,
+                    _pool_safe(receiver, len(groups)), space.size, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,27 @@ class TestSpatialMeaningfulness:
         spatial_meaningfulness(split, space_b, ms)
         assert calls == [1, 1]
 
+    def test_message_pairs_past_the_budget_exit_before_any_distance(
+            self, monkeypatch):
+        # 12 inputs on 12 distinct messages: 144 message pairs, checked
+        # before the U x U distances or eps_M are formed
+        space = InputSpace.uniform(np.arange(12.0)[:, None])
+        protocol = Protocol(np.arange(12), 12)
+        ms = MessageSpace.from_vectors(np.arange(12.0)[:, None])
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 144)
+        assert spatial_meaningfulness(protocol, space, ms).meaningful
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 143)
+
+        def fail(*args):
+            raise AssertionError("distances formed past the budget")
+
+        monkeypatch.setattr(MessageSpace, "distances", fail)
+        with pytest.raises(BudgetExceededError,
+                           match="spatial meaningfulness needs 144 message "
+                                 "pairs") as e:
+            spatial_meaningfulness(protocol, space, ms)
+        assert e.value.required == 144
+
     def test_conditionals_match_bruteforce(self):
         rng = rng_for("spatial-oracle")
         for _ in range(10):

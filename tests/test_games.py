@@ -940,6 +940,15 @@ class TestEvalClassification:
                                   mode="exact").expected
         assert abs(got - want) < 1e-12
 
+    @pytest.mark.parametrize("row", [[3.0, 0.5], [-0.5, 1.5], [0.5, 0.6]])
+    def test_receiver_rejects_rows_that_are_not_distributions(self, row):
+        # undefined rows are not checked; the first bad defined row is named
+        conditional = [[0.5, 0.5], [np.nan, np.nan], row, row]
+        with pytest.raises(ValueError, match="^row 2 is not a probability "
+                                             "distribution$"):
+            ClassificationReceiver(conditional,
+                                   defined=[True, False, True, True])
+
     def test_mc_single_sample_has_no_std_error(self, space_b, anti,
                                                labels_ab):
         spec = GameSpec("classification", labels=labels_ab)
@@ -1000,8 +1009,9 @@ class TestMonteCarloGolden:
     ])
     def test_classification_table(self, score_instance, samples, seed,
                                   expected, std_error, per_input):
-        # the built-in receiver's loss is read off its table: the targets
-        # are drawn as before and the candidates no longer are
+        # the built-in receiver ignores the candidates, which are drawn
+        # and passed to it as to any receiver: its loss is its table entry
+        # at the target's message and label
         space, protocol, _ = score_instance
         labels = LabelMap(["a", "b", "a", "c", "b"])
         recv = synchronized_receiver(
@@ -1017,15 +1027,22 @@ class TestMonteCarloGolden:
             0.5108256237659906, 1.2039728043259361, 1.6094379124340998,
             0.693147180559945, 0.22314355131420924])
 
-    def test_classification_table_undefined_message(self, score_instance):
+    def test_classification_table_undefined_message(self, score_instance,
+                                                    monkeypatch):
+        # blocks of 70 rows: the first failing block names the message,
+        # for every worker count
+        monkeypatch.setattr(games, "_MC_BLOCK", 70)
         space, protocol, _ = score_instance
         labels = LabelMap(["a", "b", "a", "c", "b"])
         recv = ClassificationReceiver(np.full((3, 3), 1.0 / 3.0),
                                       defined=[True, False, True])
-        with pytest.raises(EmptyClassError, match="^receiver undefined for "
-                                                  "message 1 "):
-            eval_classification(protocol, recv, space, labels, mode="mc",
-                                samples=300, seed=5)
+        for workers in (1, 3):
+            monkeypatch.setattr(games, "_WORKERS", workers)
+            with pytest.raises(EmptyClassError,
+                               match="^receiver undefined for message 1 "
+                                     r"\(empty equivalence class\)$"):
+                eval_classification(protocol, recv, space, labels,
+                                    mode="mc", samples=300, seed=5)
 
     def test_classification_table_memory_per_sample(self, score_instance):
         # targets and losses only: no (samples, labels) candidate array
@@ -1161,13 +1178,18 @@ class TestMonteCarloBlocks:
         self.assert_same(rep, games._mc_report(losses, targets, space.size,
                                                17))
 
-    @pytest.mark.parametrize("kind", ["score", "tabular", "subclass"])
+    @pytest.mark.parametrize("kind", ["score", "tabular", "subclass",
+                                      "classification"])
     def test_classification_blocks_draw_what_single_calls_draw(
             self, score_instance, kind, workers, small_blocks):
         space, protocol, score = score_instance
         labels = LabelMap(["a", "b", "a", "c", "b"])
-        recv = discrimination_receiver(kind, space, protocol, score.scores,
-                                       3)
+        if kind == "classification":
+            recv = synchronized_receiver(
+                protocol, space, GameSpec("classification", labels=labels))
+        else:
+            recv = discrimination_receiver(kind, space, protocol,
+                                           score.scores, 3)
         rep = eval_classification(protocol, recv, space, labels, mode="mc",
                                   samples=4001, seed=5)
         targets, losses = classification_mc_flat(
@@ -1209,11 +1231,12 @@ class TestMonteCarloBlocks:
             golden.test_discrimination_one_shard(score_instance, tabular)
         golden.test_discrimination_three_shards(score_instance)
         golden.test_classification(score_instance)
-        pins, = [mark.args[1] for mark
-                 in TestMonteCarloGolden.test_synchronized.pytestmark
-                 if mark.name == "parametrize"]
-        for pin in pins:
-            golden.test_synchronized(score_instance, *pin)
+        for test in (golden.test_synchronized,
+                     golden.test_classification_table):
+            pins, = [mark.args[1] for mark in test.pytestmark
+                     if mark.name == "parametrize"]
+            for pin in pins:
+                test(score_instance, *pin)
 
     def test_user_batch_runs_on_the_calling_thread(self, score_instance,
                                                    small_blocks,

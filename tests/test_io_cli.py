@@ -536,6 +536,26 @@ class TestCli:
         assert [t["epsilon"] for t in report["witnesses"]] == [0.0]
         assert report["witnesses"][0]["boundary"]
 
+    def test_verify_def4_over_message_pair_budget_exits_3(
+            self, tmp_path, monkeypatch, capsys):
+        # 12 inputs on 12 distinct messages: 144 message pairs
+        io.save_input_space(tmp_path / "space.csv",
+                            InputSpace.uniform(np.arange(12.0)[:, None]))
+        io.save_protocol(tmp_path / "protocol.csv",
+                         Protocol(np.arange(12), 12),
+                         io.default_message_space(12))
+        argv = ["verify", "--def", "4", "--input",
+                str(tmp_path / "space.csv"), "--protocol",
+                str(tmp_path / "protocol.csv")]
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 144)
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 143)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "needs 144 message pairs (budget 143)" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value,where", [
         ("NaN", ":3:4: non-finite number NaN"),
         ("Infinity", ":3:4: non-finite number Infinity"),
@@ -567,6 +587,22 @@ class TestCli:
                      str(tmp_path / "space.csv"), "--receiver", str(path)])
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_classification_rows_not_distributions_exit_2(
+            self, tmp_path, space_b, capsys):
+        # rows summing to 3.5 once scored a negative sup_loss and a true
+        # verdict
+        io.save_input_space(tmp_path / "space.csv", space_b)
+        path = tmp_path / "conditional.json"
+        path.write_text(json.dumps({"kind": "classification",
+                                    "conditional": [[3.0, 0.5]] * 3}))
+        code = main(["verify", "--def", "6", "--game", "discrimination",
+                     "--d", "2", "--input", str(tmp_path / "space.csv"),
+                     "--receiver", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:1: bad receiver JSON: row 0 is not a "
+            "probability distribution\n")
 
     def test_verify_def6_sender_over_term_budget_exits_3(
             self, tmp_path, space_b, split, monkeypatch, capsys):
