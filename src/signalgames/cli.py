@@ -48,8 +48,9 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         default="nats")
 
 
-def _data_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", type=Path, required=True,
+def _data_flags(parser: argparse.ArgumentParser,
+                input_required: bool = True) -> None:
+    parser.add_argument("--input", type=Path, required=input_required,
                         help="input-space CSV/JSON file")
     parser.add_argument("--protocol", type=Path, help="protocol CSV/JSON file")
     parser.add_argument("--labels", type=Path,
@@ -124,10 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="definition, lemma and "
                               "enumeration verdicts")
     _common_flags(p_verify)
-    p_verify.add_argument("--input", type=Path)
-    p_verify.add_argument("--protocol", type=Path)
-    p_verify.add_argument("--labels", type=Path)
-    p_verify.add_argument("--vocab", type=int, default=None)
+    _data_flags(p_verify, input_required=False)
     p_verify.add_argument("--def", dest="definition",
                           choices=("3", "4", "5", "6"))
     p_verify.add_argument("--lemma", choices=("1", "2", "a1", "a2", "a3"))
@@ -140,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
                                              "discrimination"),
                           default="reconstruction")
     p_verify.add_argument("--instances", type=_positive_int, default=200,
-                          help="random instances for lemma checks")
+                          help="random instances for lemma checks; the "
+                               "term budget applies to each instance")
     p_verify.add_argument("--n", type=_positive_int, default=6)
     p_verify.add_argument("--k", type=_positive_int, default=3)
     p_verify.add_argument("--expect", choices=("pass", "fail"), default=None)

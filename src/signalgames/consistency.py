@@ -26,6 +26,7 @@ from .core import GameSpec, InputSpace, MessageSpace, Protocol, \
     _class_sums, _pair_blocks, _sq_dists
 from .games import ConstantDiscriminationReceiver, ReconstructionReceiver, \
     TabularDiscriminationReceiver, _check_terms, per_input_message_losses
+from .objectives import batch_objective, reco_objective
 
 __all__ = [
     "SemanticConsistency",
@@ -59,7 +60,6 @@ def semantic_consistency(protocol: Protocol,
     Returns the verdict together with the explained and unexplained
     variance; the two always add up to ``Var[X]``.
     """
-    from .objectives import reco_objective
     total = space.variance()
     unexplained = reco_objective(protocol, space)
     explained = total - unexplained
@@ -73,7 +73,6 @@ def consistent_rows(assignments: np.ndarray,
                     space: InputSpace) -> np.ndarray:
     """The :func:`semantic_consistency` verdict for each row of a (B, N)
     assignment matrix, from one batched reconstruction objective."""
-    from .objectives import batch_objective
     unexplained = batch_objective(assignments, space,
                                   GameSpec("reconstruction"))
     return _consistent(space.variance(), unexplained)

@@ -90,9 +90,7 @@ class InputSpace:
 
     @classmethod
     def uniform(cls, points: Sequence[Sequence[float]] | np.ndarray) -> "InputSpace":
-        pts = np.asarray(points, dtype=float)
-        n = pts.shape[0] if pts.ndim > 1 else len(pts)
-        return cls(pts, np.full(n, 1.0 / n))
+        return cls(points)
 
     @property
     def size(self) -> int:

@@ -24,7 +24,7 @@ import numpy as np
 from .consistency import non_degeneracy, receiver_simplicity, \
     semantic_consistency, simplicity_constant, spatial_meaningfulness
 from .core import GameSpec, InputSpace, MessageSpace, Protocol, \
-    message_probabilities
+    conditional_stats, message_probabilities
 from .errors import BudgetExceededError
 from .games import TabularDiscriminationReceiver, eval_discrimination, \
     synchronized_sender
@@ -135,7 +135,6 @@ def verify_mirror_pairs() -> dict:
          and abs(simplified - 1.0 / 6.0) <= 1e-12,
          objective=objective, uniform_bound=bound, simplified=simplified)
 
-    from .core import conditional_stats
     sem = semantic_consistency(sender, space)
     cond_means = [float(conditional_stats(sender, space, m)[0][0])
                   for m in range(6)]

@@ -71,6 +71,7 @@ import numpy as np
 from .core import GameSpec, InputSpace, LabelMap, Protocol, _class_sums, \
     _multiset_rows, _product_rows, _sq_dists, message_probabilities
 from .errors import BudgetExceededError, EmptyClassError
+from .objectives import joint_message_label
 
 __all__ = [
     "LossReport",
@@ -151,6 +152,28 @@ def _nll(p) -> np.ndarray:
 # Receivers
 # ---------------------------------------------------------------------------
 
+def _not_distributions(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows (last axis) that are not all ``>= 0`` with a sum
+    within ``_PROB_TOL`` of 1: NaN and infinite rows among them."""
+    with np.errstate(invalid="ignore"):  # inf - inf in a sum is NaN
+        return ~((rows >= 0.0).all(axis=-1)
+                 & (np.abs(rows.sum(axis=-1) - 1.0) <= _PROB_TOL))
+
+
+def _defined_rows(table: np.ndarray, defined, check=True) -> np.ndarray:
+    """The mask of a per-message table's defined rows, all when ``defined``
+    is None; with ``check``, each defined row must be a distribution."""
+    defined = np.ones(table.shape[0], dtype=bool) if defined is None \
+        else np.asarray(defined, dtype=bool)
+    if check:
+        rows = np.flatnonzero(defined)
+        bad = _not_distributions(table[rows])
+        if bad.any():
+            raise ValueError(f"row {rows[bad.argmax()]} is not a "
+                             "probability distribution")
+    return defined
+
+
 class ReconstructionReceiver:
     """Per-message point predictions; rows may be undefined for unused
     messages."""
@@ -160,8 +183,7 @@ class ReconstructionReceiver:
         if pts.ndim == 1:
             pts = pts[:, None]
         self.points = pts
-        self.defined = (np.ones(pts.shape[0], dtype=bool)
-                        if defined is None else np.asarray(defined, dtype=bool))
+        self.defined = _defined_rows(pts, defined, check=False)
         self.num_messages = pts.shape[0]
 
 
@@ -171,13 +193,8 @@ class GlobalReceiver:
     def __init__(self, table: np.ndarray, defined: np.ndarray | None = None):
         tab = np.asarray(table, dtype=float)
         self.table = tab
-        self.defined = (np.ones(tab.shape[0], dtype=bool)
-                        if defined is None else np.asarray(defined, dtype=bool))
+        self.defined = _defined_rows(tab, defined)
         self.num_messages = tab.shape[0]
-        for m in np.flatnonzero(self.defined):
-            row = tab[m]
-            if np.any(row < 0.0) or abs(row.sum() - 1.0) > _PROB_TOL:
-                raise ValueError(f"row {m} is not a probability distribution")
 
 
 class DiscriminationReceiver:
@@ -273,8 +290,7 @@ class TabularDiscriminationReceiver(DiscriminationReceiver):
             if rows[-1].shape != (d,):
                 raise ValueError(f"row for query {key} is not a distribution")
         self.rows = np.array(rows, dtype=float).reshape(len(rows), d)
-        bad = np.any(self.rows < 0.0, axis=1) \
-            | (np.abs(self.rows.sum(axis=1) - 1.0) > _PROB_TOL)
+        bad = _not_distributions(self.rows)
         if bad.any():
             raise ValueError(f"row for query {list(table)[bad.argmax()]} "
                              "is not a distribution")
@@ -341,7 +357,7 @@ class ConstantDiscriminationReceiver(DiscriminationReceiver):
 
     def __init__(self, vector: np.ndarray, num_messages: int = 1):
         row = np.asarray(vector, dtype=float)
-        if np.any(row < 0.0) or abs(row.sum() - 1.0) > _PROB_TOL:
+        if _not_distributions(row.ravel()):
             raise ValueError("constant output is not a distribution")
         self.vector = row
         self.num_candidates = row.size
@@ -373,16 +389,9 @@ class ClassificationReceiver(DiscriminationReceiver):
     def __init__(self, conditional: np.ndarray, defined: np.ndarray | None = None):
         tab = np.asarray(conditional, dtype=float)
         self.conditional = tab
-        self.defined = (np.ones(tab.shape[0], dtype=bool)
-                        if defined is None else np.asarray(defined, dtype=bool))
+        self.defined = _defined_rows(tab, defined)
         self.num_candidates = tab.shape[1]
         self.num_messages = tab.shape[0]
-        rows = np.flatnonzero(self.defined)
-        bad = np.any(tab[rows] < 0.0, axis=1) \
-            | (np.abs(tab[rows].sum(axis=1) - 1.0) > _PROB_TOL)
-        if bad.any():
-            raise ValueError(f"row {rows[bad.argmax()]} is not a probability "
-                             "distribution")
 
     def probabilities_batch(self, messages, candidates):
         messages = np.asarray(messages)
@@ -630,11 +639,12 @@ def _exact_discrimination_losses(
 
 def _check_samples(samples, shards=1) -> None:
     """Monte-Carlo sizes: ``samples`` and ``shards`` must be positive
-    integers."""
+    integers, and ``samples`` within the term budget."""
     for name, value in (("samples", samples), ("shards", shards)):
         if not isinstance(value, numbers.Integral) or value < 1:
             raise ValueError(
                 f"{name} must be a positive integer, got {value!r}")
+    _check_terms(samples, "Monte-Carlo", "samples")
 
 
 class _Sampler:
@@ -651,8 +661,8 @@ class _Sampler:
     "right")``, unless a cdf step falls inside it, and then ``-1``. Scaling
     by a power of two is exact, so a draw's bucket ``floor(u m)`` is exact,
     and only draws in a step bucket (at most ``n / m`` of the unit
-    interval) go through ``searchsorted``. Uniforms are taken in blocks of
-    ``_DRAW_BLOCK``: ``random(a)`` then ``random(b)`` is the stream of
+    interval) go through ``searchsorted``. The caller bounds the uniforms
+    of a call: ``random(a)`` then ``random(b)`` is the stream of
     ``random(a + b)``."""
 
     def __init__(self, weights: np.ndarray):
@@ -671,14 +681,12 @@ class _Sampler:
         if out is None:
             out = np.empty(shape, dtype=np.int64)
         flat = out.reshape(-1)
-        for lo in range(0, flat.size, _DRAW_BLOCK):
-            u = rng.random(min(_DRAW_BLOCK, flat.size - lo))
-            # every bucket index is below m; "clip" writes ``out`` unbuffered
-            idx = self.guide.take((u * self.m).astype(np.intp),
-                                  out=flat[lo:lo + u.size], mode="clip")
-            step = np.flatnonzero(idx < 0)
-            if step.size:
-                idx.put(step, self.cdf.searchsorted(u.take(step), "right"))
+        u = rng.random(flat.size)
+        # every bucket index is below m; "clip" writes ``out`` unbuffered
+        self.guide.take((u * self.m).astype(np.intp), out=flat, mode="clip")
+        step = np.flatnonzero(flat < 0)
+        if step.size:
+            flat.put(step, self.cdf.searchsorted(u.take(step), "right"))
         return out
 
 
@@ -820,7 +828,6 @@ def _mc_discrimination(messages: np.ndarray, receiver: DiscriminationReceiver,
     ``log(1 + c)`` for ``c`` distractors sharing the target's message; one
     built from other messages is asked like the score receiver."""
     _check_samples(samples, shards)
-    _check_terms(samples, "Monte-Carlo", "samples")
     sync = type(receiver).probabilities_batch is \
         SynchronizedDiscriminationReceiver.probabilities_batch \
         and np.array_equal(receiver.messages, messages)
@@ -954,7 +961,6 @@ def eval_classification(protocol: Protocol, receiver: DiscriminationReceiver,
         return _exact_eval(protocol, receiver, space, "classification",
                            labels=labels)
     _check_samples(samples)
-    _check_terms(samples, "Monte-Carlo", "samples")
     codes, groups, cond = _label_groups(space, labels)
     seeds = substream(seed, "monte-carlo", "classification") \
         .bit_generator.seed_seq
@@ -1000,7 +1006,6 @@ def synchronized_receiver(protocol: Protocol, space: InputSpace,
         table[a, np.arange(space.size)] = space.weights / p[a]
         return GlobalReceiver(table, defined=used)
     if spec.kind == "classification":
-        from .objectives import joint_message_label
         joint = joint_message_label(protocol, space, spec.labels)
         cond = np.zeros_like(joint)
         np.divide(joint, p[:, None], out=cond, where=p[:, None] > 0)

@@ -220,20 +220,22 @@ def save_protocol(path: str | Path, protocol: Protocol,
 # Receivers
 # ---------------------------------------------------------------------------
 
+# the per-message receiver kinds: kind -> (class, JSON key, attribute); a
+# table row per message, ``null`` where the message is undefined
+_PER_MESSAGE = {
+    "reconstruction": (ReconstructionReceiver, "outputs", "points"),
+    "global": (GlobalReceiver, "table", "table"),
+    "classification": (ClassificationReceiver, "conditional", "conditional"),
+}
+
+
 def receiver_to_json(receiver) -> dict:
-    if isinstance(receiver, ReconstructionReceiver):
-        return {"kind": "reconstruction", "outputs": [
-            [float(v) for v in receiver.points[m]] if receiver.defined[m]
-            else None for m in range(receiver.num_messages)]}
-    if isinstance(receiver, GlobalReceiver):
-        return {"kind": "global", "table": [
-            [float(v) for v in receiver.table[m]] if receiver.defined[m]
-            else None for m in range(receiver.num_messages)]}
-    if isinstance(receiver, ClassificationReceiver):
-        return {"kind": "classification", "conditional": [
-            [float(v) for v in receiver.conditional[m]]
-            if receiver.defined[m] else None
-            for m in range(receiver.num_messages)]}
+    for kind, (cls, key, attr) in _PER_MESSAGE.items():
+        if isinstance(receiver, cls):
+            table = getattr(receiver, attr)
+            return {"kind": kind, key: [
+                [float(v) for v in table[m]] if receiver.defined[m] else None
+                for m in range(receiver.num_messages)]}
     if isinstance(receiver, ConstantDiscriminationReceiver):
         return {"kind": "constant-discrimination",
                 "vector": [float(v) for v in receiver.vector],
@@ -247,14 +249,6 @@ def receiver_to_json(receiver) -> dict:
     raise TypeError(f"cannot serialize receiver of type {type(receiver)!r}")
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
-    """``values``, if every entry is finite: a ``null`` or a string such as
-    ``"nan"`` inside a row reads as NaN."""
-    if not np.isfinite(values).all():
-        raise ValueError("receiver values must be finite numbers")
-    return values
-
-
 def _rows_with_gaps(rows: list) -> tuple[np.ndarray, np.ndarray]:
     """A per-message table whose undefined rows are ``null``: the rows as a
     float array (NaN where undefined) and the mask of defined rows."""
@@ -266,7 +260,9 @@ def _rows_with_gaps(rows: list) -> tuple[np.ndarray, np.ndarray]:
                        for r in rows], dtype=float)
     if values.ndim != 2:
         raise ValueError("each receiver row must be a list of numbers")
-    _finite(values[defined])
+    # a ``null`` or a string such as ``"nan"`` inside a row reads as NaN
+    if not np.isfinite(values[defined]).all():
+        raise ValueError("receiver values must be finite numbers")
     return values, defined
 
 
@@ -280,15 +276,12 @@ def _integer(value, what: str) -> int:
 
 def receiver_from_json(data: dict):
     kind = data.get("kind")
-    if kind == "reconstruction":
-        return ReconstructionReceiver(*_rows_with_gaps(data["outputs"]))
-    if kind == "global":
-        return GlobalReceiver(*_rows_with_gaps(data["table"]))
-    if kind == "classification":
-        return ClassificationReceiver(*_rows_with_gaps(data["conditional"]))
+    for name, (cls, key, _) in _PER_MESSAGE.items():
+        if kind == name:  # ``kind`` may be any JSON value, unhashable too
+            return cls(*_rows_with_gaps(data[key]))
     if kind == "constant-discrimination":
         return ConstantDiscriminationReceiver(
-            _finite(np.asarray(data["vector"], dtype=float)),
+            np.asarray(data["vector"], dtype=float),
             num_messages=_integer(data.get("num_messages", 1),
                                   "num_messages"))
     if kind == "discrimination":
@@ -302,11 +295,9 @@ def receiver_from_json(data: dict):
             table[query] = np.asarray(r["probs"], dtype=float)
         if not table:
             raise ValueError("no receiver row is defined")
-        receiver = TabularDiscriminationReceiver(
+        return TabularDiscriminationReceiver(
             _integer(data["d"], "d"),
             _integer(data["num_messages"], "num_messages"), table)
-        _finite(receiver.rows)
-        return receiver
     raise ValueError(f"unknown receiver kind {kind!r}")
 
 

@@ -28,6 +28,7 @@ from .core import InputSpace, LabelMap, MessageSpace, Protocol, \
     _class_sums, _pair_blocks, _sq_dists, message_probabilities
 from .errors import MetricUndefinedError
 from .games import GameSpec, _check_terms, substream, synchronized_receiver
+from .objectives import entropy, joint_message_label, mutual_information
 
 __all__ = [
     "unique_messages",
@@ -87,7 +88,6 @@ def random_baseline(protocol: Protocol, space: InputSpace,
 
 def purity(protocol: Protocol, space: InputSpace, labels: LabelMap) -> float:
     """Mass-weighted average over messages of the majority-label fraction."""
-    from .objectives import joint_message_label
     joint = joint_message_label(protocol, space, labels)
     return float(joint.max(axis=1).sum())
 
@@ -95,7 +95,6 @@ def purity(protocol: Protocol, space: InputSpace, labels: LabelMap) -> float:
 def max_purity(protocol: Protocol, space: InputSpace,
                attributes: Sequence[LabelMap]) -> float:
     """Per-message maximum purity over the attributes, averaged by mass."""
-    from .objectives import joint_message_label
     if not attributes:
         raise ValueError("max purity needs at least one attribute")
     per_attr = np.stack([
@@ -190,6 +189,24 @@ def _weighted_joint(codes_a: np.ndarray, codes_b: np.ndarray,
     return joint.reshape(rows, cols)
 
 
+def _mean_mi_gap(units, others, w: np.ndarray,
+                 units_are_messages: bool) -> float:
+    """Mean over ``units`` of the gap between the unit's two largest MIs
+    with ``others``, over its entropy (0 without entropy). The bits of
+    ``mutual_information`` depend on orientation: messages are the rows."""
+    terms = []
+    for u in units:
+        h_u = entropy(_weighted_joint(u, np.zeros_like(u), w).sum(axis=1))
+        if h_u <= 0.0:
+            terms.append(0.0)
+            continue
+        mis = sorted((mutual_information(
+            _weighted_joint(u, v, w) if units_are_messages
+            else _weighted_joint(v, u, w)) for v in others), reverse=True)
+        terms.append((mis[0] - mis[1]) / h_u)
+    return float(np.mean(terms))
+
+
 def disentanglement(protocol: Protocol, space: InputSpace,
                     message_space: MessageSpace,
                     attributes: Sequence[LabelMap],
@@ -206,31 +223,19 @@ def disentanglement(protocol: Protocol, space: InputSpace,
     if message_space.kind != "hamming":
         raise ValueError("disentanglement needs a symbol-sequence message "
                          "space")
-    from .objectives import entropy, mutual_information
     seqs = np.asarray([message_space.atoms[m] for m in protocol.assignment],
                       dtype=int)
     attr_codes = [lab.codes() for lab in attributes]
+    positions = [seqs[:, j] for j in range(message_space.length)]
     w = space.weights
 
     if kind in ("posdis", "bosdis"):
         if len(attributes) < 2:
             raise ValueError(f"{kind} needs at least two attributes "
                              "(the MI gap is taken over attributes)")
-        if kind == "posdis":
-            units = [seqs[:, j] for j in range(message_space.length)]
-        else:
-            units = [(seqs == v).sum(axis=1)
-                     for v in range(message_space.vocab_size)]
-        terms = []
-        for u in units:
-            h_u = entropy(_weighted_joint(u, np.zeros_like(u), w).sum(axis=1))
-            if h_u <= 0.0:
-                terms.append(0.0)
-                continue
-            mis = sorted((mutual_information(_weighted_joint(u, a, w))
-                          for a in attr_codes), reverse=True)
-            terms.append((mis[0] - mis[1]) / h_u)
-        return float(np.mean(terms))
+        units = positions if kind == "posdis" else [
+            (seqs == v).sum(axis=1) for v in range(message_space.vocab_size)]
+        return _mean_mi_gap(units, attr_codes, w, True)
 
     if kind == "sposdis":
         if message_space.length < 2:
@@ -238,17 +243,7 @@ def disentanglement(protocol: Protocol, space: InputSpace,
                              "(the MI gap is taken over positions)")
         if not attributes:
             raise ValueError("sposdis needs at least one attribute")
-        terms = []
-        for a in attr_codes:
-            h_a = entropy(_weighted_joint(a, np.zeros_like(a), w).sum(axis=1))
-            if h_a <= 0.0:
-                terms.append(0.0)
-                continue
-            mis = sorted((mutual_information(
-                _weighted_joint(seqs[:, j], a, w))
-                for j in range(message_space.length)), reverse=True)
-            terms.append((mis[0] - mis[1]) / h_a)
-        return float(np.mean(terms))
+        return _mean_mi_gap(attr_codes, positions, w, False)
     raise ValueError(f"unknown disentanglement kind {kind!r}")
 
 

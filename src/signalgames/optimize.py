@@ -144,11 +144,13 @@ def _argmin_rows(n: int, k: int, space: InputSpace, spec: GameSpec,
     """The minimum over the partitions of ``n`` inputs into at most ``k``
     blocks, and the ``int`` rows within ``_TIE_TOL`` of it in enumeration
     order. At most ``budget / n`` rows of ``n`` entries are held; past that
-    they come back as ``None``, or, given the minimum as ``best``, raise."""
+    they come back as ``None``, or raise if the minimum is known: given as
+    ``best``, or unmoved since the rows were dropped."""
     fixed = best is not None
     best = best if fixed else math.inf
     kept: list | None = []  # (values, rows) slices within _TIE_TOL of best
     held = 0  # rows in kept
+    dropped = None  # (best, held) when the rows were dropped
     for rows in _partition_rows(n, k):
         values = batch_objective(rows, space, spec)
         low = float(values.min())
@@ -164,10 +166,14 @@ def _argmin_rows(n: int, k: int, space: InputSpace, spec: GameSpec,
         kept.append((values[tied], rows[tied]))
         held += len(kept[-1][0])
         if held * n > games.EXACT_TERM_BUDGET:
-            if fixed:  # the tie set only grows: this refuses what it holds
-                _check_terms(held * n, "exhaustive search's tie set",
-                             "assignment entries", at_least=True)
-            kept = None
+            kept, dropped = None, (best, held)
+            if fixed:  # the tie set only grows: refuse what it holds
+                break
+    if dropped is not None and dropped[0] == best:
+        # the rows held at the drop are those a scan given this minimum
+        # would hold at that step, and refuse there
+        _check_terms(dropped[1] * n, "exhaustive search's tie set",
+                     "assignment entries", at_least=True)
     return best, kept and np.concatenate([r for _, r in kept], dtype=int)
 
 

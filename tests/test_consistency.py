@@ -325,11 +325,13 @@ class TestReceiverSimplicity:
     ], ids=["nan", "nan_at_zero", "nan_and_duplicate", "finite"])
     def test_nan_outputs_propagate(self, rows, worst, monkeypatch):
         # keys 1 and 2 share a message and candidate points (inputs 0 and 1
-        # coincide), so they lie at domain distance zero
+        # coincide), so they lie at domain distance zero; the constructor
+        # refuses NaN rows, so they are written into a valid table
         space = InputSpace.uniform(np.array([[0.0], [0.0], [1.0]]))
         keys = [(1, (0, 1)), (0, (0, 2)), (0, (1, 2))]
         recv = TabularDiscriminationReceiver(
-            2, 2, {key: np.array(row) for key, row in zip(keys, rows)})
+            2, 2, {key: np.full(2, 0.5) for key in keys})
+        recv.rows[:] = rows
         ms = MessageSpace.from_vectors([[0.0], [1.0]])
         for block in (1, 7, core._PAIR_BLOCK):
             monkeypatch.setattr(core, "_PAIR_BLOCK", block)

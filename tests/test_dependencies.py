@@ -1,6 +1,8 @@
 """The package runs on numpy alone: importing it and running the CLI paths
-that use information quantities and rank correlations loads no scipy."""
+that use information quantities and rank correlations loads no scipy. Its
+modules import each other at module level only."""
 
+import ast
 import json
 import os
 import subprocess
@@ -57,3 +59,27 @@ def test_cli_runs_without_scipy(tmp_path):
     assert isinstance(report["posdis"], float)
     verdict = json.loads((out / "a3" / "verdict.json").read_text())
     assert verdict["verdict"] is True
+
+
+def test_package_imports_sit_at_module_level():
+    # the modules import each other without cycles (core -> objectives ->
+    # games -> the rest), so no function body needs to import from the
+    # package; standard-library imports there (the thread pool, which
+    # `import signalgames` must not load) are exempt
+    def from_package(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.level > 0 or (node.module or "").split(".")[0] \
+                == "signalgames"
+        return isinstance(node, ast.Import) and any(
+            alias.name.split(".")[0] == "signalgames"
+            for alias in node.names)
+
+    inside = []
+    for path in sorted(Path(signalgames.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside += [(path.stem, func.name, node.lineno)
+                   for func in ast.walk(tree)
+                   if isinstance(func, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef))
+                   for node in ast.walk(func) if from_package(node)]
+    assert inside == []

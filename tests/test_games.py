@@ -781,6 +781,40 @@ class TestTabularReceiver:
         assert recv.probabilities(1, (3, 0, 0)).tolist() == [0.4, 0.3, 0.3]
 
 
+# rows that hold NaN or an infinity, so none is a distribution
+_NON_FINITE_ROWS = [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0],
+                    [math.inf, math.inf], [-math.inf, 1.0],
+                    [math.inf, -math.inf]]
+
+
+@pytest.mark.parametrize("row", _NON_FINITE_ROWS,
+                         ids=lambda row: "_".join(map(str, row)))
+class TestNonFiniteReceiverRows:
+    """Each receiver refuses a non-finite row with the message it gives any
+    other row that is not a distribution."""
+
+    def test_global(self, row):
+        with pytest.raises(ValueError, match="^row 1 is not a probability "
+                                             "distribution$"):
+            GlobalReceiver([[0.5, 0.5], row])
+
+    def test_classification(self, row):
+        with pytest.raises(ValueError, match="^row 1 is not a probability "
+                                             "distribution$"):
+            ClassificationReceiver([[0.5, 0.5], row])
+
+    def test_constant(self, row):
+        with pytest.raises(ValueError, match="^constant output is not a "
+                                             "distribution$"):
+            ConstantDiscriminationReceiver(row)
+
+    def test_tabular(self, row):
+        table = {(0, (0, 1)): [0.5, 0.5], (1, (1, 0)): row}
+        with pytest.raises(ValueError, match=r"^row for query \(1, \(1, 0\)\) "
+                                             "is not a distribution$"):
+            TabularDiscriminationReceiver(2, 2, table)
+
+
 class TestMaskFreeKernels:
     @staticmethod
     def splice_reference(distractors, targets, positions):

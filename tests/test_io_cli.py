@@ -575,6 +575,26 @@ class TestCli:
         assert code == 2
         assert f"{path}{where}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["null", "1e999", '"nan"'])
+    @pytest.mark.parametrize("text,message", [
+        ('{{"kind": "constant-discrimination", "vector": [{}, 0.5]}}',
+         "constant output is not a distribution"),
+        ('{{"kind": "discrimination", "d": 2, "num_messages": 1, "rows": '
+         '[{{"message": 0, "candidates": [0, 1], "probs": [{}, 0.5]}}]}}',
+         "row for query (0, (0, 1)) is not a distribution")],
+        ids=["constant", "tabular"])
+    def test_non_finite_distribution_exits_2(self, tmp_path, space_b, value,
+                                             text, message, capsys):
+        # the receiver refuses the row; the loader adds no check of its own
+        io.save_input_space(tmp_path / "space.csv", space_b)
+        path = tmp_path / "receiver.json"
+        path.write_text(text.format(value))
+        code = main(["verify", "--def", "5", "--input",
+                     str(tmp_path / "space.csv"), "--receiver", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err \
+            == f"error: {path}:1: bad receiver JSON: {message}\n"
+
     @pytest.mark.parametrize("outputs", ["[[[]], [[]]]", "[[[0.0]], [[1.0]]]",
                                          "[0.0, 1.0]"])
     @pytest.mark.parametrize("definition", ["5", "6"])

@@ -318,6 +318,47 @@ class TestDisentanglement:
                 assert -1e-12 <= v <= 1.0 + 1e-12
 
 
+class TestPinnedDisentanglementBits:
+    """posdis, bosdis and sposdis bits on seeded weighted instances,
+    recorded before the two MI-gap loops were merged. Each joint table has
+    the message side as its rows; transposing one moves the last bits of
+    ``mutual_information``, and fails here."""
+
+    # per instance: posdis, bosdis, sposdis
+    PINS = [
+        ["0x1.55ba4e289ac18p-5", "0x1.5b1d37468f33cp-5",
+         "0x1.040bd3c2aef1bp-4"],
+        ["0x1.940ebfd5c625cp-4", "0x1.177ee8fbae04bp-4",
+         "0x1.b925c1217887bp-4"],
+        ["0x1.9403ce09363e8p-5", "0x1.88a20cb639097p-5",
+         "0x1.a57894a7fe7fdp-3"],
+        ["0x1.c5f37886802ecp-4", "0x1.d71147bd3e041p-5",
+         "0x1.af995ecf14e6dp-4"],
+        ["0x1.6208450bd6c58p-3", "0x1.95c49200ff493p-5",
+         "0x1.804d524a7cdd3p-3"],
+        ["0x1.1046846d41b95p-4", "0x1.108fbba0ff373p-5",
+         "0x1.4fdbefc36be78p-4"],
+        ["0x1.4e3d910545fbdp-4", "0x1.bf3c4b120a515p-5",
+         "0x1.1fc81083a56cfp-3"],
+        ["0x1.290eda7597f28p-5", "0x1.480a2dfeb4f0bp-4",
+         "0x1.991a5aa25afe7p-4"],
+    ]
+
+    def test_scores(self):
+        rng = rng_for("pinned disentanglement bits")
+        ms = MessageSpace.full_code(3, 3)
+        for want in self.PINS:
+            n = 15
+            w = rng.random(n) + 0.1
+            space = InputSpace(rng.normal(size=(n, 2)), w / w.sum())
+            attributes = [LabelMap(rng.integers(0, 3, size=n).tolist(),
+                                   f"a{j}") for j in range(3)]
+            protocol = Protocol(rng.integers(0, ms.size, size=n), ms.size)
+            got = [disentanglement(protocol, space, ms, attributes, kind)
+                   for kind in ("posdis", "bosdis", "sposdis")]
+            assert [float.hex(v) for v in got] == want
+
+
 class TestClusterVariance:
     def test_identity_groups_no_merge(self, space_b):
         ms = MessageSpace.symbol_sequences(["0", "1", "2", "3"], 4)

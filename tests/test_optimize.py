@@ -178,8 +178,9 @@ class TestExhaustiveSearch:
         assert sorted(p.assignment.tolist() for p in result.protocols) \
             == sorted([a, b, c, c] for a, b, c in itertools.permutations(
                 range(3)))
-        # when all 14 tie, the second scan refuses the 4 rows, 16 entries,
-        # that it holds on its first step past the budget
+        # when all 14 tie, the minimum never moves after the scan drops the
+        # 4 rows, 16 entries, it holds on its first step past the budget,
+        # so the scan refuses them at its end without a second scan
         scored.clear()
         monkeypatch.setattr(optimize, "batch_objective", lambda rows, *rest:
                             scored.append(len(rows)) or np.zeros(len(rows)))
@@ -187,13 +188,32 @@ class TestExhaustiveSearch:
             exhaustive_search(space, 3, GameSpec("reconstruction"))
         assert exc.value.required == 16
         assert "needs at least 16 assignment entries" in str(exc.value)
-        assert scored == [1] * 18
+        assert scored == [1] * 14
+
+    def test_second_scan_refuses_ties_at_a_lower_minimum(self, monkeypatch):
+        # the 5 partitions 000x/001x tie at 1 and the scan drops them on the
+        # 4th; the 9 others tie at 0, so the minimum moves after the drop
+        # and a second scan refuses the 4 rows, 16 entries, it holds by 0110
+        def score(rows, *rest):
+            scored.append(len(rows))
+            return np.where(rows[:, 1] == 0, 1.0, 0.0)
+
+        scored = []
+        monkeypatch.setattr(optimize, "batch_objective", score)
+        monkeypatch.setattr(core, "_PARTITION_BLOCK", 1)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 14)
+        space = InputSpace.uniform(np.arange(4.0)[:, None])
+        with pytest.raises(BudgetExceededError) as exc:
+            exhaustive_search(space, 3, GameSpec("reconstruction"))
+        assert exc.value.required == 16
+        assert "needs at least 16 assignment entries" in str(exc.value)
+        assert scored == [1] * (14 + 9)
 
     def test_scan_holds_rows_within_the_budget(self, monkeypatch):
         # 20 equal points tie all 2^19 partitions into at most 2 blocks,
-        # 20 * 2^19 entries; at a budget of 2^19 both scans hold at most
+        # 20 * 2^19 entries; at a budget of 2^19 the scan holds at most
         # 2^19 / 20 of the rows, about 28 B each (15 MB for all of them),
-        # and the second refuses the entries of those it holds
+        # and refuses the entries of those it held
         space = InputSpace.uniform(np.zeros((20, 1)))
         monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 2 ** 19)
         tracemalloc.start()
