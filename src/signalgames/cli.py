@@ -470,7 +470,7 @@ def cmd_counterexample(args) -> int:
         *(("receiver.json",) if args.which == "thm5" else ()))
     if args.which == "thm5":
         inst = counterexamples.build_mirror_pairs_instance()
-        report = counterexamples.verify_mirror_pairs()
+        report = counterexamples.verify_mirror_pairs(inst)
         io.save_input_space(paths["space.csv"], inst.space)
         io.save_protocol(paths["protocol.csv"], inst.protocol,
                          io.default_message_space(6))

@@ -424,41 +424,59 @@ def _multiset_rows(n: int, r: int,
         yield rows
 
 
-# Rows per block of :func:`_partition_rows`, half of :func:`_product_rows`'s:
-# scoring a 4096-row block of 12 inputs frees about 1 MB of temporaries at
-# once, and glibc's allocator then returns it to the system and faults it
-# back in for the next block (about 5,000 minor faults and 1.5-2x the time
-# of a full search at N=12, K=3, on a 2-core Xeon VM with glibc malloc).
+# Rows per block of :func:`_partition_rows`, half of :func:`_product_rows`'s.
+# With the class sums carried along the prefixes, 2048 ran fastest of 1024
+# to 8192 on both searches at N=12, K=3 (5-11% ahead of 1024 and of 4096;
+# 2-core Xeon VM, glibc malloc). Larger blocks expand into arrays that
+# glibc's allocator returns to the system and faults back in for the next
+# block (per discrimination search: no minor faults at 2048, about 340 at
+# 4096 and 890 at 8192); smaller ones pay more per-call overhead.
 _PARTITION_BLOCK = 2048
 
 
-def _partition_rows(n: int, k: int) -> Iterator[np.ndarray]:
+def _partition_rows(n: int, k: int, weights: Sequence[np.ndarray] = (),
+                    codes: np.ndarray | None = None, v: int = 1
+                    ) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
     """The set partitions of ``n`` inputs into at most ``k >= 1`` blocks, as
     restricted-growth strings (input 0 is in block 0; each later input is
     in a block at most one above the largest block so far, and below
     ``k``), in lexicographic order, as (B, n) arrays of at most
     ``_PARTITION_BLOCK`` rows in the smallest unsigned integer type that
     holds ``k - 1``. Prefixes are extended one column at a time, block by
-    block, so that only a few blocks per column are held at once."""
+    block, so that only a few blocks per column are held at once.
+
+    Each block comes with its class sums, one (B, min(k, n) * v) array per
+    weight vector: input ``i`` in block ``b`` adds ``w[i]`` to column
+    ``b * v + codes[i]`` (``codes`` defaults to zeros). Each prefix carries
+    its sums, and extending it by input ``i`` adds ``w[i]`` once, so every
+    class sum is ``0.0`` plus its inputs' weights in input order: the bits
+    of :func:`_class_sums` on the rows' codes."""
+    codes = np.zeros(n, dtype=np.int64) if codes is None else codes
     if k == 1:  # the one partition puts every input in block 0
-        yield np.zeros((1, n), dtype=np.uint8)
+        yield np.zeros((1, n), dtype=np.uint8), \
+            [np.bincount(codes, w, v)[None] for w in weights]
         return
+    cols = min(k, n) * v
     stack = [(np.zeros((1, n), dtype=np.min_scalar_type(k - 1)),
-              np.zeros(1, dtype=np.int64), 1)]  # rows, largest block, width
-    while stack:
-        rows, top, width = stack.pop()
+              np.full(1, -1), [np.zeros((1, cols)) for _ in weights], 0)]
+    while stack:  # rows, largest block, class sums, width of the prefix
+        rows, top, sums, width = stack.pop()
         if width == n:
-            yield rows
+            yield rows, sums
             continue
         choices = np.minimum(top + 2, k)
-        rows, top = np.repeat(rows, choices, axis=0), \
-            np.repeat(top, choices)
-        digit = np.arange(len(rows)) - np.repeat(np.cumsum(choices)
-                                                 - choices, choices)
+        parent = np.repeat(np.arange(len(rows)), choices)
+        digit = np.arange(len(parent)) \
+            - (np.cumsum(choices) - choices).take(parent)
+        rows, top = rows.take(parent, axis=0), top.take(parent)
         rows[:, width] = digit
         np.maximum(top, digit, out=top)
+        sums = [s.take(parent, axis=0) for s in sums]
+        at = np.arange(0, len(rows) * cols, cols) + digit * v + codes[width]
+        for s, w in zip(sums, weights):
+            s.ravel()[at] += w[width]
         stack += [(rows[i:i + _PARTITION_BLOCK], top[i:i + _PARTITION_BLOCK],
-                   width + 1)
+                   [s[i:i + _PARTITION_BLOCK] for s in sums], width + 1)
                   for i in range(0, len(rows), _PARTITION_BLOCK)][::-1]
 
 

@@ -84,13 +84,16 @@ def build_mirror_pairs_instance() -> MirrorPairsInstance:
     return MirrorPairsInstance(space, message_space, receiver, protocol)
 
 
-def verify_mirror_pairs() -> dict:
-    """Run the ordered verification steps for the mirror-pairs instance.
+def verify_mirror_pairs(inst: MirrorPairsInstance | None = None) -> dict:
+    """Run the ordered verification steps for the mirror-pairs instance,
+    ``inst`` if given (a caller that also writes it builds it once), else
+    a new :func:`build_mirror_pairs_instance`.
 
     Returns a report with one entry per step; ``passed`` is the overall
     conjunction and ``failed_step`` names the first failing step, if any.
     """
-    inst = build_mirror_pairs_instance()
+    if inst is None:
+        inst = build_mirror_pairs_instance()
     space, message_space, receiver, sender = inst
     spec = GameSpec("discrimination", d=2)
     log2 = math.log(2.0)

@@ -206,33 +206,59 @@ def _one_row(protocol: Protocol, space: InputSpace, kind: str, d: int = 2,
 
 def _objective_rows(assignments: np.ndarray, k: int, space: InputSpace,
                     kind: str, d: int, labels: LabelMap | None) -> np.ndarray:
-    """The one dispatch from class sums to each game's closed form, for a
-    (B, N) matrix of assignments with values below ``k`` (or one (N,)
-    assignment, giving a scalar)."""
-    w, add = space.weights, np.add.reduce
+    """The closed form of each row of a (B, N) matrix of assignments with
+    values below ``k`` (or of one (N,) assignment, giving a scalar): its
+    class sums, then :func:`_sums_objective`."""
+    weights, codes, v = _class_layout(space, kind, labels)
+    if codes is not None:
+        assignments = assignments * v + codes
+    return _sums_objective(_class_sums(assignments, k * v, *weights),
+                           space, kind, d, v)
+
+
+def _class_layout(space: InputSpace, kind: str, labels: LabelMap | None):
+    """What the closed form of ``kind`` sums per class: the weight vectors
+    (the prior, and for reconstruction each coordinate of
+    ``w_i (x_i - E X)``), and for the label games each input's label code
+    and the label count ``V``, class ``m`` and label ``y`` being column
+    ``m * V + y`` (else ``None`` and 1)."""
+    if kind == "reconstruction":
+        return (space.weights, *space._centered_weighted), None, 1
+    if kind not in ("supervised", "classification"):
+        return (space.weights,), None, 1
+    if labels.size != space.size:
+        raise ValueError("label map does not cover the input space")
+    return (space.weights,), labels.codes(), labels.num_values
+
+
+def _sums_objective(sums: list[np.ndarray], space: InputSpace, kind: str,
+                    d: int, v: int) -> np.ndarray:
+    """The one dispatch from class sums to each game's closed form: the
+    (B, K * v) or (K * v,) sums of :func:`_class_layout`'s weight vectors,
+    each closed form reducing over all K classes given."""
+    add = np.add.reduce
     if kind == "reconstruction":
         # Var[X] minus the explained part sum_m ||E[(X - EX) 1{S=m}]||^2 / p_m;
         # an empty class has sums of exactly 0, so dividing by tiny keeps 0
-        masses, first, *rest = _class_sums(assignments, k, w,
-                                           *space._centered_weighted)
+        masses, first, *rest = sums
         explained = first * first
         for s in rest:
             explained += s * s
         explained /= np.maximum(masses, _TINY)
         return space._variance - add(explained, axis=-1)
-    if kind in ("discrimination", "global"):
-        masses, = _class_sums(assignments, k, w)
-        if kind == "global":
-            return -entropy(masses)
+    masses, = sums
+    if kind == "global":
+        return -entropy(masses)
+    if kind == "discrimination":
         return add(masses * _log1p_binomial_mean(masses, d), axis=-1)
+    joint = masses.reshape(*masses.shape[:-1], -1, v)
     if kind == "supervised":
-        joint = _joint(assignments, k, space, labels)
         outside = 1.0 - add(joint, axis=-2, keepdims=True)  # 1 - P(y)
         q = add(joint, axis=-1, keepdims=True) - joint
         q /= outside
         return add(joint * _log1p_binomial_mean(q, d), axis=(-2, -1))
     if kind == "classification":
-        return -mutual_information(_joint(assignments, k, space, labels))
+        return -mutual_information(joint)
     raise ValueError(f"unknown game kind {kind!r}")
 
 
@@ -240,11 +266,8 @@ def _joint(assignments: np.ndarray, k: int, space: InputSpace,
            labels: LabelMap) -> np.ndarray:
     """``P(S(X) = m, Y = y)`` for each row, shape (B, K, |Y|), or (K, |Y|)
     for one (N,) assignment."""
-    if labels.size != space.size:
-        raise ValueError("label map does not cover the input space")
-    v = labels.num_values
-    sums, = _class_sums(assignments * v + labels.codes(), k * v,
-                        space.weights)
+    (w,), codes, v = _class_layout(space, "classification", labels)
+    sums, = _class_sums(assignments * v + codes, k * v, w)
     return sums.reshape(*assignments.shape[:-1], k, v)
 
 

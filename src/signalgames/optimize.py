@@ -25,7 +25,7 @@ from .core import GameSpec, InputSpace, MessageSpace, Protocol, _as_readonly, \
     _class_sums, _partition_rows, _sq_dists
 from . import games
 from .games import _check_terms, substream
-from .objectives import batch_objective
+from .objectives import _class_layout, _sums_objective, batch_objective
 
 __all__ = [
     "ProtocolRows",
@@ -151,8 +151,9 @@ def _argmin_rows(n: int, k: int, space: InputSpace, spec: GameSpec,
     kept: list | None = []  # (values, rows) slices within _TIE_TOL of best
     held = 0  # rows in kept
     dropped = None  # (best, held) when the rows were dropped
-    for rows in _partition_rows(n, k):
-        values = batch_objective(rows, space, spec)
+    weights, codes, v = _class_layout(space, spec.kind, spec.labels)
+    for rows, sums in _partition_rows(n, k, weights, codes, v):
+        values = _block_objective(rows, sums, space, spec, v)
         low = float(values.min())
         if low < best:
             best = low
@@ -175,6 +176,18 @@ def _argmin_rows(n: int, k: int, space: InputSpace, spec: GameSpec,
         _check_terms(dropped[1] * n, "exhaustive search's tie set",
                      "assignment entries", at_least=True)
     return best, kept and np.concatenate([r for _, r in kept], dtype=int)
+
+
+def _block_objective(rows: np.ndarray, sums: list[np.ndarray],
+                     space: InputSpace, spec: GameSpec, v: int) -> np.ndarray:
+    """The closed form of each row of a block of partitions from the class
+    sums carried with it. They are reduced over the ``rows.max() + 1``
+    blocks :func:`batch_objective` would infer for the block, so the values
+    are its bits: past 8 classes, trailing zero columns would change
+    ``add.reduce``'s pairwise grouping."""
+    width = (int(rows.max()) + 1) * v
+    return _sums_objective([np.ascontiguousarray(s[:, :width]) for s in sums],
+                           space, spec.kind, spec.d, v)
 
 
 # ---------------------------------------------------------------------------

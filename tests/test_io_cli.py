@@ -23,7 +23,7 @@ from signalgames import (
     exhaustive_search,
     synchronized_receiver,
 )
-from signalgames import games, io, optimize
+from signalgames import counterexamples, games, io, optimize
 from signalgames.cli import _equal_mass_partitions, main
 from signalgames.counterexamples import build_mirror_pairs_instance
 
@@ -842,7 +842,7 @@ class TestCli:
             self, monkeypatch, capsys):
         # the partition count stops at 14 inputs, whose 190,899,322
         # partitions pass the budget, and no partition is scored
-        monkeypatch.setattr(optimize, "batch_objective", _never)
+        monkeypatch.setattr(optimize, "_block_objective", _never)
         assert main(["verify", "--corollary", "1", "--n", "100000",
                      "--k", "100000"]) == 3
         assert "exhaustive search needs at least 190899322 partitions " \
@@ -859,10 +859,16 @@ class TestCli:
         p = protocol.assignment.tolist()
         assert sorted([p.count(0), p.count(1)]) == [2, 2]
 
-    def test_counterexample_thm5(self, tmp_path, capsys):
+    def test_counterexample_thm5(self, tmp_path, capsys, monkeypatch):
+        # the instance that is verified is the one written, built once
+        built = []
+        monkeypatch.setattr(counterexamples, "build_mirror_pairs_instance",
+                            lambda: built.append(1)
+                            or build_mirror_pairs_instance())
         out = tmp_path / "ctr"
         code = main(["counterexample", "--which", "thm5", "--out", str(out)])
         assert code == 0
+        assert built == [1]
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["passed"]
         space, _ = io.load_input_space(out / "space.csv")

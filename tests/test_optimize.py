@@ -24,6 +24,8 @@ from signalgames.core import GAME_KINDS, _partition_rows
 from signalgames import core, games, optimize
 from signalgames.optimize import batch_objective
 
+block_objective = optimize._block_objective
+
 from conftest import first_appearance, random_protocol, random_space, \
     rng_for
 from oracles import classification_loss_bruteforce, \
@@ -107,8 +109,8 @@ class TestExhaustiveSearch:
         # the term budget, read at call time, counts those partitions
         # before any is scored, then the 56 assignment entries of the ties
         scored = []
-        monkeypatch.setattr(optimize, "batch_objective",
-                            lambda *a: scored.append(1) or batch_objective(*a))
+        monkeypatch.setattr(optimize, "_block_objective",
+                            lambda *a: scored.append(1) or block_objective(*a))
         space = InputSpace.uniform(np.zeros((4, 1)))
         spec = GameSpec("reconstruction")
         monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 56)
@@ -126,7 +128,7 @@ class TestExhaustiveSearch:
     def test_partition_count_matches_enumeration(self):
         for n in range(1, 9):
             for k in range(1, 7):
-                rows = sum(len(r) for r in _partition_rows(n, k))
+                rows = sum(len(r) for r, _ in _partition_rows(n, k))
                 assert optimize._partition_count(n, k, rows) == (rows, True)
                 # a stop just below the count still passes the limit
                 assert optimize._partition_count(n, k, rows - 1)[0] == rows
@@ -167,7 +169,7 @@ class TestExhaustiveSearch:
             return np.where((rows == [0, 1, 2, 2]).all(axis=1), 0.0, 1.0)
 
         scored = []
-        monkeypatch.setattr(optimize, "batch_objective", score)
+        monkeypatch.setattr(optimize, "_block_objective", score)
         monkeypatch.setattr(core, "_PARTITION_BLOCK", 1)
         monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 14)
         space = InputSpace.uniform(np.arange(4.0)[:, None])
@@ -182,7 +184,7 @@ class TestExhaustiveSearch:
         # 4 rows, 16 entries, it holds on its first step past the budget,
         # so the scan refuses them at its end without a second scan
         scored.clear()
-        monkeypatch.setattr(optimize, "batch_objective", lambda rows, *rest:
+        monkeypatch.setattr(optimize, "_block_objective", lambda rows, *rest:
                             scored.append(len(rows)) or np.zeros(len(rows)))
         with pytest.raises(BudgetExceededError) as exc:
             exhaustive_search(space, 3, GameSpec("reconstruction"))
@@ -199,7 +201,7 @@ class TestExhaustiveSearch:
             return np.where(rows[:, 1] == 0, 1.0, 0.0)
 
         scored = []
-        monkeypatch.setattr(optimize, "batch_objective", score)
+        monkeypatch.setattr(optimize, "_block_objective", score)
         monkeypatch.setattr(core, "_PARTITION_BLOCK", 1)
         monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 14)
         space = InputSpace.uniform(np.arange(4.0)[:, None])
@@ -355,6 +357,83 @@ class TestPartitionSearch:
         assert result.protocols[0] == Protocol([0, 0, 0, 0], 10 ** 5)
         assert result.protocols[-1] == Protocol(
             [99_999, 99_998, 99_997, 99_996], 10 ** 5)
+
+
+def _block_scores(space, k, spec, monkeypatch):
+    """The search's result and each block it scored, with the scores."""
+    blocks = []
+
+    def record(rows, *rest):
+        values = block_objective(rows, *rest)
+        blocks.append((rows.copy(), values))
+        return values
+
+    monkeypatch.setattr(optimize, "_block_objective", record)
+    return exhaustive_search(space, k, spec), blocks
+
+
+def _reference_scan(space, k, spec):
+    """The minimum and tied partitions of a scan that scores each block of
+    partitions through ``batch_objective``."""
+    scored = [(rows, batch_objective(rows, space, spec))
+              for rows, _ in _partition_rows(space.size, k)]
+    best = min(float(v.min()) for _, v in scored)
+    tied = [r[v <= best + optimize._TIE_TOL] for r, v in scored]
+    return best, np.concatenate(tied, dtype=int)
+
+
+_BIT_SPECS = [("reconstruction", 2), ("discrimination", 2),
+              ("discrimination", 3), ("global", 2), ("supervised", 2),
+              ("supervised", 3), ("classification", 2)]
+
+
+class TestSearchScoresFromCarriedSums:
+    """The search scores each block of partitions from the class sums the
+    enumerator carries along the prefixes; every score has the bits of
+    ``batch_objective`` on the block's rows."""
+
+    @pytest.mark.parametrize("kind,d", [
+        pytest.param(kind, d, id=f"{kind}-d{d}") for kind, d in _BIT_SPECS])
+    @pytest.mark.parametrize("n,k", [(9, 1), (8, 2), (9, 3), (7, 5), (5, 7),
+                                     (9, 9), (9, 12)])
+    def test_bits_match_batch_objective(self, kind, d, n, k, monkeypatch):
+        # weighted and seeded, with three labels of unequal mass; at n=9
+        # and k >= 9 the carried sums have 9 columns, and blocks that use
+        # fewer classes are reduced over their own width, as batch_objective
+        # reduces them (past 8 classes, add.reduce groups pairwise)
+        rng = rng_for(f"carried-sums-{kind}-{d}-{n}-{k}")
+        w = rng.random(n) + 0.1
+        space = InputSpace(rng.normal(size=(n, int(rng.integers(1, 3)))),
+                           w / w.sum())
+        labels = LabelMap([0, 1, 2] + rng.integers(0, 3, n - 3).tolist())
+        spec = GameSpec(kind, d=d, labels=labels)
+        monkeypatch.setattr(core, "_PARTITION_BLOCK", 512)
+        result, blocks = _block_scores(space, k, spec, monkeypatch)
+        assert sum(len(r) for r, _ in blocks) \
+            == optimize._partition_count(n, k, 10 ** 8)[0]
+        for rows, values in blocks:
+            want = batch_objective(rows, space, spec)
+            assert np.array_equal(values.view(np.int64),
+                                  want.view(np.int64))
+        best, tied = _reference_scan(space, k, spec)
+        assert result.value.hex() == best.hex()
+        assert np.array_equal(result.partitions, tied)
+        if k >= 9:  # blocks of fewer and of all 9 classes were scored
+            assert {int(r.max()) + 1 for r, _ in blocks} >= {8, 9}
+
+    def test_carried_width_is_capped_by_the_inputs(self, monkeypatch):
+        # four equal points into at most 10^5 messages: the sums carry
+        # min(K, N) = 4 columns, not 10^5 per row
+        space = InputSpace.uniform(np.zeros((4, 1)))
+        spec = GameSpec("reconstruction")
+        tracemalloc.start()
+        try:
+            result = exhaustive_search(space, 10 ** 5, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.partitions) == 15
+        assert peak < 2 ** 20
 
 
 class TestKMeans:
