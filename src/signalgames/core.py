@@ -83,10 +83,9 @@ class InputSpace:
         centered = pts - mean
         self._mean = _as_readonly(mean)
         self._variance = float(w @ np.einsum("ij,ij->i", centered, centered))
-        # per coordinate, w_i (x_i - E X): the reconstruction closed form's
-        # class sums
-        self._centered_weighted = tuple(_as_readonly(c)
-                                        for c in w * centered.T)
+        # w_i and, per coordinate, w_i (x_i - E X): the weight vectors of the
+        # reconstruction closed form's class sums
+        self._reco_weights = (w, *(_as_readonly(c) for c in w * centered.T))
 
     @classmethod
     def uniform(cls, points: Sequence[Sequence[float]] | np.ndarray) -> "InputSpace":

@@ -223,7 +223,7 @@ def _class_layout(space: InputSpace, kind: str, labels: LabelMap | None):
     and the label count ``V``, class ``m`` and label ``y`` being column
     ``m * V + y`` (else ``None`` and 1)."""
     if kind == "reconstruction":
-        return (space.weights, *space._centered_weighted), None, 1
+        return space._reco_weights, None, 1
     if kind not in ("supervised", "classification"):
         return (space.weights,), None, 1
     if labels.size != space.size:
