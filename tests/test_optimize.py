@@ -24,8 +24,6 @@ from signalgames.core import GAME_KINDS, _partition_rows
 from signalgames import core, games, optimize
 from signalgames.optimize import batch_objective
 
-block_objective = optimize._block_objective
-
 from conftest import first_appearance, random_protocol, random_space, \
     rng_for
 from oracles import classification_loss_bruteforce, \
@@ -34,6 +32,8 @@ from oracles import classification_loss_bruteforce, \
     reconstruction_loss_bruteforce, supervised_loss_bruteforce
 
 LOG2 = math.log(2.0)
+
+block_objective = optimize._block_objective  # the search's scoring seam
 
 _D = {"reconstruction": 2, "discrimination": 3, "global": 2,
       "supervised": 2, "classification": 2}
@@ -421,7 +421,7 @@ class TestSearchScoresFromCarriedSums:
         if k >= 9:  # blocks of fewer and of all 9 classes were scored
             assert {int(r.max()) + 1 for r, _ in blocks} >= {8, 9}
 
-    def test_carried_width_is_capped_by_the_inputs(self, monkeypatch):
+    def test_carried_width_is_capped_by_the_inputs(self):
         # four equal points into at most 10^5 messages: the sums carry
         # min(K, N) = 4 columns, not 10^5 per row
         space = InputSpace.uniform(np.zeros((4, 1)))
