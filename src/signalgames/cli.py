@@ -327,14 +327,13 @@ def cmd_analyze(args, flat_only: bool = False) -> int:
     report.update(compute_metrics(space, protocol, message_space, labels,
                                   args))
     report = _to_log_base(report, args.log_base)
-    if args.fmt == "csv":
-        sys.stdout.write(_csv_row_text(report))
-    else:
-        sys.stdout.write(io.dumps_report(report))
     if paths:
-        io.write_report(paths["report.json"], report)
-        if not flat_only:
-            _write_csv_row(paths["report.csv"], report)
+        text = io.write_report(paths["report.json"], report)
+    elif args.fmt != "csv":
+        text = io.dumps_report(report)
+    sys.stdout.write(_csv_row_text(report) if args.fmt == "csv" else text)
+    if paths and not flat_only:
+        _write_csv_row(paths["report.csv"], report)
     return 0
 
 
@@ -442,8 +441,7 @@ def cmd_optimize(args) -> int:
     if args.game in NATS_OBJECTIVE_GAMES:
         report["_nats_fields"] = ["objective"]
     report = _to_log_base(report, args.log_base)
-    io.write_report(paths["result.json"], report)
-    sys.stdout.write(io.dumps_report(report))
+    sys.stdout.write(io.write_report(paths["result.json"], report))
     return 0
 
 
@@ -496,8 +494,7 @@ def cmd_counterexample(args) -> int:
     else:
         report["_nats_fields"] = ["exhaustive_minimum"]
     report = _to_log_base(report, args.log_base)
-    io.write_report(paths["verdict.json"], report)
-    sys.stdout.write(io.dumps_report(report))
+    sys.stdout.write(io.write_report(paths["verdict.json"], report))
     return 0 if report["passed"] else 1
 
 
@@ -704,9 +701,8 @@ def cmd_verify(args) -> int:
                          "")
     report = {"schema": SCHEMA_VERSION, "seed": args.seed, **report}
     report = _to_log_base(report, args.log_base)
-    sys.stdout.write(io.dumps_report(report))
-    if paths:
-        io.write_report(paths["verdict.json"], report)
+    sys.stdout.write(io.write_report(paths["verdict.json"], report) if paths
+                     else io.dumps_report(report))
     if args.expect is not None:
         return 0 if report["verdict"] == (args.expect == "pass") else 1
     return 0

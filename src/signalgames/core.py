@@ -506,11 +506,17 @@ def _pair_blocks(n: int) -> Iterator[tuple[int, int, np.ndarray]]:
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``a`` and of ``b``,
     summed one coordinate column at a time (never ``|a|^2 + |b|^2 - 2 a.b``),
-    so equal rows are at distance exactly zero."""
-    total = np.zeros((len(a), len(b)))
+    so equal rows are at distance exactly zero. The first column's squares
+    start the sum, which has the bits of adding them to zeros."""
+    cols = zip(a.T, b.T, strict=True)
+    first = next(cols, None)
+    if first is None:  # no coordinates
+        return np.zeros((len(a), len(b)))
+    total = np.empty((len(a), len(b)))
     diff = np.empty_like(total)
     with np.errstate(over="ignore"):  # a distance past float64 is inf
-        for x, y in zip(a.T, b.T, strict=True):
+        np.square(np.subtract.outer(*first, out=total), out=total)
+        for x, y in cols:
             np.subtract.outer(x, y, out=diff)
             total += np.square(diff, out=diff)
     return total

@@ -341,9 +341,12 @@ def dumps_report(obj) -> str:
     return json.dumps(format_floats(obj), sort_keys=True, indent=2) + "\n"
 
 
-def write_report(path: str | Path, obj) -> None:
+def write_report(path: str | Path, obj) -> str:
+    """Write ``dumps_report(obj)`` to ``path`` and return the text."""
+    text = dumps_report(obj)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(dumps_report(obj))
+    Path(path).write_text(text)
+    return text
 
 
 # ---------------------------------------------------------------------------

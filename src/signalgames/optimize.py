@@ -15,6 +15,7 @@ point with its farthest unmatched partner.
 from __future__ import annotations
 
 import copy
+import heapq
 import math
 from collections.abc import Sequence
 from typing import NamedTuple
@@ -238,16 +239,18 @@ def kmeans_alternation(space: InputSpace, k: int,
     rounds = 0
     converged = False
     assign = np.zeros(space.size, dtype=int)
+    weighted = w * pts.T  # the class-sum weights of the update step
+    d2 = _sq_dists(pts, centroids)
     for _ in range(max_iters):
         rounds += 1
-        assign, centroids, obj = _assign_with_repair(pts, w, centroids)
+        assign, centroids, obj = _assign_with_repair(pts, w, centroids, d2)
         trace.append(obj)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             converged = True
             break
-        masses, *firsts = _class_sums(assign, k, w, *(w * pts.T))
+        masses, *firsts = _class_sums(assign, k, w, *weighted)
         centroids = np.stack(firsts, axis=1) / masses[:, None]
-        d2 = _sq_dists(pts, centroids)
+        d2 = _sq_dists(pts, centroids)  # the next assignment's table too
         obj = float(w @ d2[np.arange(space.size), assign])
         trace.append(obj)
         if prev_obj - obj < tol:
@@ -259,19 +262,21 @@ def kmeans_alternation(space: InputSpace, k: int,
     return KMeansResult(protocol, centroids, trace, rounds, converged)
 
 
-def _assign_with_repair(pts, w, centroids):
-    """Nearest-centroid assignment and its weighted objective, re-seeding
-    empty clusters to the point farthest from its nearest centroid."""
+def _assign_with_repair(pts, w, centroids, d2):
+    """Nearest-centroid assignment and its weighted objective from ``d2``,
+    the distance table of ``centroids``, re-seeding the first empty cluster
+    to the point farthest from its nearest centroid until none is empty.
+    The table is recomputed only after such a repair."""
     k = centroids.shape[0]
-    centroids = centroids.copy()
     for _ in range(k + 1):
-        d2 = _sq_dists(pts, centroids)
         assign = np.argmin(d2, axis=1)
         nearest = d2[np.arange(pts.shape[0]), assign]
-        empty = [m for m in range(k) if not np.any(assign == m)]
-        if not empty:
+        counts = np.bincount(assign, minlength=k)
+        if counts.all():
             return assign, centroids, float(w @ nearest)
-        centroids[empty[0]] = pts[int(np.argmax(nearest))]
+        centroids = centroids.copy()
+        centroids[int(np.argmin(counts))] = pts[int(np.argmax(nearest))]
+        d2 = _sq_dists(pts, centroids)
     raise RuntimeError("empty-cluster repair did not converge")
 
 
@@ -284,20 +289,24 @@ def balanced_partition(space: InputSpace, k: int,
     """Uniform-mass protocol constructors.
 
     ``greedy-uniform`` places the largest remaining weight into the
-    currently lightest message. ``adversarial-antipodal`` requires a uniform
+    currently lightest message, the lowest message index among equally
+    light ones; equal weights keep input order. ``adversarial-antipodal``
+    requires a uniform
     prior with exactly ``2K`` points and pairs each point with its farthest
     unmatched partner, one pair per message, producing protocols that are
     optimal for the single-distractor discrimination objective while
     deliberately merging dissimilar inputs.
     """
     if flavor == "greedy-uniform":
-        order = np.argsort(-space.weights, kind="stable")
-        masses = np.zeros(k)
+        if k < 1:
+            raise ValueError("need at least one message")
+        weights = space.weights.tolist()
+        heap = [(0.0, m) for m in range(k)]  # (mass, message), sorted
         assign = np.zeros(space.size, dtype=int)
-        for i in order:
-            m = int(np.argmin(masses))
+        for i in np.argsort(-space.weights, kind="stable").tolist():
+            mass, m = heap[0]  # the lightest, lowest index among ties
             assign[i] = m
-            masses[m] += space.weights[i]
+            heapq.heapreplace(heap, (mass + weights[i], m))
         return Protocol(assign, k)
     if flavor == "adversarial-antipodal":
         if space.size != 2 * k:

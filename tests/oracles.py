@@ -347,3 +347,75 @@ def spearman_bruteforce(xs, ys):
     vx = sum((a - mx) ** 2 for a in rx)
     vy = sum((b - my) ** 2 for b in ry)
     return cov / math.sqrt(vx * vy)
+
+
+# ---------------------------------------------------------------------------
+# Bit-level references: the search loops as first written, operation for
+# operation, so a faster loop can be held to the same float64 bits
+# ---------------------------------------------------------------------------
+
+def sq_dists_from_zeros(a, b):
+    """Squared distances between the rows of ``a`` and of ``b``, each
+    coordinate column's squared differences added to a table of zeros."""
+    total = np.zeros((len(a), len(b)))
+    diff = np.empty_like(total)
+    with np.errstate(over="ignore"):
+        for x, y in zip(a.T, b.T, strict=True):
+            np.subtract.outer(x, y, out=diff)
+            total += np.square(diff, out=diff)
+    return total
+
+
+def kmeans_two_tables(points, weights, centroids, max_iters, tol=0.0):
+    """Weighted Lloyd alternation that forms the distance table twice per
+    round, once after the update for the trace and again in the next
+    assignment, and finds empty clusters message by message. Returns
+    ``(assign, centroids, trace, rounds, converged, repaired)``, where
+    ``repaired`` lists the round of every empty-cluster repair."""
+    points = np.asarray(points, dtype=float)
+    centroids = np.array(centroids, dtype=float)
+    n, k = len(points), len(centroids)
+    trace, repaired = [], []
+    prev_assign, prev_obj = None, math.inf
+    rounds, converged = 0, False
+    assign = np.zeros(n, dtype=int)
+    for _ in range(max_iters):
+        rounds += 1
+        while True:
+            d2 = sq_dists_from_zeros(points, centroids)
+            assign = np.argmin(d2, axis=1)
+            nearest = d2[np.arange(n), assign]
+            empty = [m for m in range(k) if not np.any(assign == m)]
+            if not empty:
+                break
+            repaired.append(rounds)
+            centroids[empty[0]] = points[int(np.argmax(nearest))]
+        obj = float(weights @ nearest)
+        trace.append(obj)
+        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            converged = True
+            break
+        masses = np.bincount(assign, weights, k)
+        firsts = [np.bincount(assign, weights * points[:, j], k)
+                  for j in range(points.shape[1])]
+        centroids = np.stack(firsts, axis=1) / masses[:, None]
+        d2 = sq_dists_from_zeros(points, centroids)
+        obj = float(weights @ d2[np.arange(n), assign])
+        trace.append(obj)
+        if prev_obj - obj < tol:
+            converged = True
+            break
+        prev_assign, prev_obj = assign, obj
+    return assign, centroids, trace, rounds, converged, repaired
+
+
+def greedy_balance_argmin(weights, k):
+    """The greedy balancer with one ``np.argmin`` over the masses per
+    input: heaviest input first (stable), into the lightest message."""
+    masses = np.zeros(k)
+    assign = np.zeros(len(weights), dtype=int)
+    for i in np.argsort(-np.asarray(weights), kind="stable"):
+        m = int(np.argmin(masses))
+        assign[i] = m
+        masses[m] += weights[i]
+    return assign

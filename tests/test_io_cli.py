@@ -685,6 +685,33 @@ class TestCli:
         assert (data_dir / "r1" / "report.csv").read_bytes() == \
             (data_dir / "r2" / "report.csv").read_bytes()
 
+    @pytest.mark.parametrize("argv, name", [
+        (["analyze", "--input", "{space}", "--protocol", "{protocol}",
+          "--d", "2"], "report.json"),
+        (["verify", "--def", "4", "--input", "{space}", "--protocol",
+          "{protocol}"], "verdict.json"),
+        (["optimize", "--input", "{space}", "--game", "reconstruction",
+          "--method", "kmeans", "--k", "2"], "result.json"),
+        (["optimize", "--input", "{space}", "--game", "discrimination",
+          "--method", "balanced", "--k", "2"], "result.json"),
+        (["counterexample", "--which", "thm2"], "verdict.json"),
+        (["counterexample", "--which", "thm5"], "verdict.json"),
+    ])
+    def test_stdout_is_the_json_report(self, argv, name, data_dir, capsys,
+                                       monkeypatch):
+        # the report is encoded once, and that text goes to both
+        encoded = []
+        dumps = io.dumps_report
+        monkeypatch.setattr(io, "dumps_report", lambda obj: encoded.append(
+            "schema" in obj) or dumps(obj))
+        out = data_dir / "same"
+        argv = [a.format(space=data_dir / "space.csv",
+                         protocol=data_dir / "protocol.csv") for a in argv]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.encode() == \
+            (out / name).read_bytes()
+        assert encoded.count(True) == 1
+
     def test_verify_definition_with_expectation(self, data_dir):
         args = ["verify", "--def", "3",
                 "--input", str(data_dir / "space.csv"),

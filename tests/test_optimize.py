@@ -22,14 +22,16 @@ from signalgames import (
 )
 from signalgames.core import GAME_KINDS, _partition_rows
 from signalgames import core, games, optimize
+from signalgames.games import substream
 from signalgames.optimize import batch_objective
 
 from conftest import first_appearance, random_protocol, random_space, \
     rng_for
 from oracles import classification_loss_bruteforce, \
     discrimination_loss_bruteforce, entropy_bruteforce, \
-    global_loss_bruteforce, labellings_bruteforce, \
-    reconstruction_loss_bruteforce, supervised_loss_bruteforce
+    global_loss_bruteforce, greedy_balance_argmin, kmeans_two_tables, \
+    labellings_bruteforce, reconstruction_loss_bruteforce, \
+    sq_dists_from_zeros, supervised_loss_bruteforce
 
 LOG2 = math.log(2.0)
 
@@ -542,3 +544,129 @@ class TestBalancedPartition:
         best = exhaustive_search(space_b, 2,
                                  GameSpec("reconstruction")).protocols[0]
         assert semantic_consistency(best, space_b).consistent
+
+
+def _seeded_spaces(name, count):
+    """Seeded spaces of 3 to 30 points in 1 to 3 dimensions: integer grids
+    with duplicates and normal draws, under uniform and random weights."""
+    rng = rng_for(name)
+    for trial in range(count):
+        n, dim = int(rng.integers(3, 31)), int(rng.integers(1, 4))
+        pts = (rng.integers(0, 4, size=(n, dim)).astype(float)
+               if trial % 2 else rng.normal(size=(n, dim)))
+        if trial % 3:
+            w = rng.random(n) + 0.05
+            yield rng, InputSpace(pts, w / w.sum())
+        else:
+            yield rng, InputSpace.uniform(pts)
+
+
+class TestBitsMatchTheReferenceLoops:
+    """The search loops against references that do every operation the
+    first versions did: k-means forming two distance tables per round,
+    the greedy balancer with one argmin per input, and distances summed
+    into zeros. Equal bytes, not a tolerance."""
+
+    @staticmethod
+    def _assert_kmeans_bits(space, k, init, max_iters=30, tol=0.0):
+        got = kmeans_alternation(space, k, init=init, max_iters=max_iters,
+                                 tol=tol)
+        assign, centroids, trace, rounds, converged, repaired = \
+            kmeans_two_tables(space.points, space.weights, init, max_iters,
+                              tol)
+        assert got.protocol.assignment.tobytes() == assign.tobytes()
+        assert got.centroids.tobytes() == centroids.tobytes()
+        assert [v.hex() for v in got.trace] == [v.hex() for v in trace]
+        assert (got.rounds, got.converged) == (rounds, converged)
+        return repaired
+
+    def test_kmeans_on_seeded_instances(self):
+        repairs = 0
+        for trial, (rng, space) in enumerate(
+                _seeded_spaces("kmeans-reference", 40)):
+            distinct = len(np.unique(space.points, axis=0))
+            k = int(rng.integers(1, min(distinct, 8) + 1))
+            init = space.points[substream(trial, "kmeans-init").choice(
+                space.size, size=k, replace=False)]
+            assert kmeans_alternation(space, k, seed=trial).trace == \
+                kmeans_alternation(space, k, init=init).trace
+            repairs += len(self._assert_kmeans_bits(space, k, init))
+            # every centroid on one far point: repairs before any update
+            far = np.full((k, space.dim), 10.0)
+            repairs += len(self._assert_kmeans_bits(space, k, far))
+            self._assert_kmeans_bits(space, k, init, max_iters=3, tol=1e-3)
+        assert repairs > 0
+
+    def test_kmeans_repair_in_the_first_round(self):
+        space = InputSpace.uniform([[0.0], [1.0], [10.0]])
+        assert self._assert_kmeans_bits(space, 2, [[10.0], [10.0]]) == [1]
+
+    def test_kmeans_repair_in_a_later_round(self):
+        # round 1 gives the clusters {7, 8}, {1, 2} and {3, 6}; in round 2
+        # 3 and 6 tie between their centroid and a lower index, so the
+        # third cluster empties and the table is formed again after it
+        space = InputSpace.uniform([[3.0], [1.0], [7.0], [6.0], [2.0], [8.0]])
+        repaired = self._assert_kmeans_bits(space, 3, [[9.0], [0.0], [5.0]])
+        assert repaired == [2]
+
+    def test_greedy_on_seeded_instances(self):
+        for rng, space in _seeded_spaces("greedy-reference", 40):
+            k = int(rng.integers(1, space.size + 3))
+            got = balanced_partition(space, k, "greedy-uniform")
+            want = greedy_balance_argmin(space.weights, k)
+            assert got.assignment.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("weights", [
+        [0.4, 0.2, 0.2, 0.1, 0.1],  # masses tie again after two steps
+        [0.125] * 8,  # every step is a tie
+        [0.3, 0.1, 0.1, 0.2, 0.1, 0.2],
+        [1 / 3] * 3,
+    ])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 9])
+    def test_greedy_ties_go_to_the_lowest_message(self, weights, k):
+        space = InputSpace(np.arange(len(weights), dtype=float)[:, None],
+                           np.asarray(weights) / sum(weights))
+        got = balanced_partition(space, k, "greedy-uniform").assignment
+        assert got.tobytes() == \
+            greedy_balance_argmin(space.weights, k).tobytes()
+
+    def test_greedy_equal_weights_deal_messages_in_turn(self):
+        space = InputSpace.uniform(np.arange(8.0)[:, None])
+        got = balanced_partition(space, 3, "greedy-uniform").assignment
+        assert got.tolist() == [0, 1, 2, 0, 1, 2, 0, 1]
+
+    def test_greedy_rejects_zero_messages(self, space_b):
+        with pytest.raises(ValueError, match="at least one message"):
+            balanced_partition(space_b, 0, "greedy-uniform")
+
+    @pytest.mark.parametrize("a, b", [
+        (np.array([[0.0, 1.0], [2.0, -3.0]]),
+         np.array([[0.0, 1.0], [2.0, -3.0], [0.5, 0.5]])),  # equal rows
+        (np.array([[1e200], [-1e200]]), np.array([[-1e200], [0.0]])),  # inf
+        (np.array([[1e200, 0.0], [0.0, 1e155]]),
+         np.array([[0.0, -1e155], [-1e200, 1.0]])),  # inf in either column
+        (np.zeros((3, 0)), np.zeros((2, 0))),  # no coordinates
+        (np.arange(6).reshape(3, 2), np.arange(4).reshape(2, 2)),  # ints
+        (np.zeros((0, 2)), np.ones((4, 2))),
+    ])
+    def test_sq_dists_cases(self, a, b):
+        got = core._sq_dists(a, b)
+        want = sq_dists_from_zeros(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_sq_dists_equal_rows_are_exactly_zero(self):
+        pts = rng_for("sq-dists-equal").normal(size=(6, 3))
+        assert not core._sq_dists(pts, pts).diagonal().any()
+
+    def test_sq_dists_on_seeded_instances(self):
+        for rng, space in _seeded_spaces("sq-dists-reference", 20):
+            other = space.points[rng.permutation(space.size)[:5]] * 3.0
+            for a, b in ((space.points, space.points),
+                         (space.points, other)):
+                assert core._sq_dists(a, b).tobytes() == \
+                    sq_dists_from_zeros(a, b).tobytes()
+
+    def test_sq_dists_column_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            core._sq_dists(np.zeros((2, 0)), np.zeros((2, 1)))
