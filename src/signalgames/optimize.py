@@ -288,14 +288,13 @@ def balanced_partition(space: InputSpace, k: int,
                        flavor: str = "greedy-uniform") -> Protocol:
     """Uniform-mass protocol constructors.
 
-    ``greedy-uniform`` places the largest remaining weight into the
-    currently lightest message, the lowest message index among equally
-    light ones; equal weights keep input order. ``adversarial-antipodal``
-    requires a uniform
-    prior with exactly ``2K`` points and pairs each point with its farthest
-    unmatched partner, one pair per message, producing protocols that are
-    optimal for the single-distractor discrimination objective while
-    deliberately merging dissimilar inputs.
+    ``greedy-uniform`` places the largest remaining weight (equal weights
+    in input order) into the currently lightest message, the lowest
+    message index among equally light ones. ``adversarial-antipodal``
+    requires a uniform prior with exactly ``2K`` points and pairs each
+    point with its farthest unmatched partner, one pair per message,
+    producing protocols that are optimal for the single-distractor
+    discrimination objective while deliberately merging dissimilar inputs.
     """
     if flavor == "greedy-uniform":
         if k < 1:
