@@ -331,9 +331,11 @@ def cmd_analyze(args, flat_only: bool = False) -> int:
         text = io.write_report(paths["report.json"], report)
     elif args.fmt != "csv":
         text = io.dumps_report(report)
-    sys.stdout.write(_csv_row_text(report) if args.fmt == "csv" else text)
-    if paths and not flat_only:
-        _write_csv_row(paths["report.csv"], report)
+    if args.fmt == "csv" or paths and not flat_only:
+        row = _csv_row_text(report)  # formatted once, for both outputs
+    sys.stdout.write(row if args.fmt == "csv" else text)
+    if paths and not flat_only:  # report.json made the directory
+        paths["report.csv"].write_text(row)
     return 0
 
 
@@ -346,11 +348,6 @@ def _csv_row_text(report: dict) -> str:
     writer.writerow(CSV_COLUMNS)
     writer.writerow([_csv_cell(formatted.get(c)) for c in CSV_COLUMNS])
     return buf.getvalue()
-
-
-def _write_csv_row(path: Path, report: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_csv_row_text(report))
 
 
 def _csv_cell(value):
@@ -410,7 +407,7 @@ def cmd_optimize(args) -> int:
                                  f"{args.k} centroids in {space.dim} "
                                  "dimensions")
             init = np.reshape(args.init, (args.k, space.dim))
-        distinct = len(np.unique(space.points, axis=0))
+        distinct = space._distinct_points
         if args.k > distinct:
             raise ParseError(f"--k {args.k} centroids for {distinct} "
                              "distinct input points", str(args.input))

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -98,6 +99,11 @@ class InputSpace:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+    @cached_property
+    def _distinct_points(self) -> int:
+        """The number of distinct points, counted on first use."""
+        return len(np.unique(self.points, axis=0))
 
     def mean(self) -> np.ndarray:
         """``E X``, as a new array on each call."""
@@ -434,7 +440,9 @@ _PARTITION_BLOCK = 2048
 
 
 def _partition_rows(n: int, k: int, weights: Sequence[np.ndarray] = (),
-                    codes: np.ndarray | None = None, v: int = 1
+                    codes: np.ndarray | None = None, v: int = 1,
+                    keep: Callable[[list[np.ndarray], int],
+                                   np.ndarray | None] | None = None
                     ) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
     """The set partitions of ``n`` inputs into at most ``k >= 1`` blocks, as
     restricted-growth strings (input 0 is in block 0; each later input is
@@ -449,7 +457,13 @@ def _partition_rows(n: int, k: int, weights: Sequence[np.ndarray] = (),
     ``b * v + codes[i]`` (``codes`` defaults to zeros). Each prefix carries
     its sums, and extending it by input ``i`` adds ``w[i]`` once, so every
     class sum is ``0.0`` plus its inputs' weights in input order: the bits
-    of :func:`_class_sums` on the rows' codes."""
+    of :func:`_class_sums` on the rows' codes.
+
+    ``keep(sums, width)``, if given, is called on each block of prefixes
+    just extended to ``width < n`` inputs, before it is split into blocks,
+    and returns a boolean mask of the prefixes to go on with (``None``
+    keeps them all): the others and every completion of them are skipped,
+    the rest keep their order. Complete partitions are never filtered."""
     codes = np.zeros(n, dtype=np.int64) if codes is None else codes
     if k == 1:  # the one partition puts every input in block 0
         yield np.zeros((1, n), dtype=np.uint8), \
@@ -474,6 +488,11 @@ def _partition_rows(n: int, k: int, weights: Sequence[np.ndarray] = (),
         at = np.arange(0, len(rows) * cols, cols) + digit * v + codes[width]
         for s, w in zip(sums, weights):
             s.ravel()[at] += w[width]
+        mask = None if keep is None or width + 1 == n \
+            else keep(sums, width + 1)
+        if mask is not None and not mask.all():
+            rows, top = rows[mask], top[mask]
+            sums = [s[mask] for s in sums]
         stack += [(rows[i:i + _PARTITION_BLOCK], top[i:i + _PARTITION_BLOCK],
                    [s[i:i + _PARTITION_BLOCK] for s in sums], width + 1)
                   for i in range(0, len(rows), _PARTITION_BLOCK)][::-1]

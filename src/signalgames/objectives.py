@@ -238,14 +238,7 @@ def _sums_objective(sums: list[np.ndarray], space: InputSpace, kind: str,
     each closed form reducing over all K classes given."""
     add = np.add.reduce
     if kind == "reconstruction":
-        # Var[X] minus the explained part sum_m ||E[(X - EX) 1{S=m}]||^2 / p_m;
-        # an empty class has sums of exactly 0, so dividing by tiny keeps 0
-        masses, first, *rest = sums
-        explained = first * first
-        for s in rest:
-            explained += s * s
-        explained /= np.maximum(masses, _TINY)
-        return space._variance - add(explained, axis=-1)
+        return space._variance - _explained(sums)
     masses, = sums
     if kind == "global":
         return -entropy(masses)
@@ -260,6 +253,18 @@ def _sums_objective(sums: list[np.ndarray], space: InputSpace, kind: str,
     if kind == "classification":
         return -mutual_information(joint)
     raise ValueError(f"unknown game kind {kind!r}")
+
+
+def _explained(sums: list[np.ndarray]) -> np.ndarray:
+    """The explained part of reconstruction's closed form, ``sum_m
+    ||E[(X - EX) 1{S=m}]||^2 / p_m``, from its class sums; an empty class
+    has sums of exactly 0, so dividing by tiny keeps 0."""
+    masses, first, *rest = sums
+    explained = first * first
+    for s in rest:
+        explained += s * s
+    explained /= np.maximum(masses, _TINY)
+    return np.add.reduce(explained, axis=-1)
 
 
 def _joint(assignments: np.ndarray, k: int, space: InputSpace,

@@ -26,7 +26,8 @@ from .core import GameSpec, InputSpace, MessageSpace, Protocol, _as_readonly, \
     _class_sums, _partition_rows, _sq_dists
 from . import games
 from .games import _check_terms, substream
-from .objectives import _class_layout, _sums_objective, batch_objective
+from .objectives import _TINY, _class_layout, _explained, \
+    _log1p_binomial_mean, _sums_objective, batch_objective
 
 __all__ = [
     "ProtocolRows",
@@ -39,6 +40,18 @@ __all__ = [
 ]
 
 _TIE_TOL = 1e-12  # objective values this close to the minimum are optima
+
+# The pruning bound's allowance for rounding, relative to Var[X] for
+# reconstruction and to the total mass 1 for the mass games: the bound and
+# the closed form each add about N terms no larger than that, so they differ
+# by far less for any N the budget admits.
+_BOUND_SLACK = 1e-9
+
+# add.reduce adds up to 7 class columns in order, so the zero columns a
+# block carries past a row's classes leave the row's score alone; from 8 on
+# it groups them, and a row's bits depend on the widest row of its block.
+# Pruning changes which rows share a block, so it runs only up to 7.
+_IN_ORDER_CLASSES = 7
 
 
 class ProtocolRows(Sequence):
@@ -104,9 +117,14 @@ def exhaustive_search(space: InputSpace,
     string. ``partitions`` holds the tied strings in lexicographic order.
     ``protocols`` views every labelling of them (``K!/(K-j)!`` for a
     partition with ``j`` blocks), and :func:`labelled_count` counts them.
-    ``games.EXACT_TERM_BUDGET`` bounds the partitions scored, checked
-    before any is, then the assignment entries of the tied partitions;
-    past either the call raises ``BudgetExceededError``."""
+    ``games.EXACT_TERM_BUDGET`` bounds the partitions, all of them counted
+    before any is scored, then the assignment entries of the tied
+    partitions; past either the call raises ``BudgetExceededError``.
+
+    The reconstruction, discrimination and global searches skip the
+    prefixes whose completions all score above the optimum (see
+    :func:`_completion_bound`); every partition within the tie tolerance is
+    still scored, so the result is that of scoring them all."""
     k = message_space.size if isinstance(message_space, MessageSpace) \
         else int(message_space)
     n = space.size
@@ -114,10 +132,11 @@ def exhaustive_search(space: InputSpace,
         raise ValueError("need at least one message")
     count, exact = _partition_count(n, k, games.EXACT_TERM_BUDGET)
     _check_terms(count, "exhaustive search", "partitions", at_least=not exact)
-    best, partitions = _argmin_rows(n, k, space, spec)
+    bound = _completion_bound(space, k, spec)
+    best, partitions = _argmin_rows(n, k, space, spec, bound=bound)
     if partitions is None:
         # the ties outgrew the budget before the minimum was known
-        best, partitions = _argmin_rows(n, k, space, spec, best)
+        best, partitions = _argmin_rows(n, k, space, spec, best, bound)
     partitions = _as_readonly(partitions)
     return SearchResult(best, ProtocolRows(partitions, k), partitions)
 
@@ -140,20 +159,104 @@ def _partition_count(n: int, k: int, limit: int) -> tuple[int, bool]:
     return sum(row), True
 
 
+def _completion_bound(space: InputSpace, k: int, spec: GameSpec):
+    """``(lower, ceiling, slack)`` for pruning the search, or ``None`` where
+    it scores every partition. ``lower(sums, width)`` bounds from below the
+    score of every completion of each prefix of ``width`` inputs from its
+    carried class sums (``None`` where it cannot skip one); a prefix is
+    skipped when that bound exceeds the smaller of ``ceiling`` and the
+    running minimum by more than ``slack``, the tie tolerance plus a
+    rounding allowance, so no partition within the tie tolerance of the
+    minimum is skipped. The ceiling is the closed form of one protocol
+    built by a cheap deterministic heuristic, some partition's score, so
+    the optimum is at most it; it only sets the threshold, never the
+    reported minimum.
+
+    Reconstruction's closed form is the weighted within-class sum of
+    squares, ``sum_i w_i ||x_i - EX||^2 - sum_m ||S_m||^2 / M_m`` with
+    ``S_m`` and ``M_m`` the class sums of ``w_i (x_i - EX)`` and ``w_i``.
+    Taken over the first ``width`` inputs it never falls as an input joins
+    a class, and at width ``N`` it is the closed form (Koontz, Narendra and
+    Fukunaga, 1975). The ceiling comes from one fixed-seed k-means run (the
+    greedy balanced partition where k-means cannot repair an empty class).
+
+    Discrimination and global score ``sum_m f(p_m)`` with ``f`` convex
+    (``p E log(1 + Bin(d-1, p))`` and ``p log p``). A completion into at
+    most ``C = min(K, N)`` classes gives the prefix's heaviest class, of
+    mass ``t``, a final mass ``q >= t``; by Jensen the other classes score
+    at least ``(C-1) f((1-q)/(C-1))``, and with ``f(q)`` that is convex in
+    ``q``, least at ``1/C``. So no completion scores below its value at
+    ``max(t, 1/C)``. The ceiling comes from the greedy balanced partition.
+
+    Supervised, classification, and searches past ``_IN_ORDER_CLASSES``
+    classes scan every partition."""
+    classes = min(k, space.size)
+    if not 1 < classes <= _IN_ORDER_CLASSES:
+        return None
+    if spec.kind == "reconstruction":
+        centered = space.points - space._mean
+        prefix = np.concatenate(([0.0], np.cumsum(
+            space.weights * np.einsum("ij,ij->i", centered, centered))))
+
+        def lower(sums, width):
+            return prefix[width] - _explained(sums)
+        try:
+            seed = kmeans_alternation(space,
+                                      min(k, space._distinct_points)).protocol
+        except RuntimeError:  # its repair fails where distances underflow
+            seed = balanced_partition(space, classes)
+        scale = space._variance
+    elif spec.kind in ("discrimination", "global"):
+        if spec.kind == "discrimination":
+            def f(p):
+                return p * _log1p_binomial_mean(p, spec.d)
+        else:
+            def f(p):
+                return np.log(np.maximum(p, _TINY)) * p
+        even = 1.0 / classes
+        # prefixes of at most this many inputs hold no class past 1/C
+        start = int(np.searchsorted(np.cumsum(space.weights), even,
+                                    side="right"))
+
+        def lower(sums, width):
+            if width <= start:
+                return None
+            top = np.full(len(sums[0]), even)
+            for column in sums[0].T:
+                np.maximum(top, column, out=top)
+            rest = np.maximum(1.0 - top, 0.0) / (classes - 1)
+            return f(top) + (classes - 1) * f(rest)
+        seed, scale = balanced_partition(space, classes), 1.0
+    else:
+        return None
+    ceiling = float(batch_objective(seed.assignment[None], space, spec)[0])
+    return lower, ceiling, _TIE_TOL + _BOUND_SLACK * scale
+
+
 def _argmin_rows(n: int, k: int, space: InputSpace, spec: GameSpec,
-                 best: float | None = None):
+                 best: float | None = None, bound=None):
     """The minimum over the partitions of ``n`` inputs into at most ``k``
     blocks, and the ``int`` rows within ``_TIE_TOL`` of it in enumeration
     order. At most ``budget / n`` rows of ``n`` entries are held; past that
     they come back as ``None``, or raise if the minimum is known: given as
-    ``best``, or unmoved since the rows were dropped."""
+    ``best``, or unmoved since the rows were dropped. ``bound``, from
+    :func:`_completion_bound`, skips prefixes that cannot reach the
+    minimum; the minimum stays that of the rows scored."""
     fixed = best is not None
     best = best if fixed else math.inf
     kept: list | None = []  # (values, rows) slices within _TIE_TOL of best
     held = 0  # rows in kept
     dropped = None  # (best, held) when the rows were dropped
     weights, codes, v = _class_layout(space, spec.kind, spec.labels)
-    for rows, sums in _partition_rows(n, k, weights, codes, v):
+    keep = None
+    if bound is not None:
+        lower, ceiling, slack = bound
+
+        def keep(sums, width):  # reads the running minimum at each call
+            low = lower(sums, width)  # a NaN bound skips nothing
+            return None if low is None \
+                else ~(low > min(ceiling, best) + slack)
+    for rows, sums in _partition_rows(n, k, weights, codes, v, keep):
         values = _block_objective(rows, sums, space, spec, v)
         low = float(values.min())
         if low < best:
@@ -216,7 +319,7 @@ def kmeans_alternation(space: InputSpace, k: int,
     every half-step and is non-increasing; the final value equals the
     reconstruction objective of the returned protocol.
     """
-    distinct = len(np.unique(space.points, axis=0))
+    distinct = space._distinct_points
     if not 1 <= k <= distinct:
         raise ValueError(f"need 1 <= K <= {distinct}, the number of "
                          "distinct points")

@@ -9,7 +9,10 @@ import math
 
 import numpy as np
 
+from signalgames import games, optimize
+from signalgames.core import _partition_rows
 from signalgames.games import TabularDiscriminationReceiver, substream
+from signalgames.objectives import _class_layout
 
 
 def variance_bruteforce(points, weights):
@@ -419,3 +422,48 @@ def greedy_balance_argmin(weights, k):
         assign[i] = m
         masses[m] += weights[i]
     return assign
+
+
+def argmin_rows_unpruned(space, k, spec, best=None):
+    """The exhaustive search's argmin loop before it pruned: every
+    partition of the enumerator scored, block by block, by the search's
+    scorer, with the same budget on held ties. Returns ``(best, rows)``;
+    ``rows`` is ``None`` when the ties outgrew the budget before the
+    minimum was known."""
+    tol, n = optimize._TIE_TOL, space.size
+    fixed = best is not None
+    best = best if fixed else math.inf
+    kept, held, dropped = [], 0, None
+    weights, codes, v = _class_layout(space, spec.kind, spec.labels)
+    for rows, sums in _partition_rows(n, k, weights, codes, v):
+        values = optimize._block_objective(rows, sums, space, spec, v)
+        low = float(values.min())
+        if low < best:
+            best = low
+            if kept is not None:
+                kept = [(x[x <= best + tol], r[x <= best + tol])
+                        for x, r in kept]
+                held = sum(len(x) for x, _ in kept)
+        if kept is None or low > best + tol:
+            continue
+        tied = values <= best + tol
+        kept.append((values[tied], rows[tied]))
+        held += len(kept[-1][0])
+        if held * n > games.EXACT_TERM_BUDGET:
+            kept, dropped = None, (best, held)
+            if fixed:
+                break
+    if dropped is not None and dropped[0] == best:
+        games._check_terms(dropped[1] * n, "exhaustive search's tie set",
+                           "assignment entries", at_least=True)
+    return best, kept and np.concatenate([r for _, r in kept], dtype=int)
+
+
+def exhaustive_unpruned(space, k, spec):
+    """The minimum and tied partition rows of a search that scores every
+    partition, scanning again with the minimum fixed when the ties outgrew
+    the budget."""
+    best, rows = argmin_rows_unpruned(space, k, spec)
+    if rows is None:
+        best, rows = argmin_rows_unpruned(space, k, spec, best)
+    return best, rows

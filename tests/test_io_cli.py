@@ -23,7 +23,7 @@ from signalgames import (
     exhaustive_search,
     synchronized_receiver,
 )
-from signalgames import counterexamples, games, io, optimize
+from signalgames import cli, counterexamples, games, io, optimize
 from signalgames.cli import _equal_mass_partitions, main
 from signalgames.counterexamples import build_mirror_pairs_instance
 
@@ -711,6 +711,20 @@ class TestCli:
         assert capsys.readouterr().out.encode() == \
             (out / name).read_bytes()
         assert encoded.count(True) == 1
+
+    def test_stdout_is_the_csv_report(self, data_dir, capsys, monkeypatch):
+        # the CSV row is formatted once, and that text goes to both
+        formatted = []
+        row_text = cli._csv_row_text
+        monkeypatch.setattr(cli, "_csv_row_text", lambda report:
+                            formatted.append(1) or row_text(report))
+        out = data_dir / "same"
+        assert main(["analyze", "--input", str(data_dir / "space.csv"),
+                     "--protocol", str(data_dir / "protocol.csv"),
+                     "--d", "2", "--format", "csv", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.encode() == \
+            (out / "report.csv").read_bytes()
+        assert len(formatted) == 1
 
     def test_verify_definition_with_expectation(self, data_dir):
         args = ["verify", "--def", "3",

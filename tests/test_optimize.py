@@ -29,13 +29,20 @@ from conftest import first_appearance, random_protocol, random_space, \
     rng_for
 from oracles import classification_loss_bruteforce, \
     discrimination_loss_bruteforce, entropy_bruteforce, \
-    global_loss_bruteforce, greedy_balance_argmin, kmeans_two_tables, \
-    labellings_bruteforce, reconstruction_loss_bruteforce, \
-    sq_dists_from_zeros, supervised_loss_bruteforce
+    exhaustive_unpruned, global_loss_bruteforce, greedy_balance_argmin, \
+    kmeans_two_tables, labellings_bruteforce, \
+    reconstruction_loss_bruteforce, sq_dists_from_zeros, \
+    supervised_loss_bruteforce
 
 LOG2 = math.log(2.0)
 
 block_objective = optimize._block_objective  # the search's scoring seam
+
+
+def _scan_every_partition(monkeypatch):
+    """Switch the search's pruning off, for tests that count every
+    partition scored or feed scores the real bound would contradict."""
+    monkeypatch.setattr(optimize, "_completion_bound", lambda *args: None)
 
 _D = {"reconstruction": 2, "discrimination": 3, "global": 2,
       "supervised": 2, "classification": 2}
@@ -171,6 +178,7 @@ class TestExhaustiveSearch:
             return np.where((rows == [0, 1, 2, 2]).all(axis=1), 0.0, 1.0)
 
         scored = []
+        _scan_every_partition(monkeypatch)
         monkeypatch.setattr(optimize, "_block_objective", score)
         monkeypatch.setattr(core, "_PARTITION_BLOCK", 1)
         monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 14)
@@ -203,6 +211,7 @@ class TestExhaustiveSearch:
             return np.where(rows[:, 1] == 0, 1.0, 0.0)
 
         scored = []
+        _scan_every_partition(monkeypatch)
         monkeypatch.setattr(optimize, "_block_objective", score)
         monkeypatch.setattr(core, "_PARTITION_BLOCK", 1)
         monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 14)
@@ -410,6 +419,7 @@ class TestSearchScoresFromCarriedSums:
         labels = LabelMap([0, 1, 2] + rng.integers(0, 3, n - 3).tolist())
         spec = GameSpec(kind, d=d, labels=labels)
         monkeypatch.setattr(core, "_PARTITION_BLOCK", 512)
+        _scan_every_partition(monkeypatch)
         result, blocks = _block_scores(space, k, spec, monkeypatch)
         assert sum(len(r) for r, _ in blocks) \
             == optimize._partition_count(n, k, 10 ** 8)[0]
@@ -436,6 +446,198 @@ class TestSearchScoresFromCarriedSums:
             tracemalloc.stop()
         assert len(result.partitions) == 15
         assert peak < 2 ** 20
+
+
+def _pruning_instance(rng, kind, shape):
+    """A seeded search instance: up to 10 inputs in 1 to 3 dimensions,
+    ``K`` from 1 to 6 or at least ``N``, uniform or random weights, d = 2
+    or 3, and points drawn normal, from a few integers (duplicates), in
+    mirror pairs about the origin, or within 1e-7 of one point."""
+    d = int(rng.integers(2, 4))
+    labelled = kind in ("supervised", "classification")
+    n = int(rng.integers(d if labelled else 1, 11))
+    dim = int(rng.integers(1, 4))
+    if shape == "normal":
+        pts = rng.normal(size=(n, dim))
+    elif shape == "duplicates":
+        pts = rng.integers(0, 3, size=(n, dim)).astype(float)
+    elif shape == "mirror":
+        half = rng.normal(size=((n + 1) // 2, dim))
+        pts = np.concatenate([half, -half])[:n]
+    else:
+        pts = 1.0 + 1e-7 * rng.normal(size=(n, dim))
+    if rng.random() < 0.5:
+        space = InputSpace.uniform(pts)
+    else:
+        w = rng.random(n) + 0.1
+        space = InputSpace(pts, w / w.sum())
+    k = int(rng.choice([1, 2, 3, 4, 5, 6, n, n + 3]))
+    labels = None
+    if labelled:  # d labels, each used at least once
+        labels = LabelMap(rng.permutation(np.arange(n) % d).tolist())
+    return space, k, GameSpec(kind, d=d, labels=labels)
+
+
+def _scored_rows(monkeypatch):
+    """A list that gathers the number of rows in each block scored."""
+    scored = []
+    monkeypatch.setattr(optimize, "_block_objective", lambda rows, *rest:
+                        scored.append(len(rows)) or block_objective(rows,
+                                                                   *rest))
+    return scored
+
+
+_PRUNED = {"reconstruction": 30, "discrimination": 15, "global": 15}
+
+
+class TestPruning:
+    """The reconstruction, discrimination and global searches skip
+    partition prefixes whose completions all score above the optimum; the
+    value, tie set and their order are those of the scan that scores every
+    partition."""
+
+    @pytest.mark.parametrize("shape", ["normal", "duplicates", "mirror",
+                                       "near-equal"])
+    @pytest.mark.parametrize("kind", GAME_KINDS)
+    def test_matches_the_unpruned_scan(self, kind, shape):
+        rng = rng_for(f"pruning-{kind}-{shape}")
+        for _ in range(_PRUNED.get(kind, 6)):
+            space, k, spec = _pruning_instance(rng, kind, shape)
+            result = exhaustive_search(space, k, spec)
+            best, rows = exhaustive_unpruned(space, k, spec)
+            assert result.value.hex() == best.hex()
+            assert np.array_equal(result.partitions, rows)
+            assert optimize.labelled_count(result.partitions, k) \
+                == optimize.labelled_count(rows, k)
+
+    @pytest.mark.parametrize("kind,d", [("reconstruction", 2),
+                                        ("discrimination", 2),
+                                        ("discrimination", 3),
+                                        ("global", 2)])
+    @pytest.mark.parametrize("n,k", [(5, 2), (6, 3), (7, 4), (6, 6)])
+    def test_bound_is_below_every_completion(self, kind, d, n, k):
+        # the bound on each prefix, from the sums of its first inputs, is at
+        # most the closed form of every completion, within the rounding
+        # allowance; reconstruction's is the closed form at width N
+        rng = rng_for(f"pruning-bound-{kind}-{d}-{n}-{k}")
+        spec = GameSpec(kind, d=d)
+        for points in (rng.normal(size=(n, 2)),
+                       rng.integers(0, 2, size=(n, 1)).astype(float)):
+            w = rng.random(n) + 0.1
+            for space in (InputSpace(points, w / w.sum()),
+                          InputSpace.uniform(points)):
+                lower, _, _ = optimize._completion_bound(space, k, spec)
+                allowance = optimize._BOUND_SLACK * (
+                    space.variance() if kind == "reconstruction" else 1.0)
+                full = np.concatenate([r for r, _ in _partition_rows(n, k)])
+                values = batch_objective(full, space, spec)
+                weights, _, _ = optimize._class_layout(space, kind, None)
+                checked = 0
+                for width in range(1, n + 1):
+                    cut = [c[:width] for c in weights]
+                    for rows, sums in _partition_rows(width, k, cut):
+                        bounds = lower(sums, width)
+                        if bounds is None:  # no prefix could be skipped
+                            continue
+                        checked += 1
+                        for row, bound in zip(rows, bounds):
+                            below = (full[:, :width] == row).all(axis=1)
+                            assert bound <= values[below].min() + allowance
+                            if width == n and kind == "reconstruction":
+                                assert abs(bound - values[below][0]) \
+                                    <= allowance
+                assert checked
+
+    @pytest.mark.parametrize("gap", [4e-13, -4e-13])
+    def test_near_tie_survives(self, gap, monkeypatch):
+        # with {10s, 11s} as the third block, {0, s}{2s + e} and
+        # {0}{s, 2s + e} differ by s^2 (2e + e^2) / 10, within the tie
+        # tolerance but past the rounding allowance (1e-9 Var[X] is below
+        # 1e-13 at s = 0.001); the far points let the bound skip prefixes
+        s = 0.001
+        e = 5 * gap / s ** 2
+        space = InputSpace.uniform(s * np.array([0.0, 1.0, 2.0 + e,
+                                                 10.0, 11.0]))
+        spec = GameSpec("reconstruction")
+        assert optimize._BOUND_SLACK * space.variance() < abs(gap) / 4
+        scored = _scored_rows(monkeypatch)
+        result = exhaustive_search(space, 3, spec)
+        assert sum(scored) < optimize._partition_count(5, 3, 10 ** 8)[0]
+        best, rows = exhaustive_unpruned(space, 3, spec)
+        assert result.value.hex() == best.hex()
+        assert result.partitions.tolist() == rows.tolist() \
+            == [[0, 0, 1, 2, 2], [0, 1, 1, 2, 2]]
+
+    @pytest.mark.parametrize("kind", ["reconstruction", "discrimination",
+                                      "global"])
+    def test_seed_below_the_optimum_is_not_the_value(self, kind,
+                                                     monkeypatch):
+        # a ceiling one ulp below the optimum skips no tied partition and
+        # never stands in for the minimum: the value is a scored row's
+        rng = rng_for(f"pruning-ceiling-{kind}")
+        bound = optimize._completion_bound
+        for _ in range(20):
+            n = int(rng.integers(3, 10))
+            w = rng.random(n) + 0.1
+            space = InputSpace(rng.normal(size=(n, int(rng.integers(1, 3)))),
+                               w / w.sum())
+            k = int(rng.integers(2, 5))
+            spec = GameSpec(kind)
+            best, rows = exhaustive_unpruned(space, k, spec)
+            below = float(np.nextafter(best, -np.inf))
+            monkeypatch.setattr(optimize, "_completion_bound",
+                                lambda *args: (bound(*args)[0], below,
+                                               bound(*args)[2]))
+            result = exhaustive_search(space, k, spec)
+            monkeypatch.undo()
+            assert result.value.hex() == best.hex() != below.hex()
+            assert np.array_equal(result.partitions, rows)
+
+    @pytest.mark.parametrize("kind", ["reconstruction", "discrimination",
+                                      "global"])
+    def test_eighteen_weighted_points_score_few_partitions(self, kind,
+                                                           monkeypatch):
+        # 64,570,082 partitions of 18 inputs into at most 3 blocks; the
+        # bound leaves under 5% of them to score (243 rows for
+        # reconstruction, under 2% for the mass games)
+        rng = rng_for("pruning-18")
+        w = rng.random(18) + 0.1
+        space = InputSpace(rng.normal(size=(18, 1)), w / w.sum())
+        scored = _scored_rows(monkeypatch)
+        result = exhaustive_search(space, 3, GameSpec(kind))
+        assert sum(scored) < 64_570_082 // 20
+        assert len(result.partitions) == 1
+
+    @pytest.mark.parametrize("kind", ["reconstruction", "discrimination",
+                                      "global"])
+    def test_many_classes_scan_every_partition(self, kind, monkeypatch):
+        # past 7 classes a row's score depends on the rows of its block,
+        # so the search does not prune there
+        space = InputSpace.uniform(np.arange(8.0)[:, None])
+        spec = GameSpec(kind)
+        assert optimize._completion_bound(space, 8, spec) is None
+        assert optimize._completion_bound(space, 7, spec) is not None
+        scored = _scored_rows(monkeypatch)
+        exhaustive_search(space, 8, spec)
+        assert sum(scored) == optimize._partition_count(8, 8, 10 ** 8)[0]
+
+    def test_ceiling_without_kmeans(self):
+        # squared distances of 1e-300 underflow, so k-means cannot repair
+        # its empty clusters; the greedy balanced partition sets the ceiling
+        space = InputSpace.uniform(np.array([1.0, 2.0, 0.0, 0.5, -1.0])
+                                   * 1e-300)
+        spec = GameSpec("reconstruction")
+        with pytest.raises(RuntimeError, match="repair"):
+            kmeans_alternation(space, 3)
+        result = exhaustive_search(space, 3, spec)
+        best, rows = exhaustive_unpruned(space, 3, spec)
+        assert result.value.hex() == best.hex()
+        assert np.array_equal(result.partitions, rows)
+
+    @pytest.mark.parametrize("kind", ["supervised", "classification"])
+    def test_label_games_scan_every_partition(self, kind):
+        space, k, spec = _edge_instance(kind, "weighted_ties")
+        assert optimize._completion_bound(space, k, spec) is None
 
 
 class TestKMeans:
