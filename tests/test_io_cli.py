@@ -712,6 +712,15 @@ class TestCli:
             (out / name).read_bytes()
         assert encoded.count(True) == 1
 
+    def test_kmeans_k_above_distinct_points(self, tmp_path, capsys):
+        io.save_input_space(tmp_path / "space.csv",
+                            InputSpace.uniform([[0.0], [1.0], [1.0]]))
+        assert main(["optimize", "--method", "kmeans", "--k", "3",
+                     "--input", str(tmp_path / "space.csv"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "--k 3 centroids for 2 distinct input points" \
+            in capsys.readouterr().err
+
     def test_stdout_is_the_csv_report(self, data_dir, capsys, monkeypatch):
         # the CSV row is formatted once, and that text goes to both
         formatted = []

@@ -44,6 +44,7 @@ def _scan_every_partition(monkeypatch):
     partition scored or feed scores the real bound would contradict."""
     monkeypatch.setattr(optimize, "_completion_bound", lambda *args: None)
 
+
 _D = {"reconstruction": 2, "discrimination": 3, "global": 2,
       "supervised": 2, "classification": 2}
 
@@ -487,7 +488,10 @@ def _scored_rows(monkeypatch):
     return scored
 
 
-_PRUNED = {"reconstruction": 30, "discrimination": 15, "global": 15}
+# seeded instances per shape: more for the games the search prunes
+_INSTANCES = {"reconstruction": 30, "discrimination": 15, "global": 15}
+
+MASS_BOUND_FROM = optimize._MASS_BOUND_FROM
 
 
 class TestPruning:
@@ -496,12 +500,33 @@ class TestPruning:
     value, tie set and their order are those of the scan that scores every
     partition."""
 
+    @pytest.fixture(autouse=True)
+    def _mass_games_prune_at_every_size(self, monkeypatch):
+        # so that the small instances here run the mass games' bound too
+        monkeypatch.setattr(optimize, "_MASS_BOUND_FROM", 0)
+
+    @pytest.mark.parametrize("kind", ["discrimination", "global"])
+    def test_mass_games_prune_past_a_size(self, kind, monkeypatch):
+        # below 16,384 partitions the mass games' bound does not repay its
+        # fixed cost, so those searches scan every partition
+        monkeypatch.setattr(optimize, "_MASS_BOUND_FROM", MASS_BOUND_FROM)
+        spec = GameSpec(kind)
+        for n, k, pruned in ((10, 3, False), (11, 3, True), (9, 4, False),
+                             (10, 4, True)):
+            space = InputSpace.uniform(np.arange(float(n)))
+            count = optimize._partition_count(n, k, 10 ** 8)[0]
+            bound = optimize._completion_bound(space, k, spec, count)
+            assert (bound is not None) == pruned
+            scored = _scored_rows(monkeypatch)
+            exhaustive_search(space, k, spec)
+            assert (sum(scored) < count) == pruned
+
     @pytest.mark.parametrize("shape", ["normal", "duplicates", "mirror",
                                        "near-equal"])
     @pytest.mark.parametrize("kind", GAME_KINDS)
     def test_matches_the_unpruned_scan(self, kind, shape):
         rng = rng_for(f"pruning-{kind}-{shape}")
-        for _ in range(_PRUNED.get(kind, 6)):
+        for _ in range(_INSTANCES.get(kind, 6)):
             space, k, spec = _pruning_instance(rng, kind, shape)
             result = exhaustive_search(space, k, spec)
             best, rows = exhaustive_unpruned(space, k, spec)
@@ -521,15 +546,16 @@ class TestPruning:
         # allowance; reconstruction's is the closed form at width N
         rng = rng_for(f"pruning-bound-{kind}-{d}-{n}-{k}")
         spec = GameSpec(kind, d=d)
+        full = np.concatenate([r for r, _ in _partition_rows(n, k)])
         for points in (rng.normal(size=(n, 2)),
                        rng.integers(0, 2, size=(n, 1)).astype(float)):
             w = rng.random(n) + 0.1
             for space in (InputSpace(points, w / w.sum()),
                           InputSpace.uniform(points)):
-                lower, _, _ = optimize._completion_bound(space, k, spec)
+                lower, _, _ = optimize._completion_bound(space, k, spec,
+                                                         len(full))
                 allowance = optimize._BOUND_SLACK * (
                     space.variance() if kind == "reconstruction" else 1.0)
-                full = np.concatenate([r for r, _ in _partition_rows(n, k)])
                 values = batch_objective(full, space, spec)
                 weights, _, _ = optimize._class_layout(space, kind, None)
                 checked = 0
@@ -585,11 +611,12 @@ class TestPruning:
             spec = GameSpec(kind)
             best, rows = exhaustive_unpruned(space, k, spec)
             below = float(np.nextafter(best, -np.inf))
-            monkeypatch.setattr(optimize, "_completion_bound",
-                                lambda *args: (bound(*args)[0], below,
-                                               bound(*args)[2]))
+
+            def lowered(*args, below=below):
+                lower, _, slack = bound(*args)
+                return lower, below, slack
+            monkeypatch.setattr(optimize, "_completion_bound", lowered)
             result = exhaustive_search(space, k, spec)
-            monkeypatch.undo()
             assert result.value.hex() == best.hex() != below.hex()
             assert np.array_equal(result.partitions, rows)
 
@@ -615,8 +642,8 @@ class TestPruning:
         # so the search does not prune there
         space = InputSpace.uniform(np.arange(8.0)[:, None])
         spec = GameSpec(kind)
-        assert optimize._completion_bound(space, 8, spec) is None
-        assert optimize._completion_bound(space, 7, spec) is not None
+        assert optimize._completion_bound(space, 8, spec, 4140) is None
+        assert optimize._completion_bound(space, 7, spec, 4139) is not None
         scored = _scored_rows(monkeypatch)
         exhaustive_search(space, 8, spec)
         assert sum(scored) == optimize._partition_count(8, 8, 10 ** 8)[0]
@@ -637,7 +664,7 @@ class TestPruning:
     @pytest.mark.parametrize("kind", ["supervised", "classification"])
     def test_label_games_scan_every_partition(self, kind):
         space, k, spec = _edge_instance(kind, "weighted_ties")
-        assert optimize._completion_bound(space, k, spec) is None
+        assert optimize._completion_bound(space, k, spec, 10 ** 8) is None
 
 
 class TestKMeans:
@@ -696,6 +723,21 @@ class TestKMeans:
         # three points, two of them equal, hold only two clusters
         with pytest.raises(ValueError, match="distinct"):
             kmeans_alternation(InputSpace.uniform([[0.0], [0.0], [1.0]]), 3)
+
+    def test_distinct_points_counted_once(self, monkeypatch):
+        # the space counts its distinct points on first use; each k-means
+        # call and the search's k-means ceiling read that count
+        space = InputSpace.uniform([[0.0], [1.0], [1.0], [2.0]])
+        unique, calls = np.unique, []
+        monkeypatch.setattr(np, "unique", lambda *args, **kwargs:
+                            calls.append(1) or unique(*args, **kwargs))
+        kmeans_alternation(space, 2)
+        exhaustive_search(space, 3, GameSpec("reconstruction"))
+        with pytest.raises(ValueError) as exc:
+            kmeans_alternation(space, 4)
+        assert str(exc.value) == \
+            "need 1 <= K <= 3, the number of distinct points"
+        assert len(calls) == 1
 
 
 class TestBalancedPartition:
