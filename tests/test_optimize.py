@@ -479,13 +479,10 @@ def _pruning_instance(rng, kind, shape):
     return space, k, GameSpec(kind, d=d, labels=labels)
 
 
-def _scored_rows(monkeypatch):
-    """A list that gathers the number of rows in each block scored."""
-    scored = []
-    monkeypatch.setattr(optimize, "_block_objective", lambda rows, *rest:
-                        scored.append(len(rows)) or block_objective(rows,
-                                                                   *rest))
-    return scored
+def _rows_scored(space, k, spec, monkeypatch):
+    """The search's result and the number of partitions it scored."""
+    result, blocks = _block_scores(space, k, spec, monkeypatch)
+    return result, sum(len(rows) for rows, _ in blocks)
 
 
 # seeded instances per shape: more for the games the search prunes
@@ -517,9 +514,8 @@ class TestPruning:
             count = optimize._partition_count(n, k, 10 ** 8)[0]
             bound = optimize._completion_bound(space, k, spec, count)
             assert (bound is not None) == pruned
-            scored = _scored_rows(monkeypatch)
-            exhaustive_search(space, k, spec)
-            assert (sum(scored) < count) == pruned
+            _, scored = _rows_scored(space, k, spec, monkeypatch)
+            assert (scored < count) == pruned
 
     @pytest.mark.parametrize("shape", ["normal", "duplicates", "mirror",
                                        "near-equal"])
@@ -586,9 +582,8 @@ class TestPruning:
                                                  10.0, 11.0]))
         spec = GameSpec("reconstruction")
         assert optimize._BOUND_SLACK * space.variance() < abs(gap) / 4
-        scored = _scored_rows(monkeypatch)
-        result = exhaustive_search(space, 3, spec)
-        assert sum(scored) < optimize._partition_count(5, 3, 10 ** 8)[0]
+        result, scored = _rows_scored(space, 3, spec, monkeypatch)
+        assert scored < optimize._partition_count(5, 3, 10 ** 8)[0]
         best, rows = exhaustive_unpruned(space, 3, spec)
         assert result.value.hex() == best.hex()
         assert result.partitions.tolist() == rows.tolist() \
@@ -630,9 +625,8 @@ class TestPruning:
         rng = rng_for("pruning-18")
         w = rng.random(18) + 0.1
         space = InputSpace(rng.normal(size=(18, 1)), w / w.sum())
-        scored = _scored_rows(monkeypatch)
-        result = exhaustive_search(space, 3, GameSpec(kind))
-        assert sum(scored) < 64_570_082 // 20
+        result, scored = _rows_scored(space, 3, GameSpec(kind), monkeypatch)
+        assert scored < 64_570_082 // 20
         assert len(result.partitions) == 1
 
     @pytest.mark.parametrize("kind", ["reconstruction", "discrimination",
@@ -644,9 +638,8 @@ class TestPruning:
         spec = GameSpec(kind)
         assert optimize._completion_bound(space, 8, spec, 4140) is None
         assert optimize._completion_bound(space, 7, spec, 4139) is not None
-        scored = _scored_rows(monkeypatch)
-        exhaustive_search(space, 8, spec)
-        assert sum(scored) == optimize._partition_count(8, 8, 10 ** 8)[0]
+        _, scored = _rows_scored(space, 8, spec, monkeypatch)
+        assert scored == optimize._partition_count(8, 8, 10 ** 8)[0]
 
     def test_ceiling_without_kmeans(self):
         # squared distances of 1e-300 underflow, so k-means cannot repair
