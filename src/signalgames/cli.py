@@ -411,10 +411,16 @@ def cmd_optimize(args) -> int:
         if args.k > distinct:
             raise ParseError(f"--k {args.k} centroids for {distinct} "
                              "distinct input points", str(args.input))
-        res = optimize.kmeans_alternation(space, args.k, init=init,
-                                          seed=args.seed,
-                                          max_iters=args.max_iters,
-                                          tol=args.tol)
+        try:
+            res = optimize.kmeans_alternation(space, args.k, init=init,
+                                              seed=args.seed,
+                                              max_iters=args.max_iters,
+                                              tol=args.tol)
+        except RuntimeError as exc:  # squared distances that underflow
+            raise ParseError(f"--k {args.k} centroids: {exc}; the input "
+                             "points are too close for their squared "
+                             "distances to be told apart",
+                             str(args.input)) from None
         best, value, trace = res.protocol, res.trace[-1], res.trace
         extra = {"rounds": res.rounds, "converged": res.converged}
     else:

@@ -22,8 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import core
 from .core import GameSpec, InputSpace, MessageSpace, Protocol, \
-    _class_sums, _pair_blocks, _sq_dists
+    _block_rows, _class_sums, _pair_blocks, _sq_dists
 from .games import ConstantDiscriminationReceiver, ReconstructionReceiver, \
     TabularDiscriminationReceiver, _check_terms, per_input_message_losses
 from .objectives import batch_objective, reco_objective
@@ -241,34 +242,122 @@ def _worst_ratio(msgs: np.ndarray, message_space: MessageSpace,
     outputs count as 0; a NaN output makes the result NaN.
 
     The squared domain distance of a pair is the squared distance of its
-    ``emb`` rows plus the squared message distance of its ``msgs``, taken
-    in the blocks of ``core._pair_blocks``, so memory does not grow with
-    the number of rows. Equal rows are at distance exactly zero.
+    ``emb`` rows plus the squared message distance of its ``msgs``. The
+    rows are sorted by message and cut into runs: one message group, or
+    consecutive groups that fit one ``core._pair_blocks`` block together.
+    Every pair inside a run is scored first, which gives a running worst
+    ratio. Each run then meets only the later groups whose bound, the
+    farthest reach between the two groups' output boxes over the smallest
+    message distance between them, is not below the running worst ratio
+    by more than ``_BOUND_SLACK``. A pair's output distance is at most the
+    reach and its domain distance at least that message distance, under
+    the same roundings, each monotone, so no dropped pair has a larger
+    computed ratio. A NaN or infinite bound keeps its group, so every NaN
+    output and every pair at distance zero is formed. Blocks hold about
+    ``_PAIR_BLOCK`` elements, so memory does not grow with the number of
+    rows. Equal rows are at distance exactly zero.
     """
-    tops = [0.0]
-    for lo, hi, below in _pair_blocks(len(msgs)):
-        dom, out = (_sq_dists(x[lo:hi], x[lo:]) for x in (emb, outs))
-        gap = message_space.distances(msgs[lo:hi], msgs[lo:])
-        with np.errstate(over="ignore"):  # a distance past float64 is inf
-            dom += np.square(gap, out=gap)
-        # the entries on and below the diagonal get ratio 0
-        out[:, :hi - lo][below] = 0.0
-        dom[:, :hi - lo][below] = 1.0
-        np.sqrt(dom, out=dom)
-        np.sqrt(out, out=out)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.divide(out, dom, out=out)
-        top = ratio.max()
-        if not math.isfinite(top):
-            # a zero distance gives inf for different outputs and NaN for
-            # equal ones, which count as 0; a NaN output at a positive
-            # distance stays NaN
-            if np.any(np.isinf(ratio) & (dom == 0.0)):
+    order = np.argsort(msgs, kind="stable")
+    msgs, emb, outs = msgs[order], emb[order], outs[order]
+    n = len(msgs)
+    if n < 2:
+        return 0.0
+    first = np.r_[True, msgs[1:] != msgs[:-1]]
+    group = np.cumsum(first) - 1  # each row's message group
+    starts = np.flatnonzero(first)
+    ends = np.r_[starts[1:], n]
+    heads = msgs[starts]
+    lows, highs = (f.reduceat(outs, starts)
+                   for f in (np.minimum, np.maximum))
+    runs, g, cap = [], 0, math.isqrt(core._PAIR_BLOCK)
+    while g < len(starts):  # one step per run, not per message
+        end = max(g + 1, int(np.searchsorted(ends, starts[g] + cap, "right")))
+        runs.append((g, end))
+        g = end
+
+    def rows(lo, hi):
+        return msgs[lo:hi], emb[lo:hi], outs[lo:hi]
+
+    best = 0.0
+    for g, end in runs:
+        lo, hi = starts[g], ends[end - 1]
+        for a, b, below in _pair_blocks(hi - lo):
+            top = _block_top(message_space, rows(lo + a, lo + b),
+                             rows(lo + a, hi), below)
+            if top is None:
                 return None
-            ratio[~(dom > 0.0)] = 0.0
-            top = ratio.max()
-        tops.append(top)
-    return float(np.max(tops))
+            best = np.maximum(best, top)
+    for g, end in runs:
+        kept = _kept_groups(message_space, heads, lows, highs, g, end, best)
+        cols = np.flatnonzero(kept[group])
+        if not len(cols):
+            continue
+        step = _block_rows(len(cols))
+        cols = msgs[cols], emb[cols], outs[cols]
+        lo, hi = starts[g], ends[end - 1]
+        for a in range(lo, hi, step):
+            top = _block_top(message_space, rows(a, min(hi, a + step)), cols)
+            if top is None:
+                return None
+            best = np.maximum(best, top)
+    return float(best)
+
+
+# relative allowance below the running worst ratio that a group's bound
+# must clear before its pairs are dropped
+_BOUND_SLACK = 1e-12
+
+
+def _kept_groups(message_space: MessageSpace, heads: np.ndarray,
+                 lows: np.ndarray, highs: np.ndarray, g: int, end: int,
+                 best: float) -> np.ndarray:
+    """Which groups, all after ``end``, have pairs with groups ``[g, end)``
+    that may reach the ratio ``best``: the output gap of such a pair is at
+    most the farthest reach between the output boxes, summed one
+    coordinate at a time like the pair's own, and its domain distance at
+    least the smallest message distance between the groups."""
+    box_lo, box_hi = lows[g:end].min(axis=0), highs[g:end].max(axis=0)
+    step, kept = _block_rows(end - g), np.zeros(len(heads), dtype=bool)
+    for lo in range(end, len(heads), step):
+        hi = min(len(heads), lo + step)
+        gap = message_space.distances(heads[g:end], heads[lo:hi]).min(axis=0)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            span = np.maximum(box_hi - lows[lo:hi], highs[lo:hi] - box_lo)
+            reach = np.square(span[:, 0])
+            for col in span.T[1:]:
+                reach += np.square(col)
+            bound = np.sqrt(reach) / np.sqrt(np.square(gap))
+            kept[lo:hi] = ~(bound * (1.0 + _BOUND_SLACK) < best)
+    return kept
+
+
+def _block_top(message_space: MessageSpace, rows: tuple, cols: tuple,
+               below: np.ndarray | None = None) -> float | None:
+    """The largest ratio between the pairs of ``rows`` and ``cols``, each a
+    (messages, embeddings, outputs) triple, or None for a pair at domain
+    distance zero with different outputs. ``below`` gives ratio 0 to the
+    entries on and below the diagonal of the first columns."""
+    dom, out = (_sq_dists(x, y) for x, y in zip(rows[1:], cols[1:]))
+    gap = message_space.distances(rows[0], cols[0])
+    with np.errstate(over="ignore"):  # a distance past float64 is inf
+        dom += np.square(gap, out=gap)
+    if below is not None:
+        out[:, :len(below)][below] = 0.0
+        dom[:, :len(below)][below] = 1.0
+    np.sqrt(dom, out=dom)
+    np.sqrt(out, out=out)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(out, dom, out=out)
+    top = ratio.max()
+    if not math.isfinite(top):
+        # a zero distance gives inf for different outputs and NaN for
+        # equal ones, which count as 0; a NaN output at a positive
+        # distance stays NaN
+        if np.any(np.isinf(ratio) & (dom == 0.0)):
+            return None
+        ratio[~(dom > 0.0)] = 0.0
+        top = ratio.max()
+    return top
 
 
 # ---------------------------------------------------------------------------

@@ -505,9 +505,11 @@ def _check_sizes(protocol: Protocol, space: InputSpace) -> None:
 
 
 # Elements per pair block: each temporary is 256 KiB of float64, whatever
-# the number of rows. On a 2,500-row simplicity table (2-core x86-64 VM)
-# 2**14 and 2**15 ran fastest of 2**12 to 2**18: larger blocks fall out of
-# cache, smaller ones pay more per-call overhead.
+# the number of rows. Timed from 2**12 to 2**18 on a 2-core x86-64 VM, on
+# the bounded simplicity scan of a 2,500-row table in four 625-row message
+# groups, of 864 rows in six and of 2,500 one-row messages, and on topsim
+# at n = 1,000: 2**15 was fastest or within noise of the fastest on each.
+# Larger blocks fall out of cache, smaller ones pay more per-call overhead.
 _PAIR_BLOCK = 2 ** 15
 
 
@@ -517,9 +519,15 @@ def _pair_blocks(n: int) -> Iterator[tuple[int, int, np.ndarray]]:
     entries on and below the diagonal of the first ``hi - lo`` columns."""
     lo = 0
     while lo < n:
-        hi = min(n, lo + max(1, _PAIR_BLOCK // (n - lo)))
+        hi = min(n, lo + _block_rows(n - lo))
         yield lo, hi, np.tri(hi - lo, dtype=bool)
         lo = hi
+
+
+def _block_rows(cols: int) -> int:
+    """Rows of a pair block against ``cols`` columns: about
+    ``_PAIR_BLOCK`` elements, and at least one row."""
+    return max(1, _PAIR_BLOCK // cols)
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:

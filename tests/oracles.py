@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from signalgames import games, optimize
-from signalgames.core import _partition_rows
+from signalgames.core import _pair_blocks, _partition_rows, _sq_dists
 from signalgames.games import TabularDiscriminationReceiver, substream
 from signalgames.objectives import _class_layout
 
@@ -467,3 +467,33 @@ def exhaustive_unpruned(space, k, spec):
     if rows is None:
         best, rows = argmin_rows_unpruned(space, k, spec, best)
     return best, rows
+
+
+def worst_ratio_unpruned(msgs, message_space, emb, outs):
+    """The receiver-simplicity scan before it was bounded: every unordered
+    pair of domain rows scored, block by block, in the rows' own order.
+    Same signature and result as ``consistency._worst_ratio``."""
+    tops = [0.0]
+    for lo, hi, below in _pair_blocks(len(msgs)):
+        dom, out = (_sq_dists(x[lo:hi], x[lo:]) for x in (emb, outs))
+        gap = message_space.distances(msgs[lo:hi], msgs[lo:])
+        with np.errstate(over="ignore"):  # a distance past float64 is inf
+            dom += np.square(gap, out=gap)
+        # the entries on and below the diagonal get ratio 0
+        out[:, :hi - lo][below] = 0.0
+        dom[:, :hi - lo][below] = 1.0
+        np.sqrt(dom, out=dom)
+        np.sqrt(out, out=out)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.divide(out, dom, out=out)
+        top = ratio.max()
+        if not math.isfinite(top):
+            # a zero distance gives inf for different outputs and NaN for
+            # equal ones, which count as 0; a NaN output at a positive
+            # distance stays NaN
+            if np.any(np.isinf(ratio) & (dom == 0.0)):
+                return None
+            ratio[~(dom > 0.0)] = 0.0
+            top = ratio.max()
+        tops.append(top)
+    return float(np.max(tops))

@@ -23,12 +23,12 @@ from signalgames import (
     synchronized_sender,
     TabularDiscriminationReceiver,
 )
-from signalgames import core, games
+from signalgames import consistency, core, games
 from signalgames.games import SynchronizedDiscriminationReceiver
 
 from conftest import random_space, rng_for
 from oracles import conditional_pairwise_bruteforce, lipschitz_bruteforce, \
-    materialize_discrimination_table
+    materialize_discrimination_table, worst_ratio_unpruned
 
 LOG2 = math.log(2.0)
 
@@ -356,6 +356,204 @@ class TestReceiverSimplicity:
     def test_k_constant_needs_positive_eps0(self, space_b, eps0):
         with pytest.raises(ValueError, match="positive"):
             simplicity_constant(eps0, space_b)
+
+
+class TestBoundedScan:
+    """The bounded pair scan against the unpruned one it replaced: the same
+    ``worst_ratio`` bits and diagnostic, with fewer pairs formed where the
+    bound can fire."""
+
+    BLOCKS = (1, 7, 64, core._PAIR_BLOCK)
+
+    def test_bits_match_unpruned_on_instances(self, monkeypatch):
+        rng = rng_for("simplicity-oracle")
+        for case in range(120):
+            space, recv, ms, tags = _simplicity_instance(rng, case)
+            modes = ("points",) if "reconstruction" in tags \
+                else ("canonical", "positional")
+            for mode in modes:
+                _assert_same_as_unpruned(monkeypatch, recv, space, ms, mode,
+                                         self.BLOCKS)
+
+    @pytest.mark.parametrize("messages", ["vectors", "symbols", "table"])
+    def test_bits_match_unpruned_on_dense_tables(self, monkeypatch,
+                                                 messages):
+        rng = rng_for(f"simplicity-dense-{messages}")
+        for _ in range(6):
+            k, d = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+            space, recv = _dense_table(rng, 7 if d == 2 else 4, k, d)
+            ms = _message_space(rng, messages, k)
+            for mode in ("canonical", "positional"):
+                _assert_same_as_unpruned(monkeypatch, recv, space, ms, mode,
+                                         self.BLOCKS)
+
+    def test_dense_table_forms_fewer_pairs(self, monkeypatch):
+        rng = rng_for("simplicity-dense-count")
+        space, recv = _dense_table(rng, 12, 4, 2)
+        ms = MessageSpace.from_vectors(np.arange(4.0)[:, None])
+        rows = len(recv.rows)
+        bounded = _formed_pairs(monkeypatch, recv, space, ms)
+        monkeypatch.setattr(consistency, "_BOUND_SLACK", math.inf)
+        every = _formed_pairs(monkeypatch, recv, space, ms)
+        assert every >= rows * (rows - 1) // 2
+        assert bounded < every / 2
+        _assert_same_as_unpruned(monkeypatch, recv, space, ms, "canonical")
+
+    def test_every_pair_formed_when_the_bound_cannot_fire(self, monkeypatch):
+        # messages 1e-6 apart: every cross-message bound is about 1e6 times
+        # any output gap, far above the ratios inside a message
+        rng = rng_for("simplicity-dense-close")
+        space, recv = _dense_table(rng, 12, 2, 2)
+        ms = MessageSpace.from_vectors([[0.0], [1e-6]])
+        bounded = _formed_pairs(monkeypatch, recv, space, ms)
+        monkeypatch.setattr(consistency, "_BOUND_SLACK", math.inf)
+        assert bounded == _formed_pairs(monkeypatch, recv, space, ms)
+        _assert_same_as_unpruned(monkeypatch, recv, space, ms, "canonical")
+
+    def test_one_row_messages_share_runs(self, monkeypatch):
+        # a reconstruction receiver has one row per message: 1,000 of them
+        # take a few dozen blocks, not one per message
+        rng = rng_for("simplicity-runs")
+        recv = ReconstructionReceiver(rng.normal(size=(1000, 1)))
+        ms = MessageSpace.from_vectors(rng.normal(size=(1000, 2)))
+        calls = []
+        sq_dists = core._sq_dists
+        monkeypatch.setattr(consistency, "_sq_dists", lambda a, b:
+                            calls.append(1) or sq_dists(a, b))
+        receiver_simplicity(recv, 1.0, InputSpace.uniform([[0.0], [1.0]]),
+                            ms)
+        assert len(calls) // 2 < 100
+
+    @pytest.mark.parametrize("later", [
+        [(0, 2), (2, 0), (3, 0)],
+        [(0, 2)],           # no row of its own message to meet
+        [(2, 0), (3, 0)],   # only at distance zero from its own message
+    ], ids=["three", "alone", "twins"])
+    def test_nan_in_a_later_group(self, monkeypatch, later):
+        # inputs 0 and 1 are 1e-3 apart, so message 0's rows give a ratio
+        # near 500 before message 1 is reached; message 1's NaN row must
+        # still be formed, although its bound would drop it otherwise; a
+        # block of 4 elements puts each message in its own run
+        space, recv = _near_twins_table(later)
+        ms = MessageSpace.from_vectors([[0.0], [1.0]])
+        monkeypatch.setattr(core, "_PAIR_BLOCK", 4)
+        finite = _formed_pairs(monkeypatch, recv, space, ms)
+        assert receiver_simplicity(recv, 1.0, space, ms).worst_ratio > 400
+        recv.rows[-1] = math.nan
+        assert _formed_pairs(monkeypatch, recv, space, ms) > finite
+        res = _assert_same_as_unpruned(monkeypatch, recv, space, ms,
+                                       "positional", self.BLOCKS)
+        assert math.isnan(res.worst_ratio) and res.diagnostic is None
+
+    @pytest.mark.parametrize("mode", ["canonical", "positional"])
+    def test_output_gap_past_float64_in_a_later_group(self, monkeypatch,
+                                                      mode):
+        space, recv = _near_twins_table()
+        recv.rows[2] = [1e308, 0.0]
+        ms = MessageSpace.from_vectors([[0.0], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = _assert_same_as_unpruned(monkeypatch, recv, space, ms,
+                                           mode, self.BLOCKS)
+        assert res.worst_ratio == math.inf and res.diagnostic is None
+
+    def test_duplicate_embedding_in_a_later_group(self, monkeypatch):
+        # message 1's last two rows embed alike and answer differently
+        space, recv = _near_twins_table()
+        recv.rows[-1] = [0.9, 0.1]
+        ms = MessageSpace.from_vectors([[0.0], [1.0]])
+        res = _assert_same_as_unpruned(monkeypatch, recv, space, ms,
+                                       "positional", self.BLOCKS)
+        assert res.diagnostic is not None and res.worst_ratio == math.inf
+
+    def test_duplicate_embedding_across_messages_at_distance_zero(
+            self, monkeypatch):
+        # distinct messages whose distance underflows to 0: candidates
+        # (0, 2) under both embed alike, so different outputs fail
+        space, recv = _near_twins_table()
+        ms = MessageSpace.from_vectors([[0.0], [1e-200]])
+        assert ms.distances([0], [1])[0, 0] == 0.0
+        res = _assert_same_as_unpruned(monkeypatch, recv, space, ms,
+                                       "positional", self.BLOCKS)
+        assert res.diagnostic is not None
+
+
+def _assert_same_as_unpruned(monkeypatch, recv, space, ms, mode,
+                             blocks=(core._PAIR_BLOCK,)):
+    """``receiver_simplicity`` with the bounded scan and with the unpruned
+    referee, at each pair block size: equal ``worst_ratio`` bits, verdict
+    and diagnostic. Returns the bounded result."""
+    results = []
+    for block in blocks:
+        monkeypatch.setattr(core, "_PAIR_BLOCK", block)
+        results.append(receiver_simplicity(recv, 1.0, space, ms,
+                                           output_mode=mode))
+        with monkeypatch.context() as patch:
+            patch.setattr(consistency, "_worst_ratio", worst_ratio_unpruned)
+            results.append(receiver_simplicity(recv, 1.0, space, ms,
+                                               output_mode=mode))
+    for res in results:
+        assert res.worst_ratio.hex() == results[0].worst_ratio.hex()
+        assert (res.simple, res.diagnostic) == \
+            (results[0].simple, results[0].diagnostic)
+    return results[0]
+
+
+def _formed_pairs(monkeypatch, recv, space, ms):
+    """Rows times columns of the blocks the scan forms, counted through
+    ``_sq_dists`` (called once for the embeddings, once for the outputs)."""
+    formed = []
+    sq_dists = core._sq_dists
+
+    def counting(a, b):
+        formed.append(len(a) * len(b))
+        return sq_dists(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(consistency, "_sq_dists", counting)
+        receiver_simplicity(recv, 1.0, space, ms)
+    return sum(formed) // 2
+
+
+def _dense_table(rng, n, k, d):
+    """A uniform space of ``n`` points and a discrimination table of every
+    (message, candidate tuple) of ``k`` messages, its rows in random order
+    so that the messages interleave."""
+    space = InputSpace.uniform(rng.normal(size=(n, 2)))
+    scores = rng.random((k, n)) + 0.05
+    keys = list(itertools.product(range(k), itertools.product(range(n),
+                                                              repeat=d)))
+    table = {}
+    for i in rng.permutation(len(keys)):
+        m, cands = keys[i]
+        table[m, cands] = scores[m, list(cands)] / scores[m, list(cands)].sum()
+    return space, TabularDiscriminationReceiver(d, k, table)
+
+
+def _message_space(rng, kind, k):
+    if kind == "vectors":
+        return MessageSpace.from_vectors(rng.normal(size=(k, 2)))
+    if kind == "symbols":
+        atoms = rng.choice(9, size=k, replace=False)
+        return MessageSpace.symbol_sequences(
+            [[a // 3, a % 3] for a in atoms], 3)
+    table = rng.uniform(0.5, 2.0, size=(k, k))
+    table = table + table.T
+    np.fill_diagonal(table, 0.0)
+    return MessageSpace.from_distance_table(list(range(k)), table)
+
+
+def _near_twins_table(later=((0, 2), (2, 0), (3, 0))):
+    """Two messages over inputs 0 and 1 (1e-3 apart), 2 and its copy 3:
+    message 0 answers candidates (0, 2) and (1, 2) differently, so its
+    worst ratio is about 500; message 1 answers the candidates ``later``
+    alike ((2, 0) and (3, 0) embed alike)."""
+    space = InputSpace.uniform([[0.0], [1e-3], [1.0], [1.0]])
+    table = {(0, (0, 2)): np.asarray([0.9, 0.1]),
+             (0, (1, 2)): np.asarray([0.4, 0.6])}
+    for cands in later:
+        table[1, cands] = np.asarray([0.5, 0.5])
+    return space, TabularDiscriminationReceiver(2, 2, table)
 
 
 class TestNonDegeneracy:

@@ -721,6 +721,21 @@ class TestCli:
         assert "--k 3 centroids for 2 distinct input points" \
             in capsys.readouterr().err
 
+    def test_kmeans_repair_failure_exits_2(self, tmp_path, capsys):
+        # squared distances of 1e-300 points underflow to 0, so k-means
+        # cannot fill its empty clusters
+        path = tmp_path / "space.csv"
+        path.write_text("id,x0,weight\n" + "".join(
+            f"{i},{float(x)!r},0.2\n" for i, x in enumerate(
+                np.array([1.0, 2.0, 0.0, 0.5, -1.0]) * 1e-300)))
+        assert main(["optimize", "--method", "kmeans", "--k", "3",
+                     "--game", "reconstruction", "--input", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: --k 3 centroids: "
+                              "empty-cluster repair did not converge")
+        assert "Traceback" not in err
+
     def test_stdout_is_the_csv_report(self, data_dir, capsys, monkeypatch):
         # the CSV row is formatted once, and that text goes to both
         formatted = []
