@@ -416,13 +416,8 @@ class TestBoundedScan:
         rng = rng_for("simplicity-runs")
         recv = ReconstructionReceiver(rng.normal(size=(1000, 1)))
         ms = MessageSpace.from_vectors(rng.normal(size=(1000, 2)))
-        calls = []
-        sq_dists = core._sq_dists
-        monkeypatch.setattr(consistency, "_sq_dists", lambda a, b:
-                            calls.append(1) or sq_dists(a, b))
-        receiver_simplicity(recv, 1.0, InputSpace.uniform([[0.0], [1.0]]),
-                            ms)
-        assert len(calls) // 2 < 100
+        space = InputSpace.uniform([[0.0], [1.0]])
+        assert len(_formed_blocks(monkeypatch, recv, space, ms)) < 100
 
     @pytest.mark.parametrize("later", [
         [(0, 2), (2, 0), (3, 0)],
@@ -499,8 +494,8 @@ def _assert_same_as_unpruned(monkeypatch, recv, space, ms, mode,
     return results[0]
 
 
-def _formed_pairs(monkeypatch, recv, space, ms):
-    """Rows times columns of the blocks the scan forms, counted through
+def _formed_blocks(monkeypatch, recv, space, ms):
+    """Rows times columns of each block the scan forms, seen through
     ``_sq_dists`` (called once for the embeddings, once for the outputs)."""
     formed = []
     sq_dists = core._sq_dists
@@ -512,7 +507,11 @@ def _formed_pairs(monkeypatch, recv, space, ms):
     with monkeypatch.context() as patch:
         patch.setattr(consistency, "_sq_dists", counting)
         receiver_simplicity(recv, 1.0, space, ms)
-    return sum(formed) // 2
+    return formed[::2]
+
+
+def _formed_pairs(monkeypatch, recv, space, ms):
+    return sum(_formed_blocks(monkeypatch, recv, space, ms))
 
 
 def _dense_table(rng, n, k, d):
