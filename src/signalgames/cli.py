@@ -362,15 +362,6 @@ def cmd_metrics(args) -> int:
     return cmd_analyze(args, flat_only=True)
 
 
-# Tied partitions per block of the optimum census and the corollary's
-# masses: the block's temporaries stay a few MB, not a copy of the ties.
-_ROW_BLOCK = 4096
-
-
-def _row_blocks(rows: np.ndarray):
-    return (rows[i:i + _ROW_BLOCK] for i in range(0, len(rows), _ROW_BLOCK))
-
-
 def cmd_optimize(args) -> int:
     paths = _output_paths(args, "protocol.csv", "trace.csv", "result.json")
     space, _, _, labels = _load_data(args)
@@ -387,16 +378,17 @@ def cmd_optimize(args) -> int:
 
     trace: list[float] = []
     if args.method == "exhaustive":
-        result = optimize.exhaustive_search(space, args.k, spec)
-        best = result.protocols[0]
-        value = result.value
-        extra = {
-            "num_optimal": optimize.labelled_count(result.partitions, args.k),
-            "num_optimal_up_to_relabeling": len(result.partitions),
-            "num_optimal_semantically_consistent": sum(
-                int(consistency.consistent_rows(rows, space).sum())
-                for rows in _row_blocks(result.partitions)),
-        }
+        value, blocks = optimize.optima(space, args.k, spec)
+        labelled = tied = consistent = 0
+        for rows in blocks:
+            if not tied:
+                best = Protocol(rows[0], args.k)
+            labelled += optimize.labelled_count(rows, args.k)
+            tied += len(rows)
+            consistent += int(consistency.consistent_rows(rows, space).sum())
+        extra = {"num_optimal": labelled,
+                 "num_optimal_up_to_relabeling": tied,
+                 "num_optimal_semantically_consistent": consistent}
     elif args.method == "kmeans":
         if spec.kind != "reconstruction":
             raise ParseError("kmeans optimizes the reconstruction game", "")
@@ -670,12 +662,13 @@ def _equal_mass_partitions(n: int, k: int) -> int:
 def _verify_corollary(args) -> dict:
     space = InputSpace.uniform(np.arange(float(args.n))[:, None])
     spec = GameSpec("discrimination", d=args.d)
-    result = optimize.exhaustive_search(space, args.k, spec)
-    equal_mass, masses_uniform_at_min = 0, True
-    for rows in _row_blocks(result.partitions):
+    value, blocks = optimize.optima(space, args.k, spec)
+    labelled = tied = equal_mass = 0
+    for rows in blocks:
         masses = (rows[:, :, None] == np.arange(args.k)).sum(axis=1)
         equal_mass += int(np.all(masses == args.n // args.k, axis=1).sum())
-        masses_uniform_at_min &= bool(np.allclose(masses, args.n / args.k))
+        labelled += optimize.labelled_count(rows, args.k)
+        tied += len(rows)
     # every equal-mass partition is among the tied optima
     uniform_ok = args.n % args.k != 0 \
         or equal_mass == _equal_mass_partitions(args.n, args.k)
@@ -683,11 +676,10 @@ def _verify_corollary(args) -> dict:
     return {"check": "corollary-1", "n": args.n, "k": args.k, "d": args.d,
             "verdict": uniform_ok and convex,
             "_nats_fields": ["exhaustive_minimum"],
-            "witnesses": {"exhaustive_minimum": result.value,
+            "witnesses": {"exhaustive_minimum": value,
                           "uniform_mass": 1.0 / args.k,
-                          "num_optimal": optimize.labelled_count(
-                              result.partitions, args.k),
-                          "minimizers_all_equal_mass": masses_uniform_at_min,
+                          "num_optimal": labelled,
+                          "minimizers_all_equal_mass": equal_mass == tied,
                           "convexity": convex}}
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "ProtocolRows",
     "SearchResult",
     "exhaustive_search",
+    "optima",
     "batch_objective",
     "KMeansResult",
     "kmeans_alternation",
@@ -117,36 +118,66 @@ class SearchResult(NamedTuple):
 def exhaustive_search(space: InputSpace,
                       message_space: MessageSpace | int,
                       spec: GameSpec) -> SearchResult:
-    """The full argmin set (values within 1e-12 of the minimum) over all
-    protocols of ``K`` messages.
+    """The full argmin set of :func:`optima` (values within 1e-12 of the
+    minimum): ``partitions``, the tied partitions as one read-only ``int``
+    array, and ``protocols``, a view of every labelling of them
+    (``K!/(K-j)!`` for a partition with ``j`` blocks), which
+    :func:`labelled_count` counts. Past ``games.EXACT_TERM_BUDGET``
+    assignment entries of the ties it raises ``BudgetExceededError``."""
+    k = message_space.size if isinstance(message_space, MessageSpace) \
+        else int(message_space)
+    value, blocks = optima(space, k, spec)
+    kept, held = [], 0
+    for rows in blocks:
+        kept.append(rows)
+        held += len(rows)
+        _check_terms(held * space.size, "exhaustive search's tie set",
+                     "assignment entries", at_least=True)
+    partitions = _as_readonly(np.concatenate(kept, dtype=int))
+    return SearchResult(value, ProtocolRows(partitions, k), partitions)
 
-    Every closed form ignores message labels, so each set partition of the
-    inputs into at most ``K`` blocks is scored once, as its restricted-growth
-    string. ``partitions`` holds the tied strings in lexicographic order.
-    ``protocols`` views every labelling of them (``K!/(K-j)!`` for a
-    partition with ``j`` blocks), and :func:`labelled_count` counts them.
-    ``games.EXACT_TERM_BUDGET`` bounds the partitions, all of them counted
-    before any is scored, then the assignment entries of the tied
-    partitions; past either the call raises ``BudgetExceededError``.
+
+def optima(space: InputSpace, k: int, spec: GameSpec):
+    """``(value, blocks)``: the minimum of the closed form of ``spec`` over
+    all protocols of ``k`` messages, and an iterator over the partitions
+    within 1e-12 of it, as non-empty blocks of restricted-growth strings in
+    the enumerator's dtype, in lexicographic order. Each set partition of
+    the inputs into at most ``k`` blocks is scored once (every closed form
+    ignores message labels), their count checked first against
+    ``games.EXACT_TERM_BUDGET``. The ties are held while their assignment
+    entries fit the budget; past it, ``blocks`` scans again with the
+    minimum known and yields each block's ties as they are scored.
 
     The reconstruction, discrimination and global searches skip the
     prefixes whose completions all score above the optimum (see
     :func:`_completion_bound`); every partition within the tie tolerance is
     still scored, so the result is that of scoring them all."""
-    k = message_space.size if isinstance(message_space, MessageSpace) \
-        else int(message_space)
     n = space.size
     if k < 1:
         raise ValueError("need at least one message")
     count, exact = _partition_count(n, k, games.EXACT_TERM_BUDGET)
     _check_terms(count, "exhaustive search", "partitions", at_least=not exact)
     bound = _completion_bound(space, k, spec, count)
-    best, partitions = _argmin_rows(n, k, space, spec, bound=bound)
-    if partitions is None:
-        # the ties outgrew the budget before the minimum was known
-        best, partitions = _argmin_rows(n, k, space, spec, best, bound)
-    partitions = _as_readonly(partitions)
-    return SearchResult(best, ProtocolRows(partitions, k), partitions)
+    best, kept, held = math.inf, [], 0  # kept: (values, rows) of the ties
+    for values, rows in _scored_blocks(space, k, spec, bound):
+        low = float(values.min())
+        if low < best:
+            best = low
+            if kept is not None:
+                kept = [(v[v <= best + _TIE_TOL], r[v <= best + _TIE_TOL])
+                        for v, r in kept]
+                held = sum(len(v) for v, _ in kept)
+        if kept is None or low > best + _TIE_TOL:
+            continue
+        tied = values <= best + _TIE_TOL
+        kept.append((values[tied], rows[tied]))
+        held += len(kept[-1][0])
+        if held * n > games.EXACT_TERM_BUDGET:
+            kept = None
+    if kept is None:  # the ties outgrew the budget: scan again for them
+        kept = ((v, r[v <= best + _TIE_TOL])
+                for v, r in _scored_blocks(space, k, spec, bound, best))
+    return best, (rows for _, rows in kept if len(rows))
 
 
 def _partition_count(n: int, k: int, limit: int) -> tuple[int, bool]:
@@ -245,20 +276,11 @@ def _completion_bound(space: InputSpace, k: int, spec: GameSpec,
     return lower, ceiling, _TIE_TOL + _BOUND_SLACK * scale
 
 
-def _argmin_rows(n: int, k: int, space: InputSpace, spec: GameSpec,
-                 best: float | None = None, bound=None):
-    """The minimum over the partitions of ``n`` inputs into at most ``k``
-    blocks, and the ``int`` rows within ``_TIE_TOL`` of it in enumeration
-    order. At most ``budget / n`` rows of ``n`` entries are held; past that
-    they come back as ``None``, or raise if the minimum is known: given as
-    ``best``, or unmoved since the rows were dropped. ``bound``, from
-    :func:`_completion_bound`, skips prefixes that cannot reach the
-    minimum; the minimum stays that of the rows scored."""
-    fixed = best is not None
-    best = best if fixed else math.inf
-    kept: list | None = []  # (values, rows) slices within _TIE_TOL of best
-    held = 0  # rows in kept
-    dropped = None  # (best, held) when the rows were dropped
+def _scored_blocks(space: InputSpace, k: int, spec: GameSpec, bound,
+                   best: float = math.inf):
+    """Each block of partitions the search scores, as ``(values, rows)`` in
+    enumeration order; ``bound`` (:func:`_completion_bound`) skips prefixes
+    that cannot reach the least value yielded so far, or ``best``."""
     weights, codes, v = _class_layout(space, spec.kind, spec.labels)
     keep = None
     if bound is not None:
@@ -268,30 +290,11 @@ def _argmin_rows(n: int, k: int, space: InputSpace, spec: GameSpec,
             low = lower(sums, width)  # a NaN bound skips nothing
             return None if low is None \
                 else ~(low > min(ceiling, best) + slack)
-    for rows, sums in _partition_rows(n, k, weights, codes, v, keep):
+    for rows, sums in _partition_rows(space.size, k, weights, codes, v,
+                                      keep):
         values = _block_objective(rows, sums, space, spec, v)
-        low = float(values.min())
-        if low < best:
-            best = low
-            if kept is not None:
-                kept = [(v[v <= best + _TIE_TOL], r[v <= best + _TIE_TOL])
-                        for v, r in kept]
-                held = sum(len(v) for v, _ in kept)
-        if kept is None or low > best + _TIE_TOL:
-            continue
-        tied = values <= best + _TIE_TOL
-        kept.append((values[tied], rows[tied]))
-        held += len(kept[-1][0])
-        if held * n > games.EXACT_TERM_BUDGET:
-            kept, dropped = None, (best, held)
-            if fixed:  # the tie set only grows: refuse what it holds
-                break
-    if dropped is not None and dropped[0] == best:
-        # the rows held at the drop are those a scan given this minimum
-        # would hold at that step, and refuse there
-        _check_terms(dropped[1] * n, "exhaustive search's tie set",
-                     "assignment entries", at_least=True)
-    return best, kept and np.concatenate([r for _, r in kept], dtype=int)
+        best = min(best, float(values.min()))
+        yield values, rows
 
 
 def _block_objective(rows: np.ndarray, sums: list[np.ndarray],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from signalgames import (
+    BudgetExceededError,
     GameSpec,
     InputSpace,
     build_anticonsistent_optimal,
@@ -156,6 +157,18 @@ class TestAntipodalVerdict:
         monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 86_472 - 1)
         report = verify_antipodal_split(space, 5)
         assert report["passed"] and "exhaustive_minimum" not in report
+
+    def test_minimum_past_the_tie_budget(self, monkeypatch):
+        # the 8 partitions of {0, 1, 2, 3} into at most 2 blocks fit a
+        # budget of 8, but the 3 tied pairings' 12 entries do not: the
+        # split is still checked against the exhaustive minimum
+        space = InputSpace.uniform(np.arange(4.0)[:, None])
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 8)
+        with pytest.raises(BudgetExceededError):
+            exhaustive_search(space, 2, GameSpec("discrimination", d=2))
+        report = verify_antipodal_split(space, 2)
+        assert report["passed"] and report["optimal"]
+        assert abs(report["exhaustive_minimum"] - LOG2 / 2) < 1e-12
 
     def test_report(self, space_b):
         report = verify_antipodal_split(space_b, 2)

@@ -826,15 +826,29 @@ class TestCli:
         assert report["witnesses"]["num_optimal"] == 34650  # 12!/(4!)^3
         assert report["witnesses"]["minimizers_all_equal_mass"]
 
+    def test_verify_corollary_past_the_tie_budget(self, monkeypatch,
+                                                  capsys):
+        # the 2,048 partitions of 12 inputs into at most 2 blocks fit a
+        # budget of 5,000, the 462 tied halvings' 5,544 entries do not:
+        # the census reads them from a second scan
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 5000)
+        code = main(["verify", "--corollary", "1", "--n", "12", "--k", "2",
+                     "--expect", "pass"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["witnesses"]["num_optimal"] == 924
+        assert report["witnesses"]["minimizers_all_equal_mass"]
+
     def test_verify_corollary_fails_on_a_missing_equal_mass_optimum(
             self, capsys, monkeypatch):
-        search = optimize.exhaustive_search
+        search = optimize.optima
 
         def drop_first(*args):
-            result = search(*args)
-            return result._replace(partitions=result.partitions[1:])
+            value, blocks = search(*args)
+            rows = np.concatenate(list(blocks))
+            return value, iter([rows[1:]])
 
-        monkeypatch.setattr(optimize, "exhaustive_search", drop_first)
+        monkeypatch.setattr(optimize, "optima", drop_first)
         code = main(["verify", "--corollary", "1", "--n", "4", "--k", "2",
                      "--d", "2", "--expect", "fail"])
         assert code == 0
@@ -987,6 +1001,34 @@ class TestOptimaCensus:
                      "--method", "exhaustive", "--out", str(tmp_path)])
         assert code == 0
         return json.loads((tmp_path / "result.json").read_text())
+
+    def test_census_holds_no_int_copy_of_the_ties(self, tmp_path, capsys):
+        # 126,126 equal-mass partitions of 15 inputs tie at K=3: 15.1 MB
+        # as an int array, 1.9 MB as the enumerator's 1-byte strings
+        space = InputSpace.uniform(np.arange(15.0)[:, None])
+        tracemalloc.start()
+        try:
+            report = self.optimize(tmp_path, space, "discrimination", 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["num_optimal_up_to_relabeling"] == 126_126
+        assert report["num_optimal"] == 6 * 126_126
+        assert peak < 6 * 2 ** 20
+
+    def test_census_past_the_tie_budget(self, tmp_path, capsys,
+                                        monkeypatch):
+        # 35 tied halvings of 8 inputs, 280 entries: at a budget of the 128
+        # partitions a second scan gives the same files
+        space = InputSpace.uniform(np.arange(8.0)[:, None])
+        self.optimize(tmp_path / "held", space, "discrimination", 2)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 128)
+        report = self.optimize(tmp_path / "rescan", space, "discrimination",
+                               2)
+        assert report["num_optimal_up_to_relabeling"] == 35
+        for name in ("protocol.csv", "trace.csv", "result.json"):
+            assert (tmp_path / "held" / name).read_bytes() \
+                == (tmp_path / "rescan" / name).read_bytes()
 
     def test_every_reconstruction_optimum_consistent(self, tmp_path, capsys):
         rng = rng_for("optima-census")

@@ -191,9 +191,9 @@ class TestExhaustiveSearch:
         assert sorted(p.assignment.tolist() for p in result.protocols) \
             == sorted([a, b, c, c] for a, b, c in itertools.permutations(
                 range(3)))
-        # when all 14 tie, the minimum never moves after the scan drops the
-        # 4 rows, 16 entries, it holds on its first step past the budget,
-        # so the scan refuses them at its end without a second scan
+        # when all 14 tie, the scan drops the 4 rows, 16 entries, it holds
+        # on its first step past the budget, and the second scan refuses
+        # them at its 4th row
         scored.clear()
         monkeypatch.setattr(optimize, "_block_objective", lambda rows, *rest:
                             scored.append(len(rows)) or np.zeros(len(rows)))
@@ -201,7 +201,7 @@ class TestExhaustiveSearch:
             exhaustive_search(space, 3, GameSpec("reconstruction"))
         assert exc.value.required == 16
         assert "needs at least 16 assignment entries" in str(exc.value)
-        assert scored == [1] * 14
+        assert scored == [1] * 18
 
     def test_second_scan_refuses_ties_at_a_lower_minimum(self, monkeypatch):
         # the 5 partitions 000x/001x tie at 1 and the scan drops them on the
@@ -227,7 +227,7 @@ class TestExhaustiveSearch:
         # 20 equal points tie all 2^19 partitions into at most 2 blocks,
         # 20 * 2^19 entries; at a budget of 2^19 the scan holds at most
         # 2^19 / 20 of the rows, about 28 B each (15 MB for all of them),
-        # and refuses the entries of those it held
+        # and a second scan refuses the ties at the row past the budget
         space = InputSpace.uniform(np.zeros((20, 1)))
         monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 2 ** 19)
         tracemalloc.start()
@@ -489,6 +489,7 @@ def _rows_scored(space, k, spec, monkeypatch):
 _INSTANCES = {"reconstruction": 30, "discrimination": 15, "global": 15}
 
 MASS_BOUND_FROM = optimize._MASS_BOUND_FROM
+BUDGET = games.EXACT_TERM_BUDGET
 
 
 class TestPruning:
@@ -658,6 +659,117 @@ class TestPruning:
     def test_label_games_scan_every_partition(self, kind):
         space, k, spec = _edge_instance(kind, "weighted_ties")
         assert optimize._completion_bound(space, k, spec, 10 ** 8) is None
+
+
+def _optima_scored(space, k, spec, monkeypatch):
+    """``optima``'s value, its blocks in a list, and the partitions scored
+    before and after the blocks were read."""
+    scored, score = [], optimize._block_objective
+    monkeypatch.setattr(optimize, "_block_objective", lambda rows, *rest:
+                        scored.append(len(rows)) or score(rows, *rest))
+    value, blocks = optimize.optima(space, k, spec)
+    before = sum(scored)
+    blocks = list(blocks)
+    return value, blocks, before, sum(scored)
+
+
+# instances whose ties outgrow a budget that admits their partitions
+_TIE_HEAVY = {
+    "reconstruction": (np.zeros(8), 3, None),  # all 1,094 partitions tie
+    "discrimination": (np.zeros(8), 3, None),  # 280 of 1,094
+    "global": (np.zeros(8), 3, None),
+    "supervised": (np.zeros(5), 4, [0, 0, 0, 0, 1]),  # 14 of 51
+    "classification": (np.zeros(5), 4, [0, 0, 0, 0, 1]),
+}
+
+
+class TestOptima:
+    """``optima`` gives the minimum and the tied partitions, block by
+    block, of the scan that scores every partition: held by the first
+    pass while their entries fit the budget, else from a second scan."""
+
+    @pytest.fixture(autouse=True)
+    def _mass_games_prune_at_every_size(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_MASS_BOUND_FROM", 0)
+
+    @staticmethod
+    def check(value, blocks, k, best, rows):
+        assert value.hex() == best.hex()
+        assert all(len(b) and b.dtype == np.min_scalar_type(k - 1)
+                   for b in blocks)
+        assert np.array_equal(np.concatenate(blocks, dtype=int), rows)
+
+    @pytest.mark.parametrize("shape", ["normal", "duplicates", "mirror",
+                                       "near-equal"])
+    @pytest.mark.parametrize("kind", GAME_KINDS)
+    def test_matches_the_referee_at_the_tie_budget(self, kind, shape,
+                                                   monkeypatch):
+        # each instance at the budget its ties just fit, where the first
+        # pass holds them, and one entry below it, where a second scan
+        # yields them (if the partitions still fit)
+        rng = rng_for(f"optima-{kind}-{shape}")
+        for _ in range(6):
+            space, k, spec = _pruning_instance(rng, kind, shape)
+            monkeypatch.setattr(games, "EXACT_TERM_BUDGET", BUDGET)
+            best, rows = exhaustive_unpruned(space, k, spec)
+            count = optimize._partition_count(space.size, k, 10 ** 8)[0]
+            entries = space.size * len(rows)
+            for budget in {max(count, entries), max(count, entries - 1)}:
+                monkeypatch.setattr(games, "EXACT_TERM_BUDGET", budget)
+                value, blocks, before, after = _optima_scored(
+                    space, k, spec, monkeypatch)
+                self.check(value, blocks, k, best, rows)
+                assert (after > before) == (entries > budget)
+
+    @pytest.mark.parametrize("kind", GAME_KINDS)
+    def test_second_scan_yields_what_the_first_would_hold(self, kind,
+                                                          monkeypatch):
+        points, k, labels = _TIE_HEAVY[kind]
+        space = InputSpace.uniform(points[:, None])
+        spec = GameSpec(kind, labels=labels and LabelMap(labels))
+        best, rows = exhaustive_unpruned(space, k, spec)
+        count = optimize._partition_count(space.size, k, 10 ** 8)[0]
+        assert count < space.size * len(rows)
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", count)
+        value, blocks, before, after = _optima_scored(space, k, spec,
+                                                      monkeypatch)
+        self.check(value, blocks, k, best, rows)
+        assert before > 0 and after > before
+
+    def test_minimum_moves_after_the_drop(self, monkeypatch):
+        # the 5 partitions 000x/001x tie at 1 and the first pass drops them
+        # on the 4th; the 9 others tie at 0, and the second scan, scoring
+        # every partition again, yields them one row at a time
+        _scan_every_partition(monkeypatch)
+        monkeypatch.setattr(core, "_PARTITION_BLOCK", 1)
+        monkeypatch.setattr(optimize, "_block_objective", lambda rows, *rest:
+                            np.where(rows[:, 1] == 0, 1.0, 0.0))
+        space = InputSpace.uniform(np.arange(4.0)[:, None])
+        spec = GameSpec("reconstruction")
+        best, rows = exhaustive_unpruned(space, 3, spec)
+        assert best == 0.0 and len(rows) == 9
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 14)
+        value, blocks, before, after = _optima_scored(space, 3, spec,
+                                                      monkeypatch)
+        self.check(value, blocks, 3, best, rows)
+        assert len(blocks) == 9 and (before, after) == (14, 28)
+
+    def test_second_scan_holds_no_tie(self, monkeypatch):
+        # 20 equal points tie all 2^19 partitions into at most 2 blocks,
+        # 10 MB as 1-byte strings; past the budget the second scan yields
+        # them a block at a time
+        space = InputSpace.uniform(np.zeros((20, 1)))
+        monkeypatch.setattr(games, "EXACT_TERM_BUDGET", 2 ** 19)
+        tracemalloc.start()
+        try:
+            value, blocks = optimize.optima(space, 2,
+                                            GameSpec("reconstruction"))
+            tied = sum(len(rows) for rows in blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 0.0 and tied == 2 ** 19
+        assert peak < 4 * 2 ** 20
 
 
 class TestKMeans:
