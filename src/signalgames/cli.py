@@ -665,7 +665,10 @@ def _verify_corollary(args) -> dict:
     value, blocks = optimize.optima(space, args.k, spec)
     labelled = tied = equal_mass = 0
     for rows in blocks:
-        masses = (rows[:, :, None] == np.arange(args.k)).sum(axis=1)
+        # the class sizes of each row, from one count of (row, label) codes
+        masses = np.bincount(
+            (rows + args.k * np.arange(len(rows))[:, None]).ravel(),
+            minlength=len(rows) * args.k).reshape(len(rows), args.k)
         equal_mass += int(np.all(masses == args.n // args.k, axis=1).sum())
         labelled += optimize.labelled_count(rows, args.k)
         tied += len(rows)

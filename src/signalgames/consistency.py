@@ -243,58 +243,65 @@ def _worst_ratio(msgs: np.ndarray, message_space: MessageSpace,
 
     The squared domain distance of a pair is the squared distance of its
     ``emb`` rows plus the squared message distance of its ``msgs``. The
-    rows are sorted by message and cut into runs: one message group, or
-    consecutive groups that fit one ``core._pair_blocks`` block together.
-    Every pair inside a run is scored first, which gives a running worst
-    ratio. Each run then meets only the later groups whose bound, the
-    farthest reach between the two groups' output boxes over the smallest
-    message distance between them, is not below the running worst ratio
-    by more than ``_BOUND_SLACK``. A pair's output distance is at most the
-    reach and its domain distance at least that message distance, under
-    the same roundings, each monotone, so no dropped pair has a larger
-    computed ratio. A NaN or infinite bound keeps its group, so every NaN
-    output and every pair at distance zero is formed. Blocks hold about
-    ``_PAIR_BLOCK`` elements, so memory does not grow with the number of
-    rows. Equal rows are at distance exactly zero.
+    rows are sorted by message, then by the widest ``emb`` coordinate, and
+    each message's rows are cut into cells. A run is one cell, or
+    consecutive cells (one-row messages, say) that fit together in
+    ``isqrt(_PAIR_BLOCK) // 2`` rows, so a few runs' pairs fill one block;
+    a cell holds a third of that. Every pair inside a run is scored first,
+    which gives a running worst ratio. Each run then meets only the later
+    cells that ``_kept_cells`` keeps. A NaN or infinite bound keeps its
+    cell, so every NaN output and every pair at distance zero is formed.
+    Blocks hold about ``_PAIR_BLOCK`` elements and the bound one row a
+    cell, so memory does not grow with the number of pairs. Equal rows
+    are at distance exactly zero.
     """
-    order = np.argsort(msgs, kind="stable")
-    msgs, emb, outs = msgs[order], emb[order], outs[order]
     n = len(msgs)
     if n < 2:
         return 0.0
+    keys = (msgs,)
+    if emb.shape[1]:
+        with np.errstate(over="ignore"):  # a width past float64 is inf
+            keys = (emb[:, np.ptp(emb, axis=0).argmax()], msgs)
+    order = np.lexsort(keys)
+    msgs, emb, outs = msgs[order], emb[order], outs[order]
     first = np.r_[True, msgs[1:] != msgs[:-1]]
-    group = np.cumsum(first) - 1  # each row's message group
+    group, groups = np.cumsum(first) - 1, msgs[first]  # message groups
+    cap = max(1, math.isqrt(core._PAIR_BLOCK) // 2)  # rows of a run
+    # each row's place in its message; a cell starts every cap // 3 rows
+    place = np.arange(n) - np.flatnonzero(first)[group]
+    first = place % max(1, cap // 3) == 0
+    cell = np.cumsum(first) - 1
     starts = np.flatnonzero(first)
-    ends = np.r_[starts[1:], n]
-    heads = msgs[starts]
-    lows, highs = (f.reduceat(outs, starts)
-                   for f in (np.minimum, np.maximum))
-    runs, g, cap = [], 0, math.isqrt(core._PAIR_BLOCK)
-    while g < len(starts):  # one step per run, not per message
-        end = max(g + 1, int(np.searchsorted(ends, starts[g] + cap, "right")))
-        runs.append((g, end))
-        g = end
+    ends, of_cell = np.r_[starts[1:], n], group[starts]
+    boxes = [f.reduceat(x, starts) for x in (outs, emb)
+             for f in (np.minimum, np.maximum)]
+    runs, c = [], 0
+    while c < len(starts):  # one step per run, not per cell
+        end = max(c + 1, int(np.searchsorted(ends, starts[c] + cap, "right")))
+        runs.append((c, end))
+        c = end
 
     def rows(lo, hi):
         return msgs[lo:hi], emb[lo:hi], outs[lo:hi]
 
     best = 0.0
-    for g, end in runs:
-        lo, hi = starts[g], ends[end - 1]
+    for c, end in runs:
+        lo, hi = starts[c], ends[end - 1]
         for a, b, below in _pair_blocks(hi - lo):
             top = _block_top(message_space, rows(lo + a, lo + b),
                              rows(lo + a, hi), below)
             if top is None:
                 return None
             best = np.maximum(best, top)
-    for g, end in runs:
-        kept = _kept_groups(message_space, heads, lows, highs, g, end, best)
-        cols = np.flatnonzero(kept[group])
+    for c, end in runs:
+        kept = _kept_cells(message_space, groups, of_cell, boxes, c, end,
+                           best)
+        cols = np.flatnonzero(kept[cell])
         if not len(cols):
             continue
         step = _block_rows(len(cols))
         cols = msgs[cols], emb[cols], outs[cols]
-        lo, hi = starts[g], ends[end - 1]
+        lo, hi = starts[c], ends[end - 1]
         for a in range(lo, hi, step):
             top = _block_top(message_space, rows(a, min(hi, a + step)), cols)
             if top is None:
@@ -303,32 +310,60 @@ def _worst_ratio(msgs: np.ndarray, message_space: MessageSpace,
     return float(best)
 
 
-# relative allowance below the running worst ratio that a group's bound
+# relative allowance below the running worst ratio that a cell's bound
 # must clear before its pairs are dropped
 _BOUND_SLACK = 1e-12
 
 
-def _kept_groups(message_space: MessageSpace, heads: np.ndarray,
-                 lows: np.ndarray, highs: np.ndarray, g: int, end: int,
-                 best: float) -> np.ndarray:
-    """Which groups, all after ``end``, have pairs with groups ``[g, end)``
-    that may reach the ratio ``best``: the output gap of such a pair is at
-    most the farthest reach between the output boxes, summed one
-    coordinate at a time like the pair's own, and its domain distance at
-    least the smallest message distance between the groups."""
-    box_lo, box_hi = lows[g:end].min(axis=0), highs[g:end].max(axis=0)
-    step, kept = _block_rows(end - g), np.zeros(len(heads), dtype=bool)
-    for lo in range(end, len(heads), step):
-        hi = min(len(heads), lo + step)
-        gap = message_space.distances(heads[g:end], heads[lo:hi]).min(axis=0)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            span = np.maximum(box_hi - lows[lo:hi], highs[lo:hi] - box_lo)
-            reach = np.square(span[:, 0])
-            for col in span.T[1:]:
-                reach += np.square(col)
-            bound = np.sqrt(reach) / np.sqrt(np.square(gap))
-            kept[lo:hi] = ~(bound * (1.0 + _BOUND_SLACK) < best)
+def _kept_cells(message_space: MessageSpace, groups: np.ndarray,
+                of_cell: np.ndarray, boxes: list, c: int, end: int,
+                best: float) -> np.ndarray:
+    """Which cells, all after ``end``, have pairs with cells ``[c, end)``
+    that may reach the ratio ``best``. ``groups`` holds the messages in
+    order and ``of_cell`` each cell's place in it; ``boxes`` holds each
+    cell's lowest and highest output, then its lowest and highest
+    embedding, per coordinate. A pair's output distance is at most the
+    farthest reach between the two output boxes, and its domain distance
+    at least the gap between the embedding boxes joined with the smallest
+    message distance between the cells. Both are summed one coordinate at
+    a time in the pair's own order, each step a monotone rounding of the
+    pair's, so no dropped pair has a larger computed ratio. The message
+    distances are formed between the messages, not the cells, in blocks;
+    the rest holds one row a cell."""
+    kept = np.zeros(len(of_cell), dtype=bool)
+    if end == len(of_cell):
+        return kept
+    ours = groups[of_cell[c]:of_cell[end - 1] + 1]
+    theirs = groups[of_cell[end]:]
+    step, gap = _block_rows(len(ours)), np.empty(len(theirs))
+    for lo in range(0, len(theirs), step):
+        gap[lo:lo + step] = message_space.distances(
+            ours, theirs[lo:lo + step]).min(axis=0)
+    gap = gap[of_cell[end:] - of_cell[end]]
+    (out_lo, out_hi), (emb_lo, emb_hi) = (
+        (low[c:end].min(axis=0), high[c:end].max(axis=0))
+        for low, high in (boxes[:2], boxes[2:]))
+    lows, highs, emb_lows, emb_highs = (b[end:] for b in boxes)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        reach = _sq_sum(np.maximum(out_hi - lows, highs - out_lo))
+        dom = _sq_sum(np.maximum(np.maximum(emb_lows - emb_hi,
+                                            emb_lo - emb_highs), 0.0))
+        dom += np.square(gap)
+        bound = np.sqrt(reach) / np.sqrt(dom)
+        kept[end:] = ~(bound * (1.0 + _BOUND_SLACK) < best)
     return kept
+
+
+def _sq_sum(span: np.ndarray) -> np.ndarray:
+    """The squares of each row of ``span`` summed one column at a time,
+    the first square starting the sum, as ``core._sq_dists`` sums them;
+    zeros for no columns."""
+    if not span.shape[1]:
+        return np.zeros(len(span))
+    total = np.square(span[:, 0])
+    for col in span.T[1:]:
+        total += np.square(col)
+    return total
 
 
 def _block_top(message_space: MessageSpace, rows: tuple, cols: tuple,

@@ -60,6 +60,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -258,12 +259,38 @@ class SynchronizedDiscriminationReceiver(DiscriminationReceiver):
         return _uniform_where(k == 0, match, k)
 
 
+def _query_arrays(queries: list) -> tuple[np.ndarray, np.ndarray]:
+    """The messages and the candidate tuples of a table's queries as 64-bit
+    integer arrays; ``OverflowError`` if one does not fit."""
+    return (np.array([m for m, _ in queries], dtype=np.int64),
+            np.array([c for _, c in queries], dtype=np.int64))
+
+
+def _checked_rows(d: int, num_messages: int, table: dict) -> np.ndarray:
+    """The rows of a query table as a (Q, d) float array, read one query
+    at a time; the first query that is not a message below
+    ``num_messages`` with ``d`` candidates, or whose row is not a
+    ``d``-vector, raises."""
+    rows = []
+    for key, row in table.items():
+        m, cands = key
+        if not 0 <= m < num_messages or len(cands) != d \
+                or min(cands, default=0) < 0:
+            raise ValueError(f"query {key} is not a message below "
+                             f"{num_messages} with {d} candidates")
+        rows.append(np.asarray(row, dtype=float))
+        if rows[-1].shape != (d,):
+            raise ValueError(f"row for query {key} is not a distribution")
+    return np.array(rows, dtype=float).reshape(len(rows), d)
+
+
 class TabularDiscriminationReceiver(DiscriminationReceiver):
     """Dense table over explicit (message, candidate tuple) queries.
 
     ``rows`` holds one distribution per query in the order of ``table``,
-    whose values are views of those rows; ``messages`` (Q,) and
-    ``candidates`` (Q, d) hold the queries in the same order.
+    whose values are views of those rows (the dict is built on its first
+    read); ``messages`` (Q,) and ``candidates`` (Q, d) hold the queries in
+    the same order.
 
     A query ``(m, c_0, ..., c_{d-1})`` has the mixed-radix code
     ``((m R + c_0) R + c_1) R ...``, where ``R`` is one more than the
@@ -279,34 +306,41 @@ class TabularDiscriminationReceiver(DiscriminationReceiver):
                  table: dict[tuple[int, tuple[int, ...]], np.ndarray]):
         self.num_candidates = int(d)
         self.num_messages = int(num_messages)
-        rows = []
-        for key, row in table.items():
-            m, cands = key
-            if not 0 <= m < num_messages or len(cands) != d \
-                    or min(cands, default=0) < 0:
-                raise ValueError(f"query {key} is not a message below "
-                                 f"{num_messages} with {d} candidates")
-            rows.append(np.asarray(row, dtype=float))
-            if rows[-1].shape != (d,):
-                raise ValueError(f"row for query {key} is not a distribution")
-        self.rows = np.array(rows, dtype=float).reshape(len(rows), d)
-        bad = _not_distributions(self.rows)
+        queries = list(table)
+        try:  # one pass over a table of in-range queries and d-vectors
+            rows = np.array(list(table.values()), dtype=float)
+            messages, candidates = _query_arrays(queries)
+            fits = rows.shape == candidates.shape == (len(queries), d) \
+                and messages.shape == (len(queries),) \
+                and ((0 <= messages) & (messages < num_messages)).all() \
+                and (candidates >= 0).all()
+        except (ValueError, TypeError, OverflowError):
+            fits = False
+        if not fits:  # the first query or row at fault raises
+            rows, messages = _checked_rows(d, num_messages, table), None
+        bad = _not_distributions(rows)
         if bad.any():
-            raise ValueError(f"row for query {list(table)[bad.argmax()]} "
+            raise ValueError(f"row for query {queries[bad.argmax()]} "
                              "is not a distribution")
-        self.table = dict(zip(table, self.rows))
-        try:
-            self.messages = np.array([m for m, _ in table], dtype=np.int64)
-            self.candidates = np.array([c for _, c in table],
-                                       dtype=np.int64).reshape(-1, d)
-        except OverflowError:
-            raise ValueError("a table query does not fit in 64-bit "
-                             "integers") from None
+        if messages is None:
+            try:
+                messages, candidates = _query_arrays(queries)
+            except OverflowError:
+                raise ValueError("a table query does not fit in 64-bit "
+                                 "integers") from None
+        self.rows, self._queries = rows, queries
+        self.messages, self.candidates = messages, candidates.reshape(-1, d)
         # codes run over messages below ``_stops[0]`` and candidates below
         # ``_stops[1]``
         self._stops = (int(self.messages.max(initial=-1)) + 1,
                        int(self.candidates.max(initial=-1)) + 1)
         self._index = None
+
+    @functools.cached_property
+    def table(self) -> dict[tuple[int, tuple[int, ...]], np.ndarray]:
+        """Each query's row, a view of ``rows``, in the order of ``rows``;
+        built on first read."""
+        return dict(zip(self._queries, self.rows))
 
     def _code(self, messages: np.ndarray, candidates: np.ndarray
               ) -> np.ndarray:

@@ -14,6 +14,7 @@ digits, so identical configurations and seeds produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import re
@@ -285,20 +286,40 @@ def receiver_from_json(data: dict):
             num_messages=_integer(data.get("num_messages", 1),
                                   "num_messages"))
     if kind == "discrimination":
-        table = {}
-        for r in data["rows"]:
-            query = (_integer(r["message"], "a row's message"),
-                     tuple(_integer(c, "a candidate")
-                           for c in r["candidates"]))
-            if query in table:
-                raise ValueError(f"query {query} has two rows")
-            table[query] = np.asarray(r["probs"], dtype=float)
+        table = _query_table(data["rows"])
         if not table:
             raise ValueError("no receiver row is defined")
         return TabularDiscriminationReceiver(
             _integer(data["d"], "d"),
             _integer(data["num_messages"], "num_messages"), table)
     raise ValueError(f"unknown receiver kind {kind!r}")
+
+
+def _query_table(rows) -> dict:
+    """The rows of a ``discrimination`` receiver file as a table from each
+    (message, candidates) query to its probabilities as floats. A file of
+    integer queries, each once, with probabilities of one length is read
+    in one pass, its probabilities converted to floats together. Any
+    other file is read one row at a time, and its first fault raises."""
+    try:
+        messages = [r["message"] for r in rows]
+        candidates = [tuple(r["candidates"]) for r in rows]
+        probs = np.array([r["probs"] for r in rows], dtype=float)
+        table = dict(zip(zip(messages, candidates), probs))
+        # a float or a boolean is no JSON integer, as ``_integer`` says
+        if probs.ndim == 2 and len(table) == len(probs) and set(map(
+                type, itertools.chain(messages, *candidates))) == {int}:
+            return table
+    except (KeyError, ValueError, TypeError, OverflowError):
+        pass
+    table = {}
+    for r in rows:
+        query = (_integer(r["message"], "a row's message"),
+                 tuple(_integer(c, "a candidate") for c in r["candidates"]))
+        if query in table:
+            raise ValueError(f"query {query} has two rows")
+        table[query] = np.asarray(r["probs"], dtype=float)
+    return table
 
 
 def load_receiver(path: str | Path):

@@ -23,7 +23,7 @@ from signalgames import (
     synchronized_sender,
     TabularDiscriminationReceiver,
 )
-from signalgames import consistency, core, games
+from signalgames import consistency, core, games, io
 from signalgames.games import SynchronizedDiscriminationReceiver
 
 from conftest import random_space, rng_for
@@ -400,15 +400,97 @@ class TestBoundedScan:
         _assert_same_as_unpruned(monkeypatch, recv, space, ms, "canonical")
 
     def test_every_pair_formed_when_the_bound_cannot_fire(self, monkeypatch):
-        # messages 1e-6 apart: every cross-message bound is about 1e6 times
-        # any output gap, far above the ratios inside a message
+        # four messages 1e-6 apart, of 25 rows each, so that each message
+        # lies in one cell of the default block and the cells' embedding
+        # boxes overlap: every bound between cells is about 1e6 times any
+        # output gap, far above the ratios inside a message
         rng = rng_for("simplicity-dense-close")
-        space, recv = _dense_table(rng, 12, 2, 2)
-        ms = MessageSpace.from_vectors([[0.0], [1e-6]])
+        space, recv = _dense_table(rng, 5, 4, 2)
+        ms = MessageSpace.from_vectors([[0.0], [1e-6], [2e-6], [3e-6]])
+        rows = len(recv.rows)
         bounded = _formed_pairs(monkeypatch, recv, space, ms)
+        assert bounded >= rows * (rows - 1) // 2
         monkeypatch.setattr(consistency, "_BOUND_SLACK", math.inf)
         assert bounded == _formed_pairs(monkeypatch, recv, space, ms)
         _assert_same_as_unpruned(monkeypatch, recv, space, ms, "canonical")
+
+    def test_cli_shaped_table_forms_few_block_elements(self, monkeypatch):
+        # 25 inputs, 4 messages at Hamming distance 1, every d=2 query: a
+        # scan bounded only across messages forms every block of each
+        # message's own 625 rows, 914,336 elements
+        rng = rng_for("simplicity-cli-shaped")
+        space, recv = _dense_table(rng, 25, 4, 2)
+        ms = io.default_message_space(4)
+        by_message = 4 * sum((hi - lo) * (625 - lo)
+                             for lo, hi, _ in core._pair_blocks(625))
+        assert by_message == 914_336
+        assert _formed_pairs(monkeypatch, recv, space, ms) < 0.4 * by_message
+        _assert_same_as_unpruned(monkeypatch, recv, space, ms, "canonical")
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_bits_match_unpruned_across_cells(self, monkeypatch, dim):
+        # 81 rows a message: three cells of the default block, and one row
+        # a cell at the small blocks
+        rng = rng_for(f"simplicity-cells-{dim}")
+        space, recv = _dense_table(rng, 9, 2, 2, dim)
+        ms = MessageSpace.from_vectors([[0.0], [0.5]])
+        for mode in ("canonical", "positional"):
+            _assert_same_as_unpruned(monkeypatch, recv, space, ms, mode,
+                                     self.BLOCKS)
+
+    @pytest.mark.parametrize("twin", [3, 29, 89])
+    def test_duplicate_embedding_across_a_cell_boundary(self, monkeypatch,
+                                                        twin):
+        # the twin of input ``twin`` sorts right after it: rows 29 and 30
+        # straddle a cell of the default block, 89 and 90 a run of it, 3
+        # and 4 a run of the block of 64 elements
+        xs = list(range(120)) + [twin]
+        probs = [[0.25 + x / 240, 0.75 - x / 240] for x in xs]
+        probs[-1] = [0.5, 0.5]
+        space, recv = _one_message_table(xs, probs)
+        ms = MessageSpace.from_vectors([[0.0], [1.0]])
+        res = _assert_same_as_unpruned(monkeypatch, recv, space, ms,
+                                       "positional", self.BLOCKS)
+        assert res.diagnostic is not None and res.worst_ratio == math.inf
+
+    def test_equal_sort_values_across_a_cell_boundary(self, monkeypatch):
+        # the first coordinate, the widest, takes two values, so 50 rows
+        # of each message share the value the rows are sorted by
+        rng = rng_for("simplicity-cells-ties")
+        pts = np.column_stack([np.repeat([0.0, 5.0], 5), rng.random(10)])
+        space, recv = _dense_table(rng, len(pts), 2, 2, points=pts)
+        ms = MessageSpace.from_vectors([[0.0], [0.5]])
+        for mode in ("canonical", "positional"):
+            _assert_same_as_unpruned(monkeypatch, recv, space, ms, mode,
+                                     self.BLOCKS)
+
+    def test_nan_in_a_later_cell_of_one_message(self, monkeypatch):
+        # rows 0 and 1 embed 1e-3 apart and answer differently, a ratio
+        # above 400; the last row sorts last, alone in the fourth cell of
+        # the default block and far from the rest, so its bound would
+        # drop it; a NaN output there must still be formed
+        space, recv = _far_row_table()
+        ms = MessageSpace.from_vectors([[0.0], [1.0]])
+        finite = _formed_pairs(monkeypatch, recv, space, ms)
+        assert receiver_simplicity(recv, 1.0, space, ms).worst_ratio > 400
+        recv.rows[-1] = math.nan
+        assert _formed_pairs(monkeypatch, recv, space, ms) > finite
+        res = _assert_same_as_unpruned(monkeypatch, recv, space, ms,
+                                       "positional", self.BLOCKS)
+        assert math.isnan(res.worst_ratio) and res.diagnostic is None
+
+    @pytest.mark.parametrize("mode", ["canonical", "positional"])
+    def test_output_gap_past_float64_inside_one_message(self, monkeypatch,
+                                                        mode):
+        space, recv = _far_row_table()
+        recv.rows[-1] = [1e308, 0.0]
+        recv.rows[5] = [0.0, 1e308]
+        ms = MessageSpace.from_vectors([[0.0], [1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = _assert_same_as_unpruned(monkeypatch, recv, space, ms,
+                                           mode, self.BLOCKS)
+        assert res.worst_ratio == math.inf and res.diagnostic is None
 
     def test_one_row_messages_share_runs(self, monkeypatch):
         # a reconstruction receiver has one row per message: 1,000 of them
@@ -514,11 +596,14 @@ def _formed_pairs(monkeypatch, recv, space, ms):
     return sum(_formed_blocks(monkeypatch, recv, space, ms))
 
 
-def _dense_table(rng, n, k, d):
-    """A uniform space of ``n`` points and a discrimination table of every
-    (message, candidate tuple) of ``k`` messages, its rows in random order
-    so that the messages interleave."""
-    space = InputSpace.uniform(rng.normal(size=(n, 2)))
+def _dense_table(rng, n, k, d, dim=2, points=None):
+    """A uniform space of ``n`` normal points in ``dim`` dimensions, or of
+    ``points``, and a discrimination table of every (message, candidate
+    tuple) of ``k`` messages, its rows in random order so that the
+    messages interleave."""
+    if points is None:
+        points = rng.normal(size=(n, dim))
+    space = InputSpace.uniform(points)
     scores = rng.random((k, n)) + 0.05
     keys = list(itertools.product(range(k), itertools.product(range(n),
                                                               repeat=d)))
@@ -540,6 +625,23 @@ def _message_space(rng, kind, k):
     table = table + table.T
     np.fill_diagonal(table, 0.0)
     return MessageSpace.from_distance_table(list(range(k)), table)
+
+
+def _one_message_table(xs, probs):
+    """A uniform space of the 1-D points ``xs`` and a table of message 0
+    alone: row ``a`` answers candidates ``(a, 2)`` with ``probs[a]``, so
+    the rows sort by ``xs``."""
+    space = InputSpace.uniform(np.asarray(xs, dtype=float)[:, None])
+    table = {(0, (a, 2)): np.asarray(p) for a, p in enumerate(probs)}
+    return space, TabularDiscriminationReceiver(2, 2, table)
+
+
+def _far_row_table():
+    """91 rows of one message: inputs 0 and 1e-3 answered differently,
+    then 2, ..., 89 and 1000 answered alike."""
+    xs = [0.0, 1e-3] + list(range(2, 90)) + [1000.0]
+    probs = [[0.9, 0.1], [0.4, 0.6]] + [[0.5, 0.5]] * 89
+    return _one_message_table(xs, probs)
 
 
 def _near_twins_table(later=((0, 2), (2, 0), (3, 0))):

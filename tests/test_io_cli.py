@@ -193,6 +193,50 @@ class TestReceiverJson:
         assert err.startswith(f"error: {path}:1: bad receiver JSON: ")
         assert re.search(message, err)
 
+    @pytest.mark.parametrize("edits, message", [
+        ({17: ("message", 1.0)},
+         "a row's message must be an integer, got 1.0"),
+        ({17: ("candidates", [0, True])},
+         "a candidate must be an integer, got True"),
+        ({32: ("probs", [0.25, 0.75])}, "query (1, (0, 1)) has two rows"),
+        ({17: ("probs", [1.0])},
+         "row for query (1, (0, 1)) is not a distribution"),
+        ({17: ("probs", [0.5, 0.25])},
+         "row for query (1, (0, 1)) is not a distribution"),
+        ({17: ("message", 2)},
+         "query (2, (0, 1)) is not a message below 2 with 2 candidates"),
+        # with two faults, the rows are read in file order: every row's
+        # query and probabilities first, then each row's range and length
+        ({3: ("probs", ["x", 0.5]), 17: ("message", 1.5)},
+         "could not convert string to float: 'x'"),
+        ({3: ("probs", [1.0]), 17: ("message", 5)},
+         "row for query (0, (0, 3)) is not a distribution"),
+        ({3: ("message", 5), 17: ("probs", [1.0])},
+         "query (5, (0, 3)) is not a message below 2 with 2 candidates"),
+        ({3: ("probs", [0.5, 0.25]), 17: ("message", 5)},
+         "query (5, (0, 1)) is not a message below 2 with 2 candidates"),
+    ], ids=["float-message", "bool-candidate", "duplicate-query",
+            "short-probs", "probs-sum", "message-past-range",
+            "probs-before-message", "short-before-range",
+            "range-before-short", "range-before-sum"])
+    def test_malformed_table_text_is_exact(self, tmp_path, space_b, edits,
+                                           message, capsys):
+        rows = [{"message": m, "candidates": [a, b], "probs": [0.5, 0.5]}
+                for m in range(2) for a in range(4) for b in range(4)]
+        for row, (key, value) in edits.items():
+            if row == len(rows):  # a second row for row 17's query
+                rows.append(dict(rows[17]))
+            rows[row][key] = value
+        io.save_input_space(tmp_path / "space.csv", space_b)
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"kind": "discrimination", "d": 2,
+                                    "num_messages": 2, "rows": rows}))
+        assert main(["verify", "--def", "5", "--input",
+                     str(tmp_path / "space.csv"), "--receiver",
+                     str(path)]) == 2
+        assert capsys.readouterr().err \
+            == f"error: {path}:1: bad receiver JSON: {message}\n"
+
 
 class TestReportFormatting:
     def test_floats_pinned_to_12_digits(self):
