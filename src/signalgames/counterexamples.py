@@ -57,30 +57,18 @@ def build_mirror_pairs_instance() -> MirrorPairsInstance:
     to the message's pair, and the uniform coin when both or neither do
     (the neither case never occurs in play; uniform keeps rows valid).
     """
-    values = []
-    for k in range(1, 7):
-        values.extend([float(k), float(-k)])
-    space = InputSpace.uniform(np.asarray(values)[:, None])
+    values = np.repeat(np.arange(1.0, 7.0), 2) * np.tile([1.0, -1.0], 6)
+    space = InputSpace.uniform(values[:, None])
     message_space = MessageSpace.from_vectors(
         np.arange(1.0, 7.0)[:, None])
-    pair_of = np.array([abs(v) - 1 for v in values], dtype=int)
+    pair_of = np.repeat(np.arange(6), 2)
     protocol = Protocol(pair_of, 6)
 
-    table = {}
-    n = space.size
-    for m in range(6):
-        for a in range(n):
-            for b in range(n):
-                in_a = pair_of[a] == m
-                in_b = pair_of[b] == m
-                if in_a and not in_b:
-                    row = (1.0, 0.0)
-                elif in_b and not in_a:
-                    row = (0.0, 1.0)
-                else:
-                    row = (0.5, 0.5)
-                table[(m, (a, b))] = np.asarray(row)
-    receiver = TabularDiscriminationReceiver(2, 6, table)
+    m, a, b = np.indices((6, space.size, space.size)).reshape(3, -1)
+    in_a, in_b = pair_of[a] == m, pair_of[b] == m
+    first = 0.5 + 0.5 * (in_a.astype(float) - in_b)
+    receiver = TabularDiscriminationReceiver.from_queries(
+        2, 6, m, np.column_stack([a, b]), np.column_stack([first, 1 - first]))
     return MirrorPairsInstance(space, message_space, receiver, protocol)
 
 

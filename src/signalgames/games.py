@@ -61,6 +61,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import os
@@ -259,29 +260,75 @@ class SynchronizedDiscriminationReceiver(DiscriminationReceiver):
         return _uniform_where(k == 0, match, k)
 
 
-def _query_arrays(queries: list) -> tuple[np.ndarray, np.ndarray]:
-    """The messages and the candidate tuples of a table's queries as 64-bit
-    integer arrays; ``OverflowError`` if one does not fit."""
-    return (np.array([m for m, _ in queries], dtype=np.int64),
-            np.array([c for _, c in queries], dtype=np.int64))
+def _integer(value, what: str) -> int:
+    """``value`` as an ``int`` if it is an integer, a numpy one included: a
+    float, a boolean or a string that ``int`` would read is refused."""
+    if not _integer_type(type(value)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
-def _checked_rows(d: int, num_messages: int, table: dict) -> np.ndarray:
-    """The rows of a query table as a (Q, d) float array, read one query
-    at a time; the first query that is not a message below
-    ``num_messages`` with ``d`` candidates, or whose row is not a
-    ``d``-vector, raises."""
-    rows = []
-    for key, row in table.items():
-        m, cands = key
+def _integer_type(kind: type) -> bool:
+    return issubclass(kind, numbers.Integral) and kind is not bool
+
+
+def _table_arrays(d: int, num_messages: int, messages, candidates, probs
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A table's queries as (Q,) messages and (Q, d) candidates, both
+    int64, and its rows as (Q, d) floats. A table is valid when it has, in
+    the order the rules are checked:
+
+    1. integer messages and candidates, no query twice and rows of floats,
+       in row order;
+    2. per row, a message below ``num_messages``, ``d`` candidates, none
+       negative, and ``d`` probabilities;
+    3. rows that are distributions;
+    4. queries that fit in 64-bit integers.
+
+    Array tests check the whole table; only a table they refuse is read
+    again row by row, to raise at its first fault in that order."""
+    q = len(messages)
+    try:
+        kinds = set(map(type, itertools.chain(
+            messages, itertools.chain.from_iterable(candidates))))
+        widths = set(map(len, candidates))
+        m = np.array(messages, dtype=np.int64)
+        c = np.fromiter(itertools.chain.from_iterable(candidates), np.int64,
+                        count=q * d).reshape(q, d)
+        p = np.array(probs, dtype=float)
+        p = p.reshape(0, d) if p.size == q == 0 else p
+        order = np.lexsort((*c.T[::-1], m))  # repeated queries adjoin
+        repeats = np.logical_and.reduce(
+            [np.diff(k[order]) == 0 for k in (m, *c.T)]).any()
+        fits = all(map(_integer_type, kinds)) and widths <= {d} \
+            and len(candidates) == q and not repeats and p.shape == (q, d) \
+            and ((0 <= m) & (m < num_messages)).all() and (c >= 0).all() \
+            and not _not_distributions(p).any()
+    except (ValueError, TypeError, OverflowError):
+        fits = False
+    if fits:
+        return m, c, p
+    table = {}
+    for message, cands, row in zip(messages, candidates, probs, strict=True):
+        query = (_integer(message, "a row's message"),
+                 tuple(_integer(c, "a candidate") for c in cands))
+        if query in table:
+            raise ValueError(f"query {query} has two rows")
+        table[query] = np.asarray(row, dtype=float)
+    for query, row in table.items():
+        m, cands = query
         if not 0 <= m < num_messages or len(cands) != d \
                 or min(cands, default=0) < 0:
-            raise ValueError(f"query {key} is not a message below "
+            raise ValueError(f"query {query} is not a message below "
                              f"{num_messages} with {d} candidates")
-        rows.append(np.asarray(row, dtype=float))
-        if rows[-1].shape != (d,):
-            raise ValueError(f"row for query {key} is not a distribution")
-    return np.array(rows, dtype=float).reshape(len(rows), d)
+        if row.shape != (d,):
+            raise ValueError(f"row for query {query} is not a distribution")
+    bad = _not_distributions(np.array(list(table.values())))
+    if bad.any():
+        raise ValueError(f"row for query {list(table)[bad.argmax()]} "
+                         "is not a distribution")
+    # every row passed, so the arrays refused a query past int64
+    raise ValueError("a table query does not fit in 64-bit integers")
 
 
 class TabularDiscriminationReceiver(DiscriminationReceiver):
@@ -290,7 +337,8 @@ class TabularDiscriminationReceiver(DiscriminationReceiver):
     ``rows`` holds one distribution per query in the order of ``table``,
     whose values are views of those rows (the dict is built on its first
     read); ``messages`` (Q,) and ``candidates`` (Q, d) hold the queries in
-    the same order.
+    the same order. :meth:`from_queries` builds the receiver from those
+    three columns; both constructors check them with ``_table_arrays``.
 
     A query ``(m, c_0, ..., c_{d-1})`` has the mixed-radix code
     ``((m R + c_0) R + c_1) R ...``, where ``R`` is one more than the
@@ -304,32 +352,25 @@ class TabularDiscriminationReceiver(DiscriminationReceiver):
 
     def __init__(self, d: int, num_messages: int,
                  table: dict[tuple[int, tuple[int, ...]], np.ndarray]):
+        self._fill(d, num_messages, [m for m, _ in table],
+                   [c for _, c in table], list(table.values()))
+
+    @classmethod
+    def from_queries(cls, d: int, num_messages: int, messages, candidates,
+                     probs) -> TabularDiscriminationReceiver:
+        """The receiver whose row ``probs[q]`` answers the query
+        ``(messages[q], candidates[q])``; each column a sequence or an
+        array."""
+        receiver = cls.__new__(cls)
+        receiver._fill(d, num_messages, messages, candidates, probs)
+        return receiver
+
+    def _fill(self, d, num_messages, messages, candidates, probs) -> None:
         self.num_candidates = int(d)
         self.num_messages = int(num_messages)
-        queries = list(table)
-        try:  # one pass over a table of in-range queries and d-vectors
-            rows = np.array(list(table.values()), dtype=float)
-            messages, candidates = _query_arrays(queries)
-            fits = rows.shape == candidates.shape == (len(queries), d) \
-                and messages.shape == (len(queries),) \
-                and ((0 <= messages) & (messages < num_messages)).all() \
-                and (candidates >= 0).all()
-        except (ValueError, TypeError, OverflowError):
-            fits = False
-        if not fits:  # the first query or row at fault raises
-            rows, messages = _checked_rows(d, num_messages, table), None
-        bad = _not_distributions(rows)
-        if bad.any():
-            raise ValueError(f"row for query {queries[bad.argmax()]} "
-                             "is not a distribution")
-        if messages is None:
-            try:
-                messages, candidates = _query_arrays(queries)
-            except OverflowError:
-                raise ValueError("a table query does not fit in 64-bit "
-                                 "integers") from None
-        self.rows, self._queries = rows, queries
-        self.messages, self.candidates = messages, candidates.reshape(-1, d)
+        self.messages, self.candidates, self.rows = _table_arrays(
+            self.num_candidates, self.num_messages, messages, candidates,
+            probs)
         # codes run over messages below ``_stops[0]`` and candidates below
         # ``_stops[1]``
         self._stops = (int(self.messages.max(initial=-1)) + 1,
@@ -340,7 +381,8 @@ class TabularDiscriminationReceiver(DiscriminationReceiver):
     def table(self) -> dict[tuple[int, tuple[int, ...]], np.ndarray]:
         """Each query's row, a view of ``rows``, in the order of ``rows``;
         built on first read."""
-        return dict(zip(self._queries, self.rows))
+        return dict(zip(zip(self.messages.tolist(),
+                            map(tuple, self.candidates.tolist())), self.rows))
 
     def _code(self, messages: np.ndarray, candidates: np.ndarray
               ) -> np.ndarray:

@@ -14,9 +14,9 @@ digits, so identical configurations and seeds produce byte-identical files.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
+import operator
 import re
 from pathlib import Path
 
@@ -25,7 +25,8 @@ import numpy as np
 from .core import InputSpace, LabelMap, MessageSpace, Protocol
 from .errors import ParseError
 from .games import ClassificationReceiver, ConstantDiscriminationReceiver, \
-    GlobalReceiver, ReconstructionReceiver, TabularDiscriminationReceiver
+    GlobalReceiver, ReconstructionReceiver, TabularDiscriminationReceiver, \
+    _integer
 
 __all__ = [
     "load_input_space",
@@ -242,9 +243,12 @@ def receiver_to_json(receiver) -> dict:
                 "vector": [float(v) for v in receiver.vector],
                 "num_messages": receiver.num_messages}
     if isinstance(receiver, TabularDiscriminationReceiver):
-        rows = [{"message": int(m), "candidates": [int(c) for c in cands],
-                 "probs": [float(v) for v in row]}
-                for (m, cands), row in sorted(receiver.table.items())]
+        # by message, then candidate by candidate
+        order = np.lexsort((*receiver.candidates.T[::-1], receiver.messages))
+        rows = [{"message": m, "candidates": c, "probs": p}
+                for m, c, p in zip(receiver.messages[order].tolist(),
+                                   receiver.candidates[order].tolist(),
+                                   receiver.rows[order].tolist())]
         return {"kind": "discrimination", "d": receiver.num_candidates,
                 "num_messages": receiver.num_messages, "rows": rows}
     raise TypeError(f"cannot serialize receiver of type {type(receiver)!r}")
@@ -267,14 +271,6 @@ def _rows_with_gaps(rows: list) -> tuple[np.ndarray, np.ndarray]:
     return values, defined
 
 
-def _integer(value, what: str) -> int:
-    """``value`` if it is a JSON integer: a float, a boolean or a string
-    that ``int`` would read is refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def receiver_from_json(data: dict):
     kind = data.get("kind")
     for name, (cls, key, _) in _PER_MESSAGE.items():
@@ -286,40 +282,14 @@ def receiver_from_json(data: dict):
             num_messages=_integer(data.get("num_messages", 1),
                                   "num_messages"))
     if kind == "discrimination":
-        table = _query_table(data["rows"])
-        if not table:
+        rows = list(map(operator.itemgetter("message", "candidates",
+                                            "probs"), data["rows"]))
+        if not rows:
             raise ValueError("no receiver row is defined")
-        return TabularDiscriminationReceiver(
+        return TabularDiscriminationReceiver.from_queries(
             _integer(data["d"], "d"),
-            _integer(data["num_messages"], "num_messages"), table)
+            _integer(data["num_messages"], "num_messages"), *zip(*rows))
     raise ValueError(f"unknown receiver kind {kind!r}")
-
-
-def _query_table(rows) -> dict:
-    """The rows of a ``discrimination`` receiver file as a table from each
-    (message, candidates) query to its probabilities as floats. A file of
-    integer queries, each once, with probabilities of one length is read
-    in one pass, its probabilities converted to floats together. Any
-    other file is read one row at a time, and its first fault raises."""
-    try:
-        messages = [r["message"] for r in rows]
-        candidates = [tuple(r["candidates"]) for r in rows]
-        probs = np.array([r["probs"] for r in rows], dtype=float)
-        table = dict(zip(zip(messages, candidates), probs))
-        # a float or a boolean is no JSON integer, as ``_integer`` says
-        if probs.ndim == 2 and len(table) == len(probs) and set(map(
-                type, itertools.chain(messages, *candidates))) == {int}:
-            return table
-    except (KeyError, ValueError, TypeError, OverflowError):
-        pass
-    table = {}
-    for r in rows:
-        query = (_integer(r["message"], "a row's message"),
-                 tuple(_integer(c, "a candidate") for c in r["candidates"]))
-        if query in table:
-            raise ValueError(f"query {query} has two rows")
-        table[query] = np.asarray(r["probs"], dtype=float)
-    return table
 
 
 def load_receiver(path: str | Path):

@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -703,6 +704,38 @@ class TestTabularReceiver:
         with pytest.raises(ValueError, match=r"^row for query \(1, \(1, 0\)\) "
                                              "is not a distribution$"):
             TabularDiscriminationReceiver(2, 2, table)
+
+    @pytest.mark.parametrize("table, message", [
+        ({(1.5, (0, 1)): [0.5, 0.5]},
+         "a row's message must be an integer, got 1.5"),
+        ({(0, (True, 1)): [0.5, 0.5]},
+         "a candidate must be an integer, got True"),
+    ])
+    def test_rejects_queries_that_are_not_integers(self, table, message):
+        # the dict once kept the key 1.5 while the batch read message 1
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TabularDiscriminationReceiver(2, 2, table)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32])
+    def test_numpy_integer_queries_construct(self, kind):
+        recv = TabularDiscriminationReceiver(
+            2, 2, {(kind(1), (kind(0), kind(1))): [0.25, 0.75]})
+        assert list(recv.table) == [(1, (0, 1))]
+        assert recv.probabilities(1, (0, 1)).tolist() == [0.25, 0.75]
+
+    def test_from_queries_matches_the_dict_constructor(self):
+        rng = rng_for("tabular-from-queries")
+        recv = self.random_table(rng, 3, 3, 6, 100)
+        cols = TabularDiscriminationReceiver.from_queries(
+            3, 3, recv.messages, recv.candidates, recv.rows)
+        lists = TabularDiscriminationReceiver.from_queries(
+            3, 3, recv.messages.tolist(), recv.candidates.tolist(),
+            recv.rows.tolist())
+        for other in (cols, lists):
+            assert other.messages.tolist() == recv.messages.tolist()
+            assert other.candidates.tolist() == recv.candidates.tolist()
+            assert other.rows.tobytes() == recv.rows.tobytes()
+            assert list(other.table) == list(recv.table)
 
     def test_table_values_are_views_of_rows(self):
         recv = TabularDiscriminationReceiver(

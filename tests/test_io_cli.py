@@ -143,6 +143,26 @@ class TestReceiverJson:
         key = (0, (0, 1))
         assert np.allclose(back.table[key], inst.receiver.table[key])
 
+    def test_tabular_rows_serialize_in_query_order(self):
+        # candidates past 9 sort apart as integers and as strings; the rows
+        # are given shuffled, and serialized by message, then candidates
+        rng = rng_for("tabular-serialize-order")
+        queries = [(m, tuple(c.tolist())) for m in range(3)
+                   for c in rng.integers(0, 14, size=(60, 3))]
+        rng.shuffle(queries)
+        recv = games.TabularDiscriminationReceiver(3, 3, {
+            q: (w := rng.random(3) + 0.1) / w.sum() for q in queries})
+        want = {"kind": "discrimination", "d": 3, "num_messages": 3,
+                "rows": [{"message": int(m),
+                          "candidates": [int(c) for c in cands],
+                          "probs": [float(v) for v in row]}
+                         for (m, cands), row in sorted(recv.table.items())]}
+        data = io.receiver_to_json(recv)
+        assert io.dumps_report(data) == io.dumps_report(want)
+        back = io.receiver_from_json(data)
+        assert io.dumps_report(io.receiver_to_json(back)) \
+            == io.dumps_report(want)
+
     def test_classification_round_trip(self, space_b, anti, labels_ab):
         recv = synchronized_receiver(
             anti, space_b, GameSpec("classification", labels=labels_ab))
@@ -164,6 +184,8 @@ class TestReceiverJson:
         (("num_messages", False),
          "num_messages must be an integer, got False"),
         (("rows", "repeat"), r"query \(1, \(0, 1\)\) has two rows"),
+        (("rows", []), "^error: [^\n]*: bad receiver JSON: no receiver row "
+                       "is defined\n\\Z"),
     ])
     @pytest.mark.parametrize("definition", ["5", "6"])
     def test_malformed_table_exits_2(self, tmp_path, space_b, edit, message,
@@ -175,10 +197,10 @@ class TestReceiverJson:
         doc = {"kind": "discrimination", "d": 2, "num_messages": 2,
                "rows": rows}
         key, value = edit
-        if key in ("d", "num_messages"):
-            doc[key] = value
-        elif value == "repeat":
+        if value == "repeat":
             rows.append(dict(rows[17], probs=[0.25, 0.75]))
+        elif key in doc:
+            doc[key] = value
         else:
             rows[17][key] = value
         io.save_input_space(tmp_path / "space.csv", space_b)
@@ -215,10 +237,16 @@ class TestReceiverJson:
          "query (5, (0, 3)) is not a message below 2 with 2 candidates"),
         ({3: ("probs", [0.5, 0.25]), 17: ("message", 5)},
          "query (5, (0, 1)) is not a message below 2 with 2 candidates"),
+        ({17: ("candidates", [0, 2 ** 70])},
+         "a table query does not fit in 64-bit integers"),
+        # the 64-bit test comes after every other rule
+        ({3: ("candidates", [0, 2 ** 70]), 17: ("probs", [0.5, 0.25])},
+         "row for query (1, (0, 1)) is not a distribution"),
     ], ids=["float-message", "bool-candidate", "duplicate-query",
             "short-probs", "probs-sum", "message-past-range",
             "probs-before-message", "short-before-range",
-            "range-before-short", "range-before-sum"])
+            "range-before-short", "range-before-sum", "past-64-bits",
+            "sum-before-64-bits"])
     def test_malformed_table_text_is_exact(self, tmp_path, space_b, edits,
                                            message, capsys):
         rows = [{"message": m, "candidates": [a, b], "probs": [0.5, 0.5]}
