@@ -467,8 +467,7 @@ def cmd_counterexample(args) -> int:
         io.save_input_space(paths["space.csv"], inst.space)
         io.save_protocol(paths["protocol.csv"], inst.protocol,
                          io.default_message_space(6))
-        io.write_report(paths["receiver.json"],
-                        io.receiver_to_json(inst.receiver))
+        io.save_receiver(paths["receiver.json"], inst.receiver)
     else:
         if args.input is not None:
             space, _ = io.load_input_space(args.input)

@@ -286,22 +286,28 @@ def _table_arrays(d: int, num_messages: int, messages, candidates, probs
     4. queries that fit in 64-bit integers.
 
     Array tests check the whole table; only a table they refuse is read
-    again row by row, to raise at its first fault in that order."""
+    again row by row, as Python values, to raise at its first fault in
+    that order. Integer arrays are typed by their dtype and shape."""
     q = len(messages)
     try:
-        kinds = set(map(type, itertools.chain(
-            messages, itertools.chain.from_iterable(candidates))))
-        widths = set(map(len, candidates))
-        m = np.array(messages, dtype=np.int64)
-        c = np.fromiter(itertools.chain.from_iterable(candidates), np.int64,
-                        count=q * d).reshape(q, d)
+        if isinstance(messages, np.ndarray) \
+                and isinstance(candidates, np.ndarray):
+            typed = {messages.dtype.kind, candidates.dtype.kind} <= set("iu") \
+                and messages.ndim == 1 and candidates.shape == (q, d)
+            m, c = messages.astype(np.int64), candidates.astype(np.int64)
+        else:
+            typed = all(map(_integer_type, set(map(type, itertools.chain(
+                messages, itertools.chain.from_iterable(candidates)))))) \
+                and set(map(len, candidates)) <= {d} and len(candidates) == q
+            m = np.array(messages, dtype=np.int64)
+            c = np.fromiter(itertools.chain.from_iterable(candidates),
+                            np.int64, count=q * d).reshape(q, d)
         p = np.array(probs, dtype=float)
         p = p.reshape(0, d) if p.size == q == 0 else p
         order = np.lexsort((*c.T[::-1], m))  # repeated queries adjoin
         repeats = np.logical_and.reduce(
             [np.diff(k[order]) == 0 for k in (m, *c.T)]).any()
-        fits = all(map(_integer_type, kinds)) and widths <= {d} \
-            and len(candidates) == q and not repeats and p.shape == (q, d) \
+        fits = typed and not repeats and p.shape == (q, d) \
             and ((0 <= m) & (m < num_messages)).all() and (c >= 0).all() \
             and not _not_distributions(p).any()
     except (ValueError, TypeError, OverflowError):
@@ -309,6 +315,8 @@ def _table_arrays(d: int, num_messages: int, messages, candidates, probs
     if fits:
         return m, c, p
     table = {}
+    messages, candidates = (a.tolist() if isinstance(a, np.ndarray) else a
+                            for a in (messages, candidates))
     for message, cands, row in zip(messages, candidates, probs, strict=True):
         query = (_integer(message, "a row's message"),
                  tuple(_integer(c, "a candidate") for c in cands))

@@ -5,7 +5,8 @@ Input-space files are CSV with header ``id,x0,x1,...,weight[,label...]``
 header) or a JSON mirror ``{"points": ..., "weights": ..., "labels":
 {name: [...]}}``. Protocol files are CSV ``id,message`` where a message is
 a symbol string over vocabulary ``0..V-1`` of length ``L`` (e.g. ``0371``),
-or the JSON mirror ``{"messages": [...]}``.
+or the JSON mirror ``{"messages": [...]}``. Receiver files are JSON data
+with exact floats and one table row per line.
 
 Reports are JSON with sorted keys and floats printed with 12 significant
 digits, so identical configurations and seeds produce byte-identical files.
@@ -38,6 +39,7 @@ __all__ = [
     "receiver_to_json",
     "receiver_from_json",
     "load_receiver",
+    "save_receiver",
     "format_floats",
     "dumps_report",
     "write_report",
@@ -236,11 +238,11 @@ def receiver_to_json(receiver) -> dict:
         if isinstance(receiver, cls):
             table = getattr(receiver, attr)
             return {"kind": kind, key: [
-                [float(v) for v in table[m]] if receiver.defined[m] else None
-                for m in range(receiver.num_messages)]}
+                row if ok else None for row, ok in zip(
+                    table.tolist(), receiver.defined.tolist())]}
     if isinstance(receiver, ConstantDiscriminationReceiver):
         return {"kind": "constant-discrimination",
-                "vector": [float(v) for v in receiver.vector],
+                "vector": receiver.vector.tolist(),
                 "num_messages": receiver.num_messages}
     if isinstance(receiver, TabularDiscriminationReceiver):
         # by message, then candidate by candidate
@@ -299,6 +301,19 @@ def load_receiver(path: str | Path):
         return receiver_from_json(data)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"bad receiver JSON: {exc}", str(path), line=1)
+
+
+def save_receiver(path: str | Path, receiver) -> None:
+    """Write ``receiver_to_json(receiver)`` as data, not as a report: sorted
+    keys, exact floats, each top-level key on its own line and each list
+    one compactly encoded element per line."""
+    encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+    entries = [f"{encode(key)}: " + (
+        "[\n    " + ",\n    ".join(map(encode, value)) + "\n  ]"
+        if isinstance(value, list) and value else encode(value))
+        for key, value in sorted(receiver_to_json(receiver).items())]
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text("{\n  " + ",\n  ".join(entries) + "\n}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -737,6 +737,43 @@ class TestTabularReceiver:
             assert other.rows.tobytes() == recv.rows.tobytes()
             assert list(other.table) == list(recv.table)
 
+    @pytest.mark.parametrize("kind", [np.int64, np.int32])
+    def test_typed_array_queries_match_lists(self, kind):
+        rng = rng_for("tabular-typed-arrays")
+        recv = self.random_table(rng, 3, 4, 12, 200)
+        arrays = TabularDiscriminationReceiver.from_queries(
+            3, 4, recv.messages.astype(kind), recv.candidates.astype(kind),
+            recv.rows)
+        lists = TabularDiscriminationReceiver.from_queries(
+            3, 4, recv.messages.tolist(), recv.candidates.tolist(),
+            recv.rows.tolist())
+        assert arrays.messages.tolist() == lists.messages.tolist()
+        assert arrays.candidates.tolist() == lists.candidates.tolist()
+        assert arrays.rows.tolist() == lists.rows.tolist()
+
+    @pytest.mark.parametrize("column", ["message", "candidate"])
+    @pytest.mark.parametrize("dtype", [float, bool])
+    def test_typed_array_queries_refused_as_lists(self, column, dtype):
+        # an array of floats or booleans is refused with the text of the
+        # same values given as a list
+        messages = np.array([1, 0])
+        candidates = np.array([[1, 0], [1, 1]])
+        if column == "message":
+            messages = messages.astype(dtype)
+        else:
+            candidates = candidates.astype(dtype)
+        rows = [[0.5, 0.5], [0.25, 0.75]]
+        texts = []
+        for m, c in [(messages, candidates),
+                     (messages.tolist(), candidates.tolist())]:
+            with pytest.raises(ValueError) as exc:
+                TabularDiscriminationReceiver.from_queries(2, 2, m, c, rows)
+            texts.append(str(exc.value))
+        want = {"message": "a row's message", "candidate": "a candidate"}
+        assert texts[0] == texts[1]
+        assert texts[0] == f"{want[column]} must be an integer, got " \
+            f"{dtype(1)!r}"
+
     def test_table_values_are_views_of_rows(self):
         recv = TabularDiscriminationReceiver(
             2, 2, {(0, (0, 1)): [0.25, 0.75], (1, (1, 1)): [0.5, 0.5]})

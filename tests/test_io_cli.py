@@ -175,6 +175,88 @@ class TestReceiverJson:
         back = io.receiver_from_json(io.receiver_to_json(recv))
         assert back.defined.tolist() == [True, False]
 
+    @staticmethod
+    def random_receiver(kind: str, rng):
+        """A receiver of ``kind`` with random rows, the tabular one with
+        three candidates of up to 13 given in shuffled query order."""
+        def dist(*shape):
+            w = rng.random(shape) + 0.01
+            return w / w.sum(axis=-1, keepdims=True)
+        if kind == "discrimination":
+            queries = {(int(rng.integers(3)),
+                        tuple(rng.integers(14, size=3).tolist()))
+                       for _ in range(120)}
+            queries = [queries.pop() for _ in range(len(queries))]
+            return games.TabularDiscriminationReceiver(
+                3, 3, dict(zip(queries, dist(len(queries), 3))))
+        if kind == "global":
+            return games.GlobalReceiver(dist(4, 6))
+        if kind == "classification":
+            return games.ClassificationReceiver(dist(4, 3))
+        if kind == "reconstruction":
+            return games.ReconstructionReceiver(
+                rng.normal(size=(4, 2)) / 3, [True, False, True, True])
+        return games.ConstantDiscriminationReceiver(dist(3), 5)
+
+    @staticmethod
+    def receiver_arrays(recv) -> list[np.ndarray]:
+        """The arrays that define ``recv``: a table's in query order, a
+        per-message receiver's defined rows and mask."""
+        if isinstance(recv, games.TabularDiscriminationReceiver):
+            order = np.lexsort((*recv.candidates.T[::-1], recv.messages))
+            return [recv.messages[order], recv.candidates[order],
+                    recv.rows[order]]
+        if isinstance(recv, games.ConstantDiscriminationReceiver):
+            return [recv.vector]
+        table = getattr(recv, next(
+            a for a in ("points", "table", "conditional") if hasattr(recv, a)))
+        return [table[recv.defined], recv.defined]
+
+    @pytest.mark.parametrize("kind", [
+        "discrimination", "global", "classification", "reconstruction",
+        "constant-discrimination"])
+    def test_saved_receiver_loads_exactly(self, tmp_path, kind):
+        recv = self.random_receiver(kind, rng_for(f"save-receiver-{kind}"))
+        io.save_receiver(tmp_path / "r.json", recv)
+        back = io.load_receiver(tmp_path / "r.json")
+        assert type(back) is type(recv)
+        assert back.num_messages == recv.num_messages
+        for got, want in zip(self.receiver_arrays(back),
+                             self.receiver_arrays(recv), strict=True):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_random_classification_receivers_load_exactly(self, tmp_path):
+        # rounded to 12 digits in a report, many of these rows sum more
+        # than 1e-12 away from 1 and no longer load
+        rng = rng_for("save-receiver-classification-200")
+        path = tmp_path / "r.json"
+        for _ in range(200):
+            recv = self.random_receiver("classification", rng)
+            io.save_receiver(path, recv)
+            back = io.load_receiver(path)
+            assert np.array_equal(back.conditional, recv.conditional)
+            assert back.defined.all()
+
+    def test_saved_receiver_layout(self, tmp_path):
+        recv = build_mirror_pairs_instance().receiver
+        io.save_receiver(tmp_path / "r.json", recv)
+        text = (tmp_path / "r.json").read_text()
+        lines = text.split("\n")
+        assert lines[:6] == [
+            "{", '  "d": 2,', '  "kind": "discrimination",',
+            '  "num_messages": 6,', '  "rows": [',
+            '    {"candidates": [0, 0], "message": 0, "probs": [0.5, 0.5]},']
+        assert lines[-4:] == [
+            '    {"candidates": [11, 11], "message": 5, "probs": [0.5, 0.5]}',
+            "  ]", "}", ""]
+        assert len(lines) == 864 + 8
+        assert len(text.encode()) <= 60_000
+        back = io.load_receiver(tmp_path / "r.json")
+        for got, want in zip(self.receiver_arrays(back),
+                             self.receiver_arrays(recv), strict=True):
+            assert np.array_equal(got, want)
+
 
     @pytest.mark.parametrize("edit, message", [
         (("candidates", [1.5, 0]), "a candidate must be an integer, got 1.5"),
@@ -1026,6 +1108,28 @@ class TestCli:
         assert abs(space.variance() - 91.0 / 6.0) < 1e-9
         recv = io.load_receiver(out / "receiver.json")
         assert len(recv.table) == 864
+
+    def test_thm5_receiver_in_the_report_layout(self, tmp_path, capsys):
+        # the same receiver as an indented report at 12 digits reads the
+        # same; rows of 0, 0.5 and 1 lose nothing to the rounding
+        out = tmp_path / "ctr"
+        assert main(["counterexample", "--which", "thm5", "--out",
+                     str(out)]) == 0
+        io.write_report(out / "old.json", io.receiver_to_json(
+            build_mirror_pairs_instance().receiver))
+        capsys.readouterr()
+        stdout = {}
+        for name in ("receiver.json", "old.json"):
+            common = ["--input", str(out / "space.csv"), "--receiver",
+                      str(out / name)]
+            assert main(["verify", "--def", "5", *common,
+                         "--expect", "pass"]) == 0
+            assert main(["verify", "--def", "6", "--game", "discrimination",
+                         "--d", "2", *common]) == 0
+            stdout[name] = capsys.readouterr().out
+        assert stdout["receiver.json"] == stdout["old.json"]
+        assert (out / "old.json").stat().st_size > \
+            (out / "receiver.json").stat().st_size
 
     def test_counterexample_thm2(self, tmp_path, capsys):
         out = tmp_path / "ctr2"
