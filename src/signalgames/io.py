@@ -116,13 +116,11 @@ def save_input_space(path: str | Path, space: InputSpace,
     labels = labels or []
     path = Path(path)
     if path.suffix.lower() == ".json":
-        payload = {
-            "points": [[float(v) for v in p] for p in space.points],
-            "weights": [float(w) for w in space.weights],
-        }
+        payload = {"points": space.points.tolist(),
+                   "weights": space.weights.tolist()}
         if labels:
             payload["labels"] = {lab.name: list(lab.labels) for lab in labels}
-        write_report(path, payload)
+        _write_data(path, payload)
         return
     header = (["id"] + [f"x{j}" for j in range(space.dim)] + ["weight"]
               + [lab.name for lab in labels])
@@ -304,14 +302,18 @@ def load_receiver(path: str | Path):
 
 
 def save_receiver(path: str | Path, receiver) -> None:
-    """Write ``receiver_to_json(receiver)`` as data, not as a report: sorted
-    keys, exact floats, each top-level key on its own line and each list
-    one compactly encoded element per line."""
-    encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+    _write_data(path, receiver_to_json(receiver))
+
+
+def _write_data(path: str | Path, data: dict) -> None:
+    """Write ``data`` as data, not as a report: sorted keys, exact floats,
+    one line per top-level key and per compactly encoded list element."""
+    encode = json.JSONEncoder(sort_keys=True, allow_nan=False,
+                              default=np.generic.item).encode
     entries = [f"{encode(key)}: " + (
         "[\n    " + ",\n    ".join(map(encode, value)) + "\n  ]"
         if isinstance(value, list) and value else encode(value))
-        for key, value in sorted(receiver_to_json(receiver).items())]
+        for key, value in sorted(data.items())]
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("{\n  " + ",\n  ".join(entries) + "\n}\n")
 

@@ -114,7 +114,7 @@ def topsim(protocol: Protocol, space: InputSpace,
     input pairs raise ``BudgetExceededError`` before anything is allocated.
 
     The input distances are formed in the blocks of ``core._pair_blocks``
-    and ranked by one sort. A message distance depends only on the pair of
+    and ranked in place. A message distance depends only on the pair of
     used messages, so its average rank comes from the count of input pairs
     behind each distinct distance of the U x U table.
     """
@@ -136,22 +136,23 @@ def topsim(protocol: Protocol, space: InputSpace,
     counts = np.bincount(cls.ravel(), per_pair.ravel()).astype(np.int64)
     ends = np.cumsum(counts)
     starts = ends - counts
-    msg_rank = ((starts + ends + 1) / 2)[cls]
+    msg_rank = ((starts + ends + 1) / 2)[cls].ravel()
 
-    # row 0: input distances, then their ranks; row 1: message ranks, both
-    # in the row-major order of the pairs i < j
+    def fill(row, pair_values, a):
+        # pair_values(a[i], a[j]) over the pairs i < j, one block at a time
+        at = 0
+        for lo, hi, below in _pair_blocks(n):
+            upper = np.ones((hi - lo, n - lo), dtype=bool)
+            upper[:, :hi - lo] = ~below
+            values = pair_values(a[lo:hi], a[lo:])[upper]
+            row[at:at + values.size] = values
+            at += values.size
+
+    # row 1 is the sort's buffer until it takes the message ranks
     ranks = np.empty((2, pairs))
-    at = 0
-    for lo, hi, below in _pair_blocks(n):
-        upper = np.ones((hi - lo, n - lo), dtype=bool)
-        upper[:, :hi - lo] = ~below
-        stop = at + int(np.count_nonzero(upper))
-        ranks[0, at:stop] = _sq_dists(space.points[lo:hi],
-                                      space.points[lo:])[upper]
-        ranks[1, at:stop] = msg_rank[np.ix_(inv[lo:hi], inv[lo:])][upper]
-        at = stop
-    np.sqrt(ranks[0], out=ranks[0])
-    ranks[0] = _average_ranks(ranks[0])
+    fill(ranks[0], lambda a, b: np.sqrt(_sq_dists(a, b)), space.points)
+    _rank_in_place(ranks[0], ranks[1].view(np.uint64))
+    fill(ranks[1], lambda a, b: msg_rank[a[:, None] * used.size + b], inv)
     # the largest input rank is (P + 1) / 2 only when every input pair ties
     # (all-infinite distances count as equal); on the message side every
     # pair falls in one distance class
@@ -161,20 +162,62 @@ def topsim(protocol: Protocol, space: InputSpace,
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``x``, each run of ties given the mean of its
-    positions. The means are half-integers whatever order the sort leaves
-    ties in, so the default (unstable) sort serves."""
-    order = np.argsort(x)
-    xs = x[order]
-    distinct = xs[1:] != xs[:-1]
-    ranks = np.empty(x.size)
-    if distinct.all():
-        ranks[order] = np.arange(1.0, x.size + 1)
-        return ranks
-    starts = np.flatnonzero(np.r_[True, distinct])
-    ends = np.r_[starts[1:], x.size]
-    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    """1-based ranks of ``x``, each run of ties given its mean position."""
+    ranks = np.array(x, dtype=float)
+    _rank_in_place(ranks, np.empty(ranks.size, dtype=np.uint64))
     return ranks
+
+
+# Elements per chunk of the rank passes: each temporary is 512 KiB or less.
+_RANK_CHUNK = 2 ** 16
+
+
+def _rank_in_place(x: np.ndarray, keys: np.ndarray) -> None:
+    """Overwrite the contiguous float64 ``x`` with its average ranks, using
+    the uint64 ``keys`` (as long) to sort order-preserving keys whose low
+    ``b`` bits hold the index, and one byte per value to mark ties."""
+    n, c, b = x.size, _RANK_CHUNK, (x.size - 1).bit_length()
+    low = np.uint64((1 << b) - 1)
+    for lo in range(0, n, c):
+        k = keys[lo:lo + c].view(np.int64)
+        np.add(x[lo:lo + c], 0.0, out=k.view(np.float64))  # -0.0 keyed as 0.0
+        # a negative value's bits all inverted, else the sign bit set
+        np.bitwise_and(k ^ ((k >> 63) | np.int64(-2 ** 63)), -1 << b, out=k)
+        k |= np.arange(lo, lo + k.size)
+    keys.sort()
+    # ``ties[p]``: the value at sorted position p equals the one before it;
+    # equal values share a truncated key, so only such neighbours are read
+    bad, ties = [np.empty(0, dtype=np.uint64)], np.zeros(n, dtype=bool)
+    for lo in range(0, n - 1, c):
+        key = keys[lo:lo + c + 1]
+        run = key >> b
+        at = np.flatnonzero(run[1:] == run[:-1])
+        u = x[(key[at] & low).view(np.intp)]
+        v = x[(key[at + 1] & low).view(np.intp)]
+        bad.append(run[at[u > v]])
+        ties[lo + 1 + at[u == v]] = True
+    bad = np.unique(np.concatenate(bad)) << b
+    first = keys.searchsorted(bad)
+    size = keys.searchsorted(bad | low, side="right") - first
+    fix = np.arange(size.sum()) + np.repeat(first - size.cumsum() + size, size)
+    # the runs are in order among themselves, so one stable sort mends all
+    keys[fix] = keys[fix][np.argsort(x[keys[fix] & low], kind="stable")]
+    v = x[keys[fix] & low]
+    ties[fix[1:]] = v[1:] == v[:-1]
+    # ``start`` opens the current run of ties, written once it closes
+    start = 0
+    for lo in range(0, n, c):
+        at = (keys[lo:lo + c] & low).view(np.intp)
+        new = np.flatnonzero(~ties[lo:lo + c]) + lo
+        if new.size:
+            cut = np.r_[start, new]
+            x[(keys[start:lo] & low).view(np.intp)] = (start + new[0] + 1) / 2
+            # with no ties in the chunk, position p ranks p + 1
+            x[at[:new[-1] - lo]] = new[:-1] + 1.0 if new.size == at.size \
+                else np.repeat((cut[:-1] + cut[1:] + 1) / 2,
+                               np.diff(np.maximum(cut, lo)))
+            start = new[-1]
+    x[(keys[start:] & low).view(np.intp)] = (start + n + 1) / 2
 
 
 # ---------------------------------------------------------------------------

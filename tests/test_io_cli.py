@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from signalgames import (
     GameSpec,
     InputSpace,
+    LabelMap,
     ParseError,
     Protocol,
     balanced_partition,
@@ -59,6 +60,22 @@ class TestInputSpaceFiles:
         loaded, labels = io.load_input_space(path)
         assert np.allclose(loaded.points, space_b.points)
         assert labels[0].labels == labels_ab.labels
+
+    def test_random_json_spaces_load_exactly(self, tmp_path):
+        # rounded to 12 digits, most of these reloaded to other arrays and
+        # some no longer had weights summing to 1
+        rng = rng_for("save-input-space-json-200")
+        path = tmp_path / "space.json"
+        for _ in range(200):
+            w = rng.random(5)
+            space = InputSpace(rng.normal(size=(5, 2)), w / w.sum())
+            attr = LabelMap(list(rng.integers(0, 3, size=5)), "attr")
+            io.save_input_space(path, space, [attr])
+            loaded, (back,) = io.load_input_space(path)
+            assert np.array_equal(loaded.points, space.points)
+            assert np.array_equal(loaded.weights, space.weights)
+            assert np.array_equal(back.labels, attr.labels)
+            assert back.name == "attr"
 
     def test_parse_error_carries_position(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -22,7 +22,7 @@ from signalgames import (
     unique_messages,
 )
 
-from signalgames import games, io
+from signalgames import games, io, metrics
 from signalgames.core import _sq_dists
 from signalgames.metrics import _average_ranks
 
@@ -130,6 +130,58 @@ class TestAverageRanks:
         x = np.array([np.inf, 1.0, np.inf, 0.0])
         assert _average_ranks(x).tolist() == [3.5, 2.0, 3.5, 1.0]
 
+    def test_values_sharing_a_truncated_key(self):
+        # values that differ only in the low bits the sort replaces by the
+        # index leave the sort by index and are sorted again by value
+        rng = rng_for("average-ranks-truncated-keys")
+        n = 200
+
+        def cluster(base, low=None):
+            if low is None:
+                low = rng.integers(0, 256, size=n, dtype=np.uint64)
+            return (np.full(n, base).view(np.uint64) | low).view(float)
+
+        # the last two clusters fall in value as the index rises
+        falling = np.arange(n, dtype=np.uint64)[::-1]
+        for x in (cluster(1.0), cluster(-3.5), cluster(2.0 ** -1000),
+                  cluster(0.0),
+                  rng.permutation(np.r_[cluster(1.0), cluster(-3.5)]),
+                  cluster(1.0, falling), cluster(-1.0, falling[::-1])):
+            assert np.array_equal(_average_ranks(x),
+                                  average_ranks_bruteforce(x))
+
+    def test_signs_zeros_and_infinities(self):
+        rng = rng_for("average-ranks-signs")
+        x = rng.choice([-np.inf, -2.5, -1e-300, -0.0, 0.0, 5e-324, 3.0,
+                        np.inf], size=300)
+        assert np.array_equal(_average_ranks(x), average_ranks_bruteforce(x))
+        # -0.0 == 0.0: the two share one rank
+        assert _average_ranks(np.array([0.0, -0.0, -1.0])).tolist() \
+            == [2.5, 2.5, 1.0]
+
+    @pytest.mark.parametrize("value", [0.0, -7.25, np.inf])
+    def test_all_tied(self, value):
+        x = np.full(300, value)
+        assert np.array_equal(_average_ranks(x), average_ranks_bruteforce(x))
+
+    @pytest.mark.parametrize("x", [[4.0], [-0.0], [2.0, 1.0], [1.0, 1.0],
+                                   [-0.0, 0.0], [np.inf, -np.inf]])
+    def test_one_and_two_values(self, x):
+        x = np.array(x)
+        assert np.array_equal(_average_ranks(x), average_ranks_bruteforce(x))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_runs_across_chunks(self, monkeypatch, chunk):
+        # runs of ties, and of shared truncated keys, that span chunks
+        monkeypatch.setattr(metrics, "_RANK_CHUNK", chunk)
+        rng = rng_for(f"average-ranks-chunks-{chunk}")
+        shared = (np.full(60, 1.0).view(np.uint64)
+                  | rng.integers(0, 64, size=60, dtype=np.uint64))
+        for x in (rng.integers(0, 4, size=60).astype(float),
+                  rng.normal(size=60), np.full(60, 2.0), shared.view(float)):
+            assert np.array_equal(_average_ranks(x),
+                                  average_ranks_bruteforce(x))
+
 
 class TestTopsim:
     def test_monotone_code_is_one(self):
@@ -189,6 +241,22 @@ class TestTopsim:
             checked += 1
         assert checked >= 50
 
+    def test_shared_truncated_keys_match_scipy(self):
+        # integer distances perturbed in their last bits: distinct
+        # distances that share the sort's truncated keys are sorted again
+        stats = pytest.importorskip("scipy.stats")
+        rng = rng_for("topsim-truncated-keys")
+        n = 40
+        pts = (np.arange(n) + rng.integers(0, 64, size=n) * 2.0 ** -47)
+        pts = pts[:, None]
+        ms = MessageSpace.full_code(3, 2)
+        protocol = Protocol(rng.integers(0, ms.size, size=n), ms.size)
+        iu = np.triu_indices(n, k=1)
+        din = np.sqrt(_sq_dists(pts, pts)[iu])
+        dmsg = ms.distances(protocol.assignment, protocol.assignment)[iu]
+        assert topsim(protocol, InputSpace.uniform(pts), ms) \
+            == stats.spearmanr(din, dmsg).statistic
+
     def test_pinned_value(self):
         # seeded N=1,000 inputs on the 18-message length-2 code of two
         # symbol groups, messages following position with a tenth
@@ -238,7 +306,7 @@ class TestTopsim:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * n * (n - 1) // 2
+        assert peak <= 40 * n * (n - 1) // 2
 
     def test_equal_infinite_distances_undefined(self):
         # every input pair is farther apart than float64 reaches
